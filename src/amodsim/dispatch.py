@@ -1,19 +1,22 @@
-"""Dispatching: zone-expansion search, one-ring baseline, traffic rescheduling.
+"""Dispatching: one region-schedule search for each call, and OSS re-planning.
 
-The expansion dispatcher unions the call's zone with its neighbors, targets
-the lowest-ETA candidate inside that region, and keeps widening the region by
-one adjacency ring until it hits a fixed point. Only then may it fall back to
-a global search, recording a new adjacency link to the winning vehicle's zone.
-The baseline searches the call's zone, then its immediate ring, and gives up.
+Both dispatch modes rank every candidate's ETA to the pickup once, then walk
+a schedule of zone regions and target the lowest-ETA candidate inside the
+first region that holds one:
+
+- baseline: the call's zone alone, then its immediate ring, then give up;
+- expansion: the call's zone with its ring, widened one adjacency ring at a
+  time until it stops growing; then the whole city, recording a new
+  adjacency link to the winning vehicle's zone.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from . import road
 from .demand import TripRequest
-from .fleet import (Fleet, Plan, Strategy, Vehicle, VehicleStatus, assign,
-                    candidate_pool)
+from .fleet import Fleet, Plan, Strategy, Vehicle, VehicleStatus, assign, candidate_pool
 from .road import RoadNetwork, Route, TrafficState
 from .zones import AdjacencySchedule, ZoneMap
 
@@ -25,7 +28,6 @@ REJECT_UNROUTABLE = "unroutable"
 class DispatchConfig:
     strategy: Strategy = Strategy.NSS
     eat_enabled: bool = True
-    global_fallback_after_component: bool = True
     oss_reassign_threshold_s: float = 60.0
 
 
@@ -49,175 +51,57 @@ class DispatchDecision:
 class _EtaRanking:
     """Candidate ETAs against one pickup node, all from a single graph scan.
 
-    Values are identical to per-vehicle estimates on exactly-representable
-    edge times; the final decision recomputes the winner's route anyway.
+    A vehicle's ETA is the time left on its commitments (zero when idle) plus
+    the leg from where they end. Values are identical to per-vehicle route
+    times on exactly-representable edge times; the winner is re-routed anyway.
     """
 
     def __init__(self, pool: list[Vehicle], pickup_node: int, net: RoadNetwork,
                  traffic: TrafficState | None, now_s: float):
-        sources = set()
-        for v in pool:
-            sources.add(v.node if v.status is VehicleStatus.IDLE else v.trip_end_node())
+        sources = {v.trip_end_node() for v in pool}
         self._times = road.eta_table(net, pickup_node, now_s, traffic, sources=sources)
         self._now = now_s
 
     def eta(self, v: Vehicle) -> float | None:
-        if v.status is VehicleStatus.IDLE:
-            return self._times.get(v.node)
         leg = self._times.get(v.trip_end_node())
-        if leg is None:
-            return None
-        return (v.busy_until_s(self._now) - self._now) + leg
+        return None if leg is None else (v.busy_until_s(self._now) - self._now) + leg
 
 
-def _best_candidate(pool: list[Vehicle], ranking: _EtaRanking,
-                    vehicle_zone: dict[int, int],
-                    allowed_zones: frozenset[int] | None) -> tuple[Vehicle, float] | None:
+def _best_candidate(pool: list[Vehicle], ranking: _EtaRanking) -> tuple[Vehicle | None, float]:
     best: Vehicle | None = None
     best_eta = math.inf
     for v in pool:  # pool is id-ordered, so ties keep the lowest id
-        if allowed_zones is not None and vehicle_zone[v.id] not in allowed_zones:
-            continue
         eta = ranking.eta(v)
         if eta is not None and eta < best_eta:
             best = v
             best_eta = eta
-    return None if best is None else (best, best_eta)
+    return best, best_eta
 
 
-def _finalize(decision: DispatchDecision, winner: Vehicle, pickup_node: int,
-              trip_route: Route, net: RoadNetwork, traffic: TrafficState | None,
-              now_s: float) -> DispatchDecision:
-    start = winner.node if winner.status is VehicleStatus.IDLE else winner.trip_end_node()
-    leg = road.route_astar(net, start, pickup_node, now_s, traffic)
+def _pickup_leg(v: Vehicle, pickup_node: int, net: RoadNetwork,
+                traffic: TrafficState | None, now_s: float) -> tuple[Route, float]:
+    """The ranked vehicle's route to the pickup and its ETA."""
+    leg = road.route_astar(net, v.trip_end_node(), pickup_node, now_s, traffic)
     assert leg is not None, "ranked candidate lost its route"
-    if winner.status is VehicleStatus.IDLE:
-        eta = leg.total_time_s
-    else:
-        eta = (winner.busy_until_s(now_s) - now_s) + leg.total_time_s
-    decision.vehicle_id = winner.id
-    decision.eta_s = eta
-    decision.route_to_pickup = leg
-    decision.route_of_trip = trip_route
-    return decision
+    return leg, (v.busy_until_s(now_s) - now_s) + leg.total_time_s
 
 
-def _vehicle_zones(pool: list[Vehicle], node_zone: dict[int, int], now_s: float) -> dict[int, int]:
-    # A vehicle sits in the zone of its last-passed routing node.
-    return {v.id: node_zone[v.current_node(now_s)] for v in pool}
-
-
-def dispatch_eat(call: TripRequest, pickup_node: int | None, dropoff_node: int | None,
-                 fleet: Fleet, sched: AdjacencySchedule, zone_map: ZoneMap,
-                 node_zone: dict[int, int], net: RoadNetwork,
-                 traffic: TrafficState | None, now_s: float,
-                 cfg: DispatchConfig) -> DispatchDecision:
-    """Expansion dispatch for one call. May add one adjacency link on a
-    successful out-of-component assignment; never touches vehicle state."""
-    if not cfg.eat_enabled:
-        raise ValueError("expansion dispatch called with eat_enabled=False")
-    a_c = zone_map.locate_or_nearest(call.pickup)
-    decision = DispatchDecision(call_id=call.id, origin_zone=a_c)
-    if pickup_node is None or dropoff_node is None:
-        decision.zones_searched.append(frozenset({a_c}))
-        decision.reject_reason = REJECT_UNROUTABLE
-        return decision
-    trip_route = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic)
-    if trip_route is None:
-        decision.zones_searched.append(frozenset({a_c}))
-        decision.reject_reason = REJECT_UNROUTABLE
-        return decision
-
-    pool = candidate_pool(fleet, cfg.strategy)
-    ranking = _EtaRanking(pool, pickup_node, net, traffic, now_s)
-    vzone = _vehicle_zones(pool, node_zone, now_s)
-    all_zones = frozenset(sched.zone_ids())
+def _regions(a_c: int, sched: AdjacencySchedule, expand: bool) -> Iterator[frozenset[int]]:
+    """The zone regions a call in zone a_c searches, in order."""
     neighbors = sched.neighbors(a_c)
-
-    if neighbors:
-        region = frozenset({a_c, *neighbors})
-        while True:
-            decision.zones_searched.append(region)
-            hit = _best_candidate(pool, ranking, vzone, region)
-            if hit is not None:
-                return _finalize(decision, hit[0], pickup_node, trip_route, net, traffic, now_s)
-            wider = frozenset(sched.expand_frontier(set(region)))
-            if wider == region:
-                break  # connected component exhausted
-            region = wider
-        if not cfg.global_fallback_after_component:
-            decision.reject_reason = REJECT_NO_VEHICLE
-            return decision
-        if all_zones > region:
-            decision.zones_searched.append(all_zones)
-        hit = _best_candidate(pool, ranking, vzone, None)
-        if hit is None:
-            decision.reject_reason = REJECT_NO_VEHICLE
-            return decision
-        winner_zone = vzone[hit[0].id]
-        if winner_zone != a_c:
-            sched.add_neighbor(a_c, winner_zone)
-            decision.adjacency_updated = True
-        return _finalize(decision, hit[0], pickup_node, trip_route, net, traffic, now_s)
-
-    # Isolated zone: try it alone, then everywhere, linking on success.
-    decision.zones_searched.append(frozenset({a_c}))
-    hit = _best_candidate(pool, ranking, vzone, frozenset({a_c}))
-    if hit is not None:
-        return _finalize(decision, hit[0], pickup_node, trip_route, net, traffic, now_s)
-    if all_zones > {a_c}:
-        decision.zones_searched.append(all_zones)
-    hit = _best_candidate(pool, ranking, vzone, None)
-    if hit is None:
-        decision.reject_reason = REJECT_NO_VEHICLE
-        return decision
-    winner_zone = vzone[hit[0].id]
-    if winner_zone != a_c:
-        sched.add_neighbor(a_c, winner_zone)
-        decision.adjacency_updated = True
-    return _finalize(decision, hit[0], pickup_node, trip_route, net, traffic, now_s)
-
-
-def dispatch_baseline(call: TripRequest, pickup_node: int | None, dropoff_node: int | None,
-                      fleet: Fleet, sched: AdjacencySchedule, zone_map: ZoneMap,
-                      node_zone: dict[int, int], net: RoadNetwork,
-                      traffic: TrafficState | None, now_s: float,
-                      cfg: DispatchConfig) -> DispatchDecision:
-    """One-ring dispatch: the call's zone, then its immediate neighbors only.
-
-    Never iterates further and never updates adjacency.
-    """
-    if cfg.eat_enabled:
-        raise ValueError("baseline dispatch called with eat_enabled=True")
-    a_c = zone_map.locate_or_nearest(call.pickup)
-    decision = DispatchDecision(call_id=call.id, origin_zone=a_c)
-    if pickup_node is None or dropoff_node is None:
-        decision.zones_searched.append(frozenset({a_c}))
-        decision.reject_reason = REJECT_UNROUTABLE
-        return decision
-    trip_route = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic)
-    if trip_route is None:
-        decision.zones_searched.append(frozenset({a_c}))
-        decision.reject_reason = REJECT_UNROUTABLE
-        return decision
-
-    pool = candidate_pool(fleet, cfg.strategy)
-    ranking = _EtaRanking(pool, pickup_node, net, traffic, now_s)
-    vzone = _vehicle_zones(pool, node_zone, now_s)
-
-    decision.zones_searched.append(frozenset({a_c}))
-    hit = _best_candidate(pool, ranking, vzone, frozenset({a_c}))
-    if hit is not None:
-        return _finalize(decision, hit[0], pickup_node, trip_route, net, traffic, now_s)
-    neighbors = sched.neighbors(a_c)
-    if neighbors:
-        ring = frozenset(neighbors)
-        decision.zones_searched.append(ring)
-        hit = _best_candidate(pool, ranking, vzone, ring)
-        if hit is not None:
-            return _finalize(decision, hit[0], pickup_node, trip_route, net, traffic, now_s)
-    decision.reject_reason = REJECT_NO_VEHICLE
-    return decision
+    if not expand:
+        yield frozenset({a_c})
+        if neighbors:
+            yield frozenset(neighbors)
+        return
+    region = frozenset({a_c, *neighbors})
+    yield region
+    while neighbors:  # an isolated zone has no ring to widen
+        wider = frozenset(sched.expand_frontier(set(region)))
+        if wider == region:
+            return  # connected component exhausted
+        region = wider
+        yield region
 
 
 def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | None,
@@ -225,9 +109,44 @@ def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | Non
              node_zone: dict[int, int], net: RoadNetwork,
              traffic: TrafficState | None, now_s: float,
              cfg: DispatchConfig) -> DispatchDecision:
-    fn = dispatch_eat if cfg.eat_enabled else dispatch_baseline
-    return fn(call, pickup_node, dropoff_node, fleet, sched, zone_map, node_zone,
-              net, traffic, now_s, cfg)
+    """Pick a vehicle for one call. Expansion may add one adjacency link on
+    an out-of-component assignment; vehicle state is never touched."""
+    a_c = zone_map.locate_or_nearest(call.pickup)
+    decision = DispatchDecision(call_id=call.id, origin_zone=a_c)
+    trip_route = None
+    if pickup_node is not None and dropoff_node is not None:
+        trip_route = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic)
+    if trip_route is None:
+        decision.zones_searched.append(frozenset({a_c}))
+        decision.reject_reason = REJECT_UNROUTABLE
+        return decision
+
+    pool = candidate_pool(fleet, cfg.strategy, call.party_size)
+    ranking = _EtaRanking(pool, pickup_node, net, traffic, now_s)
+    # A vehicle sits in the zone of its last-passed routing node.
+    vzone = {v.id: node_zone[v.current_node(now_s)] for v in pool}
+    winner = None
+    for region in _regions(a_c, sched, cfg.eat_enabled):
+        decision.zones_searched.append(region)
+        winner, _ = _best_candidate([v for v in pool if vzone[v.id] in region], ranking)
+        if winner is not None:
+            break
+    if winner is None and cfg.eat_enabled:
+        all_zones = frozenset(sched.zone_ids())
+        if all_zones > region:
+            decision.zones_searched.append(all_zones)
+        winner, _ = _best_candidate(pool, ranking)
+        if winner is not None and vzone[winner.id] != a_c:
+            sched.add_neighbor(a_c, vzone[winner.id])
+            decision.adjacency_updated = True
+    if winner is None:
+        decision.reject_reason = REJECT_NO_VEHICLE
+        return decision
+    decision.vehicle_id = winner.id
+    decision.route_to_pickup, decision.eta_s = _pickup_leg(winner, pickup_node, net,
+                                                           traffic, now_s)
+    decision.route_of_trip = trip_route
+    return decision
 
 
 @dataclass(frozen=True)
@@ -286,15 +205,9 @@ def oss_reschedule(pending: list[PendingJob], fleet: Fleet, net: RoadNetwork,
         leg = road.route_astar(net, origin, job.pickup_node, now_s, traffic)
         incumbent_eta = None if leg is None else base_wait + leg.total_time_s
 
-        others = candidate_pool(fleet, Strategy.OSS)
-        ranking = _EtaRanking(others, job.pickup_node, net, traffic, now_s)
-        best: Vehicle | None = None
-        best_eta = math.inf
-        for cand in others:
-            eta = ranking.eta(cand)
-            if eta is not None and eta < best_eta:
-                best = cand
-                best_eta = eta
+        others = candidate_pool(fleet, Strategy.OSS, job.request.party_size)
+        best, best_eta = _best_candidate(
+            others, _EtaRanking(others, job.pickup_node, net, traffic, now_s))
 
         improves = best is not None and (
             incumbent_eta is None or incumbent_eta - best_eta > cfg.oss_reassign_threshold_s)
@@ -309,9 +222,7 @@ def oss_reschedule(pending: list[PendingJob], fleet: Fleet, net: RoadNetwork,
                 v.node = origin
                 v.status = VehicleStatus.IDLE
                 v.plan = None
-            start = best.node if best.status is VehicleStatus.IDLE else best.trip_end_node()
-            new_leg = road.route_astar(net, start, job.pickup_node, now_s, traffic)
-            assert new_leg is not None
+            new_leg, _ = _pickup_leg(best, job.pickup_node, net, traffic, now_s)
             plan = assign(best, job.request, new_leg, trip_route, now_s)
             actions.append(RescheduleAction(job.request.id, v.id, best.id,
                                             plan.pickup_time_s, True, True,

@@ -1,4 +1,4 @@
-"""Vehicles, their state machine, candidate pools and arrival estimates.
+"""Vehicles, their state machine and candidate pools.
 
 A vehicle is Idle, EnRouteToPickup, or OnTrip. Strategies that assign busy
 vehicles may queue exactly one future job behind the trip in progress; a
@@ -10,9 +10,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from . import road
 from .demand import TripRequest
-from .road import RoadNetwork, Route, TrafficState
+from .road import RoadNetwork, Route
 
 DEFAULT_CAPACITY = 4
 
@@ -125,41 +124,23 @@ class Fleet:
         return cls([Vehicle(i, rng.choice(node_ids), capacity) for i in range(size)])
 
 
-def candidate_pool(fleet: Fleet, strategy: Strategy) -> list[Vehicle]:
-    """Vehicles eligible for a new assignment, ascending id.
+def candidate_pool(fleet: Fleet, strategy: Strategy, party_size: int) -> list[Vehicle]:
+    """Vehicles eligible for a new assignment of party_size riders, ascending id.
 
     NSS considers idle vehicles only. SSS and OSS add vehicles currently on a
     trip, except those that already queued a follow-up job. A vehicle heading
-    to a pickup is never eligible.
+    to a pickup, or with fewer seats than the party, is never eligible.
     """
     out = []
     for v in fleet:
+        if v.capacity < party_size:
+            continue
         if v.status is VehicleStatus.IDLE:
             out.append(v)
         elif strategy in (Strategy.SSS, Strategy.OSS) and \
                 v.status is VehicleStatus.ON_TRIP and v.queued is None:
             out.append(v)
     return out
-
-
-def estimate_eta(vehicle: Vehicle, pickup_node: int, net: RoadNetwork,
-                 traffic: TrafficState | None, now_s: float) -> float | None:
-    """Seconds until the vehicle could reach pickup_node.
-
-    Idle: route from where it stands. OnTrip: remaining trip time plus a
-    route from the trip's dropoff node, both under the traffic in force now.
-    Returns None when no route exists.
-    """
-    if vehicle.status is VehicleStatus.IDLE:
-        return road.travel_time_s(net, vehicle.node, pickup_node, now_s, traffic)
-    if vehicle.status is VehicleStatus.ON_TRIP:
-        if vehicle.queued is not None:
-            raise ValueError(f"vehicle {vehicle.id} already queued a job")
-        leg = road.travel_time_s(net, vehicle.trip_end_node(), pickup_node, now_s, traffic)
-        if leg is None:
-            return None
-        return (vehicle.busy_until_s(now_s) - now_s) + leg
-    raise ValueError(f"vehicle {vehicle.id} is {vehicle.status.value}; not in any candidate pool")
 
 
 def assign(vehicle: Vehicle, request: TripRequest, route_to_pickup: Route,

@@ -21,7 +21,11 @@ MIN_LENGTH_FACTOR = 0.99
 
 
 class NetworkLoadError(ValueError):
-    pass
+    """Bad network input; `edge` is the index of the offending edge, if any."""
+
+    def __init__(self, message: str, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 class TrafficState:
@@ -79,23 +83,22 @@ class TrafficState:
             return base
         import random
         rng = random.Random(walk_seed)
-        walk = 1.0
+        walks = [1.0]  # walks[k] is the walk value from step k on
+
+        def walk_at(k: int) -> float:
+            while len(walks) <= k:
+                walks.append(min(1.5, max(0.5, walks[-1] + rng.gauss(0.0, walk_sigma))))
+            return walks[max(k, 0)]
+
         out: list[tuple[float, float]] = []
         t = 0.0
         while t <= horizon_s:
-            if t > 0.0:
-                walk = min(1.5, max(0.5, walk + rng.gauss(0.0, walk_sigma)))
-            out.append((t, min(2.0, base.multiplier_at(t) * walk)))
+            out.append((t, min(2.0, base.multiplier_at(t) * walk_at(len(out)))))
             t += walk_step_s
         # keep configured breakpoints that fall between walk steps
         for ts, m in base.entries:
             if ts <= horizon_s and all(abs(ts - t0) > 1e-9 for t0, _ in out):
-                k = int(ts // walk_step_s)
-                w = 1.0
-                rng2 = random.Random(walk_seed)
-                for _ in range(k):
-                    w = min(1.5, max(0.5, w + rng2.gauss(0.0, walk_sigma)))
-                out.append((ts, min(2.0, m * w)))
+                out.append((ts, min(2.0, m * walk_at(int(ts // walk_step_s)))))
         out.sort()
         return cls(out)
 
@@ -134,14 +137,15 @@ class RoadNetwork:
         self.radj: dict[int, list[tuple[int, float, float]]] = {n: [] for n in self.nodes}
         for k, (u, v, length, speed) in enumerate(edges):
             if u not in self.nodes or v not in self.nodes:
-                raise NetworkLoadError(f"edge {k} references unknown node {u if u not in self.nodes else v}")
+                raise NetworkLoadError(
+                    f"edge {k} references unknown node {u if u not in self.nodes else v}", k)
             if length <= 0 or speed <= 0:
-                raise NetworkLoadError(f"edge {k} has non-positive length or speed")
+                raise NetworkLoadError(f"edge {k} has non-positive length or speed", k)
             crow = haversine_m(self.nodes[u], self.nodes[v])
             if length < MIN_LENGTH_FACTOR * crow:
                 raise NetworkLoadError(
                     f"edge {k} ({u}->{v}) length {length:.2f} m shorter than "
-                    f"{MIN_LENGTH_FACTOR} * great-circle {crow:.2f} m")
+                    f"{MIN_LENGTH_FACTOR} * great-circle {crow:.2f} m", k)
             speed = min(speed, self.speed_limit_mps)
             self.adj[u].append((v, length, speed))
             self.radj[v].append((u, length, speed))
@@ -244,6 +248,7 @@ def load_network(nodes_path: str, edges_path: str, speed_limit_mps: float) -> Ro
             raise NetworkLoadError(f"{nodes_path}:{lineno}: {exc}") from exc
 
     edges: list[tuple[int, int, float, float]] = []
+    edge_lines: list[int] = []
     for lineno, line in _parse_lines(edges_path):
         parts = line.split()
         if len(parts) != 4:
@@ -253,17 +258,14 @@ def load_network(nodes_path: str, edges_path: str, speed_limit_mps: float) -> Ro
             length, speed = float(parts[2]), float(parts[3])
         except ValueError as exc:
             raise NetworkLoadError(f"{edges_path}:{lineno}: {exc}") from exc
-        if u not in nodes or v not in nodes:
-            raise NetworkLoadError(f"{edges_path}:{lineno}: dangling endpoint {u if u not in nodes else v}")
-        if length <= 0 or speed <= 0:
-            raise NetworkLoadError(f"{edges_path}:{lineno}: non-positive length or speed")
-        crow = haversine_m(nodes[u], nodes[v])
-        if length < MIN_LENGTH_FACTOR * crow:
-            raise NetworkLoadError(
-                f"{edges_path}:{lineno}: length {length} m under {MIN_LENGTH_FACTOR} * "
-                f"great-circle distance {crow:.2f} m")
         edges.append((u, v, length, speed))
-    return RoadNetwork(nodes, edges, speed_limit_mps)
+        edge_lines.append(lineno)
+    try:
+        return RoadNetwork(nodes, edges, speed_limit_mps)
+    except NetworkLoadError as exc:
+        if exc.edge is None:
+            raise
+        raise NetworkLoadError(f"{edges_path}:{edge_lines[exc.edge]}: {exc}") from exc
 
 
 def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
@@ -326,19 +328,13 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     return Route(nodes, tuple(hop_times), tuple(hop_lengths), total, math.fsum(hop_lengths))
 
 
-def travel_time_s(net: RoadNetwork, src: int, dst: int, at_s: float,
-                  traffic: TrafficState | None = None) -> float | None:
-    route = route_astar(net, src, dst, at_s, traffic)
-    return None if route is None else route.total_time_s
-
-
 def eta_table(net: RoadNetwork, dst: int, at_s: float,
               traffic: TrafficState | None = None,
               sources: set[int] | None = None) -> dict[int, float]:
     """Travel time to dst from every reachable node (or just `sources`).
 
-    Single reverse-graph scan; each returned value equals what
-    travel_time_s(net, src, dst, ...) computes for that source. Unreachable
+    Single reverse-graph scan; each returned value equals the total time of
+    route_astar(net, src, dst, ...) for that source. Unreachable
     sources are simply absent from the result.
     """
     if dst not in net.nodes:

@@ -14,9 +14,9 @@ import os
 import random
 
 from amodsim.demand import TripRequest
-from amodsim.fleet import Fleet, Vehicle
+from amodsim.fleet import Fleet, Vehicle, VehicleStatus
 from amodsim.geo import METERS_PER_DEG_LAT, GeoPoint, Polygon
-from amodsim.road import RoadNetwork
+from amodsim.road import RoadNetwork, TrafficState, route_astar
 from amodsim.zones import Zone, ZoneMap, initial_adjacency
 
 GRID_SPEED_MPS = 10.0
@@ -186,6 +186,34 @@ def dijkstra_times(net: RoadNetwork, src: int, mult: float = 1.0) -> dict[int, f
                 dist[nxt] = nd
                 heapq.heappush(heap, (nd, nxt))
     return dist
+
+
+def travel_time_s(net: RoadNetwork, src: int, dst: int, at_s: float,
+                  traffic: TrafficState | None = None) -> float | None:
+    """Point-to-point time by A*, one search per query."""
+    route = route_astar(net, src, dst, at_s, traffic)
+    return None if route is None else route.total_time_s
+
+
+def estimate_eta(vehicle: Vehicle, pickup_node: int, net: RoadNetwork,
+                 traffic: TrafficState | None, now_s: float) -> float | None:
+    """Seconds until the vehicle could reach pickup_node, one route per vehicle.
+
+    Idle: route from where it stands. OnTrip: remaining trip time plus a
+    route from the trip's dropoff node, both under the traffic in force now.
+    Returns None when no route exists. The exhaustive reference the
+    dispatcher's single-scan ranking is checked against.
+    """
+    if vehicle.status is VehicleStatus.IDLE:
+        return travel_time_s(net, vehicle.node, pickup_node, now_s, traffic)
+    if vehicle.status is VehicleStatus.ON_TRIP:
+        if vehicle.queued is not None:
+            raise ValueError(f"vehicle {vehicle.id} already queued a job")
+        leg = travel_time_s(net, vehicle.trip_end_node(), pickup_node, now_s, traffic)
+        if leg is None:
+            return None
+        return (vehicle.busy_until_s(now_s) - now_s) + leg
+    raise ValueError(f"vehicle {vehicle.id} is {vehicle.status.value}; not in any candidate pool")
 
 
 def winding_inside(poly: Polygon, p: GeoPoint) -> bool:

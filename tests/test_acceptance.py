@@ -12,7 +12,7 @@ from time import perf_counter
 import reference_results as ref
 from acceptance_report import record
 from amodsim.demand import TripRequest, generate_demand
-from amodsim.dispatch import DispatchConfig, dispatch_baseline, dispatch_eat
+from amodsim.dispatch import DispatchConfig, dispatch
 from amodsim.engine import EngineConfig, replay_check, run
 from amodsim.fleet import (
     Fleet,
@@ -21,7 +21,6 @@ from amodsim.fleet import (
     VehicleStatus,
     assign,
     candidate_pool,
-    estimate_eta,
 )
 from amodsim.metrics import aggregate, improvement_pcts, r_ts, t_apw
 from amodsim.road import TrafficState, route_astar
@@ -32,6 +31,7 @@ from scenario_tools import (
     GOLDEN_SPACING_DEG,
     box_polygon,
     dijkstra_times,
+    estimate_eta,
     golden_city,
     golden_fleet,
     golden_requests,
@@ -234,13 +234,13 @@ def test_criterion_3_expansion_matches_global_argmin():
         for strategy in STRATEGIES:
             n_checks += 1
             best_id, best_eta = None, math.inf
-            for v in candidate_pool(fleet, strategy):
+            for v in candidate_pool(fleet, strategy, call.party_size):
                 eta = estimate_eta(v, pickup, net, traffic, 0.0)
                 if eta is not None and eta < best_eta:
                     best_id, best_eta = v.id, eta
             cfg = DispatchConfig(strategy=strategy, eat_enabled=True)
-            d = dispatch_eat(call, pickup, dropoff, fleet, sched, zm,
-                             node_zone, net, traffic, 0.0, cfg)
+            d = dispatch(call, pickup, dropoff, fleet, sched, zm,
+                         node_zone, net, traffic, 0.0, cfg)
             if d.vehicle_id != best_id or d.adjacency_updated:
                 disagreements += 1
     dt = perf_counter() - t0
@@ -280,13 +280,12 @@ def test_criterion_4_expansion_dominates_baseline():
         traffic = random_traffic(rng)
         n_instances += 1
         for strategy in STRATEGIES:
-            base = dispatch_baseline(call, pickup, dropoff, fleet, sched, zm,
-                                     node_zone, net, traffic, 0.0,
-                                     DispatchConfig(strategy=strategy,
-                                                    eat_enabled=False))
-            eat = dispatch_eat(call, pickup, dropoff, fleet, sched.copy(), zm,
-                               node_zone, net, traffic, 0.0,
-                               DispatchConfig(strategy=strategy, eat_enabled=True))
+            base = dispatch(call, pickup, dropoff, fleet, sched, zm,
+                            node_zone, net, traffic, 0.0,
+                            DispatchConfig(strategy=strategy, eat_enabled=False))
+            eat = dispatch(call, pickup, dropoff, fleet, sched.copy(), zm,
+                           node_zone, net, traffic, 0.0,
+                           DispatchConfig(strategy=strategy, eat_enabled=True))
             base_assigned += base.assigned
             eat_assigned += eat.assigned
             if base.assigned and not eat.assigned:
@@ -296,10 +295,10 @@ def test_criterion_4_expansion_dominates_baseline():
     net, zm, sched, node_zone = chain_city()
     fleet = Fleet([Vehicle(0, 4)])
     call = TripRequest(0, "chain", 0.0, net.nodes[0], net.nodes[2], 1, 1800.0)
-    base = dispatch_baseline(call, 0, 2, fleet, sched, zm, node_zone, net,
-                             None, 0.0, DispatchConfig(eat_enabled=False))
-    eat = dispatch_eat(call, 0, 2, fleet, sched.copy(), zm, node_zone, net,
-                       None, 0.0, DispatchConfig(eat_enabled=True))
+    base = dispatch(call, 0, 2, fleet, sched, zm, node_zone, net,
+                    None, 0.0, DispatchConfig(eat_enabled=False))
+    eat = dispatch(call, 0, 2, fleet, sched.copy(), zm, node_zone, net,
+                   None, 0.0, DispatchConfig(eat_enabled=True))
     chain_ok = (not base.assigned and base.reject_reason == "no-vehicle"
                 and eat.assigned and eat.vehicle_id == 0)
     dt = perf_counter() - t0

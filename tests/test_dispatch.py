@@ -1,4 +1,4 @@
-"""Zone-expansion dispatch, the one-ring baseline, and traffic re-planning."""
+"""Dispatch over both region schedules (expansion, one-ring baseline) and traffic re-planning."""
 
 import pytest
 
@@ -7,8 +7,6 @@ from amodsim.dispatch import (
     DispatchConfig,
     PendingJob,
     dispatch,
-    dispatch_baseline,
-    dispatch_eat,
     oss_reschedule,
 )
 from amodsim.fleet import Fleet, Strategy, Vehicle, VehicleStatus, assign
@@ -137,6 +135,12 @@ def test_isolated_zone_searches_itself_then_everywhere():
     assert inside.zones_searched == [frozenset({0})]
     assert not inside.adjacency_updated
 
+    # the baseline's ring is empty: it searches the zone alone and gives up
+    base = run_dispatch(net, zm, sched, node_zone, [Vehicle(0, 4)], 0, 3, BASE)
+    assert base.zones_searched == [frozenset({0})]
+    assert not base.assigned and base.reject_reason == "no-vehicle"
+    assert sched.pairs() == [(1, 2)] and sched.revision == 0
+
     far = run_dispatch(net, zm, sched, node_zone, [Vehicle(0, 4)], 0, 3, EAT)
     assert far.assigned
     assert far.zones_searched == [frozenset({0}), frozenset({0, 1, 2})]
@@ -177,13 +181,16 @@ def test_unroutable_rejections():
     assert d.reject_reason == "unroutable"
 
 
-def test_dispatch_mode_guards():
+def test_party_larger_than_a_vehicle_skips_it():
     net, zm, sched, node_zone = line_city([(0, 4)], [])
-    call = call_at(net, 2, 4)
-    with pytest.raises(ValueError):
-        dispatch_eat(call, 2, 4, Fleet([]), sched, zm, node_zone, net, None, 0.0, BASE)
-    with pytest.raises(ValueError):
-        dispatch_baseline(call, 2, 4, Fleet([]), sched, zm, node_zone, net, None, 0.0, EAT)
+    fleet = Fleet([Vehicle(0, 2, capacity=1), Vehicle(1, 0, capacity=2)])
+    pair = TripRequest(0, "m0", 0.0, net.nodes[2], net.nodes[4], 2, 600.0)
+    d = dispatch(pair, 2, 4, fleet, sched, zm, node_zone, net, None, 0.0, EAT)
+    assert d.vehicle_id == 1 and d.eta_s == 2 * HOP_S    # not the one on the spot
+    crowd = TripRequest(1, "m1", 0.0, net.nodes[2], net.nodes[4], 3, 600.0)
+    for cfg in (EAT, BASE):
+        d = dispatch(crowd, 2, 4, fleet, sched, zm, node_zone, net, None, 0.0, cfg)
+        assert not d.assigned and d.reject_reason == "no-vehicle"
 
 
 def test_dispatch_does_not_touch_vehicle_state():
@@ -339,6 +346,19 @@ def test_reschedule_visits_jobs_first_come_first_served():
     assert [a.request_id for a in grabbed] == [0]  # first job takes the idle car
     assert idle.plan.request_id == 0
     assert far_b.plan.request_id == 1              # second keeps its incumbent
+
+
+def test_reschedule_skips_vehicles_too_small_for_the_party():
+    net, _, _, _ = line_city([(0, 9)], [], cols=10)
+    slowpoke = Vehicle(0, 0)
+    call = TripRequest(0, "m0", 0.0, net.nodes[8], net.nodes[9], 2, 600.0)
+    assign(slowpoke, call, route_astar(net, 0, 8, 0.0), route_astar(net, 8, 9, 0.0), 0.0)
+    job = PendingJob(call, 8, 9, slowpoke.id)
+    single = Vehicle(1, 7, capacity=1)            # one hop away, but one seat
+    actions = oss_reschedule([job], Fleet([slowpoke, single]), net, None, 40.0, OSS)
+    assert all(not a.reassigned for a in actions)
+    assert slowpoke.plan.request_id == 0
+    assert single.status is VehicleStatus.IDLE
 
 
 def test_reschedule_rejects_foreign_job():

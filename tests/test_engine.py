@@ -285,6 +285,17 @@ def test_unsnappable_request_is_rejected_as_unroutable():
     assert result.metadata["rejected"] == {"unroutable": 1}
 
 
+def test_party_no_vehicle_fits_is_rejected_no_vehicle():
+    net, zm, sched = one_zone_city(5)
+    requests = [TripRequest(0, "m0", 0.0, net.nodes[2], net.nodes[4], 4, 600.0),
+                TripRequest(1, "m1", 10.0, net.nodes[2], net.nodes[4], 1, 600.0)]
+    fleet = Fleet([Vehicle(0, 0, capacity=1), Vehicle(1, 1, capacity=1)])
+    result = run(requests, fleet, net, zm, sched, None, nss_eat())
+    assert result.record_lines()[0] == "0 0.0 REJECTED no-vehicle"
+    assert result.record_lines()[1].split()[2] == "PICKED_UP"
+    assert result.metadata["rejected"] == {"no-vehicle": 1}
+
+
 def test_conservation_of_requests():
     meta = run_golden().metadata
     assert meta["requests"] == meta["picked_up"] + meta["abandoned"] + \

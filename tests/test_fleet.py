@@ -1,4 +1,4 @@
-"""Vehicle state machine, candidate pools, arrival estimates, assignment."""
+"""Vehicle state machine, candidate pools, the arrival-estimate oracle, assignment."""
 
 import pytest
 
@@ -11,11 +11,10 @@ from amodsim.fleet import (
     VehicleStatus,
     assign,
     candidate_pool,
-    estimate_eta,
     validate_transitions,
 )
 from amodsim.road import route_astar
-from scenario_tools import grid_network
+from scenario_tools import estimate_eta, grid_network
 
 HOP_S = 40.0
 
@@ -73,9 +72,18 @@ def test_candidate_pool_by_strategy():
            route_astar(net, 5, 8, 0.0), 0.0)
     fleet = Fleet([idle, en_route, on_trip, queued_up])
 
-    assert [v.id for v in candidate_pool(fleet, Strategy.NSS)] == [0]
-    assert [v.id for v in candidate_pool(fleet, Strategy.SSS)] == [0, 2]
-    assert [v.id for v in candidate_pool(fleet, Strategy.OSS)] == [0, 2]
+    assert [v.id for v in candidate_pool(fleet, Strategy.NSS, 1)] == [0]
+    assert [v.id for v in candidate_pool(fleet, Strategy.SSS, 1)] == [0, 2]
+    assert [v.id for v in candidate_pool(fleet, Strategy.OSS, 1)] == [0, 2]
+
+
+def test_candidate_pool_skips_vehicles_too_small_for_the_party():
+    fleet = Fleet([Vehicle(0, 0, capacity=1), Vehicle(1, 0, capacity=2),
+                   Vehicle(2, 0, capacity=4)])
+    assert [v.id for v in candidate_pool(fleet, Strategy.NSS, 1)] == [0, 1, 2]
+    assert [v.id for v in candidate_pool(fleet, Strategy.SSS, 2)] == [1, 2]
+    assert [v.id for v in candidate_pool(fleet, Strategy.OSS, 4)] == [2]
+    assert candidate_pool(fleet, Strategy.NSS, 5) == []
 
 
 def test_estimate_eta_idle_and_on_trip():

@@ -13,13 +13,13 @@ from amodsim.road import (
     eta_table,
     load_network,
     route_astar,
-    travel_time_s,
 )
 from scenario_tools import (
     DYADIC_MULTIPLIERS,
     dijkstra_times,
     grid_network,
     random_dyadic_network,
+    travel_time_s,
 )
 
 
@@ -66,6 +66,31 @@ def test_traffic_walk_is_seeded_and_clamped():
     assert a.entries != c.entries
     plain = TrafficState.build(sched, walk_seed=None)
     assert plain.entries == TrafficState(sched).entries
+
+
+def test_traffic_walk_breakpoints_between_steps_take_the_walk_in_force():
+    def walk_after(k, seed, sigma):  # oracle: replay k walk steps from the seed
+        rng = random.Random(seed)
+        w = 1.0
+        for _ in range(k):
+            w = min(1.5, max(0.5, w + rng.gauss(0.0, sigma)))
+        return w
+
+    # a breakpoint before the first step takes the unperturbed walk
+    built = TrafficState.build([(-300.0, 1.2), (0.0, 1.0), (900.0, 1.5)], walk_seed=7,
+                               walk_step_s=600.0, walk_sigma=0.3, horizon_s=1800.0)
+    w = [walk_after(k, 7, 0.3) for k in range(4)]
+    assert built.entries == ((-300.0, 1.2), (0.0, w[0]), (600.0, w[1]),
+                             (900.0, min(2.0, 1.5 * w[1])), (1200.0, min(2.0, 1.5 * w[2])),
+                             (1800.0, min(2.0, 1.5 * w[3])))
+
+    # Summed steps of 0.1 overshoot 1.6, so the walk stops at step 15 and the
+    # breakpoint at the horizon reads step 16, past the last step taken.
+    built = TrafficState.build([(0.0, 1.0), (1.6, 1.5)], walk_seed=3,
+                               walk_step_s=0.1, walk_sigma=0.3, horizon_s=1.6)
+    assert len(built.entries) == 17
+    assert built.entries[-2][1] == walk_after(15, 3, 0.3)
+    assert built.entries[-1] == (1.6, min(2.0, 1.5 * walk_after(16, 3, 0.3)))
 
 
 def test_route_same_node_is_empty():
@@ -212,6 +237,11 @@ def test_load_network_roundtrip(tmp_path):
     assert net.scc_count == 2
 
 
+# Rows whose fault is in the edge file, each on its line 1.
+EDGE_FILE_ROWS = {"0 5 100 10\n", "0 1 100 10 9\n", "0 1 -5 10\n", "0 1 100 0\n",
+                  "0 1 300 10\n"}
+
+
 @pytest.mark.parametrize("node_text,edge_text", [
     ("0 0.0\n", "0 0 100 10\n"),                              # short node line
     ("0 0.0 0.0\n0 1.0 1.0\n", ""),                           # duplicate id
@@ -227,5 +257,18 @@ def test_load_network_roundtrip(tmp_path):
 def test_load_network_rejects_bad_input(tmp_path, node_text, edge_text):
     nodes = _write(tmp_path / "n.txt", node_text)
     edges = _write(tmp_path / "e.txt", edge_text)
-    with pytest.raises(NetworkLoadError):
+    with pytest.raises(NetworkLoadError) as info:
         load_network(nodes, edges, speed_limit_mps=10.0)
+    if edge_text in EDGE_FILE_ROWS:
+        assert str(info.value).startswith(f"{edges}:1: ")
+    else:
+        assert str(info.value).startswith(f"{nodes}:")
+
+
+def test_load_network_edge_error_names_its_line(tmp_path):
+    nodes = _write(tmp_path / "n.txt", "0 0.0 0.0\n1 0.0 0.004\n")
+    edges = _write(tmp_path / "e.txt",
+                   "# from to length speed\n0 1 500 10\n\n1 0 300 10\n")
+    with pytest.raises(NetworkLoadError) as info:
+        load_network(nodes, edges, speed_limit_mps=10.0)
+    assert str(info.value).startswith(f"{edges}:4: edge 1 (1->0) length 300.00 m")
