@@ -236,6 +236,15 @@ def parse_config(doc: Any, base_dir: str = ".") -> RunConfig:
         raise ConfigError(f"fleet.size must be >= 0, got {fleet_size}")
     if fleet_capacity < 1:
         raise ConfigError(f"fleet.capacity must be >= 1, got {fleet_capacity}")
+    # A party larger than every vehicle could only ever be rejected no-vehicle.
+    if demand.generated:
+        largest = max((i + 1 for i, p in enumerate(demand.party_probs) if p > 0), default=1)
+        if largest > fleet_capacity:
+            raise ConfigError(f"demand.generate.party_probs gives parties of {largest}, "
+                              f"more than fleet.capacity {fleet_capacity}")
+    elif demand.capacity > fleet_capacity:
+        raise ConfigError(f"demand.capacity {demand.capacity} is more than "
+                          f"fleet.capacity {fleet_capacity}")
 
     tr = doc.get("traffic") or {}
     if not isinstance(tr, dict):

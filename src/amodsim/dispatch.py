@@ -1,8 +1,10 @@
 """Dispatching: one region-schedule search for each call, and OSS re-planning.
 
-Both dispatch modes rank every candidate's ETA to the pickup once, then walk
-a schedule of zone regions and target the lowest-ETA candidate inside the
-first region that holds one:
+Both dispatch modes walk a schedule of zone regions and target the
+lowest-ETA candidate inside the first region that holds one. One reverse
+search from the pickup serves the whole schedule: for each region it settles
+nodes only until the best ETA there is certain, and the next region resumes
+it where it stopped.
 
 - baseline: the call's zone alone, then its immediate ring, then give up;
 - expansion: the call's zone with its ring, widened one adjacency ring at a
@@ -42,6 +44,7 @@ class DispatchDecision:
     zones_searched: list[frozenset[int]] = field(default_factory=list)
     adjacency_updated: bool = False
     origin_zone: int | None = None
+    nodes_settled: int = 0
 
     @property
     def assigned(self) -> bool:
@@ -49,33 +52,52 @@ class DispatchDecision:
 
 
 class _EtaRanking:
-    """Candidate ETAs against one pickup node, all from a single graph scan.
+    """Lowest-ETA candidates against one pickup node, from one lazy search.
 
     A vehicle's ETA is the time left on its commitments (zero when idle) plus
-    the leg from where they end. Values are identical to per-vehicle route
-    times on exactly-representable edge times; the winner is re-routed anyway.
+    the leg from where they end. The leg comes from a ReverseSearch toward
+    the pickup that settles nodes in time order and only as far as a query
+    needs: no unsettled node is closer than the frontier, and no ETA is below
+    its leg, so once the frontier passes the best ETA found nothing unsettled
+    can win. Later queries resume the same search. Winners and ETAs are
+    those of a full scan followed by an id-ordered strict-`<` pick.
     """
 
-    def __init__(self, pool: list[Vehicle], pickup_node: int, net: RoadNetwork,
+    def __init__(self, pickup_node: int, net: RoadNetwork,
                  traffic: TrafficState | None, now_s: float):
-        sources = {v.trip_end_node() for v in pool}
-        self._times = road.eta_table(net, pickup_node, now_s, traffic, sources=sources)
+        self._search = road.ReverseSearch(net, pickup_node, now_s, traffic)
         self._now = now_s
 
-    def eta(self, v: Vehicle) -> float | None:
-        leg = self._times.get(v.trip_end_node())
-        return None if leg is None else (v.busy_until_s(self._now) - self._now) + leg
+    @property
+    def nodes_settled(self) -> int:
+        return len(self._search.settled)
 
-
-def _best_candidate(pool: list[Vehicle], ranking: _EtaRanking) -> tuple[Vehicle | None, float]:
-    best: Vehicle | None = None
-    best_eta = math.inf
-    for v in pool:  # pool is id-ordered, so ties keep the lowest id
-        eta = ranking.eta(v)
-        if eta is not None and eta < best_eta:
-            best = v
-            best_eta = eta
-    return best, best_eta
+    def best(self, candidates: list[Vehicle]) -> tuple[Vehicle | None, float]:
+        """The candidate with the lowest ETA, ties to the lowest id;
+        (None, inf) when no candidate can reach the pickup."""
+        settled = self._search.settled
+        best: Vehicle | None = None
+        best_key = (math.inf, math.inf)
+        waiting: dict[int, list[Vehicle]] = {}
+        for v in candidates:
+            node = v.trip_end_node()
+            if node in settled:
+                key = ((v.busy_until_s(self._now) - self._now) + settled[node], v.id)
+                if key < best_key:
+                    best, best_key = v, key
+            else:
+                waiting.setdefault(node, []).append(v)
+        while waiting:
+            # Continuing while the frontier equals the best ETA lets a
+            # lower-id vehicle at that distance take the tie.
+            node = self._search.settle(best_key[0])
+            if node is None:
+                break
+            for v in waiting.pop(node, ()):
+                key = ((v.busy_until_s(self._now) - self._now) + settled[node], v.id)
+                if key < best_key:
+                    best, best_key = v, key
+        return best, best_key[0]
 
 
 def _pickup_leg(v: Vehicle, pickup_node: int, net: RoadNetwork,
@@ -122,23 +144,24 @@ def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | Non
         return decision
 
     pool = candidate_pool(fleet, cfg.strategy, call.party_size)
-    ranking = _EtaRanking(pool, pickup_node, net, traffic, now_s)
+    ranking = _EtaRanking(pickup_node, net, traffic, now_s)
     # A vehicle sits in the zone of its last-passed routing node.
     vzone = {v.id: node_zone[v.current_node(now_s)] for v in pool}
     winner = None
     for region in _regions(a_c, sched, cfg.eat_enabled):
         decision.zones_searched.append(region)
-        winner, _ = _best_candidate([v for v in pool if vzone[v.id] in region], ranking)
+        winner, _ = ranking.best([v for v in pool if vzone[v.id] in region])
         if winner is not None:
             break
     if winner is None and cfg.eat_enabled:
         all_zones = frozenset(sched.zone_ids())
         if all_zones > region:
             decision.zones_searched.append(all_zones)
-        winner, _ = _best_candidate(pool, ranking)
+        winner, _ = ranking.best(pool)
         if winner is not None and vzone[winner.id] != a_c:
             sched.add_neighbor(a_c, vzone[winner.id])
             decision.adjacency_updated = True
+    decision.nodes_settled = ranking.nodes_settled
     if winner is None:
         decision.reject_reason = REJECT_NO_VEHICLE
         return decision
@@ -206,8 +229,7 @@ def oss_reschedule(pending: list[PendingJob], fleet: Fleet, net: RoadNetwork,
         incumbent_eta = None if leg is None else base_wait + leg.total_time_s
 
         others = candidate_pool(fleet, Strategy.OSS, job.request.party_size)
-        best, best_eta = _best_candidate(
-            others, _EtaRanking(others, job.pickup_node, net, traffic, now_s))
+        best, best_eta = _EtaRanking(job.pickup_node, net, traffic, now_s).best(others)
 
         improves = best is not None and (
             incumbent_eta is None or incumbent_eta - best_eta > cfg.oss_reassign_threshold_s)

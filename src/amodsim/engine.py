@@ -36,6 +36,15 @@ class EventKind(Enum):
     RESCHEDULE = "RESCHEDULE"
 
 
+class RequestStatus(Enum):
+    PENDING = "pending"
+    ASSIGNED = "assigned"
+    PICKED_UP = "picked-up"
+    COMPLETED = "completed"
+    REJECTED = "rejected"
+    ABANDONED = "abandoned"
+
+
 OUTCOME_PICKED_UP = "PICKED_UP"
 OUTCOME_REJECTED = "REJECTED"
 OUTCOME_ABANDONED = "ABANDONED"
@@ -112,7 +121,7 @@ class _RequestState:
         self.request = request
         self.pickup_node = pickup_node
         self.dropoff_node = dropoff_node
-        self.status = "pending"  # pending/assigned/picked-up/completed/rejected/abandoned
+        self.status = RequestStatus.PENDING
         self.vehicle_id: int | None = None
         self.token = 0
         self.deadline_scheduled = False
@@ -140,6 +149,7 @@ class _Simulation:
         self.log_lines: list[str] = []
         self.transitions: list[Transition] = []
         self.reassignment_count = 0
+        self.nodes_settled = 0
         self.requests = sorted(requests, key=lambda r: (r.request_time_s, r.id))
         ids = [r.id for r in self.requests]
         if len(set(ids)) != len(ids):
@@ -185,8 +195,9 @@ class _Simulation:
         decision = dispatch(st.request, st.pickup_node, st.dropoff_node, self.fleet,
                             self.sched, self.zone_map, self.node_zone, self.net,
                             self.traffic, self.now, self.cfg.dispatch)
+        self.nodes_settled += decision.nodes_settled
         if not decision.assigned:
-            st.status = "rejected"
+            st.status = RequestStatus.REJECTED
             st.reject_reason = decision.reject_reason
             self.emit(EventKind.REQUEST_ARRIVAL,
                       f"req={req_id} zone={decision.origin_zone} outcome=rejected "
@@ -196,7 +207,7 @@ class _Simulation:
         prev_status = v.status
         plan = assign(v, st.request, decision.route_to_pickup, decision.route_of_trip, self.now)
         self.transition(v, prev_status, v.status)
-        st.status = "assigned"
+        st.status = RequestStatus.ASSIGNED
         st.vehicle_id = v.id
         st.token += 1
         self.schedule(plan.pickup_time_s, EventKind.ARRIVED_AT_PICKUP,
@@ -212,14 +223,15 @@ class _Simulation:
 
     def on_arrived_at_pickup(self, req_id: int, vehicle_id: int, token: int) -> None:
         st = self.states[req_id]
-        if st.status != "assigned" or st.token != token or st.vehicle_id != vehicle_id:
+        if st.status is not RequestStatus.ASSIGNED or st.token != token \
+                or st.vehicle_id != vehicle_id:
             return  # superseded by a reassignment or an abandonment
         v = self.fleet.vehicle(vehicle_id)
         if v.status is not VehicleStatus.EN_ROUTE_TO_PICKUP or v.plan.request_id != req_id:
             raise SimulationError(
                 f"pickup event for request {req_id} found vehicle {vehicle_id} in "
                 f"{v.status.value}")
-        st.status = "picked-up"
+        st.status = RequestStatus.PICKED_UP
         st.pickup_time_s = self.now
         if st.pickup_time_s - st.request.request_time_s > st.request.patience_s:
             raise SimulationError(f"request {req_id} picked up after its patience ran out")
@@ -234,7 +246,7 @@ class _Simulation:
         if v.status is not VehicleStatus.ON_TRIP or v.plan.request_id != req_id:
             raise SimulationError(f"trip completion for request {req_id} found vehicle "
                                   f"{vehicle_id} in {v.status.value}")
-        st.status = "completed"
+        st.status = RequestStatus.COMPLETED
         st.dropoff_time_s = self.now
         v.node = v.plan.route_of_trip.nodes[-1]
         if v.queued is not None:
@@ -251,14 +263,14 @@ class _Simulation:
 
     def on_passenger_abandoned(self, req_id: int) -> None:
         st = self.states[req_id]
-        if st.status != "assigned":
+        if st.status is not RequestStatus.ASSIGNED:
             return  # already picked up (or never assigned again after this was set)
         v = self.fleet.vehicle(st.vehicle_id)
         if v.queued is not None and v.queued.request_id == req_id:
             if v.queued.pickup_time_s <= self.now:
                 return  # the pickup due this same instant wins the tie
             v.queued = None
-            st.status = "abandoned"
+            st.status = RequestStatus.ABANDONED
             st.abandon_time_s = self.now
         elif v.status is VehicleStatus.EN_ROUTE_TO_PICKUP and v.plan.request_id == req_id:
             if v.plan.pickup_time_s <= self.now:
@@ -267,7 +279,7 @@ class _Simulation:
             v.plan = None
             v.status = VehicleStatus.IDLE
             self.transition(v, VehicleStatus.EN_ROUTE_TO_PICKUP, VehicleStatus.IDLE)
-            st.status = "abandoned"
+            st.status = RequestStatus.ABANDONED
             st.abandon_time_s = self.now
         else:
             raise SimulationError(f"abandonment for request {req_id} found no matching "
@@ -283,7 +295,7 @@ class _Simulation:
         pending = []
         for r in self.requests:  # already FCFS-sorted
             st = self.states[r.id]
-            if st.status == "assigned":
+            if st.status is RequestStatus.ASSIGNED:
                 pending.append(PendingJob(r, st.pickup_node, st.dropoff_node, st.vehicle_id))
         before = {v.id: v.status for v in self.fleet}
         actions = oss_reschedule(pending, self.fleet, self.net, self.traffic,
@@ -334,17 +346,17 @@ class _Simulation:
         records = []
         for r in self.requests:
             st = self.states[r.id]
-            if st.status == "completed":
+            if st.status is RequestStatus.COMPLETED:
                 records.append(CallRecord(r.id, r.request_time_s, OUTCOME_PICKED_UP,
                                           st.pickup_time_s, st.dropoff_time_s, st.vehicle_id))
-            elif st.status == "rejected":
+            elif st.status is RequestStatus.REJECTED:
                 records.append(CallRecord(r.id, r.request_time_s, OUTCOME_REJECTED,
                                           reject_reason=st.reject_reason))
-            elif st.status == "abandoned":
+            elif st.status is RequestStatus.ABANDONED:
                 records.append(CallRecord(r.id, r.request_time_s, OUTCOME_ABANDONED,
                                           abandon_time_s=st.abandon_time_s))
             else:
-                raise SimulationError(f"request {r.id} ended in state {st.status!r}")
+                raise SimulationError(f"request {r.id} ended in state {st.status.value!r}")
         rejects: dict[str, int] = {}
         for rec in records:
             if rec.outcome == OUTCOME_REJECTED:
@@ -359,6 +371,7 @@ class _Simulation:
             "zone_fallback_calls": self.zone_map.fallback_count,
             "snap_failures": self.snap_failures,
             "events_processed": self.events_processed,
+            "nodes_settled": self.nodes_settled,
         }
         return RunResult(records, self.log_lines, self.sched, self.transitions, metadata)
 

@@ -328,42 +328,74 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     return Route(nodes, tuple(hop_times), tuple(hop_lengths), total, math.fsum(hop_lengths))
 
 
+class ReverseSearch:
+    """Reverse Dijkstra toward one destination that settles nodes on demand.
+
+    Nodes settle in (time, node id) order under the multiplier in force at
+    at_s. `settled` maps each settled node to its travel time to the
+    destination; a node's value is final once it is there, and equals the
+    total time of route_astar(net, node, dst, ...) on exactly-representable
+    edge times. Stopping early and resuming later settles the same nodes
+    with the same values as one uninterrupted scan.
+    """
+
+    def __init__(self, net: RoadNetwork, dst: int, at_s: float,
+                 traffic: TrafficState | None = None):
+        if dst not in net.nodes:
+            raise KeyError(f"unknown destination node {dst}")
+        self._radj = net.radj
+        self._mult = (traffic or _NO_TRAFFIC).multiplier_at(at_s)
+        self._tentative: dict[int, float] = {dst: 0.0}
+        self._heap: list[tuple[float, int]] = [(0.0, dst)]
+        self.settled: dict[int, float] = {}
+
+    def settle(self, limit: float = math.inf) -> int | None:
+        """Settle the closest unsettled node if its time is at most `limit`.
+
+        Returns that node, or None when the frontier lies beyond `limit` or
+        every reachable node is settled already.
+        """
+        heap = self._heap
+        settled = self.settled
+        tentative = self._tentative
+        mult = self._mult
+        while heap:
+            d, node = heap[0]
+            if node in settled:
+                heapq.heappop(heap)
+                continue
+            if d > limit:
+                return None
+            heapq.heappop(heap)
+            settled[node] = d
+            for (prev, length, speed) in self._radj[node]:
+                nd = d + length / (speed * mult)
+                if nd < tentative.get(prev, math.inf):
+                    tentative[prev] = nd
+                    heapq.heappush(heap, (nd, prev))
+            return node
+        return None
+
+
 def eta_table(net: RoadNetwork, dst: int, at_s: float,
               traffic: TrafficState | None = None,
               sources: set[int] | None = None) -> dict[int, float]:
     """Travel time to dst from every reachable node (or just `sources`).
 
-    Single reverse-graph scan; each returned value equals the total time of
-    route_astar(net, src, dst, ...) for that source. Unreachable
-    sources are simply absent from the result.
+    Runs a ReverseSearch until every source (or every reachable node) is
+    settled. Unreachable sources are simply absent from the result.
     """
-    if dst not in net.nodes:
-        raise KeyError(f"unknown destination node {dst}")
-    traffic = traffic or _NO_TRAFFIC
-    mult = traffic.multiplier_at(at_s)
-    dist: dict[int, float] = {dst: 0.0}
-    done: set[int] = set()
-    remaining = set(sources) if sources is not None else None
-    heap: list[tuple[float, int]] = [(0.0, dst)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        done.add(node)
+    search = ReverseSearch(net, dst, at_s, traffic)
+    remaining = None if sources is None else set(sources)
+    while remaining is None or remaining:
+        node = search.settle()
+        if node is None:
+            break
         if remaining is not None:
             remaining.discard(node)
-            if not remaining:
-                break
-        for (prev, length, speed) in net.radj[node]:
-            nd = d + length / (speed * mult)
-            if nd < dist.get(prev, math.inf):
-                dist[prev] = nd
-                heapq.heappush(heap, (nd, prev))
-    # Either the heap drained (every dist entry settled) or every requested
-    # source settled before the break; dist is final for the keys we return.
-    if sources is not None:
-        return {s: dist[s] for s in sources if s in dist}
-    return dist
+    if sources is None:
+        return dict(search.settled)
+    return {s: search.settled[s] for s in sources if s in search.settled}
 
 
 _NO_TRAFFIC = TrafficState([])

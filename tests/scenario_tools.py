@@ -16,7 +16,7 @@ import random
 from amodsim.demand import TripRequest
 from amodsim.fleet import Fleet, Vehicle, VehicleStatus
 from amodsim.geo import METERS_PER_DEG_LAT, GeoPoint, Polygon
-from amodsim.road import RoadNetwork, TrafficState, route_astar
+from amodsim.road import RoadNetwork, TrafficState, eta_table, route_astar
 from amodsim.zones import Zone, ZoneMap, initial_adjacency
 
 GRID_SPEED_MPS = 10.0
@@ -247,14 +247,17 @@ def brute_nearest(points: dict[int, GeoPoint], p: GeoPoint,
     return best if best_d <= max_radius_m else None
 
 
-def random_dyadic_network(rng: random.Random, n_nodes: int,
-                          extra_edges: int = 0) -> RoadNetwork:
-    """Random connected digraph whose path times are all exactly representable.
+def random_network(rng: random.Random, n_nodes: int, extra_edges: int = 0,
+                   dyadic: bool = True) -> RoadNetwork:
+    """Random strongly connected digraph.
 
     Nodes sit on a jittered grid; a random spanning tree (both directions)
     guarantees connectivity, then extra one-way edges add shortcuts and
-    asymmetry. Lengths are multiples of 10 m at least as long as the
-    great-circle distance, so every edge passes the loader's sanity bound.
+    asymmetry. Dyadic networks have lengths that are multiples of 10 m and
+    speeds from DYADIC_SPEEDS, so every path time is exactly representable;
+    other networks have irregular lengths and speeds, whose path times
+    depend on the order hop times are summed in. Lengths are never below
+    the great-circle distance, so every edge passes the loader's sanity bound.
     """
     side = max(2, math.isqrt(n_nodes) + 1)
     cell_deg = 300.0 / METERS_PER_DEG_LAT
@@ -268,6 +271,9 @@ def random_dyadic_network(rng: random.Random, n_nodes: int,
 
     def mk_edge(u: int, v: int) -> tuple[int, int, float, float]:
         crow = haversine_m(nodes[u], nodes[v])
+        if not dyadic:
+            return (u, v, crow * rng.uniform(1.0, 1.6) + rng.uniform(1.0, 30.0),
+                    rng.uniform(2.0, 12.0))
         length = max(10.0, math.ceil(crow / 10.0) * 10.0)
         return (u, v, length, rng.choice(DYADIC_SPEEDS))
 
@@ -285,6 +291,27 @@ def random_dyadic_network(rng: random.Random, n_nodes: int,
         if u != v:
             edges.append(mk_edge(u, v))
     return RoadNetwork(nodes, edges, speed_limit_mps=10.0)
+
+
+def full_scan_best(candidates: list[Vehicle], pickup_node: int, net: RoadNetwork,
+                   traffic: TrafficState | None, now_s: float) -> tuple[Vehicle | None, float]:
+    """Lowest-ETA candidate by a full scan: every candidate's leg from one
+    eta_table, then an id-ordered strict-`<` pick (ties keep the lowest id).
+
+    The ranking the dispatcher's winner-bounded search must reproduce;
+    returns (None, inf) when no candidate can reach the pickup.
+    """
+    legs = eta_table(net, pickup_node, now_s, traffic,
+                     sources={v.trip_end_node() for v in candidates})
+    best, best_eta = None, math.inf
+    for v in sorted(candidates, key=lambda v: v.id):
+        leg = legs.get(v.trip_end_node())
+        if leg is None:
+            continue
+        eta = (v.busy_until_s(now_s) - now_s) + leg
+        if eta < best_eta:
+            best, best_eta = v, eta
+    return best, best_eta
 
 
 def sign_test_p(wins: int, trials: int) -> float:

@@ -36,7 +36,7 @@ from scenario_tools import (
     golden_fleet,
     golden_requests,
     grid_network,
-    random_dyadic_network,
+    random_network,
     sign_test_p,
     tile_zones,
 )
@@ -141,7 +141,7 @@ def test_criterion_2_routing_oracle_equivalence():
     n_graphs, n_pairs, mismatches = 0, 0, 0
     for _ in range(500):
         n = rng.randint(2, 200)
-        net = random_dyadic_network(rng, n, extra_edges=rng.randint(0, n))
+        net = random_network(rng, n, extra_edges=rng.randint(0, n))
         n_graphs += 1
         src = rng.choice(sorted(net.nodes))
         mult = rng.choice(DYADIC_MULTIPLIERS)

@@ -79,14 +79,32 @@ def break_fleet_size(doc):
     doc["fleet"]["size"] = -2
 
 
-@pytest.mark.parametrize("mutate", [break_unknown_section, break_demand_modes,
-                                    break_strategy, break_fleet_size])
-def test_validate_rejects_bad_config(tmp_path, capsys, mutate):
+def break_file_party_capacity(doc):
+    doc["demand"] = {"seed": 1, "file": "trips.csv", "capacity": 4}
+    doc["fleet"]["capacity"] = 3
+
+
+def break_generated_party_capacity(doc):
+    doc["demand"]["generate"]["party_probs"] = [0.5, 0.3, 0.0, 0.2]
+    doc["fleet"]["capacity"] = 3
+
+
+@pytest.mark.parametrize("mutate, message", [pytest.param(m, msg, id=m.__name__) for m, msg in (
+    (break_unknown_section, "unknown sections"),
+    (break_demand_modes, "exactly one of"),
+    (break_strategy, "dispatch.strategy"),
+    (break_fleet_size, "fleet.size"),
+    (break_file_party_capacity, "demand.capacity 4 is more than fleet.capacity 3"),
+    (break_generated_party_capacity,
+     "demand.generate.party_probs gives parties of 4, more than fleet.capacity 3"),
+)])
+def test_validate_rejects_bad_config(tmp_path, capsys, mutate, message):
     doc = copy.deepcopy(BASE_DOC)
     mutate(doc)
     cfg = setup_dir(tmp_path, doc)
     assert cli.main(["validate", "--config", cfg]) == 1
-    assert capsys.readouterr().err.startswith("error ")
+    err = capsys.readouterr().err
+    assert err.startswith("error ") and message in err
 
 
 def test_validate_unreadable_yaml(tmp_path, capsys):

@@ -1,19 +1,32 @@
 """Dispatch over both region schedules (expansion, one-ring baseline) and traffic re-planning."""
 
+import math
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amodsim.demand import TripRequest
 from amodsim.dispatch import (
     DispatchConfig,
     PendingJob,
+    _EtaRanking,
     dispatch,
     oss_reschedule,
 )
-from amodsim.fleet import Fleet, Strategy, Vehicle, VehicleStatus, assign
-from amodsim.geo import GeoPoint
-from amodsim.road import RoadNetwork, TrafficState, route_astar
+from amodsim.fleet import Fleet, Plan, Strategy, Vehicle, VehicleStatus, assign
+from amodsim.geo import GeoPoint, haversine_m
+from amodsim.road import RoadNetwork, Route, TrafficState, route_astar
 from amodsim.zones import AdjacencySchedule, Zone, ZoneMap
-from scenario_tools import GOLDEN_SPACING_DEG, box_polygon, grid_network
+from scenario_tools import (
+    DYADIC_MULTIPLIERS,
+    GOLDEN_SPACING_DEG,
+    box_polygon,
+    full_scan_best,
+    grid_network,
+    random_network,
+)
 
 HOP_S = 40.0
 D = GOLDEN_SPACING_DEG
@@ -93,6 +106,12 @@ def test_eta_tie_breaks_to_lowest_vehicle_id():
     vehicles = [Vehicle(0, 0), Vehicle(1, 4)]    # both two hops from node 2
     d = run_dispatch(net, zm, sched, node_zone, vehicles, 2, 4, EAT)
     assert d.vehicle_id == 0 and d.eta_s == 2 * HOP_S
+    # Swapped, node 0 settles before node 4 at the same distance, so vehicle
+    # 1 is found first; the search must go on to settle vehicle 0 as well.
+    vehicles = [Vehicle(0, 4), Vehicle(1, 0)]
+    d = run_dispatch(net, zm, sched, node_zone, vehicles, 2, 4, EAT)
+    assert d.vehicle_id == 0 and d.eta_s == 2 * HOP_S
+    assert d.nodes_settled == 5
 
 
 def test_global_fallback_links_winning_zone():
@@ -368,3 +387,89 @@ def test_reschedule_rejects_foreign_job():
     bogus = PendingJob(call_at(net, 2, 3, rid=5), 2, 3, v.id)
     with pytest.raises(ValueError):
         oss_reschedule([bogus], Fleet([v]), net, None, 0.0, OSS)
+
+
+# -- winner-bounded ETA search against the full scan ----------------------
+
+
+def busy_vehicle(vid, end_node, now, remaining_s):
+    """An OnTrip vehicle whose trip ends at end_node, remaining_s after now."""
+    v = Vehicle(vid, end_node)
+    trip = Route((end_node,), (), (), 0.0, 0.0)
+    v.status = VehicleStatus.ON_TRIP
+    v.plan = Plan(-1, trip, trip, now, now, now + remaining_s)
+    return v
+
+
+def with_strays(net, rng, count):
+    """net plus `count` nodes joined by at most one one-way edge each, so
+    some nodes cannot reach the rest or cannot be reached from it."""
+    nodes = dict(net.nodes)
+    edges = [(u, v, length, speed) for u in net.adj for v, length, speed in net.adj[u]]
+    for _ in range(count):
+        anchor = rng.choice(sorted(net.nodes))
+        stray = len(nodes)
+        p = nodes[anchor]
+        nodes[stray] = GeoPoint(p.lat + rng.uniform(-0.002, 0.002),
+                                p.lon + rng.uniform(-0.002, 0.002))
+        length = 1.2 * haversine_m(nodes[stray], p) + 5.0
+        way = rng.choice(("out", "in", "none"))
+        if way == "out":
+            edges.append((stray, anchor, length, 7.0))
+        elif way == "in":
+            edges.append((anchor, stray, length, 7.0))
+    return RoadNetwork(nodes, edges, net.speed_limit_mps)
+
+
+REMAINING_S = st.one_of(st.none(), st.sampled_from([0.0, 40.0, 80.0]),
+                        st.floats(0.0, 900.0, allow_nan=False))
+
+
+@settings(max_examples=300)  # equal-ETA ties that need the `<=` stop are rare
+@given(data=st.data())
+def test_ranking_matches_full_scan(data):
+    kind = data.draw(st.sampled_from(["grid", "dyadic", "irregular"]), label="network")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="network seed"))
+    if kind == "grid":  # many equal-time ties
+        net = grid_network(rng.randrange(1, 6), rng.randrange(2, 6))
+    else:
+        net = random_network(rng, rng.randrange(2, 30), rng.randrange(0, 40),
+                             dyadic=kind == "dyadic")
+    net = with_strays(net, rng, rng.randrange(0, 3))
+    mult = rng.uniform(0.3, 2.0) if kind == "irregular" else rng.choice(DYADIC_MULTIPLIERS)
+    traffic = TrafficState([(0.0, mult)])
+    now = data.draw(st.sampled_from([0.0, 317.25, 1000.1]), label="now")
+    nodes = sorted(net.nodes)
+    spec = data.draw(st.lists(st.tuples(st.sampled_from(nodes), REMAINING_S),
+                              min_size=1, max_size=12), label="fleet")
+    ids = data.draw(st.permutations(range(len(spec))), label="ids")
+    vehicles = {vid: Vehicle(vid, node) if rem is None else busy_vehicle(vid, node, now, rem)
+                for vid, (node, rem) in zip(ids, spec)}
+    pickup = data.draw(st.sampled_from(nodes), label="pickup")
+
+    ranking = _EtaRanking(pickup, net, traffic, now)
+    region: set[int] = set()
+    for _ in range(data.draw(st.integers(1, 4), label="regions")):
+        nested = data.draw(st.booleans(), label="nested")
+        rest = sorted(set(vehicles) - region)
+        fresh = data.draw(st.sets(st.sampled_from(rest)) if rest else st.just(set()))
+        region = region | fresh if nested else fresh
+        candidates = data.draw(st.permutations([vehicles[i] for i in sorted(region)]))
+        got, got_eta = ranking.best(candidates)
+        want, want_eta = full_scan_best(candidates, pickup, net, traffic, now)
+        assert (None if got is None else got.id) == (None if want is None else want.id)
+        assert got_eta.hex() == want_eta.hex()
+
+
+def test_ranking_drains_when_the_only_candidate_is_unreachable():
+    nodes = {0: GeoPoint(0.0, 0.0), 1: GeoPoint(0.0, 0.001), 2: GeoPoint(0.001, 0.0)}
+    net = RoadNetwork(nodes, [(0, 1, 200.0, 10.0), (1, 0, 200.0, 10.0), (1, 2, 200.0, 10.0)],
+                      speed_limit_mps=10.0)
+    stranded, near = Vehicle(0, 2), Vehicle(1, 1)   # node 2 has no way back
+    ranking = _EtaRanking(0, net, None, 0.0)
+    assert ranking.best([stranded]) == (None, math.inf)
+    assert ranking.nodes_settled == 2               # all that can reach node 0
+    assert full_scan_best([stranded], 0, net, None, 0.0) == (None, math.inf)
+    # the next region reads the drained search
+    assert ranking.best([stranded, near]) == (near, 20.0)
+    assert ranking.nodes_settled == 2

@@ -70,6 +70,7 @@ def test_golden_scenario_metadata():
         "zone_fallback_calls": 0,
         "snap_failures": 0,
         "events_processed": 33,
+        "nodes_settled": 33,
     }
     assert result.sched.pairs() == [(0, 1), (1, 2), (1, 3), (2, 3)]
     assert validate_transitions(result.transitions) == []

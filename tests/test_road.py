@@ -18,7 +18,7 @@ from scenario_tools import (
     DYADIC_MULTIPLIERS,
     dijkstra_times,
     grid_network,
-    random_dyadic_network,
+    random_network,
     travel_time_s,
 )
 
@@ -157,7 +157,7 @@ def test_route_node_at_elapsed():
 def test_route_matches_dijkstra_exactly():
     rng = random.Random(1203)
     for trial in range(40):
-        net = random_dyadic_network(rng, rng.randrange(2, 41),
+        net = random_network(rng, rng.randrange(2, 41),
                                     extra_edges=rng.randrange(0, 60))
         mult = rng.choice(DYADIC_MULTIPLIERS)
         traffic = TrafficState([(0.0, mult)])
@@ -176,7 +176,7 @@ def test_route_matches_dijkstra_exactly():
 def test_eta_table_matches_point_queries():
     rng = random.Random(555)
     for trial in range(15):
-        net = random_dyadic_network(rng, rng.randrange(2, 31),
+        net = random_network(rng, rng.randrange(2, 31),
                                     extra_edges=rng.randrange(0, 40))
         mult = rng.choice(DYADIC_MULTIPLIERS)
         traffic = TrafficState([(0.0, mult)])
