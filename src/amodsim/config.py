@@ -18,15 +18,14 @@ from typing import Any
 
 import yaml
 
-from .demand import PATIENCE_MAX_S, PATIENCE_MIN_S
+from .demand import DEFAULT_PARTY_PROBS, PATIENCE_MAX_S, PATIENCE_MIN_S
 from .dispatch import DispatchConfig
+from .engine import DEFAULT_SNAP_RADIUS_M
 from .fleet import DEFAULT_CAPACITY, Strategy
 
 STRATEGY_NAMES = tuple(s.value for s in Strategy)
 DEFAULT_SPEED_LIMIT_MPS = 25.0
 DEFAULT_METRIC_PERIOD_S = 600.0
-DEFAULT_SNAP_RADIUS_M = 1000.0
-DEFAULT_PARTY_PROBS = (0.7, 0.15, 0.1, 0.05)
 
 
 class ConfigError(ValueError):

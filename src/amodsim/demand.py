@@ -18,6 +18,8 @@ NYC_BBOX = (-74.30, 40.45, -73.65, 41.00)
 
 PATIENCE_MIN_S = 60.0
 PATIENCE_MAX_S = 3600.0
+# weights of party sizes 1, 2, ... in generated demand
+DEFAULT_PARTY_PROBS = (0.7, 0.15, 0.1, 0.05)
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 
@@ -169,7 +171,7 @@ def parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = NYC_BBO
 def generate_demand(rate_per_hour: float, duration_s: float, *,
                     bbox: tuple[float, float, float, float] | None = None,
                     zone_map=None,
-                    party_probs: tuple[float, ...] = (0.7, 0.15, 0.1, 0.05),
+                    party_probs: tuple[float, ...] = DEFAULT_PARTY_PROBS,
                     seed: int = 0,
                     patience_range: tuple[float, float] = (PATIENCE_MIN_S, PATIENCE_MAX_S),
                     ) -> list[TripRequest]:

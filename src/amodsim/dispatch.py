@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 from . import road
 from .demand import TripRequest
-from .fleet import Fleet, Plan, Strategy, Vehicle, VehicleStatus, assign, candidate_pool
+from .fleet import (Fleet, Strategy, Vehicle, assign, candidate_pool, job_start, release,
+                    replan, waiting_job)
 from .road import RoadNetwork, Route, TrafficState
 from .zones import AdjacencySchedule, ZoneMap
 
@@ -35,7 +36,6 @@ class DispatchConfig:
 
 @dataclass
 class DispatchDecision:
-    call_id: int
     vehicle_id: int | None = None
     eta_s: float | None = None
     route_to_pickup: Route | None = None
@@ -134,7 +134,7 @@ def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | Non
     """Pick a vehicle for one call. Expansion may add one adjacency link on
     an out-of-component assignment; vehicle state is never touched."""
     a_c = zone_map.locate_or_nearest(call.pickup)
-    decision = DispatchDecision(call_id=call.id, origin_zone=a_c)
+    decision = DispatchDecision(origin_zone=a_c)
     trip_route = None
     if pickup_node is not None and dropoff_node is not None:
         trip_route = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic)
@@ -188,7 +188,6 @@ class RescheduleAction:
     new_vehicle_id: int
     new_pickup_time_s: float
     reassigned: bool
-    pickup_changed: bool
     old_eta_s: float | None = None
     new_eta_s: float | None = None
 
@@ -209,63 +208,34 @@ def oss_reschedule(pending: list[PendingJob], fleet: Fleet, net: RoadNetwork,
         raise ValueError(f"rescheduling requires OSS, got {cfg.strategy.value}")
     actions: list[RescheduleAction] = []
     for job in pending:
+        rid = job.request.id
         v = fleet.vehicle(job.vehicle_id)
-        queued = v.queued is not None and v.queued.request_id == job.request.id
-        if queued:
-            origin = v.plan.route_of_trip.nodes[-1]
-            depart = v.plan.dropoff_time_s
-            old_plan = v.queued
-            base_wait = depart - now_s
-        elif v.status is VehicleStatus.EN_ROUTE_TO_PICKUP and v.plan is not None \
-                and v.plan.request_id == job.request.id:
-            origin = v.current_node(now_s)
-            depart = now_s
-            old_plan = v.plan
-            base_wait = 0.0
-        else:
-            raise ValueError(f"vehicle {v.id} does not hold request {job.request.id}")
-
+        old_plan = waiting_job(v, rid)
+        if old_plan is None:
+            raise ValueError(f"vehicle {v.id} does not hold request {rid}")
+        origin, depart = job_start(v, now_s)
         leg = road.route_astar(net, origin, job.pickup_node, now_s, traffic)
-        incumbent_eta = None if leg is None else base_wait + leg.total_time_s
+        incumbent_eta = None if leg is None else (depart - now_s) + leg.total_time_s
 
         others = candidate_pool(fleet, Strategy.OSS, job.request.party_size)
         best, best_eta = _EtaRanking(job.pickup_node, net, traffic, now_s).best(others)
 
         improves = best is not None and (
             incumbent_eta is None or incumbent_eta - best_eta > cfg.oss_reassign_threshold_s)
+        if not improves and leg is None:
+            continue  # cannot re-route the incumbent; legs keep their old times
+        trip = road.route_astar(net, job.pickup_node, job.dropoff_node, now_s, traffic)
+        if trip is None:
+            continue  # pickup reachable but trip is not; keep the old plan
         if improves:
-            trip_route = road.route_astar(net, job.pickup_node, job.dropoff_node, now_s, traffic)
-            if trip_route is None:
-                improves = False  # pickup reachable but trip is not; keep incumbent
-        if improves:
-            if queued:
-                v.queued = None
-            else:
-                v.node = origin
-                v.status = VehicleStatus.IDLE
-                v.plan = None
+            release(v, rid, now_s)
             new_leg, _ = _pickup_leg(best, job.pickup_node, net, traffic, now_s)
-            plan = assign(best, job.request, new_leg, trip_route, now_s)
-            actions.append(RescheduleAction(job.request.id, v.id, best.id,
-                                            plan.pickup_time_s, True, True,
+            plan = assign(best, job.request, new_leg, trip, now_s)
+            actions.append(RescheduleAction(rid, v.id, best.id, plan.pickup_time_s, True,
                                             incumbent_eta, best_eta))
             continue
-
-        if leg is None:
-            continue  # cannot re-route the incumbent; legs keep their old times
-        new_trip = road.route_astar(net, job.pickup_node, job.dropoff_node, now_s, traffic)
-        if new_trip is None:
-            continue
-        pickup_t = depart + leg.total_time_s
-        plan = Plan(job.request.id, leg, new_trip, depart, pickup_t,
-                    pickup_t + new_trip.total_time_s)
-        changed = pickup_t != old_plan.pickup_time_s
-        if queued:
-            v.queued = plan
-        else:
-            v.plan = plan
-        if changed:
-            actions.append(RescheduleAction(job.request.id, v.id, v.id,
-                                            pickup_t, False, True,
+        plan = replan(v, rid, leg, trip, now_s)
+        if plan.pickup_time_s != old_plan.pickup_time_s:
+            actions.append(RescheduleAction(rid, v.id, v.id, plan.pickup_time_s, False,
                                             incumbent_eta, incumbent_eta))
     return actions

@@ -14,7 +14,8 @@ from enum import Enum
 
 from .demand import TripRequest
 from .dispatch import (DispatchConfig, PendingJob, dispatch, oss_reschedule)
-from .fleet import Fleet, Strategy, Transition, Vehicle, VehicleStatus, assign, validate_transitions
+from .fleet import (Fleet, Strategy, Transition, Vehicle, VehicleStatus, assign, finish_trip,
+                    pick_up, release, validate_transitions, waiting_job)
 from .road import RoadNetwork, TrafficState
 from .zones import AdjacencySchedule, ZoneMap
 
@@ -185,8 +186,20 @@ class _Simulation:
     def emit(self, kind: EventKind, text: str) -> None:
         self.log_lines.append(f"{self.now!r} {self.current_seq} {kind.value} {text}")
 
-    def transition(self, v: Vehicle, src: VehicleStatus, dst: VehicleStatus) -> None:
-        self.transitions.append(Transition(self.now, v.id, src, dst))
+    def record(self, v: Vehicle, src: VehicleStatus) -> None:
+        """Record v's status change from src, if its status changed."""
+        if v.status is not src:
+            self.transitions.append(Transition(self.now, v.id, src, v.status))
+
+    def change(self, v: Vehicle, op, *args):
+        """Apply one fleet operation to v and record its transition."""
+        src = v.status
+        try:
+            out = op(v, *args)
+        except ValueError as exc:
+            raise SimulationError(f"t={self.now!r}: {exc}") from exc
+        self.record(v, src)
+        return out
 
     # -- handlers ------------------------------------------------------
 
@@ -204,9 +217,8 @@ class _Simulation:
                       f"reason={decision.reject_reason} rounds={len(decision.zones_searched)}")
             return
         v = self.fleet.vehicle(decision.vehicle_id)
-        prev_status = v.status
-        plan = assign(v, st.request, decision.route_to_pickup, decision.route_of_trip, self.now)
-        self.transition(v, prev_status, v.status)
+        plan = self.change(v, assign, st.request, decision.route_to_pickup,
+                           decision.route_of_trip, self.now)
         st.status = RequestStatus.ASSIGNED
         st.vehicle_id = v.id
         st.token += 1
@@ -226,39 +238,20 @@ class _Simulation:
         if st.status is not RequestStatus.ASSIGNED or st.token != token \
                 or st.vehicle_id != vehicle_id:
             return  # superseded by a reassignment or an abandonment
+        if self.now - st.request.request_time_s > st.request.patience_s:
+            raise SimulationError(f"request {req_id} picked up after its patience ran out")
         v = self.fleet.vehicle(vehicle_id)
-        if v.status is not VehicleStatus.EN_ROUTE_TO_PICKUP or v.plan.request_id != req_id:
-            raise SimulationError(
-                f"pickup event for request {req_id} found vehicle {vehicle_id} in "
-                f"{v.status.value}")
+        self.change(v, pick_up, req_id)
         st.status = RequestStatus.PICKED_UP
         st.pickup_time_s = self.now
-        if st.pickup_time_s - st.request.request_time_s > st.request.patience_s:
-            raise SimulationError(f"request {req_id} picked up after its patience ran out")
-        v.status = VehicleStatus.ON_TRIP
-        self.transition(v, VehicleStatus.EN_ROUTE_TO_PICKUP, VehicleStatus.ON_TRIP)
         self.schedule(v.plan.dropoff_time_s, EventKind.TRIP_COMPLETED, (req_id, vehicle_id))
         self.emit(EventKind.ARRIVED_AT_PICKUP, f"req={req_id} vehicle={vehicle_id}")
 
     def on_trip_completed(self, req_id: int, vehicle_id: int) -> None:
+        self.change(self.fleet.vehicle(vehicle_id), finish_trip, req_id)
         st = self.states[req_id]
-        v = self.fleet.vehicle(vehicle_id)
-        if v.status is not VehicleStatus.ON_TRIP or v.plan.request_id != req_id:
-            raise SimulationError(f"trip completion for request {req_id} found vehicle "
-                                  f"{vehicle_id} in {v.status.value}")
         st.status = RequestStatus.COMPLETED
         st.dropoff_time_s = self.now
-        v.node = v.plan.route_of_trip.nodes[-1]
-        if v.queued is not None:
-            assert v.queued.depart_s == self.now, "queued job departs at trip completion"
-            v.plan = v.queued
-            v.queued = None
-            v.status = VehicleStatus.EN_ROUTE_TO_PICKUP
-            self.transition(v, VehicleStatus.ON_TRIP, VehicleStatus.EN_ROUTE_TO_PICKUP)
-        else:
-            v.plan = None
-            v.status = VehicleStatus.IDLE
-            self.transition(v, VehicleStatus.ON_TRIP, VehicleStatus.IDLE)
         self.emit(EventKind.TRIP_COMPLETED, f"req={req_id} vehicle={vehicle_id}")
 
     def on_passenger_abandoned(self, req_id: int) -> None:
@@ -266,24 +259,15 @@ class _Simulation:
         if st.status is not RequestStatus.ASSIGNED:
             return  # already picked up (or never assigned again after this was set)
         v = self.fleet.vehicle(st.vehicle_id)
-        if v.queued is not None and v.queued.request_id == req_id:
-            if v.queued.pickup_time_s <= self.now:
-                return  # the pickup due this same instant wins the tie
-            v.queued = None
-            st.status = RequestStatus.ABANDONED
-            st.abandon_time_s = self.now
-        elif v.status is VehicleStatus.EN_ROUTE_TO_PICKUP and v.plan.request_id == req_id:
-            if v.plan.pickup_time_s <= self.now:
-                return
-            v.node = v.current_node(self.now)
-            v.plan = None
-            v.status = VehicleStatus.IDLE
-            self.transition(v, VehicleStatus.EN_ROUTE_TO_PICKUP, VehicleStatus.IDLE)
-            st.status = RequestStatus.ABANDONED
-            st.abandon_time_s = self.now
-        else:
+        job = waiting_job(v, req_id)
+        if job is None:
             raise SimulationError(f"abandonment for request {req_id} found no matching "
                                   f"job on vehicle {st.vehicle_id}")
+        if job.pickup_time_s <= self.now:
+            return  # the pickup due this same instant wins the tie
+        self.change(v, release, req_id, self.now)
+        st.status = RequestStatus.ABANDONED
+        st.abandon_time_s = self.now
         self.emit(EventKind.PASSENGER_ABANDONED, f"req={req_id} vehicle={st.vehicle_id}")
 
     def on_traffic_change(self, multiplier: float) -> None:
@@ -301,8 +285,7 @@ class _Simulation:
         actions = oss_reschedule(pending, self.fleet, self.net, self.traffic,
                                  self.now, self.cfg.dispatch)
         for v in self.fleet:
-            if v.status is not before[v.id]:
-                self.transition(v, before[v.id], v.status)
+            self.record(v, before[v.id])
         reassigned = 0
         for act in actions:
             st = self.states[act.request_id]

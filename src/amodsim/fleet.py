@@ -3,7 +3,8 @@
 A vehicle is Idle, EnRouteToPickup, or OnTrip. Strategies that assign busy
 vehicles may queue exactly one future job behind the trip in progress; a
 vehicle already heading to a pickup (or already holding a queued job) takes
-no further work.
+no further work. The operations at the end of this module are the only code
+that changes a vehicle's status, position or plans.
 """
 
 import random
@@ -29,7 +30,7 @@ class Strategy(Enum):
 
 
 # (from, to) pairs the state machine allows. OnTrip -> OnTrip covers queueing
-# a follow-up job without a status change.
+# or dropping a follow-up job without a status change.
 ALLOWED_TRANSITIONS = {
     (VehicleStatus.IDLE, VehicleStatus.EN_ROUTE_TO_PICKUP),
     (VehicleStatus.EN_ROUTE_TO_PICKUP, VehicleStatus.ON_TRIP),
@@ -82,14 +83,10 @@ class Vehicle:
 
     def current_node(self, now_s: float) -> int:
         """Last routing node passed at now_s."""
-        if self.status is VehicleStatus.IDLE or self.plan is None:
+        if self.plan is None:
             return self.node
         if self.status is VehicleStatus.EN_ROUTE_TO_PICKUP:
-            if now_s < self.plan.depart_s:
-                return self.plan.route_to_pickup.nodes[0]
             return self.plan.route_to_pickup.node_at_elapsed(now_s - self.plan.depart_s)
-        if now_s < self.plan.pickup_time_s:
-            return self.plan.route_of_trip.nodes[0]
         return self.plan.route_of_trip.node_at_elapsed(now_s - self.plan.pickup_time_s)
 
 
@@ -143,6 +140,37 @@ def candidate_pool(fleet: Fleet, strategy: Strategy, party_size: int) -> list[Ve
     return out
 
 
+# -- operations on a vehicle's commitments -----------------------------------
+
+
+def job_start(v: Vehicle, now_s: float) -> tuple[int, float]:
+    """Node and time a job planned now departs from: the current trip's
+    dropoff for a vehicle on a trip, else where the vehicle is, now."""
+    if v.status is VehicleStatus.ON_TRIP:
+        return v.plan.route_of_trip.nodes[-1], v.plan.dropoff_time_s
+    return v.current_node(now_s), now_s
+
+
+def _schedule(v: Vehicle, request_id: int, route_to_pickup: Route, route_of_trip: Route,
+              now_s: float) -> Plan:
+    """Fix a job's timeline from job_start (depart, then the pickup leg, then
+    the trip) and hold it: queued behind a trip, else as the job in hand."""
+    node, depart = job_start(v, now_s)
+    if route_to_pickup.nodes[0] != node:
+        raise ValueError(f"vehicle {v.id}: pickup leg must start at node {node}")
+    if route_of_trip.nodes[0] != route_to_pickup.nodes[-1]:
+        raise ValueError("trip leg must start at the pickup node")
+    pickup_t = depart + route_to_pickup.total_time_s
+    plan = Plan(request_id, route_to_pickup, route_of_trip, depart, pickup_t,
+                pickup_t + route_of_trip.total_time_s)
+    if v.status is VehicleStatus.ON_TRIP:
+        v.queued = plan
+    else:
+        v.plan = plan
+        v.status = VehicleStatus.EN_ROUTE_TO_PICKUP
+    return plan
+
+
 def assign(vehicle: Vehicle, request: TripRequest, route_to_pickup: Route,
            route_of_trip: Route, now_s: float) -> Plan:
     """Commit a vehicle to a request and fix the job's timeline.
@@ -150,31 +178,56 @@ def assign(vehicle: Vehicle, request: TripRequest, route_to_pickup: Route,
     Idle vehicles leave immediately; OnTrip vehicles queue the job behind the
     current trip (departing from its dropoff node when it ends).
     """
-    if route_of_trip.nodes[0] != route_to_pickup.nodes[-1]:
-        raise ValueError("trip leg must start at the pickup node")
     if vehicle.status is VehicleStatus.EN_ROUTE_TO_PICKUP:
         raise ValueError(f"vehicle {vehicle.id} is already heading to a pickup")
-    if vehicle.status is VehicleStatus.IDLE:
-        if route_to_pickup.nodes[0] != vehicle.node:
-            raise ValueError(f"pickup leg must start at vehicle node {vehicle.node}")
-        depart = now_s
-        pickup_t = depart + route_to_pickup.total_time_s
-        plan = Plan(request.id, route_to_pickup, route_of_trip, depart, pickup_t,
-                    pickup_t + route_of_trip.total_time_s)
-        vehicle.plan = plan
-        vehicle.status = VehicleStatus.EN_ROUTE_TO_PICKUP
-        return plan
-    # OnTrip
     if vehicle.queued is not None:
         raise ValueError(f"vehicle {vehicle.id} already queued a job")
-    if route_to_pickup.nodes[0] != vehicle.trip_end_node():
-        raise ValueError("queued pickup leg must start at the current trip's dropoff node")
-    depart = vehicle.plan.dropoff_time_s
-    pickup_t = depart + route_to_pickup.total_time_s
-    plan = Plan(request.id, route_to_pickup, route_of_trip, depart, pickup_t,
-                pickup_t + route_of_trip.total_time_s)
-    vehicle.queued = plan
-    return plan
+    return _schedule(vehicle, request.id, route_to_pickup, route_of_trip, now_s)
+
+
+def waiting_job(v: Vehicle, request_id: int) -> Plan | None:
+    """The plan of request_id if v holds it and has not picked it up yet."""
+    job = v.queued if v.status is VehicleStatus.ON_TRIP else v.plan
+    return job if job is not None and job.request_id == request_id else None
+
+
+def replan(v: Vehicle, request_id: int, route_to_pickup: Route, route_of_trip: Route,
+           now_s: float) -> Plan:
+    """Re-time a waiting job with fresh legs from job_start(v, now_s)."""
+    if waiting_job(v, request_id) is None:
+        raise ValueError(f"vehicle {v.id} holds no waiting job {request_id}")
+    return _schedule(v, request_id, route_to_pickup, route_of_trip, now_s)
+
+
+def release(v: Vehicle, request_id: int, now_s: float) -> None:
+    """Drop a waiting job; a vehicle heading to its pickup parks at the last
+    node it passed."""
+    if waiting_job(v, request_id) is None:
+        raise ValueError(f"vehicle {v.id} holds no waiting job {request_id}")
+    if v.status is VehicleStatus.ON_TRIP:
+        v.queued = None
+        return
+    v.node = v.current_node(now_s)
+    v.plan = None
+    v.status = VehicleStatus.IDLE
+
+
+def pick_up(v: Vehicle, request_id: int) -> None:
+    """The passenger of the job the vehicle is heading to boards."""
+    if v.status is not VehicleStatus.EN_ROUTE_TO_PICKUP or v.plan.request_id != request_id:
+        raise ValueError(f"vehicle {v.id} in {v.status.value} is not heading to "
+                         f"request {request_id}")
+    v.status = VehicleStatus.ON_TRIP
+
+
+def finish_trip(v: Vehicle, request_id: int) -> None:
+    """Drop off request_id's passenger; start the queued job, if any."""
+    if v.status is not VehicleStatus.ON_TRIP or v.plan.request_id != request_id:
+        raise ValueError(f"vehicle {v.id} in {v.status.value} is not carrying "
+                         f"request {request_id}")
+    v.node = v.plan.route_of_trip.nodes[-1]
+    v.plan, v.queued = v.queued, None
+    v.status = VehicleStatus.IDLE if v.plan is None else VehicleStatus.EN_ROUTE_TO_PICKUP
 
 
 @dataclass(frozen=True)

@@ -174,9 +174,6 @@ class NodeIndex:
         return (int(math.floor((p.lat - self._lat0) / self._dlat)),
                 int(math.floor((p.lon - self._lon0) / self._dlon)))
 
-    def location(self, node_id: int) -> GeoPoint:
-        return self._loc[node_id]
-
     def nearest(self, p: GeoPoint, max_radius_m: float) -> int | None:
         if not self._loc or max_radius_m <= 0:
             return None

@@ -70,21 +70,6 @@ def _waits(records: list[CallRecord]) -> list[float]:
     return [r.wait_s for r in records if r.outcome == OUTCOME_PICKED_UP]
 
 
-def t_apw(records: list[CallRecord]) -> float | None:
-    """Mean wait in seconds over the window's picked-up calls."""
-    waits = _waits(records)
-    if not waits:
-        return None
-    return math.fsum(waits) / len(waits)
-
-
-def r_ts(records: list[CallRecord]) -> float | None:
-    """Fraction of the window's calls that were picked up."""
-    if not records:
-        return None
-    return len(_waits(records)) / len(records)
-
-
 def summarize(records: list[CallRecord], window: tuple[float, float]) -> MetricsSummary:
     waits = _waits(records)
     return MetricsSummary(window[0], window[1], len(records), len(waits),

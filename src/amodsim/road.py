@@ -5,6 +5,7 @@ applies to every edge of the returned route. Route times are therefore exact
 sums of length / (speed * multiplier) over the chosen edges.
 """
 
+import bisect
 import heapq
 import logging
 import math
@@ -105,24 +106,22 @@ class TrafficState:
 
 @dataclass(frozen=True)
 class Route:
+    """A path and the elapsed time at each of its nodes (0.0 at the first).
+
+    Elapsed times are summed hop by hop in travel order, so the last one, the
+    route's total time, is reproducible bit for bit.
+    """
     nodes: tuple[int, ...]
-    hop_times_s: tuple[float, ...]
-    hop_lengths_m: tuple[float, ...]
-    total_time_s: float
-    total_length_m: float
+    arrive_s: tuple[float, ...]
+
+    @property
+    def total_time_s(self) -> float:
+        return self.arrive_s[-1]
 
     def node_at_elapsed(self, dt_s: float) -> int:
-        """Last node passed after dt_s seconds on this route."""
-        if dt_s < 0:
-            return self.nodes[0]
-        acc = 0.0
-        last = self.nodes[0]
-        for i, ht in enumerate(self.hop_times_s):
-            acc += ht
-            if acc > dt_s:
-                break
-            last = self.nodes[i + 1]
-        return last
+        """Last node passed after dt_s seconds on this route; the first node
+        before departure."""
+        return self.nodes[max(0, bisect.bisect_right(self.arrive_s, dt_s) - 1)]
 
 
 class RoadNetwork:
@@ -280,7 +279,7 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     if dst not in net.nodes:
         raise KeyError(f"unknown destination node {dst}")
     if src == dst:
-        return Route((src,), (), (), 0.0, 0.0)
+        return Route((src,), (0.0,))
     traffic = traffic or _NO_TRAFFIC
     mult = traffic.multiplier_at(at_s)
     # Admissible bound on remaining time: no edge beats the speed limit times
@@ -293,7 +292,7 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
         return MIN_LENGTH_FACTOR * haversine_m(net.nodes[n], dst_pt) / denom
 
     best_g: dict[int, float] = {src: 0.0}
-    parent: dict[int, tuple[int, float, float]] = {}
+    parent: dict[int, tuple[int, float]] = {}
     heap: list[tuple[float, int, float]] = [(h(src), src, 0.0)]
     while heap:
         f, node, g = heapq.heappop(heap)
@@ -302,30 +301,24 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
         if node == dst:
             break
         for (nxt, length, speed) in net.adj[node]:
-            ng = g + length / (speed * mult)
+            hop = length / (speed * mult)
+            ng = g + hop
             if ng < best_g.get(nxt, math.inf):
                 best_g[nxt] = ng
-                parent[nxt] = (node, length, length / (speed * mult))
+                parent[nxt] = (node, hop)
                 heapq.heappush(heap, (ng + h(nxt), nxt, ng))
     if dst not in parent:
         return None
-    rev_nodes = [dst]
-    hop_times: list[float] = []
-    hop_lengths: list[float] = []
-    cur = dst
-    while cur != src:
-        prev, length, ht = parent[cur]
-        hop_times.append(ht)
-        hop_lengths.append(length)
-        rev_nodes.append(prev)
-        cur = prev
-    nodes = tuple(reversed(rev_nodes))
-    hop_times.reverse()
-    hop_lengths.reverse()
-    total = 0.0
-    for ht in hop_times:  # accumulate in travel order so the sum is reproducible
-        total += ht
-    return Route(nodes, tuple(hop_times), tuple(hop_lengths), total, math.fsum(hop_lengths))
+    path = [dst]
+    hops: list[float] = []
+    while path[-1] != src:
+        prev, hop = parent[path[-1]]
+        path.append(prev)
+        hops.append(hop)
+    arrive = [0.0]
+    for hop in reversed(hops):  # accumulate in travel order so the sum is reproducible
+        arrive.append(arrive[-1] + hop)
+    return Route(tuple(reversed(path)), tuple(arrive))
 
 
 class ReverseSearch:

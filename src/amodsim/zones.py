@@ -10,7 +10,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .geo import (EARTH_RADIUS_M, METERS_PER_DEG_LAT, GeoPoint, Polygon,
+from .geo import (METERS_PER_DEG_LAT, GeoPoint, Polygon,
                   _segments_properly_intersect, haversine_m, point_in_polygon)
 
 log = logging.getLogger(__name__)
@@ -202,18 +202,25 @@ def load_zones(path: str) -> tuple[ZoneMap, AdjacencySchedule]:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ZoneLoadError(f"{path}: {exc}") from exc
-    if doc.get("type") != "FeatureCollection":
-        raise ZoneLoadError(f"{path}: expected FeatureCollection, got {doc.get('type')!r}")
+    kind = doc.get("type") if isinstance(doc, dict) else type(doc).__name__
+    if kind != "FeatureCollection":
+        raise ZoneLoadError(f"{path}: expected FeatureCollection, got {kind!r}")
     feats = doc.get("features")
     if not isinstance(feats, list) or not feats:
         raise ZoneLoadError(f"{path}: no features")
     zones: list[Zone] = []
     for i, feat in enumerate(feats):
-        geom = (feat or {}).get("geometry") or {}
-        if geom.get("type") != "Polygon":
+        if not isinstance(feat, dict):
+            raise ZoneLoadError(f"{path}: feature {i}: expected a JSON object")
+        props = feat.get("properties") or {}
+        if not isinstance(props, dict):
+            raise ZoneLoadError(f"{path}: feature {i}: properties must be a JSON object")
+        geom = feat.get("geometry") or {}
+        if not isinstance(geom, dict) or geom.get("type") != "Polygon":
             raise ZoneLoadError(f"{path}: feature {i}: only Polygon geometry is supported")
         rings = geom.get("coordinates")
-        if not rings or not rings[0]:
+        if not isinstance(rings, list) or not rings or not isinstance(rings[0], list) \
+                or not rings[0]:
             raise ZoneLoadError(f"{path}: feature {i}: empty polygon")
         ring = rings[0]
         # GeoJSON rings repeat the first position at the end; drop it.
@@ -224,7 +231,7 @@ def load_zones(path: str) -> tuple[ZoneMap, AdjacencySchedule]:
             poly = Polygon(verts)
         except (TypeError, ValueError) as exc:
             raise ZoneLoadError(f"{path}: feature {i}: {exc}") from exc
-        name = str((feat.get("properties") or {}).get("name", f"zone-{i}"))
+        name = str(props.get("name", f"zone-{i}"))
         zones.append(Zone(i, name, poly))
     zmap = ZoneMap(zones)
     log.info("loaded %d zones from %s", len(zones), path)

@@ -16,7 +16,7 @@ import random
 from amodsim.demand import TripRequest
 from amodsim.fleet import Fleet, Vehicle, VehicleStatus
 from amodsim.geo import METERS_PER_DEG_LAT, GeoPoint, Polygon
-from amodsim.road import RoadNetwork, TrafficState, eta_table, route_astar
+from amodsim.road import RoadNetwork, Route, TrafficState, eta_table, route_astar
 from amodsim.zones import Zone, ZoneMap, initial_adjacency
 
 GRID_SPEED_MPS = 10.0
@@ -193,6 +193,30 @@ def travel_time_s(net: RoadNetwork, src: int, dst: int, at_s: float,
     """Point-to-point time by A*, one search per query."""
     route = route_astar(net, src, dst, at_s, traffic)
     return None if route is None else route.total_time_s
+
+
+def hop_route(nodes: tuple[int, ...], hop_times_s: tuple[float, ...]) -> Route:
+    """A Route over nodes whose hops take hop_times_s, summed in travel order."""
+    arrive = [0.0]
+    for ht in hop_times_s:
+        arrive.append(arrive[-1] + ht)
+    return Route(tuple(nodes), tuple(arrive))
+
+
+def walk_node_at_elapsed(nodes: tuple[int, ...], hop_times_s: tuple[float, ...],
+                         dt_s: float) -> int:
+    """Last node passed after dt_s seconds, by walking the hops and summing
+    their times; the oracle for Route.node_at_elapsed."""
+    if dt_s < 0:
+        return nodes[0]
+    acc = 0.0
+    last = nodes[0]
+    for i, ht in enumerate(hop_times_s):
+        acc += ht
+        if acc > dt_s:
+            break
+        last = nodes[i + 1]
+    return last
 
 
 def estimate_eta(vehicle: Vehicle, pickup_node: int, net: RoadNetwork,

@@ -18,11 +18,11 @@ from amodsim.fleet import (
     Fleet,
     Strategy,
     Vehicle,
-    VehicleStatus,
     assign,
     candidate_pool,
+    pick_up,
 )
-from amodsim.metrics import aggregate, improvement_pcts, r_ts, t_apw
+from amodsim.metrics import aggregate, improvement_pcts
 from amodsim.road import TrafficState, route_astar
 from amodsim.zones import AdjacencySchedule, Zone, ZoneMap, initial_adjacency
 from scenario_tools import (
@@ -196,7 +196,7 @@ def random_fleet(rng, net, now_s):
                               net.nodes[b], 1, 3600.0)
             assign(v, job, route_astar(net, v.node, a, now_s),
                    route_astar(net, a, b, now_s), now_s)
-            v.status = VehicleStatus.ON_TRIP
+            pick_up(v, job.id)
             if draw > 0.90:
                 c = rng.choice([n for n in nodes if n != b])
                 follow = TripRequest(950 + vid, f"bgq-{vid}", now_s,
@@ -337,7 +337,8 @@ def desk_run(net, requests, strategy, eat, fleet_seed):
     cfg = EngineConfig(dispatch=DispatchConfig(strategy=strategy, eat_enabled=eat))
     result = run(list(requests), fleet, net, zm, sched,
                  TrafficState(list(TRAFFIC_STEPS)), cfg)
-    return t_apw(result.records), r_ts(result.records)
+    [whole] = aggregate(result.records, "whole-run")
+    return whole.t_apw_s, whole.r_ts
 
 
 def test_criterion_5_directional_desk_experiment():

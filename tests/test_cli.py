@@ -107,6 +107,14 @@ def test_validate_rejects_bad_config(tmp_path, capsys, mutate, message):
     assert err.startswith("error ") and message in err
 
 
+def test_validate_rejects_malformed_zones(tmp_path, capsys):
+    cfg = setup_dir(tmp_path)
+    with open(os.path.join(str(tmp_path), "zones.geojson"), "w") as fh:
+        json.dump({"type": "FeatureCollection", "features": [1]}, fh)
+    assert cli.main(["validate", "--config", cfg]) == 1
+    assert "feature 0:" in capsys.readouterr().out
+
+
 def test_validate_unreadable_yaml(tmp_path, capsys):
     write_golden_inputs(str(tmp_path))
     cfg = os.path.join(str(tmp_path), "config.yaml")

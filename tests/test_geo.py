@@ -153,4 +153,3 @@ def test_node_index_radius_and_empty():
     assert idx.nearest(GeoPoint(0.0, 0.5), 60000.0) == 0
     assert idx.nearest(GeoPoint(0.0, 0.0), 0.0) is None
     assert NodeIndex({}).nearest(GeoPoint(0.0, 0.0), 1e9) is None
-    assert idx.location(0) == GeoPoint(0.0, 0.0)

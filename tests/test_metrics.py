@@ -16,10 +16,8 @@ from amodsim.metrics import (
     improvement,
     improvement_pcts,
     periodic_rows,
-    r_ts,
     summarize,
     summary_text,
-    t_apw,
 )
 
 
@@ -44,16 +42,21 @@ MIXED = [
 ]
 
 
+def whole_run(records):
+    [s] = aggregate(records, "whole-run")
+    return s
+
+
 def test_mean_wait_covers_picked_up_calls_only():
-    assert t_apw(MIXED) == 100.0
-    assert t_apw([rejected(0, 0.0), abandoned(1, 5.0, 65.0)]) is None
-    assert t_apw([]) is None
+    assert whole_run(MIXED).t_apw_s == 100.0
+    assert whole_run([rejected(0, 0.0), abandoned(1, 5.0, 65.0)]).t_apw_s is None
+    assert whole_run([]).t_apw_s is None
 
 
 def test_success_rate():
-    assert r_ts(MIXED) == 3 / 5
-    assert r_ts([rejected(0, 0.0)]) == 0.0
-    assert r_ts([]) is None
+    assert whole_run(MIXED).r_ts == 3 / 5
+    assert whole_run([rejected(0, 0.0)]).r_ts == 0.0
+    assert whole_run([]).r_ts is None
 
 
 def test_summary_counts_and_properties():

@@ -1,8 +1,11 @@
 """Road network loading, traffic multipliers, and time-dependent routing."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from amodsim.geo import GeoPoint
 from amodsim.road import (
@@ -18,8 +21,10 @@ from scenario_tools import (
     DYADIC_MULTIPLIERS,
     dijkstra_times,
     grid_network,
+    hop_route,
     random_network,
     travel_time_s,
+    walk_node_at_elapsed,
 )
 
 
@@ -96,7 +101,8 @@ def test_traffic_walk_breakpoints_between_steps_take_the_walk_in_force():
 def test_route_same_node_is_empty():
     net = grid_network(3, 3)
     r = route_astar(net, 4, 4, 0.0)
-    assert r == Route((4,), (), (), 0.0, 0.0)
+    assert r == Route((4,), (0.0,))
+    assert r.total_time_s == 0.0
 
 
 def test_route_across_grid():
@@ -106,8 +112,7 @@ def test_route_across_grid():
     assert r.nodes[0] == 0 and r.nodes[-1] == 8
     assert len(r.nodes) == 5                # four 400 m hops
     assert r.total_time_s == 160.0          # 40 s per hop at 10 m/s
-    assert r.total_length_m == 1600.0
-    assert sum(r.hop_times_s) == r.total_time_s
+    assert r.arrive_s == (0.0, 40.0, 80.0, 120.0, 160.0)
     assert travel_time_s(net, 0, 8, 0.0) == 160.0
 
 
@@ -154,6 +159,25 @@ def test_route_node_at_elapsed():
     assert r.node_at_elapsed(1e6) == 8
 
 
+# Non-dyadic hop times, so running sums round; a 1e-15 s hop after a long
+# one leaves the sum unchanged and gives two nodes the same arrival time.
+HOP_TIMES = st.lists(st.one_of(st.floats(min_value=0.01, max_value=500.0), st.just(1e-15)),
+                     max_size=12)
+
+
+@given(HOP_TIMES, st.floats(min_value=0.0, max_value=1.0))
+def test_node_at_elapsed_matches_the_hop_walk(hop_times, frac):
+    nodes = tuple(range(100, 100 + len(hop_times) + 1))
+    r = hop_route(nodes, tuple(hop_times))
+    assert len(r.arrive_s) == len(nodes)
+    end = r.total_time_s
+    probes = [-1e-9, -5.0, end + 1e-6, end * 2 + 1.0, frac * end]
+    for a, b in zip(r.arrive_s, r.arrive_s[1:]):
+        probes += [a, b, a + (b - a) * frac, math.nextafter(b, -math.inf)]
+    for dt in probes:
+        assert r.node_at_elapsed(dt) == walk_node_at_elapsed(nodes, tuple(hop_times), dt), dt
+
+
 def test_route_matches_dijkstra_exactly():
     rng = random.Random(1203)
     for trial in range(40):
@@ -167,10 +191,13 @@ def test_route_matches_dijkstra_exactly():
             r = route_astar(net, src, dst, 0.0, traffic)
             assert r is not None, f"trial {trial}: {src}->{dst} unreachable"
             assert r.total_time_s == oracle[dst], f"trial {trial}: {src}->{dst}"
-            # the reported hops must be real edges joined end to end
+            # each hop is an edge whose time is the step in arrival times
             assert r.nodes[0] == src and r.nodes[-1] == dst
-            for a, b, length in zip(r.nodes, r.nodes[1:], r.hop_lengths_m):
-                assert any(v == b and el == length for v, el, _ in net.adj[a])
+            assert len(r.arrive_s) == len(r.nodes) and r.arrive_s[0] == 0.0
+            for i, (a, b) in enumerate(zip(r.nodes, r.nodes[1:])):
+                step = r.arrive_s[i + 1] - r.arrive_s[i]
+                assert any(v == b and length / (speed * mult) == step
+                           for v, length, speed in net.adj[a])
 
 
 def test_eta_table_matches_point_queries():

@@ -164,6 +164,18 @@ def test_load_zones_closed_ring_and_default_name(tmp_path):
     {"type": "FeatureCollection", "features": [
         {"geometry": {"type": "Polygon",
                       "coordinates": [[[0, 0], [1, 0]]]}}]},
+    # JSON that is valid but not made of objects where objects belong
+    [1, 2],
+    {"type": "FeatureCollection", "features": [1]},
+    {"type": "FeatureCollection", "features": [[1, 2]]},
+    {"type": "FeatureCollection", "features": [
+        {"properties": [1], "geometry": {"type": "Polygon",
+                                         "coordinates": [[[0, 0], [1, 0], [1, 1]]]}}]},
+    {"type": "FeatureCollection", "features": [{"geometry": [1]}]},
+    {"type": "FeatureCollection", "features": [
+        {"geometry": {"type": "Polygon", "coordinates": {"0": [[0, 0]]}}}]},
+    {"type": "FeatureCollection", "features": [
+        {"geometry": {"type": "Polygon", "coordinates": [5]}}]},
 ])
 def test_load_zones_rejects_bad_documents(tmp_path, doc):
     path = tmp_path / "bad.geojson"
