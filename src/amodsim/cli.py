@@ -44,6 +44,11 @@ class Inputs:
     epoch: datetime | None
 
 
+def _error(text: object) -> None:
+    """Errors go to stderr; ok, warning and report lines go to stdout."""
+    print(f"error {text}", file=sys.stderr)
+
+
 def _zones_bbox(zone_map: ZoneMap) -> tuple[float, float, float, float]:
     boxes = [z.boundary.bbox for z in zone_map.zones]
     return (min(b[0] for b in boxes), min(b[1] for b in boxes),
@@ -100,13 +105,13 @@ def cmd_validate(cfg: RunConfig, out=None) -> int:
             errors.append(f"{label}: no such file {cfg.path(p)}")
     if errors:
         for e in errors:
-            print(f"error {e}", file=out)
+            _error(e)
         return EXIT_VALIDATION
 
     try:
         inputs = load_inputs(cfg)
     except LOAD_ERRORS as exc:
-        print(f"error {exc}", file=out)
+        _error(exc)
         return EXIT_VALIDATION
 
     net = inputs.net
@@ -149,7 +154,7 @@ def cmd_validate(cfg: RunConfig, out=None) -> int:
     for line in warnings:
         print(f"warning {line}", file=out)
     for line in errors:
-        print(f"error {line}", file=out)
+        _error(line)
     return EXIT_VALIDATION if errors else EXIT_OK
 
 
@@ -167,7 +172,7 @@ def cmd_run(cfg: RunConfig, out=None) -> int:
     try:
         inputs = load_inputs(cfg)
     except LOAD_ERRORS as exc:
-        print(f"error {exc}", file=out)
+        _error(exc)
         return EXIT_VALIDATION
     engine_cfg = EngineConfig(dispatch=cfg.dispatch_config(),
                               snap_radius_m=cfg.snap_radius_m,
@@ -176,7 +181,7 @@ def cmd_run(cfg: RunConfig, out=None) -> int:
         result = run(inputs.requests, inputs.fleet, inputs.net, inputs.zone_map,
                      inputs.sched, inputs.traffic, engine_cfg)
     except SimulationError as exc:
-        print(f"error {exc}", file=out)
+        _error(exc)
         return EXIT_RUNTIME
 
     out_dir = cfg.path(cfg.out_dir)
@@ -215,6 +220,23 @@ def cmd_run(cfg: RunConfig, out=None) -> int:
 # -- compare -------------------------------------------------------------
 
 
+def _epoch(meta: dict) -> datetime | None:
+    """The trip file's epoch a finished run stored, if any."""
+    if not meta.get("epoch"):
+        return None
+    return datetime.strptime(meta["epoch"], TIMESTAMP_FORMAT)
+
+
+def _whole_run_improvement(rec_with: list, rec_without: list) -> metrics.ImprovementReport:
+    """Whole-run improvement of the expansion run over the baseline run."""
+    s_with = metrics.aggregate(rec_with, metrics.BUCKET_WHOLE_RUN)[0]
+    s_without = metrics.aggregate(rec_without, metrics.BUCKET_WHOLE_RUN)[0]
+    # whole-run horizons differ between dispatchers; align the window labels
+    end = max(s_with.window_end_s, s_without.window_end_s)
+    return metrics.improvement(dataclasses.replace(s_with, window_end_s=end),
+                               dataclasses.replace(s_without, window_end_s=end))
+
+
 def _read_run(run_dir: str) -> tuple[dict, list]:
     with open(os.path.join(run_dir, "metadata.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
@@ -233,30 +255,20 @@ def cmd_compare(dir_a: str, dir_b: str, out=None) -> int:
         meta_a, rec_a = _read_run(dir_a)
         meta_b, rec_b = _read_run(dir_b)
     except (OSError, ValueError, KeyError) as exc:
-        print(f"error {exc}", file=out)
+        _error(exc)
         return EXIT_VALIDATION
     if meta_a["demand_fingerprint"] != meta_b["demand_fingerprint"]:
-        print("error runs are not comparable: demand fingerprints differ "
-              f"({meta_a['demand_fingerprint'][:12]} vs "
-              f"{meta_b['demand_fingerprint'][:12]})", file=out)
+        _error("runs are not comparable: demand fingerprints differ "
+               f"({meta_a['demand_fingerprint'][:12]} vs "
+               f"{meta_b['demand_fingerprint'][:12]})")
         return EXIT_COMPARE
 
     # The expansion-enabled run is the reference side of the report.
     if not meta_a["config"]["dispatch"]["eat"] and meta_b["config"]["dispatch"]["eat"]:
         meta_a, rec_a, meta_b, rec_b = meta_b, rec_b, meta_a, rec_a
         dir_a, dir_b = dir_b, dir_a
-    epoch = None
-    if meta_a.get("epoch"):
-        epoch = datetime.strptime(meta_a["epoch"], TIMESTAMP_FORMAT)
-
-    rows = []
-    whole_a = metrics.aggregate(rec_a, metrics.BUCKET_WHOLE_RUN)[0]
-    whole_b = metrics.aggregate(rec_b, metrics.BUCKET_WHOLE_RUN)[0]
-    # whole-run horizons differ between dispatchers; align the window labels
-    end = max(whole_a.window_end_s, whole_b.window_end_s)
-    whole_a = dataclasses.replace(whole_a, window_end_s=end)
-    whole_b = dataclasses.replace(whole_b, window_end_s=end)
-    rows.append(("whole-run", metrics.improvement(whole_a, whole_b)))
+    epoch = _epoch(meta_a)
+    rows = [("whole-run", _whole_run_improvement(rec_a, rec_b))]
     daily_a = {s.window_start_s: s for s in metrics.aggregate(rec_a, metrics.BUCKET_DAILY,
                                                               epoch=epoch)}
     daily_b = {s.window_start_s: s for s in metrics.aggregate(rec_b, metrics.BUCKET_DAILY,
@@ -294,13 +306,13 @@ def cmd_matrix(cfg: RunConfig, strategies: list[Strategy], out=None) -> int:
     root = cfg.path(cfg.out_dir)
     os.makedirs(root, exist_ok=True)
     failures = []
-    cells: list[tuple[str, Strategy, bool]] = []
+    cells: list[str] = []
     for strategy in strategies:
         for eat in (True, False):
             name = _cell_name(strategy, eat)
             cell_cfg = dataclasses.replace(cfg, strategy=strategy, eat_enabled=eat,
                                            out_dir=os.path.join(cfg.out_dir, name))
-            cells.append((name, strategy, eat))
+            cells.append(name)
             if _cell_done(cfg.path(cell_cfg.out_dir), cell_cfg.config_hash()):
                 print(f"skip {name}: already complete", file=out)
                 continue
@@ -310,7 +322,7 @@ def cmd_matrix(cfg: RunConfig, strategies: list[Strategy], out=None) -> int:
                 print(f"cell {name} failed with exit {code}", file=out)
 
     done: dict[str, tuple[dict, list]] = {}
-    for name, _, _ in cells:
+    for name in cells:
         cell_dir = os.path.join(root, name)
         if os.path.exists(os.path.join(cell_dir, "call_records.txt")):
             done[name] = _read_run(cell_dir)
@@ -321,12 +333,7 @@ def cmd_matrix(cfg: RunConfig, strategies: list[Strategy], out=None) -> int:
         wo = done.get(_cell_name(strategy, False))
         if w is None or wo is None:
             continue
-        sw = metrics.aggregate(w[1], metrics.BUCKET_WHOLE_RUN)[0]
-        swo = metrics.aggregate(wo[1], metrics.BUCKET_WHOLE_RUN)[0]
-        end = max(sw.window_end_s, swo.window_end_s)
-        sw = dataclasses.replace(sw, window_end_s=end)
-        swo = dataclasses.replace(swo, window_end_s=end)
-        rows.append((strategy.value, metrics.improvement(sw, swo)))
+        rows.append((strategy.value, _whole_run_improvement(w[1], wo[1])))
     if rows:
         report = metrics.comparison_text(rows)
         _write(os.path.join(root, "combined_report.txt"), report)
@@ -338,22 +345,19 @@ def cmd_matrix(cfg: RunConfig, strategies: list[Strategy], out=None) -> int:
     return EXIT_OK
 
 
-def _write_plot_data(root: str, cells, done: dict, out) -> None:
+def _write_plot_data(root: str, cells: list[str], done: dict, out) -> None:
     """Per-day series, one column per matrix cell, NA where a day is absent."""
     daily: dict[str, dict[float, metrics.MetricsSummary]] = {}
-    for name, _, _ in cells:
+    for name in cells:
         if name not in done:
             continue
         meta, records = done[name]
-        epoch = None
-        if meta.get("epoch"):
-            epoch = datetime.strptime(meta["epoch"], TIMESTAMP_FORMAT)
-        daily[name] = {s.window_start_s: s
-                       for s in metrics.aggregate(records, metrics.BUCKET_DAILY, epoch=epoch)}
+        daily[name] = {s.window_start_s: s for s in
+                       metrics.aggregate(records, metrics.BUCKET_DAILY, epoch=_epoch(meta))}
     if not daily:
         return
     starts = sorted({t for series in daily.values() for t in series})
-    names = [name for name, _, _ in cells if name in daily]
+    names = [name for name in cells if name in daily]
     for fname, field in (("plot_wait_daily.tsv", "t_apw_s"), ("plot_rate_daily.tsv", "r_ts")):
         lines = ["\t".join(["day", *names])]
         for k, start in enumerate(starts):
@@ -427,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
         strategies = _parse_strategies(args.strategies)
         return cmd_matrix(cfg, strategies)
     except ConfigError as exc:
-        print(f"error {exc}", file=sys.stderr)
+        _error(exc)
         return EXIT_VALIDATION
 
 

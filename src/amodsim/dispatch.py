@@ -172,70 +172,58 @@ def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | Non
     return decision
 
 
-@dataclass(frozen=True)
-class PendingJob:
-    """An accepted request whose passenger has not been picked up yet."""
-    request: TripRequest
-    pickup_node: int
-    dropoff_node: int
-    vehicle_id: int
-
-
 @dataclass
 class RescheduleAction:
     request_id: int
-    old_vehicle_id: int
     new_vehicle_id: int
     new_pickup_time_s: float
     reassigned: bool
-    old_eta_s: float | None = None
-    new_eta_s: float | None = None
 
 
-def oss_reschedule(pending: list[PendingJob], fleet: Fleet, net: RoadNetwork,
+def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: RoadNetwork,
                    traffic: TrafficState | None, now_s: float,
                    cfg: DispatchConfig) -> list[RescheduleAction]:
     """Re-plan every waiting pickup under the traffic in force now.
 
-    Jobs are visited in the order given (first-come first-served). A waiting
-    job moves to another vehicle only when that vehicle's fresh ETA beats the
-    incumbent's fresh ETA by more than the configured threshold; otherwise the
-    incumbent keeps the job with its legs re-timed. Trips already carrying a
-    passenger are left alone. Candidates are drawn fleet-wide: re-planning is
-    a refinement pass and has no zone scope.
+    Jobs are the fleet's waiting jobs (fleet.waiting_jobs), visited in the
+    order given (first-come first-served). Each plan is read when its job is
+    visited, not held in the list, so a re-planned job's old legs are freed
+    as the pass goes. A waiting job moves to another vehicle only when that
+    vehicle's fresh ETA beats the incumbent's fresh ETA by more than the
+    configured threshold; otherwise the incumbent keeps the job with its legs
+    re-timed. Trips already carrying a passenger are left alone. Candidates
+    are drawn fleet-wide: re-planning is a refinement pass and has no zone
+    scope.
     """
     if cfg.strategy is not Strategy.OSS:
         raise ValueError(f"rescheduling requires OSS, got {cfg.strategy.value}")
     actions: list[RescheduleAction] = []
-    for job in pending:
-        rid = job.request.id
-        v = fleet.vehicle(job.vehicle_id)
+    for request, v in jobs:
+        rid = request.id
         old_plan = waiting_job(v, rid)
-        if old_plan is None:
-            raise ValueError(f"vehicle {v.id} does not hold request {rid}")
+        pickup_node = old_plan.route_of_trip.nodes[0]
+        dropoff_node = old_plan.route_of_trip.nodes[-1]
         origin, depart = job_start(v, now_s)
-        leg = road.route_astar(net, origin, job.pickup_node, now_s, traffic)
+        leg = road.route_astar(net, origin, pickup_node, now_s, traffic)
         incumbent_eta = None if leg is None else (depart - now_s) + leg.total_time_s
 
-        others = candidate_pool(fleet, Strategy.OSS, job.request.party_size)
-        best, best_eta = _EtaRanking(job.pickup_node, net, traffic, now_s).best(others)
+        others = candidate_pool(fleet, Strategy.OSS, request.party_size)
+        best, best_eta = _EtaRanking(pickup_node, net, traffic, now_s).best(others)
 
         improves = best is not None and (
             incumbent_eta is None or incumbent_eta - best_eta > cfg.oss_reassign_threshold_s)
         if not improves and leg is None:
             continue  # cannot re-route the incumbent; legs keep their old times
-        trip = road.route_astar(net, job.pickup_node, job.dropoff_node, now_s, traffic)
+        trip = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic)
         if trip is None:
             continue  # pickup reachable but trip is not; keep the old plan
         if improves:
             release(v, rid, now_s)
-            new_leg, _ = _pickup_leg(best, job.pickup_node, net, traffic, now_s)
-            plan = assign(best, job.request, new_leg, trip, now_s)
-            actions.append(RescheduleAction(rid, v.id, best.id, plan.pickup_time_s, True,
-                                            incumbent_eta, best_eta))
+            new_leg, _ = _pickup_leg(best, pickup_node, net, traffic, now_s)
+            plan = assign(best, request, new_leg, trip, now_s)
+            actions.append(RescheduleAction(rid, best.id, plan.pickup_time_s, True))
             continue
         plan = replan(v, rid, leg, trip, now_s)
         if plan.pickup_time_s != old_plan.pickup_time_s:
-            actions.append(RescheduleAction(rid, v.id, v.id, plan.pickup_time_s, False,
-                                            incumbent_eta, incumbent_eta))
+            actions.append(RescheduleAction(rid, v.id, plan.pickup_time_s, False))
     return actions

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .demand import TripRequest
-from .dispatch import (DispatchConfig, PendingJob, dispatch, oss_reschedule)
+from .dispatch import DispatchConfig, dispatch, oss_reschedule
 from .fleet import (Fleet, Strategy, Transition, Vehicle, VehicleStatus, assign, finish_trip,
-                    pick_up, release, validate_transitions, waiting_job)
+                    pick_up, release, validate_transitions, waiting_job, waiting_jobs)
 from .road import RoadNetwork, TrafficState
 from .zones import AdjacencySchedule, ZoneMap
 
@@ -38,12 +38,10 @@ class EventKind(Enum):
 
 
 class RequestStatus(Enum):
+    """Where a request that has not ended stands; an ended one is a CallRecord."""
     PENDING = "pending"
     ASSIGNED = "assigned"
     PICKED_UP = "picked-up"
-    COMPLETED = "completed"
-    REJECTED = "rejected"
-    ABANDONED = "abandoned"
 
 
 OUTCOME_PICKED_UP = "PICKED_UP"
@@ -114,9 +112,7 @@ class RunResult:
 
 
 class _RequestState:
-    __slots__ = ("request", "pickup_node", "dropoff_node", "status", "vehicle_id",
-                 "token", "deadline_scheduled", "pickup_time_s", "dropoff_time_s",
-                 "abandon_time_s", "reject_reason")
+    __slots__ = ("request", "pickup_node", "dropoff_node", "status", "vehicle_id", "token")
 
     def __init__(self, request: TripRequest, pickup_node: int | None, dropoff_node: int | None):
         self.request = request
@@ -125,11 +121,6 @@ class _RequestState:
         self.status = RequestStatus.PENDING
         self.vehicle_id: int | None = None
         self.token = 0
-        self.deadline_scheduled = False
-        self.pickup_time_s: float | None = None
-        self.dropoff_time_s: float | None = None
-        self.abandon_time_s: float | None = None
-        self.reject_reason: str | None = None
 
 
 class _Simulation:
@@ -149,6 +140,7 @@ class _Simulation:
         self.events_processed = 0
         self.log_lines: list[str] = []
         self.transitions: list[Transition] = []
+        self.records: list[CallRecord] = []
         self.reassignment_count = 0
         self.nodes_settled = 0
         self.requests = sorted(requests, key=lambda r: (r.request_time_s, r.id))
@@ -201,6 +193,12 @@ class _Simulation:
         self.record(v, src)
         return out
 
+    def end(self, st: _RequestState, outcome: str, **fields) -> None:
+        """Write the record of a request that has ended and forget its state."""
+        r = st.request
+        self.records.append(CallRecord(r.id, r.request_time_s, outcome, **fields))
+        del self.states[r.id]
+
     # -- handlers ------------------------------------------------------
 
     def on_request_arrival(self, req_id: int) -> None:
@@ -210,8 +208,7 @@ class _Simulation:
                             self.traffic, self.now, self.cfg.dispatch)
         self.nodes_settled += decision.nodes_settled
         if not decision.assigned:
-            st.status = RequestStatus.REJECTED
-            st.reject_reason = decision.reject_reason
+            self.end(st, OUTCOME_REJECTED, reject_reason=decision.reject_reason)
             self.emit(EventKind.REQUEST_ARRIVAL,
                       f"req={req_id} zone={decision.origin_zone} outcome=rejected "
                       f"reason={decision.reject_reason} rounds={len(decision.zones_searched)}")
@@ -224,18 +221,16 @@ class _Simulation:
         st.token += 1
         self.schedule(plan.pickup_time_s, EventKind.ARRIVED_AT_PICKUP,
                       (req_id, v.id, st.token))
-        if not st.deadline_scheduled:
-            self.schedule(st.request.request_time_s + st.request.patience_s,
-                          EventKind.PASSENGER_ABANDONED, (req_id,))
-            st.deadline_scheduled = True
+        self.schedule(st.request.request_time_s + st.request.patience_s,
+                      EventKind.PASSENGER_ABANDONED, (req_id,))
         self.emit(EventKind.REQUEST_ARRIVAL,
                   f"req={req_id} zone={decision.origin_zone} outcome=assigned "
                   f"vehicle={v.id} eta={decision.eta_s!r} rounds={len(decision.zones_searched)} "
                   f"adj={int(decision.adjacency_updated)}")
 
     def on_arrived_at_pickup(self, req_id: int, vehicle_id: int, token: int) -> None:
-        st = self.states[req_id]
-        if st.status is not RequestStatus.ASSIGNED or st.token != token \
+        st = self.states.get(req_id)
+        if st is None or st.status is not RequestStatus.ASSIGNED or st.token != token \
                 or st.vehicle_id != vehicle_id:
             return  # superseded by a reassignment or an abandonment
         if self.now - st.request.request_time_s > st.request.patience_s:
@@ -243,21 +238,19 @@ class _Simulation:
         v = self.fleet.vehicle(vehicle_id)
         self.change(v, pick_up, req_id)
         st.status = RequestStatus.PICKED_UP
-        st.pickup_time_s = self.now
         self.schedule(v.plan.dropoff_time_s, EventKind.TRIP_COMPLETED, (req_id, vehicle_id))
         self.emit(EventKind.ARRIVED_AT_PICKUP, f"req={req_id} vehicle={vehicle_id}")
 
     def on_trip_completed(self, req_id: int, vehicle_id: int) -> None:
-        self.change(self.fleet.vehicle(vehicle_id), finish_trip, req_id)
-        st = self.states[req_id]
-        st.status = RequestStatus.COMPLETED
-        st.dropoff_time_s = self.now
+        plan = self.change(self.fleet.vehicle(vehicle_id), finish_trip, req_id)
+        self.end(self.states[req_id], OUTCOME_PICKED_UP, pickup_time_s=plan.pickup_time_s,
+                 dropoff_time_s=self.now, vehicle_id=vehicle_id)
         self.emit(EventKind.TRIP_COMPLETED, f"req={req_id} vehicle={vehicle_id}")
 
     def on_passenger_abandoned(self, req_id: int) -> None:
-        st = self.states[req_id]
-        if st.status is not RequestStatus.ASSIGNED:
-            return  # already picked up (or never assigned again after this was set)
+        st = self.states.get(req_id)
+        if st is None or st.status is not RequestStatus.ASSIGNED:
+            return  # already picked up or dropped off
         v = self.fleet.vehicle(st.vehicle_id)
         job = waiting_job(v, req_id)
         if job is None:
@@ -266,8 +259,7 @@ class _Simulation:
         if job.pickup_time_s <= self.now:
             return  # the pickup due this same instant wins the tie
         self.change(v, release, req_id, self.now)
-        st.status = RequestStatus.ABANDONED
-        st.abandon_time_s = self.now
+        self.end(st, OUTCOME_ABANDONED, abandon_time_s=self.now)
         self.emit(EventKind.PASSENGER_ABANDONED, f"req={req_id} vehicle={st.vehicle_id}")
 
     def on_traffic_change(self, multiplier: float) -> None:
@@ -276,13 +268,8 @@ class _Simulation:
             self.schedule(self.now, EventKind.RESCHEDULE, ())
 
     def on_reschedule(self) -> None:
-        pending = []
-        for r in self.requests:  # already FCFS-sorted
-            st = self.states[r.id]
-            if st.status is RequestStatus.ASSIGNED:
-                pending.append(PendingJob(r, st.pickup_node, st.dropoff_node, st.vehicle_id))
         before = {v.id: v.status for v in self.fleet}
-        actions = oss_reschedule(pending, self.fleet, self.net, self.traffic,
+        actions = oss_reschedule(waiting_jobs(self.fleet), self.fleet, self.net, self.traffic,
                                  self.now, self.cfg.dispatch)
         for v in self.fleet:
             self.record(v, before[v.id])
@@ -326,20 +313,11 @@ class _Simulation:
         problems = validate_transitions(self.transitions)
         if problems:
             raise SimulationError("state machine violations: " + "; ".join(problems[:5]))
-        records = []
-        for r in self.requests:
-            st = self.states[r.id]
-            if st.status is RequestStatus.COMPLETED:
-                records.append(CallRecord(r.id, r.request_time_s, OUTCOME_PICKED_UP,
-                                          st.pickup_time_s, st.dropoff_time_s, st.vehicle_id))
-            elif st.status is RequestStatus.REJECTED:
-                records.append(CallRecord(r.id, r.request_time_s, OUTCOME_REJECTED,
-                                          reject_reason=st.reject_reason))
-            elif st.status is RequestStatus.ABANDONED:
-                records.append(CallRecord(r.id, r.request_time_s, OUTCOME_ABANDONED,
-                                          abandon_time_s=st.abandon_time_s))
-            else:
-                raise SimulationError(f"request {r.id} ended in state {st.status.value!r}")
+        if self.states:
+            st = next(iter(self.states.values()))  # the earliest left, in request order
+            raise SimulationError(f"request {st.request.id} ended in state "
+                                  f"{st.status.value!r}")
+        records = sorted(self.records, key=lambda rec: (rec.request_time_s, rec.request_id))
         rejects: dict[str, int] = {}
         for rec in records:
             if rec.outcome == OUTCOME_REJECTED:
@@ -370,30 +348,3 @@ def run(requests: list[TripRequest], fleet: Fleet, net: RoadNetwork,
     return _Simulation(requests, fleet, net, zone_map, sched,
                        traffic or TrafficState([]), cfg or EngineConfig()).run()
 
-
-@dataclass
-class ReplayReport:
-    ok: bool
-    diffs: list[str]
-
-
-def replay_check(expected_log: list[str], actual_log: list[str],
-                 max_diffs: int = 10) -> ReplayReport:
-    """Compare two event logs line by line.
-
-    Logs that declare different configurations (their header lines differ)
-    are not comparable and raise instead of reporting a diff.
-    """
-    exp_head = expected_log[0] if expected_log and expected_log[0].startswith("#") else None
-    act_head = actual_log[0] if actual_log and actual_log[0].startswith("#") else None
-    if exp_head is not None and act_head is not None and exp_head != act_head:
-        raise ValueError(f"logs are not comparable: {exp_head!r} vs {act_head!r}")
-    diffs = []
-    for i in range(max(len(expected_log), len(actual_log))):
-        a = expected_log[i] if i < len(expected_log) else "<missing>"
-        b = actual_log[i] if i < len(actual_log) else "<missing>"
-        if a != b:
-            diffs.append(f"line {i + 1}: {a!r} != {b!r}")
-            if len(diffs) >= max_diffs:
-                break
-    return ReplayReport(not diffs, diffs)

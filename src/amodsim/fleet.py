@@ -48,7 +48,7 @@ class Plan:
     Times are set when the job is (re)planned and do not drift afterwards;
     replanning replaces the whole Plan.
     """
-    request_id: int
+    request: TripRequest
     route_to_pickup: Route
     route_of_trip: Route
     depart_s: float
@@ -151,7 +151,7 @@ def job_start(v: Vehicle, now_s: float) -> tuple[int, float]:
     return v.current_node(now_s), now_s
 
 
-def _schedule(v: Vehicle, request_id: int, route_to_pickup: Route, route_of_trip: Route,
+def _schedule(v: Vehicle, request: TripRequest, route_to_pickup: Route, route_of_trip: Route,
               now_s: float) -> Plan:
     """Fix a job's timeline from job_start (depart, then the pickup leg, then
     the trip) and hold it: queued behind a trip, else as the job in hand."""
@@ -161,7 +161,7 @@ def _schedule(v: Vehicle, request_id: int, route_to_pickup: Route, route_of_trip
     if route_of_trip.nodes[0] != route_to_pickup.nodes[-1]:
         raise ValueError("trip leg must start at the pickup node")
     pickup_t = depart + route_to_pickup.total_time_s
-    plan = Plan(request_id, route_to_pickup, route_of_trip, depart, pickup_t,
+    plan = Plan(request, route_to_pickup, route_of_trip, depart, pickup_t,
                 pickup_t + route_of_trip.total_time_s)
     if v.status is VehicleStatus.ON_TRIP:
         v.queued = plan
@@ -182,21 +182,36 @@ def assign(vehicle: Vehicle, request: TripRequest, route_to_pickup: Route,
         raise ValueError(f"vehicle {vehicle.id} is already heading to a pickup")
     if vehicle.queued is not None:
         raise ValueError(f"vehicle {vehicle.id} already queued a job")
-    return _schedule(vehicle, request.id, route_to_pickup, route_of_trip, now_s)
+    return _schedule(vehicle, request, route_to_pickup, route_of_trip, now_s)
+
+
+def _waiting(v: Vehicle) -> Plan | None:
+    """The job v holds and has not picked up yet, if any."""
+    return v.queued if v.status is VehicleStatus.ON_TRIP else v.plan
 
 
 def waiting_job(v: Vehicle, request_id: int) -> Plan | None:
     """The plan of request_id if v holds it and has not picked it up yet."""
-    job = v.queued if v.status is VehicleStatus.ON_TRIP else v.plan
-    return job if job is not None and job.request_id == request_id else None
+    job = _waiting(v)
+    return job if job is not None and job.request.id == request_id else None
+
+
+def waiting_jobs(fleet: Fleet) -> list[tuple[TripRequest, Vehicle]]:
+    """The request of every held job not picked up yet, with its vehicle,
+    first come first served: by request time, then request id. A vehicle
+    holds at most one such job, so waiting_job(v, request.id) is its plan."""
+    jobs = [(job.request, v) for v in fleet if (job := _waiting(v)) is not None]
+    jobs.sort(key=lambda rv: (rv[0].request_time_s, rv[0].id))
+    return jobs
 
 
 def replan(v: Vehicle, request_id: int, route_to_pickup: Route, route_of_trip: Route,
            now_s: float) -> Plan:
     """Re-time a waiting job with fresh legs from job_start(v, now_s)."""
-    if waiting_job(v, request_id) is None:
+    job = waiting_job(v, request_id)
+    if job is None:
         raise ValueError(f"vehicle {v.id} holds no waiting job {request_id}")
-    return _schedule(v, request_id, route_to_pickup, route_of_trip, now_s)
+    return _schedule(v, job.request, route_to_pickup, route_of_trip, now_s)
 
 
 def release(v: Vehicle, request_id: int, now_s: float) -> None:
@@ -214,20 +229,23 @@ def release(v: Vehicle, request_id: int, now_s: float) -> None:
 
 def pick_up(v: Vehicle, request_id: int) -> None:
     """The passenger of the job the vehicle is heading to boards."""
-    if v.status is not VehicleStatus.EN_ROUTE_TO_PICKUP or v.plan.request_id != request_id:
+    if v.status is not VehicleStatus.EN_ROUTE_TO_PICKUP or v.plan.request.id != request_id:
         raise ValueError(f"vehicle {v.id} in {v.status.value} is not heading to "
                          f"request {request_id}")
     v.status = VehicleStatus.ON_TRIP
 
 
-def finish_trip(v: Vehicle, request_id: int) -> None:
-    """Drop off request_id's passenger; start the queued job, if any."""
-    if v.status is not VehicleStatus.ON_TRIP or v.plan.request_id != request_id:
+def finish_trip(v: Vehicle, request_id: int) -> Plan:
+    """Drop off request_id's passenger and return the finished job; start
+    the queued job, if any."""
+    done = v.plan
+    if v.status is not VehicleStatus.ON_TRIP or done.request.id != request_id:
         raise ValueError(f"vehicle {v.id} in {v.status.value} is not carrying "
                          f"request {request_id}")
-    v.node = v.plan.route_of_trip.nodes[-1]
+    v.node = done.route_of_trip.nodes[-1]
     v.plan, v.queued = v.queued, None
     v.status = VehicleStatus.IDLE if v.plan is None else VehicleStatus.EN_ROUTE_TO_PICKUP
+    return done
 
 
 @dataclass(frozen=True)

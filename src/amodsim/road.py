@@ -51,18 +51,8 @@ class TrafficState:
         self._starts = [t for t, _ in self.entries]
 
     def multiplier_at(self, t_s: float) -> float:
-        idx = None
-        lo, hi = 0, len(self._starts)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._starts[mid] <= t_s:
-                idx = mid
-                lo = mid + 1
-            else:
-                hi = mid
-        if idx is None:
-            return 1.0
-        return self.entries[idx][1]
+        idx = bisect.bisect_right(self._starts, t_s) - 1
+        return 1.0 if idx < 0 else self.entries[idx][1]
 
     def max_multiplier(self) -> float:
         return max([1.0] + [m for _, m in self.entries])

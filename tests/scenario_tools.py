@@ -12,6 +12,7 @@ import json
 import math
 import os
 import random
+from dataclasses import dataclass
 
 from amodsim.demand import TripRequest
 from amodsim.fleet import Fleet, Vehicle, VehicleStatus
@@ -344,3 +345,31 @@ def sign_test_p(wins: int, trials: int) -> float:
         return 1.0
     total = sum(math.comb(trials, k) for k in range(wins, trials + 1))
     return total / (2 ** trials)
+
+
+@dataclass
+class ReplayReport:
+    ok: bool
+    diffs: list[str]
+
+
+def replay_check(expected_log: list[str], actual_log: list[str],
+                 max_diffs: int = 10) -> ReplayReport:
+    """Compare two event logs line by line.
+
+    Logs that declare different configurations (their header lines differ)
+    are not comparable and raise instead of reporting a diff.
+    """
+    exp_head = expected_log[0] if expected_log and expected_log[0].startswith("#") else None
+    act_head = actual_log[0] if actual_log and actual_log[0].startswith("#") else None
+    if exp_head is not None and act_head is not None and exp_head != act_head:
+        raise ValueError(f"logs are not comparable: {exp_head!r} vs {act_head!r}")
+    diffs = []
+    for i in range(max(len(expected_log), len(actual_log))):
+        a = expected_log[i] if i < len(expected_log) else "<missing>"
+        b = actual_log[i] if i < len(actual_log) else "<missing>"
+        if a != b:
+            diffs.append(f"line {i + 1}: {a!r} != {b!r}")
+            if len(diffs) >= max_diffs:
+                break
+    return ReplayReport(not diffs, diffs)

@@ -13,7 +13,7 @@ import reference_results as ref
 from acceptance_report import record
 from amodsim.demand import TripRequest, generate_demand
 from amodsim.dispatch import DispatchConfig, dispatch
-from amodsim.engine import EngineConfig, replay_check, run
+from amodsim.engine import EngineConfig, run
 from amodsim.fleet import (
     Fleet,
     Strategy,
@@ -37,6 +37,7 @@ from scenario_tools import (
     golden_requests,
     grid_network,
     random_network,
+    replay_check,
     sign_test_p,
     tile_zones,
 )

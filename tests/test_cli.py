@@ -44,6 +44,14 @@ def load_meta(run_dir):
         return json.load(fh)
 
 
+def stderr_only(capsys):
+    """What a command wrote to stderr, once checked that no error line went
+    to stdout."""
+    cap = capsys.readouterr()
+    assert not any(line.startswith("error") for line in cap.out.splitlines()), cap.out
+    return cap.err
+
+
 def test_validate_ok(tmp_path, capsys):
     cfg = setup_dir(tmp_path)
     assert cli.main(["validate", "--config", cfg]) == 0
@@ -59,7 +67,7 @@ def test_validate_missing_input_file(tmp_path, capsys):
     doc["network"]["nodes"] = "absent.txt"
     cfg = setup_dir(tmp_path, doc)
     assert cli.main(["validate", "--config", cfg]) == 1
-    assert "error network.nodes: no such file" in capsys.readouterr().out
+    assert "error network.nodes: no such file" in stderr_only(capsys)
 
 
 def break_unknown_section(doc):
@@ -112,7 +120,7 @@ def test_validate_rejects_malformed_zones(tmp_path, capsys):
     with open(os.path.join(str(tmp_path), "zones.geojson"), "w") as fh:
         json.dump({"type": "FeatureCollection", "features": [1]}, fh)
     assert cli.main(["validate", "--config", cfg]) == 1
-    assert "feature 0:" in capsys.readouterr().out
+    assert "feature 0:" in stderr_only(capsys)
 
 
 def test_validate_unreadable_yaml(tmp_path, capsys):
@@ -208,7 +216,7 @@ def test_run_engine_failure_exits_2(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "run", explode)
     assert cli.main(["run", "--config", cfg]) == 2
-    assert "error boom" in capsys.readouterr().out
+    assert "error boom" in stderr_only(capsys)
 
 
 def run_pair(tmp_path):
@@ -252,7 +260,7 @@ def test_compare_rejects_different_demand(tmp_path, capsys):
     capsys.readouterr()
     code = cli.main(["compare", dir_with, os.path.join(str(tmp_path), "reseeded")])
     assert code == 3
-    assert "not comparable" in capsys.readouterr().out
+    assert "not comparable" in stderr_only(capsys)
 
 
 def test_compare_missing_run_dir(tmp_path, capsys):

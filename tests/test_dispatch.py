@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from amodsim.demand import TripRequest
 from amodsim.dispatch import (
     DispatchConfig,
-    PendingJob,
     _EtaRanking,
     dispatch,
     oss_reschedule,
 )
-from amodsim.fleet import Fleet, Plan, Strategy, Vehicle, VehicleStatus, assign, pick_up
+from amodsim.fleet import (Fleet, Plan, Strategy, Vehicle, VehicleStatus, assign, pick_up,
+                           waiting_jobs)
 from amodsim.geo import GeoPoint, haversine_m
 from amodsim.road import RoadNetwork, TrafficState, route_astar
 from amodsim.zones import AdjacencySchedule, Zone, ZoneMap
@@ -259,7 +259,11 @@ def en_route_job(net, vehicle, pickup, dropoff, rid, now=0.0, traffic=None):
     call = call_at(net, pickup, dropoff, rid=rid, t=now)
     assign(vehicle, call, route_astar(net, vehicle.node, pickup, now, traffic),
            route_astar(net, pickup, dropoff, now, traffic), now)
-    return PendingJob(call, pickup, dropoff, vehicle.id)
+
+
+def reschedule(fleet, net, traffic, now):
+    """One OSS pass over the fleet's waiting jobs, as the engine runs it."""
+    return oss_reschedule(waiting_jobs(fleet), fleet, net, traffic, now, OSS)
 
 
 def test_reschedule_requires_oss():
@@ -271,15 +275,15 @@ def test_reschedule_requires_oss():
 def test_reschedule_retimes_incumbent_under_new_traffic():
     net, _, _, _ = line_city([(0, 4)], [])
     v = Vehicle(0, 0)
-    job = en_route_job(net, v, 4, 3, rid=0)       # pickup planned for t=160
+    en_route_job(net, v, 4, 3, rid=0)             # pickup planned for t=160
     assert v.plan.pickup_time_s == 4 * HOP_S
     traffic = TrafficState([(100.0, 0.5)])        # halves speed from t=100
 
-    actions = oss_reschedule([job], Fleet([v]), net, traffic, 100.0, OSS)
+    actions = reschedule(Fleet([v]), net, traffic, 100.0)
     assert len(actions) == 1
     act = actions[0]
     assert not act.reassigned
-    assert act.old_vehicle_id == act.new_vehicle_id == 0
+    assert act.new_vehicle_id == 0
     # passed node 2 at t=80; two hops remain at 80 s each
     assert act.new_pickup_time_s == 100.0 + 160.0
     assert v.plan.pickup_time_s == 260.0
@@ -290,9 +294,9 @@ def test_reschedule_retimes_incumbent_under_new_traffic():
 def test_reschedule_is_quiet_when_nothing_changes():
     net, _, _, _ = line_city([(0, 4)], [])
     v = Vehicle(0, 0)
-    job = en_route_job(net, v, 4, 3, rid=0)
+    en_route_job(net, v, 4, 3, rid=0)
     # at a hop boundary with unchanged traffic the re-timed pickup is identical
-    actions = oss_reschedule([job], Fleet([v]), net, None, 80.0, OSS)
+    actions = reschedule(Fleet([v]), net, None, 80.0)
     assert actions == []
     assert v.plan.pickup_time_s == 160.0
 
@@ -300,33 +304,32 @@ def test_reschedule_is_quiet_when_nothing_changes():
 def test_reschedule_reassigns_past_threshold():
     net, _, _, _ = line_city([(0, 9)], [], cols=10)
     slowpoke = Vehicle(0, 0)
-    job = en_route_job(net, slowpoke, 8, 9, rid=0)
+    en_route_job(net, slowpoke, 8, 9, rid=0)
     idle = Vehicle(1, 7)                          # one hop from the pickup
     fleet = Fleet([slowpoke, idle])
 
-    actions = oss_reschedule([job], fleet, net, None, 40.0, OSS)
+    actions = reschedule(fleet, net, None, 40.0)
     # incumbent: 7 hops left (280 s); idle: 1 hop (40 s); gap 240 s > 60 s
     assert len(actions) == 1
     act = actions[0]
     assert act.reassigned
-    assert act.old_vehicle_id == 0 and act.new_vehicle_id == 1
-    assert act.old_eta_s == 280.0 and act.new_eta_s == 40.0
+    assert act.new_vehicle_id == 1
     assert act.new_pickup_time_s == 80.0
     assert slowpoke.status is VehicleStatus.IDLE
     assert slowpoke.node == 1                     # parked where it stood
     assert slowpoke.plan is None
     assert idle.status is VehicleStatus.EN_ROUTE_TO_PICKUP
-    assert idle.plan.request_id == 0
+    assert idle.plan.request.id == 0
 
 
 def test_reschedule_keeps_incumbent_within_threshold():
     net, _, _, _ = line_city([(0, 4)], [])
     incumbent = Vehicle(0, 2)
-    job = en_route_job(net, incumbent, 4, 3, rid=0)   # 2 hops: eta 80
+    en_route_job(net, incumbent, 4, 3, rid=0)         # 2 hops: eta 80
     idle = Vehicle(1, 3)                              # 1 hop: eta 40, gap 40
-    actions = oss_reschedule([job], Fleet([incumbent, idle]), net, None, 0.0, OSS)
+    actions = reschedule(Fleet([incumbent, idle]), net, None, 0.0)
     assert all(not a.reassigned for a in actions)
-    assert incumbent.plan.request_id == 0
+    assert incumbent.plan.request.id == 0
     assert idle.status is VehicleStatus.IDLE
 
 
@@ -341,8 +344,7 @@ def test_reschedule_retimes_queued_leg_only():
     assert v.queued.pickup_time_s == 80.0 + 2 * HOP_S
 
     traffic = TrafficState([(40.0, 0.5)])
-    job = PendingJob(second, 4, 5, v.id)
-    actions = oss_reschedule([job], Fleet([v]), net, traffic, 40.0, OSS)
+    actions = reschedule(Fleet([v]), net, traffic, 40.0)
     assert len(actions) == 1
     assert not actions[0].reassigned
     # the in-progress trip keeps its schedule; only the queued leg re-times
@@ -354,18 +356,18 @@ def test_reschedule_retimes_queued_leg_only():
 
 def test_reschedule_visits_jobs_first_come_first_served():
     net, _, _, _ = line_city([(0, 9)], [], cols=10)
-    far_a = Vehicle(0, 0)
-    far_b = Vehicle(1, 1)
-    job_a = en_route_job(net, far_a, 8, 9, rid=0)
-    job_b = en_route_job(net, far_b, 9, 8, rid=1)
-    idle = Vehicle(2, 8)
+    far_a = Vehicle(1, 0)                          # the earlier request, higher id
+    far_b = Vehicle(0, 1)
+    en_route_job(net, far_a, 8, 9, rid=0)
+    en_route_job(net, far_b, 9, 8, rid=1)
+    idle = Vehicle(2, 8)                           # either job would grab it
     fleet = Fleet([far_a, far_b, idle])
 
-    actions = oss_reschedule([job_a, job_b], fleet, net, None, 0.0, OSS)
+    actions = reschedule(fleet, net, None, 0.0)
     grabbed = [a for a in actions if a.reassigned]
     assert [a.request_id for a in grabbed] == [0]  # first job takes the idle car
-    assert idle.plan.request_id == 0
-    assert far_b.plan.request_id == 1              # second keeps its incumbent
+    assert idle.plan.request.id == 0
+    assert far_b.plan.request.id == 1              # second keeps its incumbent
 
 
 def test_reschedule_skips_vehicles_too_small_for_the_party():
@@ -373,21 +375,11 @@ def test_reschedule_skips_vehicles_too_small_for_the_party():
     slowpoke = Vehicle(0, 0)
     call = TripRequest(0, "m0", 0.0, net.nodes[8], net.nodes[9], 2, 600.0)
     assign(slowpoke, call, route_astar(net, 0, 8, 0.0), route_astar(net, 8, 9, 0.0), 0.0)
-    job = PendingJob(call, 8, 9, slowpoke.id)
     single = Vehicle(1, 7, capacity=1)            # one hop away, but one seat
-    actions = oss_reschedule([job], Fleet([slowpoke, single]), net, None, 40.0, OSS)
+    actions = reschedule(Fleet([slowpoke, single]), net, None, 40.0)
     assert all(not a.reassigned for a in actions)
-    assert slowpoke.plan.request_id == 0
+    assert slowpoke.plan.request.id == 0
     assert single.status is VehicleStatus.IDLE
-
-
-def test_reschedule_rejects_foreign_job():
-    net, _, _, _ = line_city([(0, 4)], [])
-    v = Vehicle(0, 0)
-    en_route_job(net, v, 4, 3, rid=0)
-    bogus = PendingJob(call_at(net, 2, 3, rid=5), 2, 3, v.id)
-    with pytest.raises(ValueError):
-        oss_reschedule([bogus], Fleet([v]), net, None, 0.0, OSS)
 
 
 # -- winner-bounded ETA search against the full scan ----------------------
@@ -398,7 +390,8 @@ def busy_vehicle(vid, end_node, now, remaining_s):
     v = Vehicle(vid, end_node)
     trip = hop_route((end_node,), ())
     v.status = VehicleStatus.ON_TRIP
-    v.plan = Plan(-1, trip, trip, now, now, now + remaining_s)
+    job = TripRequest(-1, "busy", now, GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.0), 1, 600.0)
+    v.plan = Plan(job, trip, trip, now, now, now + remaining_s)
     return v
 
 

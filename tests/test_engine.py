@@ -9,7 +9,6 @@ from amodsim.engine import (
     EngineConfig,
     SimulationError,
     parse_record_line,
-    replay_check,
     run,
 )
 from amodsim.fleet import Fleet, Strategy, Vehicle, VehicleStatus, validate_transitions
@@ -23,6 +22,7 @@ from scenario_tools import (
     golden_fleet,
     golden_requests,
     grid_network,
+    replay_check,
 )
 
 D = GOLDEN_SPACING_DEG
@@ -110,6 +110,24 @@ def test_record_line_shapes():
         parse_record_line("3 48.0 TELEPORTED 128.0")
     with pytest.raises(ValueError):
         parse_record_line("not a record")
+
+
+def test_records_are_written_in_request_order_whatever_order_requests_end():
+    net, zm, sched = one_zone_city(10)
+    fleet = Fleet([Vehicle(0, 0), Vehicle(1, 9)])
+    requests = [
+        req(net, 0, 0.0, 0, 9),                   # 9 hops: dropped off at t=360
+        req(net, 1, 10.0, 9, 8),                  # dropped off at t=50
+        req(net, 2, 20.0, 5, 6),                  # no idle vehicle: rejected at t=20
+        req(net, 3, 10.0, 5, 6),                  # ties with 1; rejected at t=10
+    ]
+    result = run(requests, fleet, net, zm, sched, None, nss_eat())
+    assert result.record_lines() == [
+        "0 0.0 PICKED_UP 0.0 360.0 0",
+        "1 10.0 PICKED_UP 10.0 50.0 1",
+        "3 10.0 REJECTED no-vehicle",
+        "2 20.0 REJECTED no-vehicle",
+    ]
 
 
 # -- abandonment ---------------------------------------------------------

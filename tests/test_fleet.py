@@ -19,6 +19,7 @@ from amodsim.fleet import (
     replan,
     validate_transitions,
     waiting_job,
+    waiting_jobs,
 )
 from amodsim.road import route_astar
 from scenario_tools import estimate_eta, grid_network
@@ -26,10 +27,10 @@ from scenario_tools import estimate_eta, grid_network
 HOP_S = 40.0
 
 
-def request(rid=0, pickup_node=4, dropoff_node=5):
+def request(rid=0, pickup_node=4, dropoff_node=5, t=0.0):
     # locations are irrelevant at this layer; routing is by node
     from scenario_tools import golden_node_point
-    return TripRequest(rid, f"m{rid}", 0.0, golden_node_point(pickup_node),
+    return TripRequest(rid, f"m{rid}", t, golden_node_point(pickup_node),
                        golden_node_point(dropoff_node), 1, 600.0)
 
 
@@ -127,7 +128,7 @@ def test_assign_idle_fixes_timeline():
                   route_astar(net, 1, 8, 10.0), now_s=10.0)
     assert v.status is VehicleStatus.EN_ROUTE_TO_PICKUP
     assert v.plan is plan and v.queued is None
-    assert plan.request_id == 5
+    assert plan.request.id == 5
     assert plan.depart_s == 10.0
     assert plan.pickup_time_s == 10.0 + HOP_S
     assert plan.dropoff_time_s == 10.0 + HOP_S + 3 * HOP_S
@@ -239,6 +240,32 @@ def check_invariants(fleet, now):
                                      else last.route_of_trip.nodes[-1])
 
 
+def test_waiting_jobs_are_first_come_first_served():
+    net = grid_network(3, 3)
+
+    def held(v, rid, t, pickup, dropoff):
+        start = v.trip_end_node()
+        return assign(v, request(rid, pickup, dropoff, t), route_astar(net, start, pickup, 0.0),
+                      route_astar(net, pickup, dropoff, 0.0), 0.0)
+
+    queued_behind = Vehicle(0, 0)
+    held(queued_behind, 9, 0.0, 0, 2)             # the trip in progress: left out
+    pick_up(queued_behind, 9)
+    q = held(queued_behind, 4, 50.0, 5, 8)
+    tie_lower_id = Vehicle(1, 3)
+    t = held(tie_lower_id, 3, 50.0, 4, 7)         # same time as 4, lower id
+    earliest = Vehicle(2, 6)
+    e = held(earliest, 2, 20.0, 7, 1)
+    on_trip = Vehicle(3, 8)
+    held(on_trip, 1, 0.0, 8, 6)
+    pick_up(on_trip, 1)
+    fleet = Fleet([queued_behind, tie_lower_id, earliest, on_trip, Vehicle(4, 2)])
+
+    jobs = waiting_jobs(fleet)
+    assert [(r.id, v.id) for r, v in jobs] == [(2, 2), (3, 1), (4, 0)]
+    assert [waiting_job(v, r.id) for r, v in jobs] == [e, t, q]
+
+
 @settings(max_examples=300)
 @given(st.lists(STEP, max_size=60))
 def test_fleet_operations_keep_the_state_machine(steps):
@@ -254,10 +281,10 @@ def test_fleet_operations_keep_the_state_machine(steps):
         v = fleet.vehicle(vid)
         if op == "next":
             op = NEXT_OP[v.status][pick % len(NEXT_OP[v.status])]
-        held = [p.request_id for p in (v.plan, v.queued) if p is not None]
+        held = [p.request.id for p in (v.plan, v.queued) if p is not None]
         rid = held[pick % len(held)] if held and pick != 11 else 99
         waiting = (v.queued if v.status is O else v.plan if v.status is E else None)
-        is_waiting = waiting is not None and waiting.request_id == rid
+        is_waiting = waiting is not None and waiting.request.id == rid
         if op == "assign":
             start = v.node if v.plan is None else v.plan.route_of_trip.nodes[-1]
             leg = route_astar(net, b if pick == 0 else start, a, now)
@@ -277,10 +304,10 @@ def test_fleet_operations_keep_the_state_machine(steps):
             legal = is_waiting
             call = lambda: release(v, rid, now)
         elif op == "pick_up":
-            legal = v.status is E and v.plan.request_id == rid
+            legal = v.status is E and v.plan.request.id == rid
             call = lambda: pick_up(v, rid)
         else:
-            legal = v.status is O and v.plan.request_id == rid
+            legal = v.status is O and v.plan.request.id == rid
             call = lambda: finish_trip(v, rid)
 
         before = snapshot(fleet)
@@ -310,6 +337,7 @@ def test_fleet_operations_keep_the_state_machine(steps):
             else:
                 assert v.plan is plan and v.queued is None
         elif op == "finish_trip":
+            assert out is plan
             assert v.node == plan.route_of_trip.nodes[-1]
             assert v.plan is queued and v.queued is None
         if op != "replan":  # replan keeps the status; every other op is a transition

@@ -1,4 +1,9 @@
-"""Layout guard: fleet.py is the only module that changes vehicle state."""
+"""Layout guards: each fact has one owner.
+
+fleet.py is the only module that changes vehicle state or reads a vehicle's
+queued job, and engine.py writes a request's CallRecord in one method, when
+the request ends.
+"""
 
 import ast
 import os
@@ -54,17 +59,65 @@ def vehicle_state_writes(source: str) -> list[str]:
     return found
 
 
-def test_only_fleet_writes_vehicle_state():
+def queued_reads(source: str) -> list[str]:
+    """Lines of source that read a vehicle's queued job."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "queued" \
+                and isinstance(node.ctx, ast.Load):
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "getattr" and len(node.args) > 1 \
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value == "queued":
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def call_record_builds(source: str) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of every CallRecord(...) call in source."""
+    found = []
+
+    def visit(node: ast.AST, owner: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and child.func.id == "CallRecord":
+                found.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def src_modules():
+    """(file name, source) of every module of the package."""
     src_dir = os.path.dirname(amodsim.__file__)
-    offenders = {}
     for name in sorted(os.listdir(src_dir)):
-        if not name.endswith(".py") or name == "fleet.py":
-            continue
-        with open(os.path.join(src_dir, name), encoding="utf-8") as fh:
-            writes = vehicle_state_writes(fh.read())
-        if writes:
-            offenders[name] = writes
-    assert offenders == {}
+        if name.endswith(".py"):
+            with open(os.path.join(src_dir, name), encoding="utf-8") as fh:
+                yield name, fh.read()
+
+
+def offenders(find) -> dict[str, list[str]]:
+    """find's hits in every module but fleet.py."""
+    return {name: hits for name, source in src_modules()
+            if name != "fleet.py" and (hits := find(source))}
+
+
+def test_only_fleet_writes_vehicle_state():
+    assert offenders(vehicle_state_writes) == {}
+
+
+def test_only_fleet_reads_queued_jobs():
+    assert offenders(queued_reads) == {}
+
+
+def test_engine_writes_call_records_in_one_method():
+    source = dict(src_modules())["engine.py"]
+    builds = [owner for owner, _ in call_record_builds(source) if owner != "parse_record_line"]
+    assert builds == ["end"]
 
 
 def test_guard_sees_each_kind_of_write():
@@ -76,3 +129,38 @@ def test_guard_sees_each_kind_of_write():
     for line in ("st.status = RequestStatus.ASSIGNED", "node = v.node", "plan = v.plan",
                  "v.status is VehicleStatus.IDLE", "setattr(owner, 'run', probe)"):
         assert not vehicle_state_writes(line), line
+
+
+def test_queued_guard_sees_each_kind_of_read():
+    for line in ("v.queued is None", "last = v.queued or v.plan", "f(fleet.vehicle(1).queued)",
+                 "getattr(v, 'queued')"):
+        assert queued_reads(line), line
+    for line in ("v.queued = None", "queued = 1", "v.queue", "getattr(v, 'plan')"):
+        assert not queued_reads(line), line
+
+
+# The end of the run loop before records were written as requests ended: one
+# CallRecord per outcome, built from state kept to the end.
+EARLIER_RUN_END = """
+class _Simulation:
+    def run(self):
+        records = []
+        for r in self.requests:
+            st = self.states[r.id]
+            if st.status is RequestStatus.COMPLETED:
+                records.append(CallRecord(r.id, r.request_time_s, OUTCOME_PICKED_UP,
+                                          st.pickup_time_s, st.dropoff_time_s, st.vehicle_id))
+            elif st.status is RequestStatus.REJECTED:
+                records.append(CallRecord(r.id, r.request_time_s, OUTCOME_REJECTED,
+                                          reject_reason=st.reject_reason))
+            elif st.status is RequestStatus.ABANDONED:
+                records.append(CallRecord(r.id, r.request_time_s, OUTCOME_ABANDONED,
+                                          abandon_time_s=st.abandon_time_s))
+"""
+
+
+def test_call_record_guard_sees_builds_outside_the_one_method():
+    assert [owner for owner, _ in call_record_builds(EARLIER_RUN_END)] == ["run"] * 3
+    assert call_record_builds("rec = CallRecord(1, 0.0, 'REJECTED')") == [(None, 1)]
+    nested = "def end(self):\n    def late():\n        return CallRecord(1)\n"
+    assert call_record_builds(nested) == [("late", 3)]

@@ -41,6 +41,26 @@ def test_traffic_multiplier_piecewise():
     assert ts.change_times() == [600.0, 1200.0]
 
 
+def test_traffic_multiplier_matches_a_linear_scan():
+    """The multiplier in force is that of the last entry starting at or
+    before t, probed at each breakpoint, just around it, between breakpoints
+    and outside the schedule."""
+    rng = random.Random(7)
+    for _ in range(3000):
+        starts = sorted(rng.sample(range(-50, 200), rng.randint(0, 8)))
+        entries = [(t * 7.5, rng.choice((0.25, 0.5, 1.0, 1.5, 2.0))) for t in starts]
+        ts = TrafficState(entries)
+        probes = [-1e9, 1e9, rng.uniform(-500.0, 1600.0)]
+        for t, _ in entries:
+            probes += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf), t + 3.75]
+        for t in probes:
+            expected = 1.0
+            for start, m in entries:
+                if start <= t:
+                    expected = m
+            assert ts.multiplier_at(t) == expected, (entries, t)
+
+
 def test_traffic_defaults_and_validation():
     empty = TrafficState([])
     assert empty.multiplier_at(12345.0) == 1.0
