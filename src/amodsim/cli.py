@@ -21,7 +21,7 @@ from .demand import (NYC_BBOX, TIMESTAMP_FORMAT, CleaningReport, DemandFormatErr
 from .engine import EngineConfig, SimulationError, parse_record_line, run
 from .fleet import Fleet, Strategy
 from .road import NetworkLoadError, RoadNetwork, TrafficState, load_network
-from .zones import ZoneLoadError, ZoneMap, load_zones
+from .zones import AdjacencySchedule, ZoneLoadError, ZoneMap, load_zones
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -36,7 +36,7 @@ LOAD_ERRORS = (ConfigError, NetworkLoadError, ZoneLoadError, DemandFormatError,
 class Inputs:
     net: RoadNetwork
     zone_map: ZoneMap
-    sched: object
+    sched: AdjacencySchedule
     requests: list[TripRequest]
     cleaning: CleaningReport | None
     traffic: TrafficState
@@ -49,12 +49,6 @@ def _error(text: object) -> None:
     print(f"error {text}", file=sys.stderr)
 
 
-def _zones_bbox(zone_map: ZoneMap) -> tuple[float, float, float, float]:
-    boxes = [z.boundary.bbox for z in zone_map.zones]
-    return (min(b[0] for b in boxes), min(b[1] for b in boxes),
-            max(b[2] for b in boxes), max(b[3] for b in boxes))
-
-
 def load_inputs(cfg: RunConfig) -> Inputs:
     net = load_network(cfg.path(cfg.nodes_path), cfg.path(cfg.edges_path),
                        cfg.speed_limit_mps)
@@ -63,7 +57,7 @@ def load_inputs(cfg: RunConfig) -> Inputs:
     epoch = None
     if cfg.demand.generated:
         kwargs = {"zone_map": zone_map} if cfg.demand.region == "zones" \
-            else {"bbox": _zones_bbox(zone_map)}
+            else {"bbox": zone_map.bbox()}
         requests = generate_demand(cfg.demand.rate_per_hour, cfg.demand.duration_s,
                                    party_probs=cfg.demand.party_probs,
                                    seed=cfg.demand.seed,
@@ -175,8 +169,7 @@ def cmd_run(cfg: RunConfig, out=None) -> int:
         _error(exc)
         return EXIT_VALIDATION
     engine_cfg = EngineConfig(dispatch=cfg.dispatch_config(),
-                              snap_radius_m=cfg.snap_radius_m,
-                              log_header=f"# amodsim {cfg.config_hash()}")
+                              snap_radius_m=cfg.snap_radius_m)
     try:
         result = run(inputs.requests, inputs.fleet, inputs.net, inputs.zone_map,
                      inputs.sched, inputs.traffic, engine_cfg)
@@ -189,13 +182,14 @@ def cmd_run(cfg: RunConfig, out=None) -> int:
     _write(os.path.join(out_dir, "call_records.txt"),
            "".join(line + "\n" for line in result.record_lines()))
     _write(os.path.join(out_dir, "event_log.txt"),
-           "".join(line + "\n" for line in result.event_log))
+           f"# amodsim {cfg.config_hash()}\n"
+           + "".join(line + "\n" for line in result.event_log))
     whole = metrics.aggregate(result.records, metrics.BUCKET_WHOLE_RUN)
     daily = metrics.aggregate(result.records, metrics.BUCKET_DAILY, epoch=inputs.epoch)
     _write(os.path.join(out_dir, "summary.txt"), metrics.summary_text(whole + daily))
     _write(os.path.join(out_dir, "periodic.txt"),
            metrics.summary_text(metrics.periodic_rows(result.records, cfg.metric_period_s)))
-    _write(os.path.join(out_dir, "adjacency_final.txt"), result.sched.export_text())
+    _write(os.path.join(out_dir, "adjacency_final.txt"), inputs.sched.export_text())
     if inputs.cleaning is not None:
         _write(os.path.join(out_dir, "cleaning_report.txt"), inputs.cleaning.as_text())
     metadata = {

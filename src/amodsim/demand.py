@@ -102,7 +102,6 @@ def _coords_invalid(lat: float, lon: float) -> bool:
 
 def parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = NYC_BBOX,
                 capacity: int = 4, rng_seed: int = 0,
-                columns: dict[str, str] | None = None,
                 ) -> tuple[list[TripRequest], CleaningReport]:
     """Read trip rows, keep the clean ones, attach seeded patience values.
 
@@ -110,9 +109,7 @@ def parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = NYC_BBO
     file order. One rejection reason per bad row, checked in a fixed order
     (parse errors, coordinates, bounds, duration, party size).
     """
-    cols = dict(DEFAULT_COLUMNS)
-    if columns:
-        cols.update(columns)
+    cols = DEFAULT_COLUMNS
     report = CleaningReport()
     kept: list[tuple[datetime, str, GeoPoint, GeoPoint, int]] = []
     with open(csv_path, newline="", encoding="utf-8") as fh:
@@ -191,11 +188,7 @@ def generate_demand(rate_per_hour: float, duration_s: float, *,
         if not (lon_max > lon_min and lat_max > lat_min):
             raise GenerationError(f"degenerate bbox {bbox}")
     if zone_map is not None:
-        boxes = [z.boundary.bbox for z in zone_map.zones]
-        lon_min = min(b[0] for b in boxes)
-        lat_min = min(b[1] for b in boxes)
-        lon_max = max(b[2] for b in boxes)
-        lat_max = max(b[3] for b in boxes)
+        lon_min, lat_min, lon_max, lat_max = zone_map.bbox()
         if not (lon_max > lon_min and lat_max > lat_min):
             raise GenerationError("zones cover a degenerate region")
     if rate_per_hour == 0.0 or duration_s <= 0.0:

@@ -54,13 +54,14 @@ class DispatchDecision:
 class _EtaRanking:
     """Lowest-ETA candidates against one pickup node, from one lazy search.
 
-    A vehicle's ETA is the time left on its commitments (zero when idle) plus
-    the leg from where they end. The leg comes from a ReverseSearch toward
-    the pickup that settles nodes in time order and only as far as a query
-    needs: no unsettled node is closer than the frontier, and no ETA is below
-    its leg, so once the frontier passes the best ETA found nothing unsettled
-    can win. Later queries resume the same search. Winners and ETAs are
-    those of a full scan followed by an id-ordered strict-`<` pick.
+    A vehicle's ETA is the wait until it is free (fleet.job_start; zero when
+    idle) plus the leg from where it is free. The leg comes from a
+    ReverseSearch toward the pickup that settles nodes in time order and only
+    as far as a query needs: no unsettled node is closer than the frontier,
+    and no ETA is below its leg, so once the frontier passes the best ETA
+    found nothing unsettled can win. Later queries resume the same search.
+    Winners and ETAs are those of a full scan followed by an id-ordered
+    strict-`<` pick.
     """
 
     def __init__(self, pickup_node: int, net: RoadNetwork,
@@ -78,23 +79,23 @@ class _EtaRanking:
         settled = self._search.settled
         best: Vehicle | None = None
         best_key = (math.inf, math.inf)
-        waiting: dict[int, list[Vehicle]] = {}
+        waiting: dict[int, list[tuple[Vehicle, float]]] = {}
         for v in candidates:
-            node = v.trip_end_node()
+            node, depart = job_start(v, self._now)
             if node in settled:
-                key = ((v.busy_until_s(self._now) - self._now) + settled[node], v.id)
+                key = ((depart - self._now) + settled[node], v.id)
                 if key < best_key:
                     best, best_key = v, key
             else:
-                waiting.setdefault(node, []).append(v)
+                waiting.setdefault(node, []).append((v, depart))
         while waiting:
             # Continuing while the frontier equals the best ETA lets a
             # lower-id vehicle at that distance take the tie.
             node = self._search.settle(best_key[0])
             if node is None:
                 break
-            for v in waiting.pop(node, ()):
-                key = ((v.busy_until_s(self._now) - self._now) + settled[node], v.id)
+            for v, depart in waiting.pop(node, ()):
+                key = ((depart - self._now) + settled[node], v.id)
                 if key < best_key:
                     best, best_key = v, key
         return best, best_key[0]
@@ -103,9 +104,10 @@ class _EtaRanking:
 def _pickup_leg(v: Vehicle, pickup_node: int, net: RoadNetwork,
                 traffic: TrafficState | None, now_s: float) -> tuple[Route, float]:
     """The ranked vehicle's route to the pickup and its ETA."""
-    leg = road.route_astar(net, v.trip_end_node(), pickup_node, now_s, traffic)
+    node, depart = job_start(v, now_s)
+    leg = road.route_astar(net, node, pickup_node, now_s, traffic)
     assert leg is not None, "ranked candidate lost its route"
-    return leg, (v.busy_until_s(now_s) - now_s) + leg.total_time_s
+    return leg, (depart - now_s) + leg.total_time_s
 
 
 def _regions(a_c: int, sched: AdjacencySchedule, expand: bool) -> Iterator[frozenset[int]]:

@@ -3,8 +3,11 @@
 Events are processed in (time, sequence) order; the sequence number is fixed
 when an event is scheduled, so ties at the same instant resolve by scheduling
 history and every run of the same inputs pops the same events in the same
-order. Leg durations are fixed when a job is planned; only the OSS strategy
-re-plans waiting pickups when the traffic multiplier changes.
+order. Requests arrive one at a time from the sorted demand, each under a
+number reserved for it at the start; the engine keeps state for a request
+only while a vehicle holds it. Leg durations are fixed when a job is
+planned; only the OSS strategy re-plans waiting pickups when the traffic
+multiplier changes.
 """
 
 import heapq
@@ -35,13 +38,6 @@ class EventKind(Enum):
     PASSENGER_ABANDONED = "PASSENGER_ABANDONED"
     TRAFFIC_CHANGE = "TRAFFIC_CHANGE"
     RESCHEDULE = "RESCHEDULE"
-
-
-class RequestStatus(Enum):
-    """Where a request that has not ended stands; an ended one is a CallRecord."""
-    PENDING = "pending"
-    ASSIGNED = "assigned"
-    PICKED_UP = "picked-up"
 
 
 OUTCOME_PICKED_UP = "PICKED_UP"
@@ -96,14 +92,12 @@ def parse_record_line(line: str) -> CallRecord:
 class EngineConfig:
     dispatch: DispatchConfig = field(default_factory=DispatchConfig)
     snap_radius_m: float = DEFAULT_SNAP_RADIUS_M
-    log_header: str | None = None
 
 
 @dataclass
 class RunResult:
     records: list[CallRecord]
     event_log: list[str]
-    sched: AdjacencySchedule
     transitions: list[Transition]
     metadata: dict
 
@@ -112,14 +106,14 @@ class RunResult:
 
 
 class _RequestState:
-    __slots__ = ("request", "pickup_node", "dropoff_node", "status", "vehicle_id", "token")
+    """A request some vehicle holds: the vehicle, and the token of the one
+    pickup event still valid. Any change of vehicle or pickup time bumps the
+    token, so an older pickup event finds a different token and is stale."""
+    __slots__ = ("request", "vehicle_id", "token")
 
-    def __init__(self, request: TripRequest, pickup_node: int | None, dropoff_node: int | None):
+    def __init__(self, request: TripRequest, vehicle_id: int):
         self.request = request
-        self.pickup_node = pickup_node
-        self.dropoff_node = dropoff_node
-        self.status = RequestStatus.PENDING
-        self.vehicle_id: int | None = None
+        self.vehicle_id = vehicle_id
         self.token = 0
 
 
@@ -148,16 +142,8 @@ class _Simulation:
         if len(set(ids)) != len(ids):
             raise SimulationError("duplicate request ids")
         self.snap_failures = 0
+        self.first_arrival_seq = 0
         self.states: dict[int, _RequestState] = {}
-        for r in self.requests:
-            pn = net.nearest_node(r.pickup, cfg.snap_radius_m)
-            dn = net.nearest_node(r.dropoff, cfg.snap_radius_m)
-            if pn is None or dn is None:
-                self.snap_failures += 1
-            self.states[r.id] = _RequestState(r, pn, dn)
-        if self.snap_failures:
-            log.warning("%d of %d requests fall outside the road network snap radius",
-                        self.snap_failures, len(self.requests))
         if len(zone_map) == 0:
             raise SimulationError("at least one zone is required to dispatch")
         # Vehicles are looked up by the zone of their current node; resolve
@@ -174,6 +160,14 @@ class _Simulation:
             raise SimulationError(f"event {kind.value} scheduled in the past ({t_s} < {self.now})")
         heapq.heappush(self.heap, (t_s, self.seq, kind, payload))
         self.seq += 1
+
+    def schedule_arrival(self, i: int) -> None:
+        """Queue the i-th request's arrival under the sequence number run()
+        reserved for it; the heap holds one arrival at a time."""
+        if i < len(self.requests):
+            heapq.heappush(self.heap, (self.requests[i].request_time_s,
+                                       self.first_arrival_seq + i,
+                                       EventKind.REQUEST_ARRIVAL, (i,)))
 
     def emit(self, kind: EventKind, text: str) -> None:
         self.log_lines.append(f"{self.now!r} {self.current_seq} {kind.value} {text}")
@@ -193,73 +187,76 @@ class _Simulation:
         self.record(v, src)
         return out
 
-    def end(self, st: _RequestState, outcome: str, **fields) -> None:
-        """Write the record of a request that has ended and forget its state."""
-        r = st.request
+    def end(self, r: TripRequest, outcome: str, **fields) -> None:
+        """Write the record of a request that has ended and forget its state,
+        if a vehicle held it."""
         self.records.append(CallRecord(r.id, r.request_time_s, outcome, **fields))
-        del self.states[r.id]
+        self.states.pop(r.id, None)
 
     # -- handlers ------------------------------------------------------
 
-    def on_request_arrival(self, req_id: int) -> None:
-        st = self.states[req_id]
-        decision = dispatch(st.request, st.pickup_node, st.dropoff_node, self.fleet,
+    def on_request_arrival(self, i: int) -> None:
+        self.schedule_arrival(i + 1)
+        r = self.requests[i]
+        req_id = r.id
+        pickup_node = self.net.nearest_node(r.pickup, self.cfg.snap_radius_m)
+        dropoff_node = self.net.nearest_node(r.dropoff, self.cfg.snap_radius_m)
+        if pickup_node is None or dropoff_node is None:
+            self.snap_failures += 1
+        decision = dispatch(r, pickup_node, dropoff_node, self.fleet,
                             self.sched, self.zone_map, self.node_zone, self.net,
                             self.traffic, self.now, self.cfg.dispatch)
         self.nodes_settled += decision.nodes_settled
         if not decision.assigned:
-            self.end(st, OUTCOME_REJECTED, reject_reason=decision.reject_reason)
+            self.end(r, OUTCOME_REJECTED, reject_reason=decision.reject_reason)
             self.emit(EventKind.REQUEST_ARRIVAL,
                       f"req={req_id} zone={decision.origin_zone} outcome=rejected "
                       f"reason={decision.reject_reason} rounds={len(decision.zones_searched)}")
             return
         v = self.fleet.vehicle(decision.vehicle_id)
-        plan = self.change(v, assign, st.request, decision.route_to_pickup,
+        plan = self.change(v, assign, r, decision.route_to_pickup,
                            decision.route_of_trip, self.now)
-        st.status = RequestStatus.ASSIGNED
-        st.vehicle_id = v.id
-        st.token += 1
-        self.schedule(plan.pickup_time_s, EventKind.ARRIVED_AT_PICKUP,
-                      (req_id, v.id, st.token))
-        self.schedule(st.request.request_time_s + st.request.patience_s,
+        st = self.states[req_id] = _RequestState(r, v.id)
+        self.schedule(plan.pickup_time_s, EventKind.ARRIVED_AT_PICKUP, (req_id, st.token))
+        self.schedule(r.request_time_s + r.patience_s,
                       EventKind.PASSENGER_ABANDONED, (req_id,))
         self.emit(EventKind.REQUEST_ARRIVAL,
                   f"req={req_id} zone={decision.origin_zone} outcome=assigned "
                   f"vehicle={v.id} eta={decision.eta_s!r} rounds={len(decision.zones_searched)} "
                   f"adj={int(decision.adjacency_updated)}")
 
-    def on_arrived_at_pickup(self, req_id: int, vehicle_id: int, token: int) -> None:
+    def on_arrived_at_pickup(self, req_id: int, token: int) -> None:
         st = self.states.get(req_id)
-        if st is None or st.status is not RequestStatus.ASSIGNED or st.token != token \
-                or st.vehicle_id != vehicle_id:
-            return  # superseded by a reassignment or an abandonment
+        if st is None or st.token != token:
+            return  # superseded by a re-plan or an abandonment
         if self.now - st.request.request_time_s > st.request.patience_s:
             raise SimulationError(f"request {req_id} picked up after its patience ran out")
-        v = self.fleet.vehicle(vehicle_id)
+        v = self.fleet.vehicle(st.vehicle_id)
         self.change(v, pick_up, req_id)
-        st.status = RequestStatus.PICKED_UP
-        self.schedule(v.plan.dropoff_time_s, EventKind.TRIP_COMPLETED, (req_id, vehicle_id))
-        self.emit(EventKind.ARRIVED_AT_PICKUP, f"req={req_id} vehicle={vehicle_id}")
+        self.schedule(v.plan.dropoff_time_s, EventKind.TRIP_COMPLETED, (req_id, v.id))
+        self.emit(EventKind.ARRIVED_AT_PICKUP, f"req={req_id} vehicle={v.id}")
 
     def on_trip_completed(self, req_id: int, vehicle_id: int) -> None:
         plan = self.change(self.fleet.vehicle(vehicle_id), finish_trip, req_id)
-        self.end(self.states[req_id], OUTCOME_PICKED_UP, pickup_time_s=plan.pickup_time_s,
+        self.end(plan.request, OUTCOME_PICKED_UP, pickup_time_s=plan.pickup_time_s,
                  dropoff_time_s=self.now, vehicle_id=vehicle_id)
         self.emit(EventKind.TRIP_COMPLETED, f"req={req_id} vehicle={vehicle_id}")
 
     def on_passenger_abandoned(self, req_id: int) -> None:
         st = self.states.get(req_id)
-        if st is None or st.status is not RequestStatus.ASSIGNED:
-            return  # already picked up or dropped off
+        if st is None:
+            return  # already dropped off
         v = self.fleet.vehicle(st.vehicle_id)
         job = waiting_job(v, req_id)
         if job is None:
+            if v.plan is not None and v.plan.request.id == req_id:
+                return  # the passenger is aboard
             raise SimulationError(f"abandonment for request {req_id} found no matching "
                                   f"job on vehicle {st.vehicle_id}")
         if job.pickup_time_s <= self.now:
             return  # the pickup due this same instant wins the tie
         self.change(v, release, req_id, self.now)
-        self.end(st, OUTCOME_ABANDONED, abandon_time_s=self.now)
+        self.end(st.request, OUTCOME_ABANDONED, abandon_time_s=self.now)
         self.emit(EventKind.PASSENGER_ABANDONED, f"req={req_id} vehicle={st.vehicle_id}")
 
     def on_traffic_change(self, multiplier: float) -> None:
@@ -279,7 +276,7 @@ class _Simulation:
             st.token += 1
             st.vehicle_id = act.new_vehicle_id
             self.schedule(act.new_pickup_time_s, EventKind.ARRIVED_AT_PICKUP,
-                          (act.request_id, act.new_vehicle_id, st.token))
+                          (act.request_id, st.token))
             if act.reassigned:
                 reassigned += 1
         self.reassignment_count += reassigned
@@ -288,12 +285,13 @@ class _Simulation:
     # -- main loop -----------------------------------------------------
 
     def run(self) -> RunResult:
-        if self.cfg.log_header:
-            self.log_lines.append(self.cfg.log_header)
         for t in self.traffic.change_times():
             self.schedule(t, EventKind.TRAFFIC_CHANGE, (self.traffic.multiplier_at(t),))
-        for r in self.requests:
-            self.schedule(r.request_time_s, EventKind.REQUEST_ARRIVAL, (r.id,))
+        # Arrival i is numbered T + i, after the T traffic changes; events
+        # scheduled while the run goes take the numbers after the arrivals.
+        self.first_arrival_seq = self.seq
+        self.seq += len(self.requests)
+        self.schedule_arrival(0)
         handlers = {
             EventKind.REQUEST_ARRIVAL: self.on_request_arrival,
             EventKind.ARRIVED_AT_PICKUP: self.on_arrived_at_pickup,
@@ -310,13 +308,16 @@ class _Simulation:
             self.current_seq = seq
             handlers[kind](*payload)
             self.events_processed += 1
+        if self.snap_failures:
+            log.warning("%d of %d requests fall outside the road network snap radius",
+                        self.snap_failures, len(self.requests))
         problems = validate_transitions(self.transitions)
         if problems:
             raise SimulationError("state machine violations: " + "; ".join(problems[:5]))
         if self.states:
             st = next(iter(self.states.values()))  # the earliest left, in request order
-            raise SimulationError(f"request {st.request.id} ended in state "
-                                  f"{st.status.value!r}")
+            raise SimulationError(f"request {st.request.id} never ended; vehicle "
+                                  f"{st.vehicle_id} still holds it")
         records = sorted(self.records, key=lambda rec: (rec.request_time_s, rec.request_id))
         rejects: dict[str, int] = {}
         for rec in records:
@@ -334,7 +335,7 @@ class _Simulation:
             "events_processed": self.events_processed,
             "nodes_settled": self.nodes_settled,
         }
-        return RunResult(records, self.log_lines, self.sched, self.transitions, metadata)
+        return RunResult(records, self.log_lines, self.transitions, metadata)
 
 
 def run(requests: list[TripRequest], fleet: Fleet, net: RoadNetwork,

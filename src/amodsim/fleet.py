@@ -68,19 +68,6 @@ class Vehicle:
     def __repr__(self):
         return f"Vehicle({self.id}, {self.status.value}, node={self.node})"
 
-    def busy_until_s(self, now_s: float) -> float:
-        if self.status is VehicleStatus.IDLE:
-            return now_s
-        last = self.queued or self.plan
-        return last.dropoff_time_s
-
-    def trip_end_node(self) -> int:
-        """Where the vehicle will stand when its current commitments end."""
-        last = self.queued or self.plan
-        if last is None:
-            return self.node
-        return last.route_of_trip.nodes[-1]
-
     def current_node(self, now_s: float) -> int:
         """Last routing node passed at now_s."""
         if self.plan is None:
@@ -97,9 +84,6 @@ class Fleet:
             raise ValueError("duplicate vehicle ids")
         self.vehicles = sorted(vehicles, key=lambda v: v.id)
         self._by_id = {v.id: v for v in self.vehicles}
-
-    def __len__(self):
-        return len(self.vehicles)
 
     def __iter__(self):
         return iter(self.vehicles)
@@ -145,7 +129,8 @@ def candidate_pool(fleet: Fleet, strategy: Strategy, party_size: int) -> list[Ve
 
 def job_start(v: Vehicle, now_s: float) -> tuple[int, float]:
     """Node and time a job planned now departs from: the current trip's
-    dropoff for a vehicle on a trip, else where the vehicle is, now."""
+    dropoff for a vehicle on a trip, else where the vehicle is, now. The one
+    rule for where and when a vehicle is next free, for dispatch and planning."""
     if v.status is VehicleStatus.ON_TRIP:
         return v.plan.route_of_trip.nodes[-1], v.plan.dropoff_time_s
     return v.current_node(now_s), now_s

@@ -104,9 +104,6 @@ class Polygon:
         lats = [p[1] for p in pts]
         self.bbox = (min(lons), min(lats), max(lons), max(lats))
 
-    def __len__(self):
-        return len(self.vertices)
-
     def centroid(self) -> GeoPoint:
         """Arithmetic mean of the ring vertices. Used for coarse nearest-zone
         ranking, where a cheap stable center beats an exact area centroid."""

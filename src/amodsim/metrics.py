@@ -168,8 +168,7 @@ def aggregate(records: list[CallRecord], bucket: str,
     raise ValueError(f"unknown bucket {bucket!r}")
 
 
-def periodic_rows(records: list[CallRecord], period_s: float,
-                  end_s: float | None = None) -> list[MetricsSummary]:
+def periodic_rows(records: list[CallRecord], period_s: float) -> list[MetricsSummary]:
     """One summary per elapsed period, empty periods included.
 
     The final period is flushed even when partial (its window is clamped to
@@ -178,10 +177,9 @@ def periodic_rows(records: list[CallRecord], period_s: float,
     """
     if period_s <= 0.0:
         raise ValueError(f"period must be positive, got {period_s}")
-    if end_s is None:
-        end_s = horizon_s(records)
-    if not records and end_s <= 0.0:
+    if not records:
         return []
+    end_s = horizon_s(records)
     groups: dict[int, list[CallRecord]] = {}
     last_k = -1
     for r in records:

@@ -65,13 +65,6 @@ class AdjacencySchedule:
             out.update(self._nbrs.get(z, ()))
         return out
 
-    def copy(self) -> "AdjacencySchedule":
-        dup = AdjacencySchedule(self.zone_ids())
-        for z, ns in self._nbrs.items():
-            dup._nbrs[z] = set(ns)
-        dup.revision = self.revision
-        return dup
-
     def pairs(self) -> list[tuple[int, int]]:
         out = []
         for a in sorted(self._nbrs):
@@ -144,15 +137,17 @@ class ZoneMap:
         if len(set(ids)) != len(ids):
             raise ZoneLoadError("duplicate zone ids")
         self.zones = sorted(zones, key=lambda z: z.id)
-        self._by_id = {z.id: z for z in self.zones}
         self._centroids = {z.id: z.boundary.centroid() for z in self.zones}
         self.fallback_count = 0
 
     def __len__(self):
         return len(self.zones)
 
-    def zone(self, zone_id: int) -> Zone:
-        return self._by_id[zone_id]
+    def bbox(self) -> tuple[float, float, float, float]:
+        """(lon_min, lat_min, lon_max, lat_max) of the box covering every zone."""
+        boxes = [z.boundary.bbox for z in self.zones]
+        return (min(b[0] for b in boxes), min(b[1] for b in boxes),
+                max(b[2] for b in boxes), max(b[3] for b in boxes))
 
     def locate(self, p: GeoPoint) -> int | None:
         for z in self.zones:  # ascending id, so overlaps resolve low

@@ -18,7 +18,7 @@ from amodsim.demand import TripRequest
 from amodsim.fleet import Fleet, Vehicle, VehicleStatus
 from amodsim.geo import METERS_PER_DEG_LAT, GeoPoint, Polygon
 from amodsim.road import RoadNetwork, Route, TrafficState, eta_table, route_astar
-from amodsim.zones import Zone, ZoneMap, initial_adjacency
+from amodsim.zones import AdjacencySchedule, Zone, ZoneMap, initial_adjacency
 
 GRID_SPEED_MPS = 10.0
 GRID_SPEED_LIMIT_MPS = 11.176
@@ -105,6 +105,15 @@ GOLDEN_RECORD_LINES = (
     "8 285.0 PICKED_UP 325.0 405.0 0",
     "9 300.0 PICKED_UP 340.0 420.0 2",
 )
+
+
+def copy_schedule(sched: AdjacencySchedule) -> AdjacencySchedule:
+    """An independent schedule with the same pairs and revision."""
+    dup = AdjacencySchedule(sched.zone_ids())
+    for a, b in sched.pairs():
+        dup.add_neighbor(a, b)
+    dup.revision = sched.revision
+    return dup
 
 
 def golden_node_point(nid: int) -> GeoPoint:
@@ -220,6 +229,15 @@ def walk_node_at_elapsed(nodes: tuple[int, ...], hop_times_s: tuple[float, ...],
     return last
 
 
+def free_after(v: Vehicle, now_s: float) -> tuple[int, float]:
+    """Node and time a candidate (Idle, or OnTrip with nothing queued) is
+    next free, read from its plan: where it stands now, else the current
+    trip's dropoff node and time."""
+    if v.plan is None:
+        return v.node, now_s
+    return v.plan.route_of_trip.nodes[-1], v.plan.dropoff_time_s
+
+
 def estimate_eta(vehicle: Vehicle, pickup_node: int, net: RoadNetwork,
                  traffic: TrafficState | None, now_s: float) -> float | None:
     """Seconds until the vehicle could reach pickup_node, one route per vehicle.
@@ -234,10 +252,11 @@ def estimate_eta(vehicle: Vehicle, pickup_node: int, net: RoadNetwork,
     if vehicle.status is VehicleStatus.ON_TRIP:
         if vehicle.queued is not None:
             raise ValueError(f"vehicle {vehicle.id} already queued a job")
-        leg = travel_time_s(net, vehicle.trip_end_node(), pickup_node, now_s, traffic)
+        node, free_s = free_after(vehicle, now_s)
+        leg = travel_time_s(net, node, pickup_node, now_s, traffic)
         if leg is None:
             return None
-        return (vehicle.busy_until_s(now_s) - now_s) + leg
+        return (free_s - now_s) + leg
     raise ValueError(f"vehicle {vehicle.id} is {vehicle.status.value}; not in any candidate pool")
 
 
@@ -326,14 +345,16 @@ def full_scan_best(candidates: list[Vehicle], pickup_node: int, net: RoadNetwork
     The ranking the dispatcher's winner-bounded search must reproduce;
     returns (None, inf) when no candidate can reach the pickup.
     """
+    free = {v.id: free_after(v, now_s) for v in candidates}
     legs = eta_table(net, pickup_node, now_s, traffic,
-                     sources={v.trip_end_node() for v in candidates})
+                     sources={node for node, _ in free.values()})
     best, best_eta = None, math.inf
     for v in sorted(candidates, key=lambda v: v.id):
-        leg = legs.get(v.trip_end_node())
+        node, free_s = free[v.id]
+        leg = legs.get(node)
         if leg is None:
             continue
-        eta = (v.busy_until_s(now_s) - now_s) + leg
+        eta = (free_s - now_s) + leg
         if eta < best_eta:
             best, best_eta = v, eta
     return best, best_eta

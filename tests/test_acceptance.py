@@ -30,6 +30,7 @@ from scenario_tools import (
     GOLDEN_RECORD_LINES,
     GOLDEN_SPACING_DEG,
     box_polygon,
+    copy_schedule,
     dijkstra_times,
     estimate_eta,
     golden_city,
@@ -284,7 +285,7 @@ def test_criterion_4_expansion_dominates_baseline():
             base = dispatch(call, pickup, dropoff, fleet, sched, zm,
                             node_zone, net, traffic, 0.0,
                             DispatchConfig(strategy=strategy, eat_enabled=False))
-            eat = dispatch(call, pickup, dropoff, fleet, sched.copy(), zm,
+            eat = dispatch(call, pickup, dropoff, fleet, copy_schedule(sched), zm,
                            node_zone, net, traffic, 0.0,
                            DispatchConfig(strategy=strategy, eat_enabled=True))
             base_assigned += base.assigned
@@ -298,7 +299,7 @@ def test_criterion_4_expansion_dominates_baseline():
     call = TripRequest(0, "chain", 0.0, net.nodes[0], net.nodes[2], 1, 1800.0)
     base = dispatch(call, 0, 2, fleet, sched, zm, node_zone, net,
                     None, 0.0, DispatchConfig(eat_enabled=False))
-    eat = dispatch(call, 0, 2, fleet, sched.copy(), zm, node_zone, net,
+    eat = dispatch(call, 0, 2, fleet, copy_schedule(sched), zm, node_zone, net,
                    None, 0.0, DispatchConfig(eat_enabled=True))
     chain_ok = (not base.assigned and base.reject_reason == "no-vehicle"
                 and eat.assigned and eat.vehicle_id == 0)
@@ -399,8 +400,7 @@ def determinism_run():
                                  walk_step_s=300.0, walk_sigma=0.1,
                                  horizon_s=3600.0)
     cfg = EngineConfig(dispatch=DispatchConfig(strategy=Strategy.SSS,
-                                               eat_enabled=True),
-                       log_header="# amodsim acceptance-determinism")
+                                               eat_enabled=True))
     return run(requests, fleet, net, zm, sched, traffic, cfg)
 
 

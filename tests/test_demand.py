@@ -132,17 +132,7 @@ def test_parse_trips_missing_column(tmp_path):
         parse_trips(str(path))
 
 
-def test_parse_trips_custom_columns_and_empty(tmp_path):
-    path = tmp_path / "alt.csv"
-    path.write_text("hack,start,end,pax,plon,plat,dlon,dlat\n"
-                    "m1,2013-01-05 12:00:00,2013-01-05 12:09:00,1,"
-                    "-73.99,40.75,-73.97,40.76\n")
-    cols = {"medallion": "hack", "pickup_time": "start", "dropoff_time": "end",
-            "passenger_count": "pax", "pickup_lon": "plon", "pickup_lat": "plat",
-            "dropoff_lon": "dlon", "dropoff_lat": "dlat"}
-    requests, report = parse_trips(str(path), columns=cols)
-    assert len(requests) == 1 and report.balances()
-
+def test_parse_trips_empty_file(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text(HEADER + "\n")
     requests, report = parse_trips(str(empty))

@@ -1,20 +1,32 @@
 """Event loop semantics, frozen end-to-end scenario, log replay checking."""
 
+import heapq
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from amodsim import engine
 
 from amodsim.demand import TripRequest
 from amodsim.dispatch import DispatchConfig
 from amodsim.engine import (
+    OUTCOME_ABANDONED,
+    OUTCOME_PICKED_UP,
     CallRecord,
     EngineConfig,
+    EventKind,
     SimulationError,
     parse_record_line,
     run,
 )
 from amodsim.fleet import Fleet, Strategy, Vehicle, VehicleStatus, validate_transitions
 from amodsim.road import TrafficState
-from amodsim.zones import AdjacencySchedule, Zone, ZoneMap
+from amodsim.geo import GeoPoint
+from amodsim.zones import AdjacencySchedule, Zone, ZoneMap, initial_adjacency
 from scenario_tools import (
+    DYADIC_MULTIPLIERS,
     GOLDEN_RECORD_LINES,
     GOLDEN_SPACING_DEG,
     box_polygon,
@@ -23,6 +35,7 @@ from scenario_tools import (
     golden_requests,
     grid_network,
     replay_check,
+    tile_zones,
 )
 
 D = GOLDEN_SPACING_DEG
@@ -59,7 +72,8 @@ def test_golden_scenario_records_are_frozen():
 
 
 def test_golden_scenario_metadata():
-    result = run_golden()
+    net, zm, sched = golden_city()
+    result = run(golden_requests(), golden_fleet(), net, zm, sched, None, nss_eat())
     assert result.metadata == {
         "requests": 10,
         "picked_up": 7,
@@ -72,7 +86,7 @@ def test_golden_scenario_metadata():
         "events_processed": 33,
         "nodes_settled": 33,
     }
-    assert result.sched.pairs() == [(0, 1), (1, 2), (1, 3), (2, 3)]
+    assert sched.pairs() == [(0, 1), (1, 2), (1, 3), (2, 3)]
     assert validate_transitions(result.transitions) == []
 
 
@@ -236,20 +250,57 @@ def test_dispatch_sees_multiplier_in_force():
 
 
 def test_event_log_header_and_shape():
+    # The engine writes events only; the `# amodsim <config hash>` header is
+    # the caller's (cli.cmd_run writes it ahead of these lines).
     net, zm, sched = one_zone_city(5)
-    cfg = nss_eat()
-    cfg.log_header = "# amodsim deadbeef"
     result = run([req(net, 0, 0.0, 1, 2)], Fleet([Vehicle(0, 0)]),
-                 net, zm, sched, None, cfg)
-    assert result.event_log[0] == "# amodsim deadbeef"
-    for line in result.event_log[1:]:
+                 net, zm, sched, None, nss_eat())
+    assert not any(line.startswith("#") for line in result.event_log)
+    for line in result.event_log:
         t, seq, kind = line.split()[:3]
         float(t)
         assert int(seq) >= 0
         assert kind in {"REQUEST_ARRIVAL", "ARRIVED_AT_PICKUP", "TRIP_COMPLETED",
                         "PASSENGER_ABANDONED", "TRAFFIC_CHANGE", "RESCHEDULE"}
-    arrival = result.event_log[1]
+    arrival = result.event_log[0]
     assert "req=0 zone=0 outcome=assigned vehicle=0 eta=40.0 rounds=1 adj=0" in arrival
+
+
+def test_arrivals_take_the_sequence_numbers_reserved_for_them():
+    net, zm, sched = one_zone_city(5)
+    traffic = TrafficState([(10.0, 0.5), (30.0, 1.0)])    # both at arrival times
+    requests = [req(net, 4, 45.0, 3, 4), req(net, 3, 30.0, 1, 0),
+                req(net, 2, 10.0, 4, 3), req(net, 1, 10.0, 2, 3),
+                req(net, 0, 0.0, 0, 1)]                   # vehicle 0 waits at node 0
+    result = run(requests, Fleet([Vehicle(0, 0), Vehicle(1, 4)]), net, zm, sched,
+                 traffic, nss_eat())
+    n_changes, n_requests = 2, len(requests)
+    lines = [line.split() for line in result.event_log]
+    arrivals = [(int(seq), text[0]) for _, seq, kind, *text in lines
+                if kind == "REQUEST_ARRIVAL"]
+    assert arrivals == [(n_changes + i, f"req={i}") for i in range(n_requests)]
+    # a traffic change logs ahead of the arrival at its instant
+    assert [(t, seq, kind) for t, seq, kind, *_ in lines[2:4]] == [
+        ("10.0", "0", "TRAFFIC_CHANGE"), ("10.0", "3", "REQUEST_ARRIVAL")]
+    # the first event the run schedules takes the number after the arrivals
+    assert lines[1][:4] == ["0.0", str(n_changes + n_requests), "ARRIVED_AT_PICKUP", "req=0"]
+    runtime = [int(seq) for _, seq, kind, *_ in lines
+               if kind not in ("REQUEST_ARRIVAL", "TRAFFIC_CHANGE")]
+    assert min(runtime) == n_changes + n_requests
+
+
+def test_the_queue_holds_one_arrival_at_a_time(monkeypatch):
+    most = 0
+
+    def push(heap, item):
+        nonlocal most
+        heapq.heappush(heap, item)
+        most = max(most, sum(1 for e in heap if e[2] is EventKind.REQUEST_ARRIVAL))
+
+    monkeypatch.setattr(engine, "heapq", SimpleNamespace(heappush=push,
+                                                         heappop=heapq.heappop))
+    assert tuple(run_golden().record_lines()) == GOLDEN_RECORD_LINES
+    assert most == 1
 
 
 def test_replay_check_reports_diffs():
@@ -319,3 +370,69 @@ def test_conservation_of_requests():
     meta = run_golden().metadata
     assert meta["requests"] == meta["picked_up"] + meta["abandoned"] + \
         sum(meta["rejected"].values())
+
+
+# -- random small cities ---------------------------------------------------
+
+FAR = GeoPoint(0.5, 0.5)                          # beyond every snap radius here
+
+# (time / 5 s, pickup node, dropoff node, patience, beyond the snap radius)
+CALL = st.tuples(st.integers(0, 120), st.integers(0, 35), st.integers(0, 35),
+                 st.integers(60, 900), st.integers(0, 9).map(lambda k: k == 0))
+# Up to four vehicles for up to 40 calls in ten minutes: overloaded.
+CITY = st.fixed_dictionaries({
+    "rows": st.integers(2, 6),
+    "cols": st.integers(2, 6),
+    "zone_split": st.tuples(st.integers(1, 2), st.integers(1, 2)),
+    "vehicles": st.lists(st.integers(0, 35), min_size=1, max_size=4),
+    "calls": st.lists(CALL, min_size=5, max_size=40),
+    "changes": st.lists(st.tuples(st.integers(1, 120), st.sampled_from(DYADIC_MULTIPLIERS)),
+                        min_size=1, max_size=4, unique_by=lambda c: c[0]),
+})
+
+
+def run_city(city, strategy, eat):
+    """One run on a fresh copy of city; asserts at every logged event that
+    the engine holds state for exactly the requests some vehicle holds."""
+    rows, cols = city["rows"], city["cols"]
+    n = rows * cols
+    net = grid_network(rows, cols)
+    zm = ZoneMap(tile_zones(rows, cols, *city["zone_split"], D))
+    fleet = Fleet([Vehicle(i, node % n) for i, node in enumerate(city["vehicles"])])
+    requests = [TripRequest(i, f"m{i}", 5.0 * t, FAR if far else net.nodes[a % n],
+                            net.nodes[b % n], 1, float(patience))
+                for i, (t, a, b, patience, far) in enumerate(city["calls"])]
+    traffic = TrafficState(sorted((5.0 * t, m) for t, m in city["changes"]))
+    emit = engine._Simulation.emit
+
+    def checked_emit(sim, kind, text):
+        held = {p.request.id for v in sim.fleet for p in (v.plan, v.queued) if p is not None}
+        assert set(sim.states) == held
+        emit(sim, kind, text)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine._Simulation, "emit", checked_emit)
+        cfg = EngineConfig(dispatch=DispatchConfig(strategy=strategy, eat_enabled=eat))
+        result = run(requests, fleet, net, zm, initial_adjacency(zm), traffic, cfg)
+    return requests, result
+
+
+@settings(max_examples=100)
+@given(CITY)
+def test_runs_on_small_cities_keep_their_invariants(city):
+    for strategy in Strategy:
+        for eat in (True, False):
+            requests, result = run_city(city, strategy, eat)
+            by_id = {r.id: r for r in requests}
+            assert sorted(rec.request_id for rec in result.records) == sorted(by_id)
+            for rec in result.records:
+                patience = by_id[rec.request_id].patience_s
+                if rec.outcome == OUTCOME_PICKED_UP:
+                    assert rec.wait_s <= patience
+                elif rec.outcome == OUTCOME_ABANDONED:
+                    assert rec.abandon_time_s == rec.request_time_s + patience
+            assert result.metadata["snap_failures"] == sum(c[4] for c in city["calls"])
+            assert validate_transitions(result.transitions) == []
+            _, again = run_city(city, strategy, eat)
+            assert again.record_lines() == result.record_lines()
+            assert again.event_log == result.event_log

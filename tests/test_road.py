@@ -1,5 +1,6 @@
 """Road network loading, traffic multipliers, and time-dependent routing."""
 
+import hashlib
 import math
 import random
 
@@ -165,6 +166,32 @@ def test_route_tie_breaks_to_lower_node_id():
     net = RoadNetwork(nodes, edges, speed_limit_mps=10.0)
     r = route_astar(net, 0, 3, 0.0)
     assert r.nodes == (0, 1, 3)
+
+
+# SHA-256 of the node sequences test_route_path_choice_is_pinned draws. A
+# change to the search that keeps every route's time but takes another of
+# several equal-time paths moves it; such a change must say so and re-pin.
+PATH_CHOICE_SHA256 = "270580768e2c5797977aaf3d32887b91706c90fa34885c040bf9f10d80fcb711"
+
+
+def test_route_path_choice_is_pinned():
+    # Grids hold many equal-time paths, and the queries run under a
+    # multiplier below the schedule's maximum, so the heuristic's bound is
+    # loose and the expansion order decides which path is returned.
+    rng = random.Random(20261018)
+    traffic = TrafficState([(100.0, 0.5), (200.0, 2.0)])
+    nets = {}
+    digest = hashlib.sha256()
+    for _ in range(1500):
+        rows, cols = rng.randint(3, 12), rng.randint(3, 12)
+        if (rows, cols) not in nets:
+            nets[rows, cols] = grid_network(rows, cols)
+        src, dst = rng.randrange(rows * cols), rng.randrange(rows * cols)
+        at_s = rng.choice((0.0, 150.0))
+        assert traffic.multiplier_at(at_s) < traffic.max_multiplier()
+        route = route_astar(nets[rows, cols], src, dst, at_s, traffic)
+        digest.update((" ".join(map(str, route.nodes)) + "\n").encode())
+    assert digest.hexdigest() == PATH_CHOICE_SHA256
 
 
 def test_route_node_at_elapsed():

@@ -13,7 +13,7 @@ from amodsim.zones import (
     initial_adjacency,
     load_zones,
 )
-from scenario_tools import box_feature, box_polygon, golden_city
+from scenario_tools import box_feature, box_polygon, copy_schedule, golden_city
 
 DEG_PER_M = 1.0 / METERS_PER_DEG_LAT
 
@@ -106,7 +106,7 @@ def test_expand_frontier_adds_one_ring():
 def test_schedule_copy_is_independent():
     sched = AdjacencySchedule([0, 1])
     sched.add_neighbor(0, 1)
-    dup = sched.copy()
+    dup = copy_schedule(sched)
     assert dup.pairs() == [(0, 1)] and dup.revision == 1
     dup.add_neighbor(1, 0)
     assert dup.revision == 2 and sched.revision == 1
@@ -135,8 +135,7 @@ def test_load_zones_geojson(tmp_path):
     path.write_text(json.dumps(doc))
     zmap, sched = load_zones(str(path))
     assert len(zmap) == 2
-    assert zmap.zone(0).name == "east"
-    assert zmap.zone(1).name == "west"
+    assert [z.name for z in zmap.zones] == ["east", "west"]
     assert zmap.locate(GeoPoint(0.5, 1.5)) == 0
     assert sched.pairs() == [(0, 1)]
 
@@ -150,8 +149,8 @@ def test_load_zones_closed_ring_and_default_name(tmp_path):
     path = tmp_path / "z.geojson"
     path.write_text(json.dumps(doc))
     zmap, _ = load_zones(str(path))
-    assert zmap.zone(0).name == "zone-0"
-    assert len(zmap.zone(0).boundary) == 4    # repeated closing vertex dropped
+    assert zmap.zones[0].name == "zone-0"
+    assert len(zmap.zones[0].boundary.vertices) == 4    # repeated closing vertex dropped
 
 
 @pytest.mark.parametrize("doc", [
