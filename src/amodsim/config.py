@@ -12,6 +12,7 @@ Seeds are mandatory where randomness exists; nothing falls back to the clock.
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Any
@@ -41,6 +42,8 @@ def _need(section: dict, key: str, where: str) -> Any:
 def _num(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -259,6 +262,10 @@ def parse_config(doc: Any, base_dir: str = ".") -> RunConfig:
         walk_seed = _intval(walk_seed, "traffic.walk_seed")
     walk_step = _num(tr.get("walk_step_s", 600.0), "traffic.walk_step_s")
     walk_sigma = _num(tr.get("walk_sigma", 0.1), "traffic.walk_sigma")
+    if walk_step <= 0:
+        raise ConfigError(f"traffic.walk_step_s must be positive, got {walk_step}")
+    if walk_sigma < 0:
+        raise ConfigError(f"traffic.walk_sigma must be >= 0, got {walk_sigma}")
 
     dp = doc.get("dispatch") or {}
     if not isinstance(dp, dict):

@@ -73,9 +73,11 @@ class _EtaRanking:
     def nodes_settled(self) -> int:
         return len(self._search.settled)
 
-    def best(self, candidates: list[Vehicle]) -> tuple[Vehicle | None, float]:
-        """The candidate with the lowest ETA, ties to the lowest id;
-        (None, inf) when no candidate can reach the pickup."""
+    def best(self, candidates: list[Vehicle],
+             cap: float = math.inf) -> tuple[Vehicle | None, float]:
+        """The candidate with the lowest ETA, ties to the lowest id, if that
+        ETA is at most `cap`; (None, inf) when no candidate reaches the
+        pickup within it. The search settles nodes no further than `cap`."""
         settled = self._search.settled
         best: Vehicle | None = None
         best_key = (math.inf, math.inf)
@@ -88,16 +90,20 @@ class _EtaRanking:
                     best, best_key = v, key
             else:
                 waiting.setdefault(node, []).append((v, depart))
+        # Continuing while the frontier equals the best ETA lets a lower-id
+        # vehicle at that distance take the tie.
+        limit = min(best_key[0], cap)
         while waiting:
-            # Continuing while the frontier equals the best ETA lets a
-            # lower-id vehicle at that distance take the tie.
-            node = self._search.settle(best_key[0])
+            node = self._search.settle(limit)
             if node is None:
                 break
             for v, depart in waiting.pop(node, ()):
                 key = ((depart - self._now) + settled[node], v.id)
                 if key < best_key:
                     best, best_key = v, key
+                    limit = min(key[0], cap)
+        if best_key[0] > cap:
+            return None, math.inf
         return best, best_key[0]
 
 
@@ -137,10 +143,15 @@ def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | Non
     an out-of-component assignment; vehicle state is never touched."""
     a_c = zone_map.locate_or_nearest(call.pickup)
     decision = DispatchDecision(origin_zone=a_c)
+    # Nodes of one strongly connected component reach each other, so only a
+    # trip across components needs a search to tell whether it is routable;
+    # that route is kept for the winner.
+    routable = pickup_node is not None and dropoff_node is not None
     trip_route = None
-    if pickup_node is not None and dropoff_node is not None:
+    if routable and net.component[pickup_node] != net.component[dropoff_node]:
         trip_route = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic)
-    if trip_route is None:
+        routable = trip_route is not None
+    if not routable:
         decision.zones_searched.append(frozenset({a_c}))
         decision.reject_reason = REJECT_UNROUTABLE
         return decision
@@ -170,6 +181,8 @@ def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | Non
     decision.vehicle_id = winner.id
     decision.route_to_pickup, decision.eta_s = _pickup_leg(winner, pickup_node, net,
                                                            traffic, now_s)
+    if trip_route is None:
+        trip_route = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic)
     decision.route_of_trip = trip_route
     return decision
 
@@ -210,7 +223,14 @@ def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: R
         incumbent_eta = None if leg is None else (depart - now_s) + leg.total_time_s
 
         others = candidate_pool(fleet, Strategy.OSS, request.party_size)
-        best, best_eta = _EtaRanking(pickup_node, net, traffic, now_s).best(others)
+        # A candidate with ETA e takes the job only if fl(incumbent_eta - e)
+        # exceeds the threshold, which (rounding being monotone) needs e below
+        # incumbent_eta - threshold in the reals. The cap, one ulp above that
+        # difference rounded, lies above it, so capping the search loses no
+        # candidate that could take the job.
+        cap = math.inf if incumbent_eta is None else math.nextafter(
+            incumbent_eta - cfg.oss_reassign_threshold_s, math.inf)
+        best, best_eta = _EtaRanking(pickup_node, net, traffic, now_s).best(others, cap)
 
         improves = best is not None and (
             incumbent_eta is None or incumbent_eta - best_eta > cfg.oss_reassign_threshold_s)

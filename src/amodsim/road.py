@@ -11,7 +11,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .geo import GeoPoint, NodeIndex, haversine_m
+from .geo import EARTH_RADIUS_M, GeoPoint, NodeIndex, haversine_m
 
 log = logging.getLogger(__name__)
 
@@ -19,6 +19,10 @@ log = logging.getLogger(__name__)
 # most this factor (survey noise in real datasets). The routing heuristic has
 # to honor the same slack or it loses admissibility.
 MIN_LENGTH_FACTOR = 0.99
+
+# The constants of geo.haversine_m, for route_astar's inline copy of it.
+_RAD_PER_DEG = math.pi / 180.0  # the factor math.radians multiplies by
+_TWO_R = 2.0 * EARTH_RADIUS_M
 
 
 class NetworkLoadError(ValueError):
@@ -141,10 +145,19 @@ class RoadNetwork:
         for n in self.adj:
             self.adj[n].sort()
             self.radj[n].sort()
+        # (lat, lon, cos(radians(lat))) of each node: the terms of the A*
+        # heuristic's haversine that depend on the node alone.
+        self.trig = {n: (p.lat, p.lon, math.cos(math.radians(p.lat)))
+                     for n, p in self.nodes.items()}
         self._index: NodeIndex | None = None
-        self.scc_count = self._count_scc()
+        self.component = self._scc_ids()
         if self.scc_count > 1:
             log.warning("road graph is not strongly connected: %d components", self.scc_count)
+
+    @property
+    def scc_count(self) -> int:
+        """Number of strongly connected components."""
+        return max(self.component.values(), default=-1) + 1
 
     @property
     def index(self) -> NodeIndex:
@@ -155,7 +168,10 @@ class RoadNetwork:
     def nearest_node(self, p: GeoPoint, max_radius_m: float) -> int | None:
         return self.index.nearest(p, max_radius_m)
 
-    def _count_scc(self) -> int:
+    def _scc_ids(self) -> dict[int, int]:
+        """Strongly connected component id of each node, numbered 0, 1, ...
+        in the order Tarjan's algorithm completes them. Two nodes reach each
+        other exactly when their ids are equal."""
         # Iterative Tarjan; recursion depth would be a hazard on long chains.
         ids = sorted(self.nodes)
         index = {}
@@ -164,6 +180,7 @@ class RoadNetwork:
         stack: list[int] = []
         counter = 0
         sccs = 0
+        component: dict[int, int] = {}
         for root in ids:
             if root in index:
                 continue
@@ -193,13 +210,14 @@ class RoadNetwork:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[node])
                 if low[node] == index[node]:
-                    sccs += 1
                     while True:
                         w = stack.pop()
                         on_stack.discard(w)
+                        component[w] = sccs
                         if w == node:
                             break
-        return sccs
+                    sccs += 1
+        return component
 
 
 def _parse_lines(path: str):
@@ -274,29 +292,37 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     mult = traffic.multiplier_at(at_s)
     # Admissible bound on remaining time: no edge beats the speed limit times
     # the largest multiplier, and no path is shorter than MIN_LENGTH_FACTOR
-    # times the great-circle distance.
+    # times the great-circle distance. The bound is
+    # MIN_LENGTH_FACTOR * haversine_m(node, dst) / denom, computed inline from
+    # net.trig with haversine_m's operations in the same order (math.radians
+    # is a product with pi / 180, and min(1.0, s) is s if s < 1.0 else 1.0),
+    # so every value has the same bits.
     denom = net.speed_limit_mps * traffic.max_multiplier()
-    dst_pt = net.nodes[dst]
-
-    def h(n: int) -> float:
-        return MIN_LENGTH_FACTOR * haversine_m(net.nodes[n], dst_pt) / denom
-
+    trig = net.trig
+    dst_lat, dst_lon, dst_cos = trig[dst]
+    sin, sqrt, asin, inf = math.sin, math.sqrt, math.asin, math.inf
+    heappush, heappop, adj = heapq.heappush, heapq.heappop, net.adj
     best_g: dict[int, float] = {src: 0.0}
     parent: dict[int, tuple[int, float]] = {}
-    heap: list[tuple[float, int, float]] = [(h(src), src, 0.0)]
+    heap: list[tuple[float, int, float]] = [(0.0, src, 0.0)]  # popped alone: f is moot
     while heap:
-        f, node, g = heapq.heappop(heap)
-        if g > best_g.get(node, math.inf):
+        _, node, g = heappop(heap)
+        if g > best_g[node]:
             continue
         if node == dst:
             break
-        for (nxt, length, speed) in net.adj[node]:
+        for (nxt, length, speed) in adj[node]:
             hop = length / (speed * mult)
             ng = g + hop
-            if ng < best_g.get(nxt, math.inf):
+            if ng < best_g.get(nxt, inf):
                 best_g[nxt] = ng
                 parent[nxt] = (node, hop)
-                heapq.heappush(heap, (ng + h(nxt), nxt, ng))
+                lat, lon, cos_lat = trig[nxt]
+                h = (sin((dst_lat - lat) * _RAD_PER_DEG / 2.0) ** 2
+                     + cos_lat * dst_cos * sin((dst_lon - lon) * _RAD_PER_DEG / 2.0) ** 2)
+                s = sqrt(h)
+                dist = _TWO_R * asin(s if s < 1.0 else 1.0)
+                heappush(heap, (ng + MIN_LENGTH_FACTOR * dist / denom, nxt, ng))
     if dst not in parent:
         return None
     path = [dst]

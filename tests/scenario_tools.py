@@ -15,9 +15,12 @@ import random
 from dataclasses import dataclass
 
 from amodsim.demand import TripRequest
-from amodsim.fleet import Fleet, Vehicle, VehicleStatus
-from amodsim.geo import METERS_PER_DEG_LAT, GeoPoint, Polygon
-from amodsim.road import RoadNetwork, Route, TrafficState, eta_table, route_astar
+from amodsim.dispatch import DispatchConfig, RescheduleAction
+from amodsim.fleet import (Fleet, Strategy, Vehicle, VehicleStatus, assign, candidate_pool,
+                           job_start, release, replan, waiting_job)
+from amodsim.geo import METERS_PER_DEG_LAT, GeoPoint, Polygon, haversine_m
+from amodsim.road import (MIN_LENGTH_FACTOR, RoadNetwork, Route, TrafficState, eta_table,
+                          route_astar)
 from amodsim.zones import AdjacencySchedule, Zone, ZoneMap, initial_adjacency
 
 GRID_SPEED_MPS = 10.0
@@ -198,6 +201,48 @@ def dijkstra_times(net: RoadNetwork, src: int, mult: float = 1.0) -> dict[int, f
     return dist
 
 
+def reference_route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
+                          traffic: TrafficState | None = None) -> Route | None:
+    """A* whose bound calls geo.haversine_m for every node pushed: the oracle
+    route_astar, which computes the same bound inline, must match path for
+    path and bit for bit."""
+    if src == dst:
+        return Route((src,), (0.0,))
+    traffic = traffic or TrafficState([])
+    mult = traffic.multiplier_at(at_s)
+    denom = net.speed_limit_mps * traffic.max_multiplier()
+    dst_pt = net.nodes[dst]
+
+    def h(n: int) -> float:
+        return MIN_LENGTH_FACTOR * haversine_m(net.nodes[n], dst_pt) / denom
+
+    best_g: dict[int, float] = {src: 0.0}
+    parent: dict[int, tuple[int, float]] = {}
+    heap: list[tuple[float, int, float]] = [(h(src), src, 0.0)]
+    while heap:
+        f, node, g = heapq.heappop(heap)
+        if g > best_g.get(node, math.inf):
+            continue
+        if node == dst:
+            break
+        for (nxt, length, speed) in net.adj[node]:
+            hop = length / (speed * mult)
+            ng = g + hop
+            if ng < best_g.get(nxt, math.inf):
+                best_g[nxt] = ng
+                parent[nxt] = (node, hop)
+                heapq.heappush(heap, (ng + h(nxt), nxt, ng))
+    if dst not in parent:
+        return None
+    path = [dst]
+    hops: list[float] = []
+    while path[-1] != src:
+        prev, hop = parent[path[-1]]
+        path.append(prev)
+        hops.append(hop)
+    return hop_route(tuple(reversed(path)), tuple(reversed(hops)))
+
+
 def travel_time_s(net: RoadNetwork, src: int, dst: int, at_s: float,
                   traffic: TrafficState | None = None) -> float | None:
     """Point-to-point time by A*, one search per query."""
@@ -280,7 +325,6 @@ def winding_inside(poly: Polygon, p: GeoPoint) -> bool:
 
 def brute_nearest(points: dict[int, GeoPoint], p: GeoPoint,
                   max_radius_m: float) -> int | None:
-    from amodsim.geo import haversine_m
     best = None
     best_d = math.inf
     for nid in sorted(points):
@@ -310,8 +354,6 @@ def random_network(rng: random.Random, n_nodes: int, extra_edges: int = 0,
         r, c = divmod(nid, side)
         nodes[nid] = GeoPoint((r + rng.uniform(-0.3, 0.3)) * cell_deg,
                               (c + rng.uniform(-0.3, 0.3)) * cell_deg)
-
-    from amodsim.geo import haversine_m
 
     def mk_edge(u: int, v: int) -> tuple[int, int, float, float]:
         crow = haversine_m(nodes[u], nodes[v])
@@ -358,6 +400,44 @@ def full_scan_best(candidates: list[Vehicle], pickup_node: int, net: RoadNetwork
         if eta < best_eta:
             best, best_eta = v, eta
     return best, best_eta
+
+
+def reference_oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet,
+                             net: RoadNetwork, traffic: TrafficState | None, now_s: float,
+                             cfg: DispatchConfig) -> list[RescheduleAction]:
+    """dispatch.oss_reschedule with an uncapped ranking: each job ranks every
+    candidate by a full scan (full_scan_best), however far the winner lies
+    from the incumbent."""
+    actions: list[RescheduleAction] = []
+    for request, v in jobs:
+        rid = request.id
+        old_plan = waiting_job(v, rid)
+        pickup_node = old_plan.route_of_trip.nodes[0]
+        dropoff_node = old_plan.route_of_trip.nodes[-1]
+        origin, depart = job_start(v, now_s)
+        leg = route_astar(net, origin, pickup_node, now_s, traffic)
+        incumbent_eta = None if leg is None else (depart - now_s) + leg.total_time_s
+
+        others = candidate_pool(fleet, Strategy.OSS, request.party_size)
+        best, best_eta = full_scan_best(others, pickup_node, net, traffic, now_s)
+
+        improves = best is not None and (
+            incumbent_eta is None or incumbent_eta - best_eta > cfg.oss_reassign_threshold_s)
+        if not improves and leg is None:
+            continue
+        trip = route_astar(net, pickup_node, dropoff_node, now_s, traffic)
+        if trip is None:
+            continue
+        if improves:
+            release(v, rid, now_s)
+            new_leg = route_astar(net, job_start(best, now_s)[0], pickup_node, now_s, traffic)
+            plan = assign(best, request, new_leg, trip, now_s)
+            actions.append(RescheduleAction(rid, best.id, plan.pickup_time_s, True))
+            continue
+        plan = replan(v, rid, leg, trip, now_s)
+        if plan.pickup_time_s != old_plan.pickup_time_s:
+            actions.append(RescheduleAction(rid, v.id, plan.pickup_time_s, False))
+    return actions
 
 
 def sign_test_p(wins: int, trials: int) -> float:

@@ -97,6 +97,26 @@ def break_generated_party_capacity(doc):
     doc["fleet"]["capacity"] = 3
 
 
+def break_snap_radius_nan(doc):
+    doc["sim"] = {"snap_radius_m": float("nan")}
+
+
+def break_threshold_nan(doc):
+    doc["dispatch"]["oss_reassign_threshold_s"] = float("nan")
+
+
+def break_speed_limit_inf(doc):
+    doc["network"]["speed_limit_mps"] = float("inf")
+
+
+def break_walk_step_zero(doc):
+    doc["traffic"] = {"walk_seed": 3, "walk_step_s": 0}
+
+
+def break_walk_sigma_negative(doc):
+    doc["traffic"] = {"walk_seed": 3, "walk_sigma": -0.1}
+
+
 @pytest.mark.parametrize("mutate, message", [pytest.param(m, msg, id=m.__name__) for m, msg in (
     (break_unknown_section, "unknown sections"),
     (break_demand_modes, "exactly one of"),
@@ -105,6 +125,12 @@ def break_generated_party_capacity(doc):
     (break_file_party_capacity, "demand.capacity 4 is more than fleet.capacity 3"),
     (break_generated_party_capacity,
      "demand.generate.party_probs gives parties of 4, more than fleet.capacity 3"),
+    (break_snap_radius_nan, "sim.snap_radius_m: expected a finite number, got nan"),
+    (break_threshold_nan,
+     "dispatch.oss_reassign_threshold_s: expected a finite number, got nan"),
+    (break_speed_limit_inf, "network.speed_limit_mps: expected a finite number, got inf"),
+    (break_walk_step_zero, "traffic.walk_step_s must be positive, got 0.0"),
+    (break_walk_sigma_negative, "traffic.walk_sigma must be >= 0, got -0.1"),
 )])
 def test_validate_rejects_bad_config(tmp_path, capsys, mutate, message):
     doc = copy.deepcopy(BASE_DOC)

@@ -1,5 +1,6 @@
 """Dispatch over both region schedules (expansion, one-ring baseline) and traffic re-planning."""
 
+import copy
 import math
 import random
 
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amodsim import dispatch as dispatch_module
+from amodsim import road
 from amodsim.demand import TripRequest
 from amodsim.dispatch import (
     DispatchConfig,
@@ -14,8 +17,8 @@ from amodsim.dispatch import (
     dispatch,
     oss_reschedule,
 )
-from amodsim.fleet import (Fleet, Plan, Strategy, Vehicle, VehicleStatus, assign, pick_up,
-                           waiting_jobs)
+from amodsim.fleet import (Fleet, Plan, Strategy, Vehicle, VehicleStatus, assign,
+                           candidate_pool, job_start, pick_up, waiting_job, waiting_jobs)
 from amodsim.geo import GeoPoint, haversine_m
 from amodsim.road import RoadNetwork, TrafficState, route_astar
 from amodsim.zones import AdjacencySchedule, Zone, ZoneMap
@@ -27,6 +30,7 @@ from scenario_tools import (
     grid_network,
     hop_route,
     random_network,
+    reference_oss_reschedule,
 )
 
 HOP_S = 40.0
@@ -189,16 +193,55 @@ def test_unroutable_rejections():
     assert d.reject_reason == "unroutable"
     assert d.zones_searched == [frozenset({0})]
 
-    # reachable pickup, unreachable dropoff
+    # A one-way pair: each node is a component of its own. The vehicle sits
+    # in the other zone, where the reverse call would add a link if it
+    # ever reached the vehicle search.
     p = GeoPoint(0.0, 0.0)
     q = GeoPoint(0.0, 0.004)
     oneway = RoadNetwork({0: p, 1: q}, [(0, 1, 500.0, 10.0)], 10.0)
-    zm1 = ZoneMap([Zone(0, "z", box_polygon(-0.01, 0.01, -0.01, 0.01))])
-    sched1 = AdjacencySchedule([0])
+    assert oneway.component[0] != oneway.component[1]
+    zm1 = ZoneMap([Zone(0, "z0", box_polygon(-0.01, 0.01, -0.01, 0.002)),
+                   Zone(1, "z1", box_polygon(-0.01, 0.01, 0.002, 0.01))])
+    sched1 = AdjacencySchedule([0, 1])
+    fleet = Fleet([Vehicle(0, 0)])
+
+    # reachable pickup, unreachable dropoff: rejected before any vehicle search
     call = TripRequest(0, "m0", 0.0, q, p, 1, 600.0)
-    d = dispatch(call, 1, 0, Fleet([Vehicle(0, 0)]), sched1, zm1,
-                 {0: 0, 1: 0}, oneway, None, 0.0, EAT)
+    d = dispatch(call, 1, 0, fleet, sched1, zm1, {0: 0, 1: 1}, oneway, None, 0.0, EAT)
     assert d.reject_reason == "unroutable"
+    assert d.zones_searched == [frozenset({1})]
+    assert d.nodes_settled == 0
+    assert sched1.revision == 0 and sched1.pairs() == []
+
+    # the trip the other way crosses components too, and is routed
+    call = TripRequest(1, "m1", 0.0, p, q, 1, 600.0)
+    d = dispatch(call, 0, 1, fleet, sched1, zm1, {0: 0, 1: 1}, oneway, None, 0.0, EAT)
+    assert d.vehicle_id == 0
+    assert d.route_of_trip == route_astar(oneway, 0, 1, 0.0)
+
+
+def count_searches(monkeypatch) -> list[tuple[int, int]]:
+    """The (src, dst) of every road.route_astar call from now on."""
+    calls = []
+
+    def counted(net, src, dst, *rest):
+        calls.append((src, dst))
+        return route_astar(net, src, dst, *rest)
+
+    monkeypatch.setattr(road, "route_astar", counted)
+    return calls
+
+
+def test_dispatch_routes_the_trip_only_for_a_winner(monkeypatch):
+    net, zm, sched, node_zone = line_city([(0, 2), (3, 4)], [])
+    searches = count_searches(monkeypatch)
+    d = run_dispatch(net, zm, sched, node_zone, [Vehicle(0, 4)], 1, 2, BASE)
+    assert d.reject_reason == "no-vehicle"
+    assert searches == []       # same component: routable without a search
+
+    d = run_dispatch(net, zm, sched, node_zone, [Vehicle(0, 0)], 1, 2, BASE)
+    assert d.vehicle_id == 0
+    assert searches == [(0, 1), (1, 2)]      # the pickup leg, then the trip
 
 
 def test_party_larger_than_a_vehicle_skips_it():
@@ -467,3 +510,103 @@ def test_ranking_drains_when_the_only_candidate_is_unreachable():
     # the next region reads the drained search
     assert ranking.best([stranded, near]) == (near, 20.0)
     assert ranking.nodes_settled == 2
+
+
+# -- capped OSS ranking against the uncapped pass --------------------------
+
+
+def oss_fleet(net, rng, traffic, count):
+    """`count` vehicles, each idle, heading to a pickup, on a trip, or on a
+    trip with a job queued behind it, all planned at t=0."""
+    nodes = sorted(net.nodes)
+    vehicles = []
+    rids = iter(range(2 * count))
+
+    def take_job(v):
+        pickup, dropoff = rng.choice(nodes), rng.choice(nodes)
+        start, _ = job_start(v, 0.0)
+        assign(v, call_at(net, pickup, dropoff, rid=next(rids)),
+               route_astar(net, start, pickup, 0.0, traffic),
+               route_astar(net, pickup, dropoff, 0.0, traffic), 0.0)
+
+    for vid in range(count):
+        v = Vehicle(vid, rng.choice(nodes), capacity=rng.choice((1, 4)))
+        state = rng.choice(("idle", "heading", "on-trip", "queued"))
+        if state != "idle":
+            take_job(v)
+        if state in ("on-trip", "queued"):
+            pick_up(v, v.plan.request.id)
+        if state == "queued":
+            take_job(v)
+        vehicles.append(v)
+    return Fleet(vehicles)
+
+
+class CheckedAgainstUncapped(_EtaRanking):
+    """The capped ranking, checked at each call against a fresh uncapped one:
+    the same answer whenever the winner is within the cap, and no more nodes
+    settled."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.args = args
+
+    def best(self, candidates, cap=math.inf):
+        got = super().best(candidates, cap)
+        plain = _EtaRanking(*self.args)
+        want = plain.best(candidates)
+        assert got == (want if want[1] <= cap else (None, math.inf))
+        assert self.nodes_settled <= plain.nodes_settled
+        return got
+
+
+def fleet_state(fleet):
+    return [(v.id, v.status, v.node, v.plan, v.queued) for v in fleet]
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_capped_reschedule_matches_the_uncapped_pass(data):
+    kind = data.draw(st.sampled_from(["grid", "dyadic", "irregular"]), label="network")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "grid":  # many equal-time ties
+        net = grid_network(rng.randrange(1, 5), rng.randrange(2, 6))
+    else:
+        net = random_network(rng, rng.randrange(2, 25), rng.randrange(0, 30),
+                             dyadic=kind == "dyadic")
+    if kind == "irregular":
+        before, after = rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)
+    else:
+        before, after = rng.choice(DYADIC_MULTIPLIERS), rng.choice(DYADIC_MULTIPLIERS)
+    fleet = oss_fleet(net, rng, TrafficState([(0.0, before)]), rng.randrange(1, 9))
+    # the pass runs before any trip in progress ends
+    ends = [v.plan.dropoff_time_s for v in fleet if v.status is VehicleStatus.ON_TRIP]
+    now = data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="now") * min(ends, default=100.0)
+    traffic = TrafficState([(0.0, before)] + ([(now, after)] if now > 0.0 else []))
+
+    # thresholds at which the first job's best challenger wins or loses by
+    # exactly nothing, or by one ulp either way
+    thresholds = {0.0}
+    jobs = waiting_jobs(fleet)
+    if jobs:
+        request, v = jobs[0]
+        pickup = waiting_job(v, request.id).route_of_trip.nodes[0]
+        origin, depart = job_start(v, now)
+        leg = route_astar(net, origin, pickup, now, traffic)
+        _, best_eta = full_scan_best(candidate_pool(fleet, Strategy.OSS, request.party_size),
+                                     pickup, net, traffic, now)
+        if leg is not None and best_eta < math.inf:
+            gap = ((depart - now) + leg.total_time_s) - best_eta
+            thresholds |= {gap, math.nextafter(gap, -math.inf), math.nextafter(gap, math.inf)}
+    threshold = data.draw(st.sampled_from(sorted(t for t in thresholds if t >= 0.0)),
+                          label="threshold")
+    cfg = DispatchConfig(strategy=Strategy.OSS, oss_reassign_threshold_s=threshold)
+
+    oracle_fleet = copy.deepcopy(fleet)
+    want = reference_oss_reschedule(waiting_jobs(oracle_fleet), oracle_fleet, net, traffic,
+                                    now, cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dispatch_module, "_EtaRanking", CheckedAgainstUncapped)
+        got = oss_reschedule(waiting_jobs(fleet), fleet, net, traffic, now, cfg)
+    assert got == want
+    assert fleet_state(fleet) == fleet_state(oracle_fleet)

@@ -5,10 +5,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amodsim.geo import GeoPoint
+from amodsim.geo import GeoPoint, haversine_m
 from amodsim.road import (
     NetworkLoadError,
     RoadNetwork,
@@ -24,9 +24,18 @@ from scenario_tools import (
     grid_network,
     hop_route,
     random_network,
+    reference_route_astar,
     travel_time_s,
     walk_node_at_elapsed,
 )
+
+
+def moved(net: RoadNetwork, dlat: float) -> RoadNetwork:
+    """net with every node moved dlat degrees north. Moving away from the
+    equator only shortens great circles, so every edge stays valid."""
+    nodes = {n: GeoPoint(p.lat + dlat, p.lon) for n, p in net.nodes.items()}
+    edges = [(u, v, length, speed) for u in net.adj for v, length, speed in net.adj[u]]
+    return RoadNetwork(nodes, edges, net.speed_limit_mps)
 
 
 def test_traffic_multiplier_piecewise():
@@ -194,6 +203,35 @@ def test_route_path_choice_is_pinned():
     assert digest.hexdigest() == PATH_CHOICE_SHA256
 
 
+@given(data=st.data())
+def test_route_matches_the_reference_search(data):
+    """The inline heuristic gives the same paths and the same bits as the
+    one that calls geo.haversine_m, at any latitude and under multipliers
+    below and at the schedule's maximum."""
+    kind = data.draw(st.sampled_from(["grid", "dyadic", "irregular"]), label="network")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="network seed"))
+    if kind == "grid":
+        net = grid_network(rng.randrange(1, 8), rng.randrange(2, 8))
+    else:
+        net = random_network(rng, rng.randrange(2, 40), rng.randrange(0, 60),
+                             dyadic=kind == "dyadic")
+    dlat = data.draw(st.sampled_from([0.0, 40.7, -33.9, 59.9, -70.0]), label="latitude")
+    net = moved(net, dlat)
+    if kind == "irregular":
+        low, high = sorted((rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)))
+    else:
+        low, high = DYADIC_MULTIPLIERS[0], DYADIC_MULTIPLIERS[-1]
+    traffic = TrafficState([(0.0, low), (100.0, high)])
+    nodes = sorted(net.nodes)
+    for _ in range(8):
+        src, dst = rng.choice(nodes), rng.choice(nodes)
+        for at_s in (0.0, 100.0):
+            got = route_astar(net, src, dst, at_s, traffic)
+            want = reference_route_astar(net, src, dst, at_s, traffic)
+            assert got.nodes == want.nodes, (src, dst, at_s)
+            assert [t.hex() for t in got.arrive_s] == [t.hex() for t in want.arrive_s]
+
+
 def test_route_node_at_elapsed():
     net = grid_network(3, 3)
     r = route_astar(net, 0, 8, 0.0)
@@ -282,9 +320,40 @@ def test_eta_table_skips_unreachable_sources():
 
 def test_network_counts_components():
     assert grid_network(3, 3).scc_count == 1
+    assert set(grid_network(3, 3).component.values()) == {0}
     nodes = {i: GeoPoint(0.0, 0.001 * i) for i in range(4)}
     chain = [(i, i + 1, 200.0, 10.0) for i in range(3)]  # one-way: no way back
-    assert RoadNetwork(nodes, chain, speed_limit_mps=10.0).scc_count == 4
+    net = RoadNetwork(nodes, chain, speed_limit_mps=10.0)
+    assert net.scc_count == 4
+    assert sorted(net.component.values()) == [0, 1, 2, 3]
+    assert RoadNetwork({}, [], speed_limit_mps=10.0).scc_count == 0
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 30),
+       n_edges=st.integers(0, 60))
+def test_component_ids_match_networkx(seed, n_nodes, n_edges):
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    nodes = {3 * i + 1: GeoPoint(rng.uniform(0.0, 0.01), rng.uniform(0.0, 0.01))
+             for i in range(n_nodes)}
+    ids = sorted(nodes)
+    edges = []
+    for _ in range(n_edges):  # one-way edges, never shorter than the great circle
+        u, v = rng.choice(ids), rng.choice(ids)
+        if u != v:
+            edges.append((u, v, haversine_m(nodes[u], nodes[v]) + 1.0, 10.0))
+    net = RoadNetwork(nodes, edges, speed_limit_mps=10.0)
+    graph = nx.DiGraph()
+    graph.add_nodes_from(ids)
+    graph.add_edges_from((u, v) for u, v, _, _ in edges)
+    sccs = list(nx.strongly_connected_components(graph))
+    assert net.scc_count == len(sccs)
+    assert set(net.component) == set(ids)
+    # one id per component, and ids 0, 1, ... for different components
+    per_scc = [{net.component[n] for n in scc} for scc in sccs]
+    assert all(len(found) == 1 for found in per_scc)
+    assert sorted(found.pop() for found in per_scc) == list(range(len(sccs)))
 
 
 def test_speeds_clamp_to_network_limit():
