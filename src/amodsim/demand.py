@@ -191,14 +191,14 @@ def generate_demand(rate_per_hour: float, duration_s: float, *,
         lon_min, lat_min, lon_max, lat_max = zone_map.bbox()
         if not (lon_max > lon_min and lat_max > lat_min):
             raise GenerationError("zones cover a degenerate region")
-    if rate_per_hour == 0.0 or duration_s <= 0.0:
-        return []
     if abs(sum(party_probs) - 1.0) > 1e-9 or any(p < 0 for p in party_probs):
         raise GenerationError(f"party_probs must be a distribution, got {party_probs}")
     lo_p, hi_p = patience_range
     if not (PATIENCE_MIN_S <= lo_p <= hi_p <= PATIENCE_MAX_S):
         raise GenerationError(f"patience range {patience_range} outside "
                               f"[{PATIENCE_MIN_S}, {PATIENCE_MAX_S}]")
+    if rate_per_hour == 0.0 or duration_s <= 0.0:
+        return []
 
     rng = random.Random(seed)
     rate_per_s = rate_per_hour / 3600.0

@@ -109,10 +109,13 @@ class _EtaRanking:
 
 def _pickup_leg(v: Vehicle, pickup_node: int, net: RoadNetwork,
                 traffic: TrafficState | None, now_s: float) -> tuple[Route, float]:
-    """The ranked vehicle's route to the pickup and its ETA."""
+    """v's route from job_start to the pickup, and its ETA. The road graph
+    never changes, so the route exists for a ranked candidate, which the
+    search reached, and for a job's incumbent, whose job_start lies on its
+    planned leg or is the dropoff its queued leg starts from."""
     node, depart = job_start(v, now_s)
     leg = road.route_astar(net, node, pickup_node, now_s, traffic)
-    assert leg is not None, "ranked candidate lost its route"
+    assert leg is not None, f"vehicle {v.id} lost its route to node {pickup_node}"
     return leg, (depart - now_s) + leg.total_time_s
 
 
@@ -218,9 +221,7 @@ def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: R
         old_plan = waiting_job(v, rid)
         pickup_node = old_plan.route_of_trip.nodes[0]
         dropoff_node = old_plan.route_of_trip.nodes[-1]
-        origin, depart = job_start(v, now_s)
-        leg = road.route_astar(net, origin, pickup_node, now_s, traffic)
-        incumbent_eta = None if leg is None else (depart - now_s) + leg.total_time_s
+        leg, incumbent_eta = _pickup_leg(v, pickup_node, net, traffic, now_s)
 
         others = candidate_pool(fleet, Strategy.OSS, request.party_size)
         # A candidate with ETA e takes the job only if fl(incumbent_eta - e)
@@ -228,17 +229,13 @@ def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: R
         # incumbent_eta - threshold in the reals. The cap, one ulp above that
         # difference rounded, lies above it, so capping the search loses no
         # candidate that could take the job.
-        cap = math.inf if incumbent_eta is None else math.nextafter(
-            incumbent_eta - cfg.oss_reassign_threshold_s, math.inf)
+        cap = math.nextafter(incumbent_eta - cfg.oss_reassign_threshold_s, math.inf)
         best, best_eta = _EtaRanking(pickup_node, net, traffic, now_s).best(others, cap)
 
-        improves = best is not None and (
-            incumbent_eta is None or incumbent_eta - best_eta > cfg.oss_reassign_threshold_s)
-        if not improves and leg is None:
-            continue  # cannot re-route the incumbent; legs keep their old times
+        improves = best is not None and incumbent_eta - best_eta > cfg.oss_reassign_threshold_s
+        # The old trip joins the pickup to the dropoff, so this route exists.
         trip = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic)
-        if trip is None:
-            continue  # pickup reachable but trip is not; keep the old plan
+        assert trip is not None, f"request {rid} lost its trip route"
         if improves:
             release(v, rid, now_s)
             new_leg, _ = _pickup_leg(best, pickup_node, net, traffic, now_s)

@@ -17,8 +17,8 @@ from enum import Enum
 
 from .demand import TripRequest
 from .dispatch import DispatchConfig, dispatch, oss_reschedule
-from .fleet import (Fleet, Strategy, Transition, Vehicle, VehicleStatus, assign, finish_trip,
-                    pick_up, release, validate_transitions, waiting_job, waiting_jobs)
+from .fleet import (Fleet, Strategy, Transition, assign, finish_trip, pick_up, release,
+                    validate_transitions, waiting_job, waiting_jobs)
 from .road import RoadNetwork, TrafficState
 from .zones import AdjacencySchedule, ZoneMap
 
@@ -133,7 +133,6 @@ class _Simulation:
         self.current_seq = -1
         self.events_processed = 0
         self.log_lines: list[str] = []
-        self.transitions: list[Transition] = []
         self.records: list[CallRecord] = []
         self.reassignment_count = 0
         self.nodes_settled = 0
@@ -172,21 +171,6 @@ class _Simulation:
     def emit(self, kind: EventKind, text: str) -> None:
         self.log_lines.append(f"{self.now!r} {self.current_seq} {kind.value} {text}")
 
-    def record(self, v: Vehicle, src: VehicleStatus) -> None:
-        """Record v's status change from src, if its status changed."""
-        if v.status is not src:
-            self.transitions.append(Transition(self.now, v.id, src, v.status))
-
-    def change(self, v: Vehicle, op, *args):
-        """Apply one fleet operation to v and record its transition."""
-        src = v.status
-        try:
-            out = op(v, *args)
-        except ValueError as exc:
-            raise SimulationError(f"t={self.now!r}: {exc}") from exc
-        self.record(v, src)
-        return out
-
     def end(self, r: TripRequest, outcome: str, **fields) -> None:
         """Write the record of a request that has ended and forget its state,
         if a vehicle held it."""
@@ -214,8 +198,7 @@ class _Simulation:
                       f"reason={decision.reject_reason} rounds={len(decision.zones_searched)}")
             return
         v = self.fleet.vehicle(decision.vehicle_id)
-        plan = self.change(v, assign, r, decision.route_to_pickup,
-                           decision.route_of_trip, self.now)
+        plan = assign(v, r, decision.route_to_pickup, decision.route_of_trip, self.now)
         st = self.states[req_id] = _RequestState(r, v.id)
         self.schedule(plan.pickup_time_s, EventKind.ARRIVED_AT_PICKUP, (req_id, st.token))
         self.schedule(r.request_time_s + r.patience_s,
@@ -232,12 +215,12 @@ class _Simulation:
         if self.now - st.request.request_time_s > st.request.patience_s:
             raise SimulationError(f"request {req_id} picked up after its patience ran out")
         v = self.fleet.vehicle(st.vehicle_id)
-        self.change(v, pick_up, req_id)
+        pick_up(v, req_id, self.now)
         self.schedule(v.plan.dropoff_time_s, EventKind.TRIP_COMPLETED, (req_id, v.id))
         self.emit(EventKind.ARRIVED_AT_PICKUP, f"req={req_id} vehicle={v.id}")
 
     def on_trip_completed(self, req_id: int, vehicle_id: int) -> None:
-        plan = self.change(self.fleet.vehicle(vehicle_id), finish_trip, req_id)
+        plan = finish_trip(self.fleet.vehicle(vehicle_id), req_id, self.now)
         self.end(plan.request, OUTCOME_PICKED_UP, pickup_time_s=plan.pickup_time_s,
                  dropoff_time_s=self.now, vehicle_id=vehicle_id)
         self.emit(EventKind.TRIP_COMPLETED, f"req={req_id} vehicle={vehicle_id}")
@@ -255,7 +238,7 @@ class _Simulation:
                                   f"job on vehicle {st.vehicle_id}")
         if job.pickup_time_s <= self.now:
             return  # the pickup due this same instant wins the tie
-        self.change(v, release, req_id, self.now)
+        release(v, req_id, self.now)
         self.end(st.request, OUTCOME_ABANDONED, abandon_time_s=self.now)
         self.emit(EventKind.PASSENGER_ABANDONED, f"req={req_id} vehicle={st.vehicle_id}")
 
@@ -265,11 +248,8 @@ class _Simulation:
             self.schedule(self.now, EventKind.RESCHEDULE, ())
 
     def on_reschedule(self) -> None:
-        before = {v.id: v.status for v in self.fleet}
         actions = oss_reschedule(waiting_jobs(self.fleet), self.fleet, self.net, self.traffic,
                                  self.now, self.cfg.dispatch)
-        for v in self.fleet:
-            self.record(v, before[v.id])
         reassigned = 0
         for act in actions:
             st = self.states[act.request_id]
@@ -306,12 +286,16 @@ class _Simulation:
                 raise SimulationError(f"time went backwards: {t} after {self.now}")
             self.now = t
             self.current_seq = seq
-            handlers[kind](*payload)
+            try:
+                handlers[kind](*payload)
+            except ValueError as exc:  # a fleet operation the state machine refused
+                raise SimulationError(f"t={self.now!r}: {exc}") from exc
             self.events_processed += 1
         if self.snap_failures:
             log.warning("%d of %d requests fall outside the road network snap radius",
                         self.snap_failures, len(self.requests))
-        problems = validate_transitions(self.transitions)
+        transitions = self.fleet.transitions()
+        problems = validate_transitions(transitions)
         if problems:
             raise SimulationError("state machine violations: " + "; ".join(problems[:5]))
         if self.states:
@@ -335,7 +319,7 @@ class _Simulation:
             "events_processed": self.events_processed,
             "nodes_settled": self.nodes_settled,
         }
-        return RunResult(records, self.log_lines, self.transitions, metadata)
+        return RunResult(records, self.log_lines, transitions, metadata)
 
 
 def run(requests: list[TripRequest], fleet: Fleet, net: RoadNetwork,

@@ -4,7 +4,8 @@ A vehicle is Idle, EnRouteToPickup, or OnTrip. Strategies that assign busy
 vehicles may queue exactly one future job behind the trip in progress; a
 vehicle already heading to a pickup (or already holding a queued job) takes
 no further work. The operations at the end of this module are the only code
-that changes a vehicle's status, position or plans.
+that changes a vehicle's status, position or plans, and each vehicle keeps
+the trace of its own status changes.
 """
 
 import random
@@ -56,6 +57,14 @@ class Plan:
     dropoff_time_s: float
 
 
+@dataclass(frozen=True)
+class Transition:
+    time_s: float
+    vehicle_id: int
+    src: VehicleStatus
+    dst: VehicleStatus
+
+
 class Vehicle:
     def __init__(self, vehicle_id: int, node: int, capacity: int = DEFAULT_CAPACITY):
         self.id = vehicle_id
@@ -64,6 +73,7 @@ class Vehicle:
         self.status = VehicleStatus.IDLE
         self.plan: Plan | None = None
         self.queued: Plan | None = None
+        self.transitions: list[Transition] = []  # status changes, oldest first
 
     def __repr__(self):
         return f"Vehicle({self.id}, {self.status.value}, node={self.node})"
@@ -90,6 +100,10 @@ class Fleet:
 
     def vehicle(self, vehicle_id: int) -> Vehicle:
         return self._by_id[vehicle_id]
+
+    def transitions(self) -> list[Transition]:
+        """Every vehicle's status changes, vehicle by vehicle in id order."""
+        return [tr for v in self.vehicles for tr in v.transitions]
 
     @classmethod
     def place_uniform(cls, net: RoadNetwork, size: int, seed: int,
@@ -127,6 +141,13 @@ def candidate_pool(fleet: Fleet, strategy: Strategy, party_size: int) -> list[Ve
 # -- operations on a vehicle's commitments -----------------------------------
 
 
+def _set_status(v: Vehicle, status: VehicleStatus, now_s: float) -> None:
+    """The one write of a vehicle's status; a change joins its trace."""
+    if status is not v.status:
+        v.transitions.append(Transition(now_s, v.id, v.status, status))
+        v.status = status
+
+
 def job_start(v: Vehicle, now_s: float) -> tuple[int, float]:
     """Node and time a job planned now departs from: the current trip's
     dropoff for a vehicle on a trip, else where the vehicle is, now. The one
@@ -152,7 +173,7 @@ def _schedule(v: Vehicle, request: TripRequest, route_to_pickup: Route, route_of
         v.queued = plan
     else:
         v.plan = plan
-        v.status = VehicleStatus.EN_ROUTE_TO_PICKUP
+        _set_status(v, VehicleStatus.EN_ROUTE_TO_PICKUP, now_s)
     return plan
 
 
@@ -209,18 +230,18 @@ def release(v: Vehicle, request_id: int, now_s: float) -> None:
         return
     v.node = v.current_node(now_s)
     v.plan = None
-    v.status = VehicleStatus.IDLE
+    _set_status(v, VehicleStatus.IDLE, now_s)
 
 
-def pick_up(v: Vehicle, request_id: int) -> None:
+def pick_up(v: Vehicle, request_id: int, now_s: float) -> None:
     """The passenger of the job the vehicle is heading to boards."""
     if v.status is not VehicleStatus.EN_ROUTE_TO_PICKUP or v.plan.request.id != request_id:
         raise ValueError(f"vehicle {v.id} in {v.status.value} is not heading to "
                          f"request {request_id}")
-    v.status = VehicleStatus.ON_TRIP
+    _set_status(v, VehicleStatus.ON_TRIP, now_s)
 
 
-def finish_trip(v: Vehicle, request_id: int) -> Plan:
+def finish_trip(v: Vehicle, request_id: int, now_s: float) -> Plan:
     """Drop off request_id's passenger and return the finished job; start
     the queued job, if any."""
     done = v.plan
@@ -229,16 +250,9 @@ def finish_trip(v: Vehicle, request_id: int) -> Plan:
                          f"request {request_id}")
     v.node = done.route_of_trip.nodes[-1]
     v.plan, v.queued = v.queued, None
-    v.status = VehicleStatus.IDLE if v.plan is None else VehicleStatus.EN_ROUTE_TO_PICKUP
+    _set_status(v, VehicleStatus.IDLE if v.plan is None else VehicleStatus.EN_ROUTE_TO_PICKUP,
+                now_s)
     return done
-
-
-@dataclass(frozen=True)
-class Transition:
-    time_s: float
-    vehicle_id: int
-    src: VehicleStatus
-    dst: VehicleStatus
 
 
 def validate_transitions(trace: list[Transition]) -> list[str]:

@@ -170,53 +170,42 @@ class RoadNetwork:
 
     def _scc_ids(self) -> dict[int, int]:
         """Strongly connected component id of each node, numbered 0, 1, ...
-        in the order Tarjan's algorithm completes them. Two nodes reach each
-        other exactly when their ids are equal."""
-        # Iterative Tarjan; recursion depth would be a hazard on long chains.
-        ids = sorted(self.nodes)
-        index = {}
-        low = {}
-        on_stack = set()
-        stack: list[int] = []
-        counter = 0
-        sccs = 0
-        component: dict[int, int] = {}
-        for root in ids:
-            if root in index:
+        by Kosaraju's algorithm. Two nodes reach each other exactly when
+        their ids are equal."""
+        # Both passes are iterative; recursion depth would be a hazard on
+        # long chains. The first lists nodes in depth-first finishing order.
+        finished: list[int] = []
+        seen: set[int] = set()
+        for root in sorted(self.nodes):
+            if root in seen:
                 continue
+            seen.add(root)
             work = [(root, iter(self.adj[root]))]
-            index[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
             while work:
                 node, it = work[-1]
-                advanced = False
-                for (nxt, _, _) in it:
-                    if nxt not in index:
-                        index[nxt] = low[nxt] = counter
-                        counter += 1
-                        stack.append(nxt)
-                        on_stack.add(nxt)
+                for nxt, _, _ in it:
+                    if nxt not in seen:
+                        seen.add(nxt)
                         work.append((nxt, iter(self.adj[nxt])))
-                        advanced = True
                         break
-                    elif nxt in on_stack:
-                        low[node] = min(low[node], index[nxt])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        component[w] = sccs
-                        if w == node:
-                            break
-                    sccs += 1
+                else:
+                    work.pop()
+                    finished.append(node)
+        # Latest finished first, each unlabelled node starts a new id, which
+        # every unlabelled node that reaches it takes too.
+        component: dict[int, int] = {}
+        sccs = 0
+        for root in reversed(finished):
+            if root in component:
+                continue
+            component[root] = sccs
+            stack = [root]
+            while stack:
+                for prev, _, _ in self.radj[stack.pop()]:
+                    if prev not in component:
+                        component[prev] = sccs
+                        stack.append(prev)
+            sccs += 1
         return component
 
 

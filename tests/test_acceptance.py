@@ -198,7 +198,7 @@ def random_fleet(rng, net, now_s):
                               net.nodes[b], 1, 3600.0)
             assign(v, job, route_astar(net, v.node, a, now_s),
                    route_astar(net, a, b, now_s), now_s)
-            pick_up(v, job.id)
+            pick_up(v, job.id, now_s)
             if draw > 0.90:
                 c = rng.choice([n for n in nodes if n != b])
                 follow = TripRequest(950 + vid, f"bgq-{vid}", now_s,

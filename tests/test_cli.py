@@ -117,6 +117,14 @@ def break_walk_sigma_negative(doc):
     doc["traffic"] = {"walk_seed": 3, "walk_sigma": -0.1}
 
 
+def break_zero_rate_party_probs(doc):
+    doc["demand"]["generate"].update(rate_per_hour=0, party_probs=[-1, 2])
+
+
+def break_zero_rate_patience(doc):
+    doc["demand"]["generate"].update(rate_per_hour=0, patience_range=[5000, 10])
+
+
 @pytest.mark.parametrize("mutate, message", [pytest.param(m, msg, id=m.__name__) for m, msg in (
     (break_unknown_section, "unknown sections"),
     (break_demand_modes, "exactly one of"),
@@ -131,6 +139,8 @@ def break_walk_sigma_negative(doc):
     (break_speed_limit_inf, "network.speed_limit_mps: expected a finite number, got inf"),
     (break_walk_step_zero, "traffic.walk_step_s must be positive, got 0.0"),
     (break_walk_sigma_negative, "traffic.walk_sigma must be >= 0, got -0.1"),
+    (break_zero_rate_party_probs, "party_probs must be a distribution, got (-1.0, 2.0)"),
+    (break_zero_rate_patience, "patience range (5000.0, 10.0) outside"),
 )])
 def test_validate_rejects_bad_config(tmp_path, capsys, mutate, message):
     doc = copy.deepcopy(BASE_DOC)

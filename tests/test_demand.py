@@ -208,3 +208,9 @@ def test_generate_demand_edge_cases_and_errors():
                         patience_range=(10.0, 600.0))
     with pytest.raises(GenerationError):
         generate_demand(10.0, 3600.0, zone_map=ZoneMap([]), seed=1)
+    # an empty stream still checks every parameter
+    for rate, duration in ((0.0, 3600.0), (10.0, 0.0)):
+        with pytest.raises(GenerationError, match="party_probs"):
+            generate_demand(rate, duration, bbox=NYC_BBOX, party_probs=(-1.0, 2.0))
+        with pytest.raises(GenerationError, match="patience range"):
+            generate_demand(rate, duration, bbox=NYC_BBOX, patience_range=(5000.0, 10.0))

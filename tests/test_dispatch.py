@@ -17,7 +17,8 @@ from amodsim.dispatch import (
     dispatch,
     oss_reschedule,
 )
-from amodsim.fleet import (Fleet, Plan, Strategy, Vehicle, VehicleStatus, assign,
+from amodsim.engine import EngineConfig, run
+from amodsim.fleet import (Fleet, Plan, Strategy, Transition, Vehicle, VehicleStatus, assign,
                            candidate_pool, job_start, pick_up, waiting_job, waiting_jobs)
 from amodsim.geo import GeoPoint, haversine_m
 from amodsim.road import RoadNetwork, TrafficState, route_astar
@@ -269,7 +270,7 @@ def test_sss_considers_busy_vehicles():
     v = Vehicle(0, 0)
     assign(v, call_at(net, 1, 2, rid=9), route_astar(net, 0, 1, 0.0),
            route_astar(net, 1, 2, 0.0), 0.0)
-    pick_up(v, 9)                             # passenger already aboard
+    pick_up(v, 9, 0.0)                        # passenger already aboard
     fleet = Fleet([v])
     call = call_at(net, 3, 4, rid=1, t=32.0)
 
@@ -381,7 +382,7 @@ def test_reschedule_retimes_queued_leg_only():
     v = Vehicle(0, 0)
     first = call_at(net, 1, 2, rid=1)
     assign(v, first, route_astar(net, 0, 1, 0.0), route_astar(net, 1, 2, 0.0), 0.0)
-    pick_up(v, first.id)
+    pick_up(v, first.id, 0.0)
     second = call_at(net, 4, 5, rid=2)
     assign(v, second, route_astar(net, 2, 4, 0.0), route_astar(net, 4, 5, 0.0), 0.0)
     assert v.queued.pickup_time_s == 80.0 + 2 * HOP_S
@@ -423,6 +424,39 @@ def test_reschedule_skips_vehicles_too_small_for_the_party():
     assert all(not a.reassigned for a in actions)
     assert slowpoke.plan.request.id == 0
     assert single.status is VehicleStatus.IDLE
+
+
+def released_then_rehired():
+    """Two zones on a line, no adjacency. Calls 0 (pickup 9) and 1 (pickup
+    8) arrive in zone 0, where vehicle 0 (node 5) and then vehicle 2 (node
+    0) take them; vehicle 1 (node 10) sits in zone 1, out of their reach.
+    Traffic halves speeds at t=40, and the OSS pass there hands call 0 to
+    vehicle 1 and then call 1 to vehicle 0, now idle at node 6."""
+    net, zm, sched, _ = line_city([(0, 9), (10, 19)], [])
+    requests = [call_at(net, 9, 8, rid=0, t=0.0), call_at(net, 8, 7, rid=1, t=1.0)]
+    fleet = Fleet([Vehicle(0, 5), Vehicle(1, 10), Vehicle(2, 0)])
+    return net, zm, sched, requests, fleet, TrafficState([(40.0, 0.5)])
+
+
+def test_reschedule_records_a_release_and_a_rehire_in_one_pass():
+    I, E = VehicleStatus.IDLE, VehicleStatus.EN_ROUTE_TO_PICKUP
+    net, _, _, _, fleet, traffic = released_then_rehired()
+    en_route_job(net, fleet.vehicle(0), 9, 8, rid=0, now=0.0)
+    en_route_job(net, fleet.vehicle(2), 8, 7, rid=1, now=1.0)
+    actions = reschedule(fleet, net, traffic, 40.0)
+    assert [(a.request_id, a.new_vehicle_id, a.reassigned) for a in actions] == [
+        (0, 1, True), (1, 0, True)]
+    assert fleet.vehicle(0).transitions == [
+        Transition(0.0, 0, I, E), Transition(40.0, 0, E, I), Transition(40.0, 0, I, E)]
+    assert fleet.vehicle(2).transitions[-1] == Transition(40.0, 2, E, I)
+
+    net, zm, sched, requests, fleet, traffic = released_then_rehired()
+    cfg = EngineConfig(dispatch=DispatchConfig(strategy=Strategy.OSS, eat_enabled=False))
+    result = run(requests, fleet, net, zm, sched, traffic, cfg)
+    assert result.metadata["reassignments"] == 2
+    assert [r.vehicle_id for r in result.records] == [1, 0]
+    pass_changes = [tr for tr in result.transitions if tr.vehicle_id == 0 and tr.time_s == 40.0]
+    assert pass_changes == [Transition(40.0, 0, E, I), Transition(40.0, 0, I, E)]
 
 
 # -- winner-bounded ETA search against the full scan ----------------------
@@ -535,7 +569,7 @@ def oss_fleet(net, rng, traffic, count):
         if state != "idle":
             take_job(v)
         if state in ("on-trip", "queued"):
-            pick_up(v, v.plan.request.id)
+            pick_up(v, v.plan.request.id, 0.0)
         if state == "queued":
             take_job(v)
         vehicles.append(v)

@@ -338,6 +338,17 @@ def test_duplicate_request_ids_rejected():
         run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, None, nss_eat())
 
 
+def test_refused_fleet_operation_stops_the_run(monkeypatch):
+    def refuse(v, request_id, now_s):
+        raise ValueError(f"vehicle {v.id} refuses request {request_id}")
+
+    monkeypatch.setattr(engine, "pick_up", refuse)
+    net, zm, sched = one_zone_city(5)
+    requests = [req(net, 0, 0.0, 2, 3)]
+    with pytest.raises(SimulationError, match=r"^t=80\.0: vehicle 0 refuses request 0$"):
+        run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, None, nss_eat())
+
+
 def test_empty_zone_map_rejected():
     net, _, _ = one_zone_city(5)
     with pytest.raises(SimulationError):
@@ -414,7 +425,7 @@ def run_city(city, strategy, eat):
         mp.setattr(engine._Simulation, "emit", checked_emit)
         cfg = EngineConfig(dispatch=DispatchConfig(strategy=strategy, eat_enabled=eat))
         result = run(requests, fleet, net, zm, initial_adjacency(zm), traffic, cfg)
-    return requests, result
+    return requests, fleet, result
 
 
 @settings(max_examples=100)
@@ -422,7 +433,7 @@ def run_city(city, strategy, eat):
 def test_runs_on_small_cities_keep_their_invariants(city):
     for strategy in Strategy:
         for eat in (True, False):
-            requests, result = run_city(city, strategy, eat)
+            requests, fleet, result = run_city(city, strategy, eat)
             by_id = {r.id: r for r in requests}
             assert sorted(rec.request_id for rec in result.records) == sorted(by_id)
             for rec in result.records:
@@ -433,6 +444,10 @@ def test_runs_on_small_cities_keep_their_invariants(city):
                     assert rec.abandon_time_s == rec.request_time_s + patience
             assert result.metadata["snap_failures"] == sum(c[4] for c in city["calls"])
             assert validate_transitions(result.transitions) == []
-            _, again = run_city(city, strategy, eat)
+            for v in fleet:  # each trace chains from Idle to the final status
+                states = [VehicleStatus.IDLE] + [tr.dst for tr in v.transitions]
+                assert [tr.src for tr in v.transitions] == states[:-1]
+                assert states[-1] is v.status
+            _, _, again = run_city(city, strategy, eat)
             assert again.record_lines() == result.record_lines()
             assert again.event_log == result.event_log

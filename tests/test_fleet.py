@@ -40,7 +40,7 @@ def start_trip(net, vehicle, pickup_node, dropoff_node, now_s, rid=0):
     leg = route_astar(net, vehicle.node, pickup_node, now_s)
     trip = route_astar(net, pickup_node, dropoff_node, now_s)
     plan = assign(vehicle, request(rid, pickup_node, dropoff_node), leg, trip, now_s)
-    pick_up(vehicle, rid)
+    pick_up(vehicle, rid, now_s)
     return plan
 
 
@@ -175,7 +175,7 @@ def test_current_node_tracks_plan_progress():
     assert v.current_node(0.0) == 0
     assert v.current_node(39.9) == 0
     assert v.current_node(40.0) == plan.route_to_pickup.nodes[1]
-    pick_up(v, 1)
+    pick_up(v, 1, 0.0)
     assert v.current_node(100.0) == plan.route_of_trip.node_at_elapsed(100.0 - plan.pickup_time_s)
     assert v.current_node(plan.dropoff_time_s) == 8
 
@@ -243,7 +243,7 @@ def test_waiting_jobs_are_first_come_first_served():
 
     queued_behind = Vehicle(0, 0)
     held(queued_behind, 9, 0.0, 0, 2)             # the trip in progress: left out
-    pick_up(queued_behind, 9)
+    pick_up(queued_behind, 9, 0.0)
     q = held(queued_behind, 4, 50.0, 5, 8)
     tie_lower_id = Vehicle(1, 3)
     t = held(tie_lower_id, 3, 50.0, 4, 7)         # same time as 4, lower id
@@ -251,7 +251,7 @@ def test_waiting_jobs_are_first_come_first_served():
     e = held(earliest, 2, 20.0, 7, 1)
     on_trip = Vehicle(3, 8)
     held(on_trip, 1, 0.0, 8, 6)
-    pick_up(on_trip, 1)
+    pick_up(on_trip, 1, 0.0)
     fleet = Fleet([queued_behind, tie_lower_id, earliest, on_trip, Vehicle(4, 2)])
 
     jobs = waiting_jobs(fleet)
@@ -298,10 +298,10 @@ def test_fleet_operations_keep_the_state_machine(steps):
             call = lambda: release(v, rid, now)
         elif op == "pick_up":
             legal = v.status is E and v.plan.request.id == rid
-            call = lambda: pick_up(v, rid)
+            call = lambda: pick_up(v, rid, now)
         else:
             legal = v.status is O and v.plan.request.id == rid
-            call = lambda: finish_trip(v, rid)
+            call = lambda: finish_trip(v, rid, now)
 
         before = snapshot(fleet)
         src, node_now, plan, queued = v.status, v.current_node(now), v.plan, v.queued
@@ -333,7 +333,11 @@ def test_fleet_operations_keep_the_state_machine(steps):
             assert out is plan
             assert v.node == plan.route_of_trip.nodes[-1]
             assert v.plan is queued and v.queued is None
-        if op != "replan":  # replan keeps the status; every other op is a transition
+        if op == "replan" or (src is O and op in ("assign", "release")):
+            assert v.status is src  # re-timing, queueing or dropping a job
+        else:
             trace.append(Transition(now, v.id, src, v.status))
         check_invariants(fleet, now)
     assert validate_transitions(trace) == []
+    # each vehicle recorded exactly its own status changes, in order
+    assert fleet.transitions() == sorted(trace, key=lambda tr: tr.vehicle_id)

@@ -1,8 +1,9 @@
 """Layout guards: each fact has one owner.
 
-fleet.py is the only module that changes vehicle state or reads a vehicle's
-queued job, and engine.py writes a request's CallRecord in one method, when
-the request ends.
+fleet.py is the only module that changes vehicle state, records a vehicle's
+status changes or reads a vehicle's queued job; inside it, one function
+writes a vehicle's status. engine.py writes a request's CallRecord in one
+method, when the request ends.
 """
 
 import ast
@@ -10,7 +11,7 @@ import os
 
 import amodsim
 
-VEHICLE_FIELDS = {"plan", "queued", "node"}
+VEHICLE_FIELDS = {"plan", "queued", "node", "transitions"}
 
 
 def _targets(node: ast.AST) -> list[tuple[ast.expr, ast.expr | None]]:
@@ -59,6 +60,18 @@ def vehicle_state_writes(source: str) -> list[str]:
     return found
 
 
+def transition_appends(source: str) -> list[str]:
+    """Lines of source that add to some object's transitions list."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("append", "extend", "insert") \
+                and isinstance(node.func.value, ast.Attribute) \
+                and node.func.value.attr == "transitions":
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
 def queued_reads(source: str) -> list[str]:
     """Lines of source that read a vehicle's queued job."""
     found = []
@@ -73,8 +86,8 @@ def queued_reads(source: str) -> list[str]:
     return found
 
 
-def call_record_builds(source: str) -> list[tuple[str | None, int]]:
-    """(enclosing function, line) of every CallRecord(...) call in source."""
+def owned_hits(source: str, hit) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of every node of source that hit(node) accepts."""
     found = []
 
     def visit(node: ast.AST, owner: str | None) -> None:
@@ -82,13 +95,25 @@ def call_record_builds(source: str) -> list[tuple[str | None, int]]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
-                    and child.func.id == "CallRecord":
+            if hit(child):
                 found.append((owner, child.lineno))
             visit(child, owner)
 
     visit(ast.parse(source), None)
     return found
+
+
+def call_record_builds(source: str) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of every CallRecord(...) call in source."""
+    return owned_hits(source, lambda node: isinstance(node, ast.Call)
+                      and isinstance(node.func, ast.Name) and node.func.id == "CallRecord")
+
+
+def status_writes(source: str) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of every assignment to some object's status."""
+    return owned_hits(source, lambda node: any(
+        isinstance(target, ast.Attribute) and target.attr == "status"
+        for target, _ in _targets(node)))
 
 
 def src_modules():
@@ -110,6 +135,15 @@ def test_only_fleet_writes_vehicle_state():
     assert offenders(vehicle_state_writes) == {}
 
 
+def test_only_fleet_records_transitions():
+    assert offenders(transition_appends) == {}
+
+
+def test_one_fleet_function_writes_vehicle_status():
+    owners = {owner for owner, _ in status_writes(dict(src_modules())["fleet.py"])}
+    assert owners == {"__init__", "_set_status"}  # Vehicle.__init__ sets the first status
+
+
 def test_only_fleet_reads_queued_jobs():
     assert offenders(queued_reads) == {}
 
@@ -124,11 +158,26 @@ def test_guard_sees_each_kind_of_write():
     for line in ("v.plan = None", "v.queued = plan", "self.fleet.vehicle(1).node = 3",
                  "v.status = VehicleStatus.IDLE", "v.plan, v.queued = v.queued, None",
                  "a.x, a.status = 1, VehicleStatus.ON_TRIP", "v.node += 1",
-                 "setattr(v, 'status', s)", "setattr(v, name, s)"):
+                 "setattr(v, 'status', s)", "setattr(v, name, s)",
+                 "self.transitions: list[Transition] = []", "v.transitions += more"):
         assert vehicle_state_writes(line), line
     for line in ("st.status = RequestStatus.ASSIGNED", "node = v.node", "plan = v.plan",
                  "v.status is VehicleStatus.IDLE", "setattr(owner, 'run', probe)"):
         assert not vehicle_state_writes(line), line
+
+
+def test_transition_guard_sees_each_kind_of_append():
+    for line in ("self.transitions.append(Transition(self.now, v.id, src, v.status))",
+                 "fleet.vehicle(1).transitions.append(t)", "v.transitions.extend(trace)"):
+        assert transition_appends(line), line
+    for line in ("transitions.append(t)", "trace.append(t)", "n = len(v.transitions)"):
+        assert not transition_appends(line), line
+
+
+def test_status_guard_sees_each_owner():
+    source = "def f(v, s):\n    v.status = s\n\ndef g(v):\n    v.a, v.status = 1, s\n"
+    assert status_writes(source) == [("f", 2), ("g", 5)]
+    assert status_writes("v.status is s\nst = v.status\n") == []
 
 
 def test_queued_guard_sees_each_kind_of_read():
