@@ -109,8 +109,7 @@ def cmd_validate(cfg: RunConfig, out=None) -> int:
         return EXIT_VALIDATION
 
     net = inputs.net
-    n_edges = sum(len(v) for v in net.adj.values())
-    infos.append(f"network: {len(net.nodes)} nodes, {n_edges} edges")
+    infos.append(f"network: {len(net.nodes)} nodes, {len(net.edges())} edges")
     if net.scc_count > 1:
         warnings.append(f"network: {net.scc_count} strongly connected components; "
                         "some trips may be unroutable")

@@ -5,6 +5,7 @@ Polygon containment treats the boundary as inside.
 """
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -185,15 +186,48 @@ class NodeIndex:
         ci_hi = min(self._row_range[1], int(math.floor((p.lat + pad_lat - self._lat0) / self._dlat)))
         cj_lo = max(self._col_range[0], int(math.floor((p.lon - pad_lon - self._lon0) / self._dlon)))
         cj_hi = min(self._col_range[1], int(math.floor((p.lon + pad_lon - self._lon0) / self._dlon)))
+        if ci_lo > ci_hi or cj_lo > cj_hi:
+            return None
+        # Scan the window ring by ring outward from p's cell. A node in ring
+        # k lies over k - 1 whole cells from p in latitude or in longitude,
+        # which bounds its distance below: by the latitude gap alone, or by
+        # the longitude bound above. That one holds for every node within
+        # max_radius_m (so |lat| <= |p.lat| + pad_lat) while pad_lon < 90,
+        # which keeps every window node within 180 degrees of longitude of
+        # p; nodes beyond max_radius_m cannot be the answer. The scan stops
+        # once the bound, shrunk by a hair for rounding, exceeds the best
+        # distance; it goes on at equality, so ties still reach the lowest id.
+        qi, qj = self._cell(p)
+        cos_max = math.cos(math.radians(min(90.0, abs(p.lat) + pad_lat)))
         best_d = math.inf
         best_id = None
-        for ci in range(ci_lo, ci_hi + 1):
-            for cj in range(cj_lo, cj_hi + 1):
+        for k in range(max(qi - ci_lo, ci_hi - qi, qj - cj_lo, cj_hi - qj) + 1):
+            if k > 1:
+                lat_gap = (k - 1) * self.CELL_M
+                lon_gap = 0.0 if pad_lon >= 90.0 else 2.0 * EARTH_RADIUS_M * math.asin(
+                    cos_max * math.sin(math.radians((k - 1) * self._dlon) / 2.0))
+                if min(lat_gap, lon_gap) * (1.0 - 1e-9) > best_d:
+                    break
+            for ci, cj in self._ring(qi, qj, k, ci_lo, ci_hi, cj_lo, cj_hi):
                 for nid in self._cells.get((ci, cj), ()):
                     d = haversine_m(p, self._loc[nid])
-                    if d < best_d or (d == best_d and best_id is not None and nid < best_id):
+                    if d < best_d or (d == best_d and nid < best_id):
                         best_d = d
                         best_id = nid
         if best_id is None or best_d > max_radius_m:
             return None
         return best_id
+
+    @staticmethod
+    def _ring(qi: int, qj: int, k: int, ci_lo: int, ci_hi: int,
+              cj_lo: int, cj_hi: int) -> Iterator[tuple[int, int]]:
+        """Cells at Chebyshev distance k from (qi, qj) inside the window."""
+        cols = range(max(cj_lo, qj - k), min(cj_hi, qj + k) + 1)
+        for ci in {qi - k, qi + k}:  # a set: ring 0 is one cell
+            if ci_lo <= ci <= ci_hi:
+                for cj in cols:
+                    yield ci, cj
+        for cj in {qj - k, qj + k}:
+            if cj_lo <= cj <= cj_hi:
+                for ci in range(max(ci_lo, qi - k + 1), min(ci_hi, qi + k - 1) + 1):
+                    yield ci, cj

@@ -9,6 +9,8 @@ import bisect
 import heapq
 import logging
 import math
+from array import array
+from itertools import accumulate
 from dataclasses import dataclass
 
 from .geo import EARTH_RADIUS_M, GeoPoint, NodeIndex, haversine_m
@@ -53,13 +55,14 @@ class TrafficState:
             last_t = t
         self.entries = tuple((float(t), float(m)) for t, m in entries)
         self._starts = [t for t, _ in self.entries]
+        self._max = max([1.0] + [m for _, m in self.entries])
 
     def multiplier_at(self, t_s: float) -> float:
         idx = bisect.bisect_right(self._starts, t_s) - 1
         return 1.0 if idx < 0 else self.entries[idx][1]
 
     def max_multiplier(self) -> float:
-        return max([1.0] + [m for _, m in self.entries])
+        return self._max
 
     def change_times(self) -> list[float]:
         return [t for t, _ in self.entries if t > 0.0]
@@ -119,6 +122,12 @@ class Route:
 
 
 class RoadNetwork:
+    """Nodes are numbered 0, 1, ... in ascending id order (`ids`,
+    `index_of`), so a search that orders by index orders by id. Edges are
+    kept as flat arrays, node i's out-edges sorted at positions
+    first[i]:first[i + 1]; the searches read the per-multiplier tables of
+    `edge_times` instead."""
+
     def __init__(self, nodes: dict[int, GeoPoint],
                  edges: list[tuple[int, int, float, float]],
                  speed_limit_mps: float):
@@ -126,8 +135,9 @@ class RoadNetwork:
             raise NetworkLoadError(f"speed limit must be positive, got {speed_limit_mps}")
         self.nodes = dict(nodes)
         self.speed_limit_mps = float(speed_limit_mps)
-        self.adj: dict[int, list[tuple[int, float, float]]] = {n: [] for n in self.nodes}
-        self.radj: dict[int, list[tuple[int, float, float]]] = {n: [] for n in self.nodes}
+        self.ids = sorted(self.nodes)
+        self.index_of = {n: i for i, n in enumerate(self.ids)}
+        out: list[list[tuple[int, float, float]]] = [[] for _ in self.ids]
         for k, (u, v, length, speed) in enumerate(edges):
             if u not in self.nodes or v not in self.nodes:
                 raise NetworkLoadError(
@@ -139,18 +149,19 @@ class RoadNetwork:
                 raise NetworkLoadError(
                     f"edge {k} ({u}->{v}) length {length:.2f} m shorter than "
                     f"{MIN_LENGTH_FACTOR} * great-circle {crow:.2f} m", k)
-            speed = min(speed, self.speed_limit_mps)
-            self.adj[u].append((v, length, speed))
-            self.radj[v].append((u, length, speed))
-        for n in self.adj:
-            self.adj[n].sort()
-            self.radj[n].sort()
-        # (lat, lon, cos(radians(lat))) of each node: the terms of the A*
-        # heuristic's haversine that depend on the node alone.
-        self.trig = {n: (p.lat, p.lon, math.cos(math.radians(p.lat)))
-                     for n, p in self.nodes.items()}
+            out[self.index_of[u]].append(
+                (self.index_of[v], length, min(speed, self.speed_limit_mps)))
+        for row in out:
+            row.sort()
+        self._first = array("l", [0, *accumulate(map(len, out))])
+        self._to = array("l", [v for row in out for v, _, _ in row])
+        self._length = array("d", [length for row in out for _, length, _ in row])
+        self._speed = array("d", [speed for row in out for _, _, speed in row])
+        self._mult: float | None = None
+        self._forward: list[list[tuple[int, float, float, float, float]]] = []
+        self._reverse: list[list[tuple[int, float]]] = []
         self._index: NodeIndex | None = None
-        self.component = self._scc_ids()
+        self.component = self._scc_ids(out)
         if self.scc_count > 1:
             log.warning("road graph is not strongly connected: %d components", self.scc_count)
 
@@ -168,45 +179,87 @@ class RoadNetwork:
     def nearest_node(self, p: GeoPoint, max_radius_m: float) -> int | None:
         return self.index.nearest(p, max_radius_m)
 
-    def _scc_ids(self) -> dict[int, int]:
+    def edges(self) -> list[tuple[int, int, float, float]]:
+        """Every edge as (from, to, length, speed), speeds clamped to the
+        limit, in (from, to, length, speed) order."""
+        ids, first = self.ids, self._first
+        return [(ids[i], ids[self._to[k]], self._length[k], self._speed[k])
+                for i in range(len(ids)) for k in range(first[i], first[i + 1])]
+
+    def edge_times(self, mult: float) -> tuple[list[list[tuple[int, float, float, float, float]]],
+                                                list[list[tuple[int, float]]]]:
+        """(forward, reverse) tables under multiplier mult, by node index.
+
+        forward[i] holds (next, time, lat, lon, cos(radians(lat))) for each
+        out-edge of node i, next's coordinates being the terms of the A*
+        bound that depend on that node alone; reverse[i] holds (prev, time)
+        for each in-edge. time is length / (speed * mult), one float per edge
+        that both tables share, so every search reads the same bits. Only
+        the last multiplier's tables are kept, and they are built on first
+        use; a search that holds older ones keeps them alive.
+        """
+        if mult != self._mult:
+            self._forward = self._reverse = []  # free the old tables before building
+            ends = [(p.lat, p.lon, math.cos(math.radians(p.lat)))
+                    for p in map(self.nodes.__getitem__, self.ids)]
+            first, to, length, speed = self._first, self._to, self._length, self._speed
+            forward = []
+            reverse: list[list[tuple[int, float]]] = [[] for _ in self.ids]
+            for u in range(len(self.ids)):
+                row = []
+                for k in range(first[u], first[u + 1]):
+                    v = to[k]
+                    time_s = length[k] / (speed[k] * mult)
+                    row.append((v, time_s, *ends[v]))
+                    reverse[v].append((u, time_s))
+                forward.append(row)
+            self._mult, self._forward, self._reverse = mult, forward, reverse
+        return self._forward, self._reverse
+
+    def _scc_ids(self, out: list[list[tuple[int, float, float]]]) -> dict[int, int]:
         """Strongly connected component id of each node, numbered 0, 1, ...
-        by Kosaraju's algorithm. Two nodes reach each other exactly when
+        by Kosaraju's algorithm over out, each node index's out-edges as
+        (next index, length, speed). Two nodes reach each other exactly when
         their ids are equal."""
         # Both passes are iterative; recursion depth would be a hazard on
         # long chains. The first lists nodes in depth-first finishing order.
         finished: list[int] = []
-        seen: set[int] = set()
-        for root in sorted(self.nodes):
-            if root in seen:
+        seen = [False] * len(out)
+        for root in range(len(out)):
+            if seen[root]:
                 continue
-            seen.add(root)
-            work = [(root, iter(self.adj[root]))]
+            seen[root] = True
+            work = [(root, iter(out[root]))]
             while work:
                 node, it = work[-1]
                 for nxt, _, _ in it:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        work.append((nxt, iter(self.adj[nxt])))
+                    if not seen[nxt]:
+                        seen[nxt] = True
+                        work.append((nxt, iter(out[nxt])))
                         break
                 else:
                     work.pop()
                     finished.append(node)
+        preds: list[list[int]] = [[] for _ in out]
+        for u, row in enumerate(out):
+            for v, _, _ in row:
+                preds[v].append(u)
         # Latest finished first, each unlabelled node starts a new id, which
         # every unlabelled node that reaches it takes too.
-        component: dict[int, int] = {}
+        component = [-1] * len(out)
         sccs = 0
         for root in reversed(finished):
-            if root in component:
+            if component[root] >= 0:
                 continue
             component[root] = sccs
             stack = [root]
             while stack:
-                for prev, _, _ in self.radj[stack.pop()]:
-                    if prev not in component:
+                for prev in preds[stack.pop()]:
+                    if component[prev] < 0:
                         component[prev] = sccs
                         stack.append(prev)
             sccs += 1
-        return component
+        return dict(zip(self.ids, component))
 
 
 def _parse_lines(path: str):
@@ -278,52 +331,54 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     if src == dst:
         return Route((src,), (0.0,))
     traffic = traffic or _NO_TRAFFIC
-    mult = traffic.multiplier_at(at_s)
+    forward, _ = net.edge_times(traffic.multiplier_at(at_s))
     # Admissible bound on remaining time: no edge beats the speed limit times
     # the largest multiplier, and no path is shorter than MIN_LENGTH_FACTOR
     # times the great-circle distance. The bound is
     # MIN_LENGTH_FACTOR * haversine_m(node, dst) / denom, computed inline from
-    # net.trig with haversine_m's operations in the same order (math.radians
-    # is a product with pi / 180, and min(1.0, s) is s if s < 1.0 else 1.0),
-    # so every value has the same bits.
+    # the forward rows with haversine_m's operations in the same order
+    # (math.radians is a product with pi / 180, and min(1.0, s) is s if
+    # s < 1.0 else 1.0), so every value has the same bits.
     denom = net.speed_limit_mps * traffic.max_multiplier()
-    trig = net.trig
-    dst_lat, dst_lon, dst_cos = trig[dst]
-    sin, sqrt, asin, inf = math.sin, math.sqrt, math.asin, math.inf
-    heappush, heappop, adj = heapq.heappush, heapq.heappop, net.adj
-    best_g: dict[int, float] = {src: 0.0}
-    parent: dict[int, tuple[int, float]] = {}
-    heap: list[tuple[float, int, float]] = [(0.0, src, 0.0)]  # popped alone: f is moot
+    dst_pt = net.nodes[dst]
+    dst_lat, dst_lon, dst_cos = dst_pt.lat, dst_pt.lon, math.cos(math.radians(dst_pt.lat))
+    sin, sqrt, asin = math.sin, math.sqrt, math.asin
+    heappush, heappop = heapq.heappush, heapq.heappop
+    # Nodes are indices from here on; index order is id order, so the heap's
+    # (f, node, g) keys break ties as they would on ids.
+    start, goal = net.index_of[src], net.index_of[dst]
+    best_g = [math.inf] * len(forward)
+    best_g[start] = 0.0
+    parent = [-1] * len(forward)
+    hop_s = [0.0] * len(forward)
+    heap: list[tuple[float, int, float]] = [(0.0, start, 0.0)]  # popped alone: f is moot
     while heap:
         _, node, g = heappop(heap)
         if g > best_g[node]:
             continue
-        if node == dst:
+        if node == goal:
             break
-        for (nxt, length, speed) in adj[node]:
-            hop = length / (speed * mult)
+        for nxt, hop, lat, lon, cos_lat in forward[node]:
             ng = g + hop
-            if ng < best_g.get(nxt, inf):
+            if ng < best_g[nxt]:
                 best_g[nxt] = ng
-                parent[nxt] = (node, hop)
-                lat, lon, cos_lat = trig[nxt]
+                parent[nxt] = node
+                hop_s[nxt] = hop
                 h = (sin((dst_lat - lat) * _RAD_PER_DEG / 2.0) ** 2
                      + cos_lat * dst_cos * sin((dst_lon - lon) * _RAD_PER_DEG / 2.0) ** 2)
                 s = sqrt(h)
                 dist = _TWO_R * asin(s if s < 1.0 else 1.0)
                 heappush(heap, (ng + MIN_LENGTH_FACTOR * dist / denom, nxt, ng))
-    if dst not in parent:
+    if parent[goal] < 0:
         return None
-    path = [dst]
-    hops: list[float] = []
-    while path[-1] != src:
-        prev, hop = parent[path[-1]]
-        path.append(prev)
-        hops.append(hop)
+    path = [goal]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    path.reverse()
     arrive = [0.0]
-    for hop in reversed(hops):  # accumulate in travel order so the sum is reproducible
-        arrive.append(arrive[-1] + hop)
-    return Route(tuple(reversed(path)), tuple(arrive))
+    for node in path[1:]:  # accumulate in travel order so the sum is reproducible
+        arrive.append(arrive[-1] + hop_s[node])
+    return Route(tuple(net.ids[i] for i in path), tuple(arrive))
 
 
 class ReverseSearch:
@@ -334,17 +389,22 @@ class ReverseSearch:
     destination; a node's value is final once it is there, and equals the
     total time of route_astar(net, node, dst, ...) on exactly-representable
     edge times. Stopping early and resuming later settles the same nodes
-    with the same values as one uninterrupted scan.
+    with the same values as one uninterrupted scan, also after the network
+    has built tables for another multiplier: the search keeps its own.
     """
 
     def __init__(self, net: RoadNetwork, dst: int, at_s: float,
                  traffic: TrafficState | None = None):
         if dst not in net.nodes:
             raise KeyError(f"unknown destination node {dst}")
-        self._radj = net.radj
-        self._mult = (traffic or _NO_TRAFFIC).multiplier_at(at_s)
-        self._tentative: dict[int, float] = {dst: 0.0}
-        self._heap: list[tuple[float, int]] = [(0.0, dst)]
+        _, self._reverse = net.edge_times((traffic or _NO_TRAFFIC).multiplier_at(at_s))
+        self._ids = net.ids
+        goal = net.index_of[dst]
+        # By node index, as in the tables; a heap entry is stale once its
+        # time exceeds the node's tentative time.
+        self._tentative = [math.inf] * len(self._ids)
+        self._tentative[goal] = 0.0
+        self._heap: list[tuple[float, int]] = [(0.0, goal)]
         self.settled: dict[int, float] = {}
 
     def settle(self, limit: float = math.inf) -> int | None:
@@ -354,24 +414,23 @@ class ReverseSearch:
         every reachable node is settled already.
         """
         heap = self._heap
-        settled = self.settled
         tentative = self._tentative
-        mult = self._mult
         while heap:
             d, node = heap[0]
-            if node in settled:
+            if d > tentative[node]:
                 heapq.heappop(heap)
                 continue
             if d > limit:
                 return None
             heapq.heappop(heap)
-            settled[node] = d
-            for (prev, length, speed) in self._radj[node]:
-                nd = d + length / (speed * mult)
-                if nd < tentative.get(prev, math.inf):
+            for prev, time_s in self._reverse[node]:
+                nd = d + time_s
+                if nd < tentative[prev]:
                     tentative[prev] = nd
                     heapq.heappush(heap, (nd, prev))
-            return node
+            node_id = self._ids[node]
+            self.settled[node_id] = d
+            return node_id
         return None
 
 

@@ -183,8 +183,18 @@ def write_golden_inputs(dirpath: str) -> dict[str, str]:
 # -- oracles -------------------------------------------------------------
 
 
+def out_edges(net: RoadNetwork) -> dict[int, list[tuple[int, float, float]]]:
+    """(to, length, speed) of each node's out-edges, sorted, read from
+    net.edges() rather than from the router's own tables."""
+    adj: dict[int, list[tuple[int, float, float]]] = {n: [] for n in net.nodes}
+    for u, v, length, speed in net.edges():
+        adj[u].append((v, length, speed))
+    return adj
+
+
 def dijkstra_times(net: RoadNetwork, src: int, mult: float = 1.0) -> dict[int, float]:
     """Plain forward Dijkstra; hop cost expression matches the router's."""
+    adj = out_edges(net)
     dist = {src: 0.0}
     done = set()
     heap = [(0.0, src)]
@@ -193,7 +203,7 @@ def dijkstra_times(net: RoadNetwork, src: int, mult: float = 1.0) -> dict[int, f
         if node in done:
             continue
         done.add(node)
-        for nxt, length, speed in net.adj[node]:
+        for nxt, length, speed in adj[node]:
             nd = d + length / (speed * mult)
             if nd < dist.get(nxt, math.inf):
                 dist[nxt] = nd
@@ -212,6 +222,7 @@ def reference_route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     mult = traffic.multiplier_at(at_s)
     denom = net.speed_limit_mps * traffic.max_multiplier()
     dst_pt = net.nodes[dst]
+    adj = out_edges(net)
 
     def h(n: int) -> float:
         return MIN_LENGTH_FACTOR * haversine_m(net.nodes[n], dst_pt) / denom
@@ -225,7 +236,7 @@ def reference_route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
             continue
         if node == dst:
             break
-        for (nxt, length, speed) in net.adj[node]:
+        for (nxt, length, speed) in adj[node]:
             hop = length / (speed * mult)
             ng = g + hop
             if ng < best_g.get(nxt, math.inf):

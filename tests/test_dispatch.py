@@ -476,7 +476,7 @@ def with_strays(net, rng, count):
     """net plus `count` nodes joined by at most one one-way edge each, so
     some nodes cannot reach the rest or cannot be reached from it."""
     nodes = dict(net.nodes)
-    edges = [(u, v, length, speed) for u in net.adj for v, length, speed in net.adj[u]]
+    edges = net.edges()
     for _ in range(count):
         anchor = rng.choice(sorted(net.nodes))
         stray = len(nodes)

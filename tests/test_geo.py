@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amodsim.geo import (
     EARTH_RADIUS_M,
@@ -138,6 +140,24 @@ def test_node_index_matches_linear_scan():
             radius = rng.choice([50.0, 500.0, 5000.0, 100000.0])
             assert idx.nearest(q, radius) == brute_nearest(pts, q, radius), \
                 f"trial {trial} query {q} radius {radius}"
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), lat0=st.sampled_from([0.0, 40.7, -60.0, 80.0]),
+       radius=st.sampled_from([50.0, 300.0, 1500.0, 20000.0]))
+def test_node_index_ring_scan_misses_nothing_and_keeps_ties(seed, lat0, radius):
+    """Lattice nodes with shuffled ids and queries on the half-lattice, so
+    that several nodes are often equally near and the ring scan must not
+    stop before the lowest id; the index still answers as a full scan."""
+    rng = random.Random(seed)
+    step = 0.003
+    spots = rng.sample([(r, c) for r in range(-8, 9) for c in range(-8, 9)], rng.randrange(1, 60))
+    ids = rng.sample(range(1000), len(spots))
+    pts = {nid: GeoPoint(lat0 + r * step, 10.0 + c * step) for nid, (r, c) in zip(ids, spots)}
+    idx = NodeIndex(pts)
+    for _ in range(25):
+        q = GeoPoint(lat0 + rng.randrange(-20, 21) * step / 2, 10.0 + rng.randrange(-20, 21) * step / 2)
+        assert idx.nearest(q, radius) == brute_nearest(pts, q, radius), (q, radius)
 
 
 def test_node_index_tie_breaks_to_lowest_id():

@@ -3,7 +3,9 @@
 fleet.py is the only module that changes vehicle state, records a vehicle's
 status changes or reads a vehicle's queued job; inside it, one function
 writes a vehicle's status. engine.py writes a request's CallRecord in one
-method, when the request ends.
+method, when the request ends. road.py computes every edge time, in one
+method, because routes and searches are exact only while they all read the
+same floats.
 """
 
 import ast
@@ -116,6 +118,18 @@ def status_writes(source: str) -> list[tuple[str | None, int]]:
         for target, _ in _targets(node)))
 
 
+def _mentions_speed(node: ast.AST) -> bool:
+    return any(isinstance(n, ast.Name) and "speed" in n.id
+               or isinstance(n, ast.Attribute) and "speed" in n.attr for n in ast.walk(node))
+
+
+def edge_time_divisions(source: str) -> list[tuple[str | None, int]]:
+    """(enclosing function, line) of every division by a speed or by a
+    product with one: the shape of an edge time, length / (speed * mult)."""
+    return owned_hits(source, lambda node: isinstance(node, ast.BinOp)
+                      and isinstance(node.op, ast.Div) and _mentions_speed(node.right))
+
+
 def src_modules():
     """(file name, source) of every module of the package."""
     src_dir = os.path.dirname(amodsim.__file__)
@@ -152,6 +166,28 @@ def test_engine_writes_call_records_in_one_method():
     source = dict(src_modules())["engine.py"]
     builds = [owner for owner, _ in call_record_builds(source) if owner != "parse_record_line"]
     assert builds == ["end"]
+
+
+def edge_time_owners(modules: dict[str, str]) -> dict[str, set[str | None]]:
+    """The functions of each module that compute an edge time."""
+    return {name: {owner for owner, _ in hits} for name, source in modules.items()
+            if (hits := edge_time_divisions(source))}
+
+
+def test_only_road_computes_edge_times():
+    assert edge_time_owners(dict(src_modules())) == {"road.py": {"edge_times"}}
+
+
+def test_edge_time_guard_sees_a_division_planted_elsewhere():
+    modules = dict(src_modules())
+    modules["dispatch.py"] += "\n\ndef leg_time(e, mult):\n    return e.length / (e.speed * mult)\n"
+    assert edge_time_owners(modules)["dispatch.py"] == {"leg_time"}
+    for line in ("hop = length / (speed * mult)", "t = length / speed",
+                 "t = d / (mult * v.speed_mps)", "t = d / (speed[k] * mult)"):
+        assert edge_time_divisions(line), line
+    for line in ("denom = net.speed_limit_mps * m", "b = dist / denom", "x = a / (b * c)",
+                 "speed = length / 2.0"):
+        assert not edge_time_divisions(line), line
 
 
 def test_guard_sees_each_kind_of_write():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from amodsim.geo import GeoPoint, haversine_m
 from amodsim.road import (
     NetworkLoadError,
+    ReverseSearch,
     RoadNetwork,
     Route,
     TrafficState,
@@ -23,6 +24,7 @@ from scenario_tools import (
     dijkstra_times,
     grid_network,
     hop_route,
+    out_edges,
     random_network,
     reference_route_astar,
     travel_time_s,
@@ -34,7 +36,15 @@ def moved(net: RoadNetwork, dlat: float) -> RoadNetwork:
     """net with every node moved dlat degrees north. Moving away from the
     equator only shortens great circles, so every edge stays valid."""
     nodes = {n: GeoPoint(p.lat + dlat, p.lon) for n, p in net.nodes.items()}
-    edges = [(u, v, length, speed) for u in net.adj for v, length, speed in net.adj[u]]
+    return RoadNetwork(nodes, net.edges(), net.speed_limit_mps)
+
+
+def relabelled(net: RoadNetwork, rng: random.Random) -> RoadNetwork:
+    """net with its nodes given sparse ids in shuffled order (say 7, 1000,
+    3, ...), so id order is neither 0, 1, ... nor the old order."""
+    new_id = dict(zip(net.ids, rng.sample(range(10 * len(net.nodes) + 10), len(net.nodes))))
+    nodes = {new_id[n]: p for n, p in net.nodes.items()}
+    edges = [(new_id[u], new_id[v], length, speed) for u, v, length, speed in net.edges()]
     return RoadNetwork(nodes, edges, net.speed_limit_mps)
 
 
@@ -78,6 +88,10 @@ def test_traffic_defaults_and_validation():
     assert empty.change_times() == []
     # max never drops under the implicit pre-schedule value of 1.0
     assert TrafficState([(0.0, 0.5)]).max_multiplier() == 1.0
+    assert TrafficState([(0.0, 0.5), (60.0, 0.9), (120.0, 0.25)]).max_multiplier() == 1.0
+    mixed = TrafficState([(0.0, 0.5), (60.0, 1.75), (120.0, 0.9), (180.0, 1.5)])
+    assert mixed.max_multiplier() == 1.75
+    assert mixed.max_multiplier() == 1.75  # kept from construction, asked twice
     with pytest.raises(ValueError):
         TrafficState([(0.0, 1.0), (0.0, 1.2)])
     with pytest.raises(ValueError):
@@ -206,12 +220,15 @@ def test_route_path_choice_is_pinned():
 @given(data=st.data())
 def test_route_matches_the_reference_search(data):
     """The inline heuristic gives the same paths and the same bits as the
-    one that calls geo.haversine_m, at any latitude and under multipliers
-    below and at the schedule's maximum."""
-    kind = data.draw(st.sampled_from(["grid", "dyadic", "irregular"]), label="network")
+    one that calls geo.haversine_m, at any latitude, under multipliers below
+    and at the schedule's maximum, and on sparse, shuffled node ids."""
+    kind = data.draw(st.sampled_from(["grid", "dyadic", "irregular", "sparse"]),
+                     label="network")
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="network seed"))
     if kind == "grid":
         net = grid_network(rng.randrange(1, 8), rng.randrange(2, 8))
+    elif kind == "sparse":  # grids hold many ties, now between unordered ids
+        net = relabelled(grid_network(rng.randrange(1, 8), rng.randrange(2, 8)), rng)
     else:
         net = random_network(rng, rng.randrange(2, 40), rng.randrange(0, 60),
                              dyadic=kind == "dyadic")
@@ -272,6 +289,7 @@ def test_route_matches_dijkstra_exactly():
         traffic = TrafficState([(0.0, mult)])
         src = rng.randrange(len(net.nodes))
         oracle = dijkstra_times(net, src, mult)
+        adj = out_edges(net)
         for dst in rng.sample(sorted(net.nodes), min(6, len(net.nodes))):
             r = route_astar(net, src, dst, 0.0, traffic)
             assert r is not None, f"trial {trial}: {src}->{dst} unreachable"
@@ -282,7 +300,86 @@ def test_route_matches_dijkstra_exactly():
             for i, (a, b) in enumerate(zip(r.nodes, r.nodes[1:])):
                 step = r.arrive_s[i + 1] - r.arrive_s[i]
                 assert any(v == b and length / (speed * mult) == step
-                           for v, length, speed in net.adj[a])
+                           for v, length, speed in adj[a])
+
+
+def settled_in_order(search: ReverseSearch, steps: int | None = None) -> list[tuple[int, str]]:
+    """(node, float.hex of its time) for each node search settles next, for
+    `steps` nodes or until it runs out."""
+    out = []
+    while steps is None or len(out) < steps:
+        node = search.settle()
+        if node is None:
+            break
+        out.append((node, search.settled[node].hex()))
+    return out
+
+
+def test_search_outlives_the_tables_it_was_built_on():
+    """The network keeps the edge times of one multiplier at a time. A
+    ReverseSearch resumed after a route or another search under a second
+    multiplier has rebuilt them settles what an uninterrupted search
+    settles, bit for bit, and the other query reads the new times."""
+    rng = random.Random(4242)
+    low, high = 0.7, 1.3  # irregular times: sums depend on every bit
+    traffic = TrafficState([(0.0, low), (100.0, high)])
+    for _ in range(40):
+        net = random_network(rng, rng.randrange(2, 40), rng.randrange(0, 60), dyadic=False)
+        dst_a, dst_b, src = (rng.choice(net.ids) for _ in range(3))
+        whole_a = settled_in_order(ReverseSearch(net, dst_a, 0.0, traffic))
+        whole_b = settled_in_order(ReverseSearch(net, dst_b, 100.0, traffic))
+        first = rng.randrange(len(whole_a) + 1)
+
+        a = ReverseSearch(net, dst_a, 0.0, traffic)
+        head = settled_in_order(a, first)
+        route = route_astar(net, src, dst_b, 100.0, traffic)
+        assert net.edge_times(high)[1] is not a._reverse  # rebuilt under the route
+        assert route == reference_route_astar(net, src, dst_b, 100.0, traffic)
+        assert head + settled_in_order(a) == whole_a
+
+        a = ReverseSearch(net, dst_a, 0.0, traffic)
+        head = settled_in_order(a, first)
+        b = ReverseSearch(net, dst_b, 100.0, traffic)
+        head_b = settled_in_order(b, rng.randrange(len(whole_b) + 1))
+        assert head + settled_in_order(a) == whole_a
+        assert head_b + settled_in_order(b) == whole_b
+
+
+@settings(max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 30),
+       n_edges=st.integers(0, 90), mult=st.sampled_from([0.35, 0.8, 1.0, 1.45, 2.0]))
+def test_route_time_matches_networkx(seed, n_nodes, n_edges, mult):
+    """On random one-way networks, parallel edges included, the route's
+    time is networkx's shortest-path length under length / (speed * mult),
+    and there is a route exactly when networkx finds a path."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(seed)
+    nodes = {rng.randrange(10**6): GeoPoint(rng.uniform(40.0, 40.02), rng.uniform(-74.0, -73.98))
+             for _ in range(n_nodes)}
+    ids = sorted(nodes)
+    limit = 12.0
+    edges = []
+    for _ in range(n_edges):
+        u, v = rng.choice(ids), rng.choice(ids)
+        if u != v:
+            length = haversine_m(nodes[u], nodes[v]) * rng.uniform(1.0, 1.5) + rng.uniform(1.0, 50.0)
+            edges.append((u, v, length, rng.uniform(2.0, 15.0)))
+    net = RoadNetwork(nodes, edges, speed_limit_mps=limit)
+    graph = nx.MultiDiGraph()
+    graph.add_nodes_from(ids)
+    graph.add_edges_from((u, v, {"time": length / (min(speed, limit) * mult)})
+                         for u, v, length, speed in edges)
+    traffic = TrafficState([(0.0, mult), (100.0, 2.0)])  # at_s 0 may run below the maximum
+    for _ in range(10):
+        src, dst = rng.choice(ids), rng.choice(ids)
+        route = route_astar(net, src, dst, 0.0, traffic)
+        try:
+            want = nx.dijkstra_path_length(graph, src, dst, weight="time")
+        except nx.NetworkXNoPath:
+            assert route is None, (src, dst)
+            continue
+        assert route is not None, (src, dst)
+        assert math.isclose(route.total_time_s, want, rel_tol=1e-9), (src, dst)
 
 
 def test_eta_table_matches_point_queries():
