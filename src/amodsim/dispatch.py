@@ -73,6 +73,11 @@ class _EtaRanking:
     def nodes_settled(self) -> int:
         return len(self._search.settled)
 
+    def leg_s(self, v: Vehicle) -> float:
+        """The time of v's leg to the pickup as the search settled it; v is
+        a candidate `best` returned, so its job_start node is settled."""
+        return self._search.settled[job_start(v, self._now)[0]]
+
     def best(self, candidates: list[Vehicle],
              cap: float = math.inf) -> tuple[Vehicle | None, float]:
         """The candidate with the lowest ETA, ties to the lowest id, if that
@@ -108,15 +113,26 @@ class _EtaRanking:
 
 
 def _pickup_leg(v: Vehicle, pickup_node: int, net: RoadNetwork,
-                traffic: TrafficState | None, now_s: float) -> tuple[Route, float]:
-    """v's route from job_start to the pickup, and its ETA. The road graph
-    never changes, so the route exists for a ranked candidate, which the
-    search reached, and for a job's incumbent, whose job_start lies on its
-    planned leg or is the dropoff its queued leg starts from."""
+                traffic: TrafficState | None, now_s: float,
+                within: float) -> tuple[Route, float]:
+    """v's route from job_start to the pickup, and its ETA; `within` is an
+    upper bound on the leg's time (route_astar). The road graph never
+    changes, so the route exists for a ranked candidate, which the search
+    reached, and for a job's incumbent, whose job_start lies on its planned
+    leg or is the dropoff its queued leg starts from: a None here is a bad
+    bound."""
     node, depart = job_start(v, now_s)
-    leg = road.route_astar(net, node, pickup_node, now_s, traffic)
+    leg = road.route_astar(net, node, pickup_node, now_s, traffic, within=within)
     assert leg is not None, f"vehicle {v.id} lost its route to node {pickup_node}"
     return leg, (depart - now_s) + leg.total_time_s
+
+
+def _retimed(route: Route, start: int, net: RoadNetwork,
+             traffic: TrafficState | None, now_s: float) -> float:
+    """The time of route from its node `start` on, under the traffic in
+    force now: a bound for a fresh search between the same ends."""
+    nodes = route.nodes
+    return road.path_time(net, nodes[nodes.index(start):], now_s, traffic)
 
 
 def _regions(a_c: int, sched: AdjacencySchedule, expand: bool) -> Iterator[frozenset[int]]:
@@ -183,7 +199,7 @@ def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | Non
         return decision
     decision.vehicle_id = winner.id
     decision.route_to_pickup, decision.eta_s = _pickup_leg(winner, pickup_node, net,
-                                                           traffic, now_s)
+                                                           traffic, now_s, ranking.leg_s(winner))
     if trip_route is None:
         trip_route = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic)
     decision.route_of_trip = trip_route
@@ -221,7 +237,10 @@ def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: R
         old_plan = waiting_job(v, rid)
         pickup_node = old_plan.route_of_trip.nodes[0]
         dropoff_node = old_plan.route_of_trip.nodes[-1]
-        leg, incumbent_eta = _pickup_leg(v, pickup_node, net, traffic, now_s)
+        # The old legs, re-timed, bound the fresh searches between their ends.
+        leg, incumbent_eta = _pickup_leg(
+            v, pickup_node, net, traffic, now_s,
+            _retimed(old_plan.route_to_pickup, job_start(v, now_s)[0], net, traffic, now_s))
 
         others = candidate_pool(fleet, Strategy.OSS, request.party_size)
         # A candidate with ETA e takes the job only if fl(incumbent_eta - e)
@@ -230,15 +249,18 @@ def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: R
         # difference rounded, lies above it, so capping the search loses no
         # candidate that could take the job.
         cap = math.nextafter(incumbent_eta - cfg.oss_reassign_threshold_s, math.inf)
-        best, best_eta = _EtaRanking(pickup_node, net, traffic, now_s).best(others, cap)
+        ranking = _EtaRanking(pickup_node, net, traffic, now_s)
+        best, best_eta = ranking.best(others, cap)
 
         improves = best is not None and incumbent_eta - best_eta > cfg.oss_reassign_threshold_s
         # The old trip joins the pickup to the dropoff, so this route exists.
-        trip = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic)
+        trip = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic,
+                                within=_retimed(old_plan.route_of_trip, pickup_node, net,
+                                                traffic, now_s))
         assert trip is not None, f"request {rid} lost its trip route"
         if improves:
             release(v, rid, now_s)
-            new_leg, _ = _pickup_leg(best, pickup_node, net, traffic, now_s)
+            new_leg, _ = _pickup_leg(best, pickup_node, net, traffic, now_s, ranking.leg_s(best))
             plan = assign(best, request, new_leg, trip, now_s)
             actions.append(RescheduleAction(rid, best.id, plan.pickup_time_s, True))
             continue

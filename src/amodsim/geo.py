@@ -140,8 +140,9 @@ class NodeIndex:
     """Uniform lon/lat grid over a set of located nodes, cell edge ~500 m.
 
     nearest() returns exactly what a linear scan over all nodes would:
-    the candidate cell window is padded conservatively, so no node inside
-    the search radius can be missed. Ties break to the lowest node id.
+    the candidate cell window is padded conservatively and wraps at the
+    antimeridian, so no node inside the search radius can be missed. Ties
+    break to the lowest node id.
     """
 
     CELL_M = 500.0
@@ -178,42 +179,60 @@ class NodeIndex:
         # Conservative degree padding: any point within max_radius_m must
         # fall inside the padded window. Latitude: d >= R * dphi exactly.
         pad_lat = max_radius_m / METERS_PER_DEG_LAT
-        # Longitude: d >= 2R asin(cos(phi_max) sin(dlam/2)), inverted.
-        phi_max = min(89.9999, abs(p.lat) + pad_lat)
-        s = math.sin(max_radius_m / (2.0 * EARTH_RADIUS_M)) / max(1e-9, math.cos(math.radians(phi_max)))
+        # Longitude: d >= 2R asin(cos(phi_max) sin(dlam/2)), inverted; a
+        # window that reaches a pole reaches every longitude.
+        phi_max = abs(p.lat) + pad_lat
+        s = 1.0 if phi_max >= 90.0 else \
+            math.sin(max_radius_m / (2.0 * EARTH_RADIUS_M)) / math.cos(math.radians(phi_max))
         pad_lon = 180.0 if s >= 1.0 else math.degrees(2.0 * math.asin(s))
         ci_lo = max(self._row_range[0], int(math.floor((p.lat - pad_lat - self._lat0) / self._dlat)))
         ci_hi = min(self._row_range[1], int(math.floor((p.lat + pad_lat - self._lat0) / self._dlat)))
-        cj_lo = max(self._col_range[0], int(math.floor((p.lon - pad_lon - self._lon0) / self._dlon)))
-        cj_hi = min(self._col_range[1], int(math.floor((p.lon + pad_lon - self._lon0) / self._dlon)))
-        if ci_lo > ci_hi or cj_lo > cj_hi:
+        # One column window around each copy of p's longitude, 360 degrees
+        # apart, that reaches the nodes' longitudes: the padding can carry
+        # the window across the antimeridian. Padding of 180 degrees takes
+        # every column.
+        qi = self._cell(p)[0]
+        windows = []
+        for lon in (p.lon, p.lon - 360.0, p.lon + 360.0):
+            qj = int(math.floor((lon - self._lon0) / self._dlon))
+            if pad_lon >= 180.0:
+                windows.append((qj, *self._col_range))
+                break
+            cj_lo = max(self._col_range[0], int(math.floor((lon - pad_lon - self._lon0) / self._dlon)))
+            cj_hi = min(self._col_range[1], int(math.floor((lon + pad_lon - self._lon0) / self._dlon)))
+            if cj_lo <= cj_hi:
+                windows.append((qj, cj_lo, cj_hi))
+        if ci_lo > ci_hi or not windows:
             return None
-        # Scan the window ring by ring outward from p's cell. A node in ring
-        # k lies over k - 1 whole cells from p in latitude or in longitude,
-        # which bounds its distance below: by the latitude gap alone, or by
-        # the longitude bound above. That one holds for every node within
-        # max_radius_m (so |lat| <= |p.lat| + pad_lat) while pad_lon < 90,
-        # which keeps every window node within 180 degrees of longitude of
-        # p; nodes beyond max_radius_m cannot be the answer. The scan stops
-        # once the bound, shrunk by a hair for rounding, exceeds the best
-        # distance; it goes on at equality, so ties still reach the lowest id.
-        qi, qj = self._cell(p)
-        cos_max = math.cos(math.radians(min(90.0, abs(p.lat) + pad_lat)))
+        # Scan the windows ring by ring outward from p's cells. A node in
+        # ring k of every window lies over k - 1 whole cells from p in
+        # latitude or in longitude, which bounds its distance below: by the
+        # latitude gap alone, or by the longitude bound above. That one
+        # holds for every node within max_radius_m (so |lat| <= |p.lat| +
+        # pad_lat) while pad_lon < 90, which keeps every window node within
+        # 180 degrees of longitude of its copy of p; nodes beyond
+        # max_radius_m cannot be the answer. The scan stops once the bound,
+        # shrunk by a hair for rounding, exceeds the best distance; it goes
+        # on at equality, so ties still reach the lowest id.
+        cos_max = math.cos(math.radians(min(90.0, phi_max)))
         best_d = math.inf
         best_id = None
-        for k in range(max(qi - ci_lo, ci_hi - qi, qj - cj_lo, cj_hi - qj) + 1):
+        rings = max(max(qi - ci_lo, ci_hi - qi, qj - cj_lo, cj_hi - qj)
+                    for qj, cj_lo, cj_hi in windows)
+        for k in range(rings + 1):
             if k > 1:
                 lat_gap = (k - 1) * self.CELL_M
                 lon_gap = 0.0 if pad_lon >= 90.0 else 2.0 * EARTH_RADIUS_M * math.asin(
                     cos_max * math.sin(math.radians((k - 1) * self._dlon) / 2.0))
                 if min(lat_gap, lon_gap) * (1.0 - 1e-9) > best_d:
                     break
-            for ci, cj in self._ring(qi, qj, k, ci_lo, ci_hi, cj_lo, cj_hi):
-                for nid in self._cells.get((ci, cj), ()):
-                    d = haversine_m(p, self._loc[nid])
-                    if d < best_d or (d == best_d and nid < best_id):
-                        best_d = d
-                        best_id = nid
+            for qj, cj_lo, cj_hi in windows:
+                for ci, cj in self._ring(qi, qj, k, ci_lo, ci_hi, cj_lo, cj_hi):
+                    for nid in self._cells.get((ci, cj), ()):
+                        d = haversine_m(p, self._loc[nid])
+                        if d < best_d or (d == best_d and nid < best_id):
+                            best_d = d
+                            best_id = nid
         if best_id is None or best_d > max_radius_m:
             return None
         return best_id

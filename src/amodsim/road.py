@@ -22,6 +22,13 @@ log = logging.getLogger(__name__)
 # to honor the same slack or it loses admissibility.
 MIN_LENGTH_FACTOR = 0.99
 
+# route_astar prunes against its caller's bound times (1 + BOUND_SLACK). The
+# bound is often a sum of the same hop times in another order (a reverse
+# search's, or an older route's), and a forward and a reverse sum of k hops
+# differ by about k * 2**-53 relative; the slack covers that for any route
+# of fewer than a million hops.
+BOUND_SLACK = 1e-9
+
 # The constants of geo.haversine_m, for route_astar's inline copy of it.
 _RAD_PER_DEG = math.pi / 180.0  # the factor math.radians multiplies by
 _TWO_R = 2.0 * EARTH_RADIUS_M
@@ -318,28 +325,43 @@ def load_network(nodes_path: str, edges_path: str, speed_limit_mps: float) -> Ro
 
 
 def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
-                traffic: TrafficState | None = None) -> Route | None:
+                traffic: TrafficState | None = None,
+                within: float = math.inf) -> Route | None:
     """Fastest route src -> dst under the multiplier in force at at_s.
 
     Returns None when dst is unreachable. Ties in the frontier break to the
     lower node id, so equal-cost searches are reproducible.
+
+    `within` promises that the answer's time is at most `within`, say the
+    time of a known path between the two nodes. The search then skips every
+    node that cannot lie on a path that fast; each node it keeps has the same
+    heap key as in an unbounded search, so every bound at least the answer
+    gives the same route, bit for bit. A bound below the answer gives None,
+    so a caller's bad bound does not pass unseen.
     """
     if src not in net.nodes:
         raise KeyError(f"unknown source node {src}")
     if dst not in net.nodes:
         raise KeyError(f"unknown destination node {dst}")
+    bound = within * (1.0 + BOUND_SLACK)
     if src == dst:
-        return Route((src,), (0.0,))
+        return Route((src,), (0.0,)) if bound >= 0.0 else None
     traffic = traffic or _NO_TRAFFIC
-    forward, _ = net.edge_times(traffic.multiplier_at(at_s))
+    mult = traffic.multiplier_at(at_s)
+    forward, _ = net.edge_times(mult)
     # Admissible bound on remaining time: no edge beats the speed limit times
     # the largest multiplier, and no path is shorter than MIN_LENGTH_FACTOR
     # times the great-circle distance. The bound is
     # MIN_LENGTH_FACTOR * haversine_m(node, dst) / denom, computed inline from
     # the forward rows with haversine_m's operations in the same order
     # (math.radians is a product with pi / 180, and min(1.0, s) is s if
-    # s < 1.0 else 1.0), so every value has the same bits.
+    # s < 1.0 else 1.0), so every value has the same bits. It orders the
+    # heap. Pruning may use the multiplier in force instead, a tighter bound
+    # that is still admissible, as it only ever drops nodes whose every
+    # path to dst is slower than `bound`.
     denom = net.speed_limit_mps * traffic.max_multiplier()
+    denom_now = net.speed_limit_mps * mult
+    per_m_now = MIN_LENGTH_FACTOR / denom_now
     dst_pt = net.nodes[dst]
     dst_lat, dst_lon, dst_cos = dst_pt.lat, dst_pt.lon, math.cos(math.radians(dst_pt.lat))
     sin, sqrt, asin = math.sin, math.sqrt, math.asin
@@ -361,13 +383,18 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
         for nxt, hop, lat, lon, cos_lat in forward[node]:
             ng = g + hop
             if ng < best_g[nxt]:
-                best_g[nxt] = ng
-                parent[nxt] = node
-                hop_s[nxt] = hop
                 h = (sin((dst_lat - lat) * _RAD_PER_DEG / 2.0) ** 2
                      + cos_lat * dst_cos * sin((dst_lon - lon) * _RAD_PER_DEG / 2.0) ** 2)
                 s = sqrt(h)
                 dist = _TWO_R * asin(s if s < 1.0 else 1.0)
+                # Every path through nxt this way is slower than the bound,
+                # so it is no route within it and takes part in no tie. At
+                # the goal (dist 0) this drops an answer above the bound.
+                if ng + dist * per_m_now > bound:
+                    continue
+                best_g[nxt] = ng
+                parent[nxt] = node
+                hop_s[nxt] = hop
                 heappush(heap, (ng + MIN_LENGTH_FACTOR * dist / denom, nxt, ng))
     if parent[goal] < 0:
         return None
@@ -379,6 +406,27 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     for node in path[1:]:  # accumulate in travel order so the sum is reproducible
         arrive.append(arrive[-1] + hop_s[node])
     return Route(tuple(net.ids[i] for i in path), tuple(arrive))
+
+
+def path_time(net: RoadNetwork, nodes: tuple[int, ...], at_s: float,
+              traffic: TrafficState | None = None) -> float:
+    """Time along the node path `nodes` under the multiplier in force at
+    at_s, summed hop by hop in travel order, each hop by its fastest edge;
+    inf if some hop has no edge. A bound for route_astar's `within` between
+    the path's ends."""
+    forward, _ = net.edge_times((traffic or _NO_TRAFFIC).multiplier_at(at_s))
+    index_of = net.index_of
+    total = 0.0
+    u = index_of[nodes[0]]
+    for node in nodes[1:]:
+        v = index_of[node]
+        hop = math.inf
+        for row in forward[u]:
+            if row[0] == v and row[1] < hop:
+                hop = row[1]
+        total += hop
+        u = v
+    return total
 
 
 class ReverseSearch:

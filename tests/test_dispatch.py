@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from amodsim import dispatch as dispatch_module
 from amodsim import road
-from amodsim.demand import TripRequest
+from amodsim.demand import TripRequest, generate_demand
 from amodsim.dispatch import (
     DispatchConfig,
     _EtaRanking,
@@ -22,7 +22,7 @@ from amodsim.fleet import (Fleet, Plan, Strategy, Transition, Vehicle, VehicleSt
                            candidate_pool, job_start, pick_up, waiting_job, waiting_jobs)
 from amodsim.geo import GeoPoint, haversine_m
 from amodsim.road import RoadNetwork, TrafficState, route_astar
-from amodsim.zones import AdjacencySchedule, Zone, ZoneMap
+from amodsim.zones import AdjacencySchedule, Zone, ZoneMap, initial_adjacency
 from scenario_tools import (
     DYADIC_MULTIPLIERS,
     GOLDEN_SPACING_DEG,
@@ -32,6 +32,7 @@ from scenario_tools import (
     hop_route,
     random_network,
     reference_oss_reschedule,
+    tile_zones,
 )
 
 HOP_S = 40.0
@@ -225,9 +226,9 @@ def count_searches(monkeypatch) -> list[tuple[int, int]]:
     """The (src, dst) of every road.route_astar call from now on."""
     calls = []
 
-    def counted(net, src, dst, *rest):
+    def counted(net, src, dst, *rest, **kw):
         calls.append((src, dst))
-        return route_astar(net, src, dst, *rest)
+        return route_astar(net, src, dst, *rest, **kw)
 
     monkeypatch.setattr(road, "route_astar", counted)
     return calls
@@ -644,3 +645,34 @@ def test_capped_reschedule_matches_the_uncapped_pass(data):
         got = oss_reschedule(waiting_jobs(fleet), fleet, net, traffic, now, cfg)
     assert got == want
     assert fleet_state(fleet) == fleet_state(oracle_fleet)
+
+
+def test_every_bound_a_run_passes_holds_and_keeps_the_route(monkeypatch):
+    """An overloaded OSS run under a traffic walk: each route_astar call
+    that carries a bound gets one at least the route's time, and the same
+    route, bit for bit, as the unbounded search."""
+    net = grid_network(12, 12)
+    zm = ZoneMap(tile_zones(12, 12, 3, 3, D))
+    requests = generate_demand(240.0, 3600.0, zone_map=zm, seed=11,
+                               patience_range=(300.0, 1800.0))
+    traffic = TrafficState.build([(900.0, 1.3), (2400.0, 0.8)], walk_seed=12,
+                                 walk_step_s=300.0, walk_sigma=0.15, horizon_s=5400.0)
+    bounded = []
+
+    def checked(net, src, dst, at_s, traffic=None, within=math.inf):
+        route = route_astar(net, src, dst, at_s, traffic, within=within)
+        if within < math.inf:
+            bounded.append(within)
+            assert route is not None and within >= route.total_time_s, (src, dst, within)
+            plain = route_astar(net, src, dst, at_s, traffic)
+            assert route.nodes == plain.nodes
+            assert [t.hex() for t in route.arrive_s] == [t.hex() for t in plain.arrive_s]
+        return route
+
+    monkeypatch.setattr(road, "route_astar", checked)
+    cfg = EngineConfig(dispatch=DispatchConfig(strategy=Strategy.OSS, eat_enabled=True))
+    result = run(requests, Fleet.place_uniform(net, 15, 13), net, zm, initial_adjacency(zm),
+                 traffic, cfg)
+    assert len(result.records) == len(requests)
+    # pickup legs of winners and OSS re-plans, some of which moved jobs
+    assert result.metadata["reassignments"] > 0 and len(bounded) > len(requests)

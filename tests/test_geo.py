@@ -142,22 +142,47 @@ def test_node_index_matches_linear_scan():
                 f"trial {trial} query {q} radius {radius}"
 
 
-@settings(max_examples=150)
-@given(seed=st.integers(0, 2**32 - 1), lat0=st.sampled_from([0.0, 40.7, -60.0, 80.0]),
+def wrapped(lon: float) -> float:
+    return (lon + 180.0) % 360.0 - 180.0
+
+
+# (lat, lon, longitude step) of each lattice's centre: mid-latitudes, across
+# the antimeridian, and around a pole, where one step of longitude is a few
+# hundred meters and the lattice spans a quarter of the globe's longitudes.
+LATTICES = [(0.0, 10.0, 0.003), (40.7, 10.0, 0.003), (-60.0, 10.0, 0.003), (80.0, 10.0, 0.003),
+            (0.0, 179.99, 0.003), (-60.0, -179.995, 0.003), (89.97, 0.0, 6.0),
+            (-89.97, 170.0, 6.0)]
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2**32 - 1), lattice=st.sampled_from(LATTICES),
        radius=st.sampled_from([50.0, 300.0, 1500.0, 20000.0]))
-def test_node_index_ring_scan_misses_nothing_and_keeps_ties(seed, lat0, radius):
+def test_node_index_ring_scan_misses_nothing_and_keeps_ties(seed, lattice, radius):
     """Lattice nodes with shuffled ids and queries on the half-lattice, so
     that several nodes are often equally near and the ring scan must not
-    stop before the lowest id; the index still answers as a full scan."""
+    stop before the lowest id; the index still answers as a full scan, also
+    across the antimeridian and around a pole."""
     rng = random.Random(seed)
+    lat0, lon0, lon_step = lattice
     step = 0.003
     spots = rng.sample([(r, c) for r in range(-8, 9) for c in range(-8, 9)], rng.randrange(1, 60))
     ids = rng.sample(range(1000), len(spots))
-    pts = {nid: GeoPoint(lat0 + r * step, 10.0 + c * step) for nid, (r, c) in zip(ids, spots)}
+    pts = {nid: GeoPoint(lat0 + r * step, wrapped(lon0 + c * lon_step))
+           for nid, (r, c) in zip(ids, spots)}
     idx = NodeIndex(pts)
     for _ in range(25):
-        q = GeoPoint(lat0 + rng.randrange(-20, 21) * step / 2, 10.0 + rng.randrange(-20, 21) * step / 2)
+        q = GeoPoint(max(-90.0, min(90.0, lat0 + rng.randrange(-20, 21) * step / 2)),
+                     wrapped(lon0 + rng.randrange(-20, 21) * lon_step / 2))
         assert idx.nearest(q, radius) == brute_nearest(pts, q, radius), (q, radius)
+
+
+def test_node_index_wraps_the_antimeridian_and_reaches_the_poles():
+    across = {1: GeoPoint(0.0, -179.9999), 2: GeoPoint(0.0, 179.99)}
+    assert NodeIndex(across).nearest(GeoPoint(0.0, 179.9999), 5000.0) == 1  # 22 m, not 1,101 m
+    assert NodeIndex(across).nearest(GeoPoint(0.0, -179.99), 5000.0) == 1
+    polar = {1: GeoPoint(89.99996, 120.0), 2: GeoPoint(89.9, 0.0)}
+    assert NodeIndex(polar).nearest(GeoPoint(89.99995, 0.0), 10.0) == 1  # 8.7 m over the pole
+    assert NodeIndex(polar).nearest(GeoPoint(89.99995, 0.0), 100_000.0) == 1
 
 
 def test_node_index_tie_breaks_to_lowest_id():

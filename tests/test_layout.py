@@ -5,7 +5,9 @@ status changes or reads a vehicle's queued job; inside it, one function
 writes a vehicle's status. engine.py writes a request's CallRecord in one
 method, when the request ends. road.py computes every edge time, in one
 method, because routes and searches are exact only while they all read the
-same floats.
+same floats. Every route search in dispatch.py but the trip search of a new
+call passes the bound its caller holds: a dropped bound slows the program
+and moves no output, so nothing else would see it.
 """
 
 import ast
@@ -130,6 +132,24 @@ def edge_time_divisions(source: str) -> list[tuple[str | None, int]]:
                       and isinstance(node.op, ast.Div) and _mentions_speed(node.right))
 
 
+def unbounded_route_searches(source: str) -> list[tuple[str | None, str, str]]:
+    """(enclosing function, source node, destination node) of every
+    route_astar call in source that passes no `within` bound."""
+    calls: list[ast.Call] = []
+
+    def hit(node: ast.AST) -> bool:
+        func = node.func if isinstance(node, ast.Call) else None
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "route_astar" and len(node.args) < 6 \
+                and all(kw.arg != "within" for kw in node.keywords):
+            calls.append(node)
+            return True
+        return False
+
+    owners = owned_hits(source, hit)
+    return [(owner, *map(ast.unparse, call.args[1:3])) for (owner, _), call in zip(owners, calls)]
+
+
 def src_modules():
     """(file name, source) of every module of the package."""
     src_dir = os.path.dirname(amodsim.__file__)
@@ -176,6 +196,21 @@ def edge_time_owners(modules: dict[str, str]) -> dict[str, set[str | None]]:
 
 def test_only_road_computes_edge_times():
     assert edge_time_owners(dict(src_modules())) == {"road.py": {"edge_times"}}
+
+
+def test_dispatch_bounds_every_route_search_but_a_new_trip():
+    source = dict(src_modules())["dispatch.py"]
+    assert set(unbounded_route_searches(source)) == {("dispatch", "pickup_node", "dropoff_node")}
+
+
+def test_bound_guard_sees_a_dropped_bound():
+    source = ("def oss(net, a, b, t, tr, w):\n"
+              "    road.route_astar(net, a, b, t, tr, within=w)\n"
+              "    road.route_astar(net, a, b, t, tr, w)\n"
+              "    return route_astar(net, b, a, t, tr)\n")
+    assert unbounded_route_searches(source) == [("oss", "b", "a")]
+    assert unbounded_route_searches(source.replace(", within=w", "")) == \
+        [("oss", "a", "b"), ("oss", "b", "a")]
 
 
 def test_edge_time_guard_sees_a_division_planted_elsewhere():

@@ -17,6 +17,7 @@ from amodsim.road import (
     TrafficState,
     eta_table,
     load_network,
+    path_time,
     route_astar,
 )
 from scenario_tools import (
@@ -247,6 +248,67 @@ def test_route_matches_the_reference_search(data):
             want = reference_route_astar(net, src, dst, at_s, traffic)
             assert got.nodes == want.nodes, (src, dst, at_s)
             assert [t.hex() for t in got.arrive_s] == [t.hex() for t in want.arrive_s]
+
+
+def one_way_network(rng: random.Random, n_nodes: int, n_edges: int) -> RoadNetwork:
+    """Random one-way streets on a jittered 300 m grid: each edge joins a
+    pair of nodes in one direction only, some twice over (parallel edges),
+    with irregular lengths and speeds, so hop sums depend on their order.
+    Often not strongly connected."""
+    side = math.isqrt(n_nodes) + 1
+    cell_deg = 300.0 / 111_194.9
+    nodes = {i: GeoPoint((i // side + rng.uniform(-0.3, 0.3)) * cell_deg,
+                         (i % side + rng.uniform(-0.3, 0.3)) * cell_deg)
+             for i in range(n_nodes)}
+    way: dict[frozenset[int], tuple[int, int]] = {}
+    edges = []
+    for _ in range(n_edges):
+        u, v = rng.sample(range(n_nodes), 2) if n_nodes > 1 else (0, 0)
+        if u == v:
+            continue
+        u, v = way.setdefault(frozenset((u, v)), (u, v))
+        crow = haversine_m(nodes[u], nodes[v])
+        edges.append((u, v, crow * rng.uniform(1.0, 1.4) + rng.uniform(0.5, 20.0),
+                      rng.uniform(3.0, 12.0)))
+    return RoadNetwork(nodes, edges, speed_limit_mps=12.0)
+
+
+@settings(max_examples=120)
+@given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 40),
+       n_edges=st.integers(0, 150), lat=st.sampled_from([0.0, 40.7, -60.0]))
+def test_bounded_route_matches_the_reference_search(seed, n_nodes, n_edges, lat):
+    """Any bound at least the answer gives the unbounded route, bit for bit;
+    a bound below it gives None. The multiplier in force is below the
+    schedule's maximum, so pruning (by the multiplier in force) and heap
+    order (by the maximum) use different bounds."""
+    rng = random.Random(seed)
+    net = moved(relabelled(one_way_network(rng, n_nodes, n_edges), rng), lat)
+    traffic = TrafficState([(0.0, rng.uniform(0.3, 0.9)), (100.0, rng.uniform(1.0, 2.0))])
+    for _ in range(10):
+        src, dst = rng.choice(net.ids), rng.choice(net.ids)
+        want = reference_route_astar(net, src, dst, 0.0, traffic)
+        if want is None:
+            assert route_astar(net, src, dst, 0.0, traffic, within=math.inf) is None
+            continue
+        answer = want.total_time_s
+        assert path_time(net, want.nodes, 0.0, traffic) == answer
+        for within in (answer, math.nextafter(answer, math.inf), 1.5 * answer + 60.0,
+                       math.inf):
+            got = route_astar(net, src, dst, 0.0, traffic, within=within)
+            assert got.nodes == want.nodes, (src, dst, within)
+            assert [t.hex() for t in got.arrive_s] == [t.hex() for t in want.arrive_s]
+        for within in (answer * (1.0 - 1e-6) - 1e-6, answer / 2.0 - 1.0):
+            assert route_astar(net, src, dst, 0.0, traffic, within=within) is None
+
+
+def test_path_time_takes_the_fastest_parallel_edge():
+    net = RoadNetwork({0: GeoPoint(0.0, 0.0), 1: GeoPoint(0.0, 0.001), 2: GeoPoint(0.0, 0.002)},
+                      [(0, 1, 150.0, 10.0), (0, 1, 120.0, 4.0), (0, 1, 200.0, 10.0),
+                       (1, 2, 120.0, 6.0)], speed_limit_mps=10.0)
+    traffic = TrafficState([(0.0, 0.5)])
+    assert path_time(net, (0, 1, 2), 0.0, traffic) == 150.0 / 5.0 + 120.0 / 3.0
+    assert path_time(net, (1,), 0.0, traffic) == 0.0
+    assert path_time(net, (2, 1), 0.0, traffic) == math.inf  # no edge 2 -> 1
 
 
 def test_route_node_at_elapsed():
