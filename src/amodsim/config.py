@@ -180,6 +180,10 @@ def _parse_demand(section: Any) -> DemandSpec:
             if not (isinstance(box, list) and len(box) == 4):
                 raise ConfigError("demand.bbox: expected [lon_min, lat_min, lon_max, lat_max]")
             spec.bbox = tuple(_num(v, "demand.bbox") for v in box)
+            lon_min, lat_min, lon_max, lat_max = spec.bbox
+            if lon_min >= lon_max or lat_min >= lat_max:
+                raise ConfigError(f"demand.bbox: expected lon_min < lon_max and lat_min < lat_max, "
+                                  f"got {list(spec.bbox)}")
         return spec
     gen = section["generate"]
     if not isinstance(gen, dict):

@@ -148,7 +148,7 @@ class _Simulation:
         # Vehicles are looked up by the zone of their current node; resolve
         # every node once. Nodes outside all zones map to the nearest one.
         self.node_zone: dict[int, int] = {}
-        for nid in sorted(net.nodes):
+        for nid in net.ids:
             z = zone_map.locate(net.nodes[nid])
             self.node_zone[nid] = z if z is not None else zone_map.nearest_by_centroid(net.nodes[nid])
 

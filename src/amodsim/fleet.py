@@ -112,11 +112,10 @@ class Fleet:
         replacement) from the network."""
         if size < 0:
             raise ValueError(f"negative fleet size {size}")
-        node_ids = sorted(net.nodes)
-        if not node_ids and size > 0:
+        if not net.ids and size > 0:
             raise ValueError("cannot place vehicles on an empty network")
         rng = random.Random(seed)
-        return cls([Vehicle(i, rng.choice(node_ids), capacity) for i in range(size)])
+        return cls([Vehicle(i, rng.choice(net.ids), capacity) for i in range(size)])
 
 
 def candidate_pool(fleet: Fleet, strategy: Strategy, party_size: int) -> list[Vehicle]:

@@ -5,7 +5,6 @@ Polygon containment treats the boundary as inside.
 """
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -137,116 +136,67 @@ def point_in_polygon(p: GeoPoint, poly: Polygon) -> bool:
 
 
 class NodeIndex:
-    """Uniform lon/lat grid over a set of located nodes, cell edge ~500 m.
+    """Uniform grid over the nodes' unit vectors (cos φ cos λ, cos φ sin λ,
+    sin φ), cell edge CELL_M / EARTH_RADIUS_M.
 
-    nearest() returns exactly what a linear scan over all nodes would:
-    the candidate cell window is padded conservatively and wraps at the
-    antimeridian, so no node inside the search radius can be missed. Ties
-    break to the lowest node id.
+    nearest() returns exactly what a linear scan over all nodes would, ties
+    to the lowest node id. The unit sphere has no seam, so the antimeridian
+    and the poles need no case of their own.
     """
 
-    CELL_M = 500.0
+    CELL_M = 250.0
 
     def __init__(self, locations: dict[int, GeoPoint]):
-        self._loc = dict(locations)
-        self._cells: dict[tuple[int, int], list[int]] = {}
-        if not self._loc:
-            self._lat0 = self._lon0 = 0.0
-            self._dlat = self._dlon = 1.0
-            return
-        lats = [p.lat for p in self._loc.values()]
-        lons = [p.lon for p in self._loc.values()]
-        self._lat0 = min(lats)
-        self._lon0 = min(lons)
-        mid_lat = (min(lats) + max(lats)) / 2.0
-        self._dlat = self.CELL_M / METERS_PER_DEG_LAT
-        cos_mid = max(0.01, math.cos(math.radians(mid_lat)))
-        self._dlon = self.CELL_M / (METERS_PER_DEG_LAT * cos_mid)
-        for nid in sorted(self._loc):
-            self._cells.setdefault(self._cell(self._loc[nid]), []).append(nid)
-        rows = [c[0] for c in self._cells]
-        cols = [c[1] for c in self._cells]
-        self._row_range = (min(rows), max(rows))
-        self._col_range = (min(cols), max(cols))
+        self._cells: dict[tuple[int, int, int], list[tuple[int, GeoPoint]]] = {}
+        for nid in sorted(locations):
+            p = locations[nid]
+            self._cells.setdefault(self._cell(p), []).append((nid, p))
 
-    def _cell(self, p: GeoPoint) -> tuple[int, int]:
-        return (int(math.floor((p.lat - self._lat0) / self._dlat)),
-                int(math.floor((p.lon - self._lon0) / self._dlon)))
+    def _cell(self, p: GeoPoint) -> tuple[int, int, int]:
+        phi, lam = math.radians(p.lat), math.radians(p.lon)
+        s = EARTH_RADIUS_M / self.CELL_M
+        return (math.floor(math.cos(phi) * math.cos(lam) * s),
+                math.floor(math.cos(phi) * math.sin(lam) * s),
+                math.floor(math.sin(phi) * s))
 
     def nearest(self, p: GeoPoint, max_radius_m: float) -> int | None:
-        if not self._loc or max_radius_m <= 0:
+        if not self._cells or max_radius_m <= 0:
             return None
-        # Conservative degree padding: any point within max_radius_m must
-        # fall inside the padded window. Latitude: d >= R * dphi exactly.
-        pad_lat = max_radius_m / METERS_PER_DEG_LAT
-        # Longitude: d >= 2R asin(cos(phi_max) sin(dlam/2)), inverted; a
-        # window that reaches a pole reaches every longitude.
-        phi_max = abs(p.lat) + pad_lat
-        s = 1.0 if phi_max >= 90.0 else \
-            math.sin(max_radius_m / (2.0 * EARTH_RADIUS_M)) / math.cos(math.radians(phi_max))
-        pad_lon = 180.0 if s >= 1.0 else math.degrees(2.0 * math.asin(s))
-        ci_lo = max(self._row_range[0], int(math.floor((p.lat - pad_lat - self._lat0) / self._dlat)))
-        ci_hi = min(self._row_range[1], int(math.floor((p.lat + pad_lat - self._lat0) / self._dlat)))
-        # One column window around each copy of p's longitude, 360 degrees
-        # apart, that reaches the nodes' longitudes: the padding can carry
-        # the window across the antimeridian. Padding of 180 degrees takes
-        # every column.
-        qi = self._cell(p)[0]
-        windows = []
-        for lon in (p.lon, p.lon - 360.0, p.lon + 360.0):
-            qj = int(math.floor((lon - self._lon0) / self._dlon))
-            if pad_lon >= 180.0:
-                windows.append((qj, *self._col_range))
-                break
-            cj_lo = max(self._col_range[0], int(math.floor((lon - pad_lon - self._lon0) / self._dlon)))
-            cj_hi = min(self._col_range[1], int(math.floor((lon + pad_lon - self._lon0) / self._dlon)))
-            if cj_lo <= cj_hi:
-                windows.append((qj, cj_lo, cj_hi))
-        if ci_lo > ci_hi or not windows:
-            return None
-        # Scan the windows ring by ring outward from p's cells. A node in
-        # ring k of every window lies over k - 1 whole cells from p in
-        # latitude or in longitude, which bounds its distance below: by the
-        # latitude gap alone, or by the longitude bound above. That one
-        # holds for every node within max_radius_m (so |lat| <= |p.lat| +
-        # pad_lat) while pad_lon < 90, which keeps every window node within
-        # 180 degrees of longitude of its copy of p; nodes beyond
-        # max_radius_m cannot be the answer. The scan stops once the bound,
-        # shrunk by a hair for rounding, exceeds the best distance; it goes
-        # on at equality, so ties still reach the lowest id.
-        cos_max = math.cos(math.radians(min(90.0, phi_max)))
+        # Scan cubic shells outward from p's cell. A node k shells away lies
+        # over k - 1 cell edges from p along one axis, so its chord exceeds
+        # (k - 1) * CELL_M / R, and a great-circle distance is at least R
+        # times the chord. The scan stops once that bound, shrunk by a hair
+        # for rounding, exceeds the best distance or the radius; it goes on
+        # at equality, so ties still reach the lowest id. Once the shells
+        # have looked up more cells than are occupied, one pass over every
+        # cell is cheaper and ends the scan.
+        cells = self._cells
+        origin = self._cell(p)
         best_d = math.inf
         best_id = None
-        rings = max(max(qi - ci_lo, ci_hi - qi, qj - cj_lo, cj_hi - qj)
-                    for qj, cj_lo, cj_hi in windows)
-        for k in range(rings + 1):
-            if k > 1:
-                lat_gap = (k - 1) * self.CELL_M
-                lon_gap = 0.0 if pad_lon >= 90.0 else 2.0 * EARTH_RADIUS_M * math.asin(
-                    cos_max * math.sin(math.radians((k - 1) * self._dlon) / 2.0))
-                if min(lat_gap, lon_gap) * (1.0 - 1e-9) > best_d:
-                    break
-            for qj, cj_lo, cj_hi in windows:
-                for ci, cj in self._ring(qi, qj, k, ci_lo, ci_hi, cj_lo, cj_hi):
-                    for nid in self._cells.get((ci, cj), ()):
-                        d = haversine_m(p, self._loc[nid])
-                        if d < best_d or (d == best_d and nid < best_id):
-                            best_d = d
-                            best_id = nid
-        if best_id is None or best_d > max_radius_m:
-            return None
-        return best_id
+        looked = k = 0
+        while (k - 1) * self.CELL_M * (1.0 - 1e-9) <= min(best_d, max_radius_m):
+            shell = cells if looked > len(cells) else _shell(origin, k)
+            for key in shell:
+                for nid, q in cells.get(key, ()):
+                    d = haversine_m(p, q)
+                    if d < best_d or (d == best_d and nid < best_id):
+                        best_d = d
+                        best_id = nid
+            if shell is cells:
+                break
+            looked += len(shell)
+            k += 1
+        return best_id if best_d <= max_radius_m else None
 
-    @staticmethod
-    def _ring(qi: int, qj: int, k: int, ci_lo: int, ci_hi: int,
-              cj_lo: int, cj_hi: int) -> Iterator[tuple[int, int]]:
-        """Cells at Chebyshev distance k from (qi, qj) inside the window."""
-        cols = range(max(cj_lo, qj - k), min(cj_hi, qj + k) + 1)
-        for ci in {qi - k, qi + k}:  # a set: ring 0 is one cell
-            if ci_lo <= ci <= ci_hi:
-                for cj in cols:
-                    yield ci, cj
-        for cj in {qj - k, qj + k}:
-            if cj_lo <= cj <= cj_hi:
-                for ci in range(max(ci_lo, qi - k + 1), min(ci_hi, qi + k - 1) + 1):
-                    yield ci, cj
+
+def _shell(cell: tuple[int, int, int], k: int) -> list[tuple[int, int, int]]:
+    """Cells at Chebyshev distance k from `cell`."""
+    x, y, z = cell
+    if k == 0:
+        return [cell]
+    full = range(-k, k + 1)
+    inner = range(-k + 1, k)
+    return ([(x + a, y + b, z + c) for a in (-k, k) for b in full for c in full]
+            + [(x + a, y + b, z + c) for a in inner for b in (-k, k) for c in full]
+            + [(x + a, y + b, z + c) for a in inner for b in inner for c in (-k, k)])

@@ -97,6 +97,10 @@ def break_generated_party_capacity(doc):
     doc["fleet"]["capacity"] = 3
 
 
+def break_bbox_inverted(doc):
+    doc["demand"] = {"seed": 1, "file": "trips.csv", "bbox": [-73, 41, -74, 40]}
+
+
 def break_snap_radius_nan(doc):
     doc["sim"] = {"snap_radius_m": float("nan")}
 
@@ -133,6 +137,7 @@ def break_zero_rate_patience(doc):
     (break_file_party_capacity, "demand.capacity 4 is more than fleet.capacity 3"),
     (break_generated_party_capacity,
      "demand.generate.party_probs gives parties of 4, more than fleet.capacity 3"),
+    (break_bbox_inverted, "demand.bbox: expected lon_min < lon_max and lat_min < lat_max"),
     (break_snap_radius_nan, "sim.snap_radius_m: expected a finite number, got nan"),
     (break_threshold_nan,
      "dispatch.oss_reassign_threshold_s: expected a finite number, got nan"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amodsim import geo
 from amodsim.geo import (
     EARTH_RADIUS_M,
     METERS_PER_DEG_LAT,
@@ -16,7 +17,7 @@ from amodsim.geo import (
     haversine_m,
     point_in_polygon,
 )
-from scenario_tools import box_polygon, brute_nearest, winding_inside
+from scenario_tools import box_polygon, brute_nearest, grid_network, winding_inside
 
 TIMES_SQUARE = GeoPoint(40.7580, -73.9855)
 STATUE_OF_LIBERTY = GeoPoint(40.6892, -74.0445)
@@ -137,9 +138,34 @@ def test_node_index_matches_linear_scan():
         for _ in range(30):
             q = GeoPoint(40.0 + rng.uniform(-0.6, 0.6),
                          -74.0 + rng.uniform(-0.6, 0.6))
-            radius = rng.choice([50.0, 500.0, 5000.0, 100000.0])
+            radius = rng.choice([50.0, 500.0, 5000.0, 100000.0, 2.1e7])
             assert idx.nearest(q, radius) == brute_nearest(pts, q, radius), \
                 f"trial {trial} query {q} radius {radius}"
+
+
+def test_node_index_stops_early_on_the_bench_grid(monkeypatch):
+    """1,000 m snaps on the benchmark's 40 x 40 grid, some from just outside
+    it, read a handful of nodes each, not all 1,600."""
+    net = grid_network(40, 40)
+    idx = NodeIndex(net.nodes)
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return haversine_m(a, b)
+
+    monkeypatch.setattr(geo, "haversine_m", counted)
+    rng = random.Random(2024)
+    edge = max(p.lat for p in net.nodes.values())
+    per_query = []
+    for _ in range(500):
+        q = GeoPoint(rng.uniform(-0.01, edge + 0.01), rng.uniform(-0.01, edge + 0.01))
+        calls = 0
+        assert idx.nearest(q, 1000.0) == brute_nearest(net.nodes, q, 1000.0), q
+        per_query.append(calls)
+    assert sum(per_query) / len(per_query) < 8 and max(per_query) < 40, \
+        (sum(per_query) / len(per_query), max(per_query))
 
 
 def wrapped(lon: float) -> float:
@@ -156,10 +182,10 @@ LATTICES = [(0.0, 10.0, 0.003), (40.7, 10.0, 0.003), (-60.0, 10.0, 0.003), (80.0
 
 @settings(max_examples=200)
 @given(seed=st.integers(0, 2**32 - 1), lattice=st.sampled_from(LATTICES),
-       radius=st.sampled_from([50.0, 300.0, 1500.0, 20000.0]))
+       radius=st.sampled_from([50.0, 300.0, 1500.0, 20000.0, 2.1e7]))
 def test_node_index_ring_scan_misses_nothing_and_keeps_ties(seed, lattice, radius):
     """Lattice nodes with shuffled ids and queries on the half-lattice, so
-    that several nodes are often equally near and the ring scan must not
+    that several nodes are often equally near and the shell scan must not
     stop before the lowest id; the index still answers as a full scan, also
     across the antimeridian and around a pole."""
     rng = random.Random(seed)
