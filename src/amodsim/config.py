@@ -39,6 +39,14 @@ def _need(section: dict, key: str, where: str) -> Any:
     return section[key]
 
 
+def _known(section: dict, keys: set[str], where: str) -> None:
+    """Reject a key no setting reads: a misspelt key would otherwise leave
+    its default in force without a word."""
+    unknown = sorted(map(str, set(section) - keys))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+
+
 def _num(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
@@ -166,10 +174,14 @@ def _parse_demand(section: Any) -> DemandSpec:
     if not isinstance(section, dict):
         raise ConfigError("demand: expected a mapping")
     spec = DemandSpec(seed=_intval(_need(section, "seed", "demand"), "demand.seed"))
+    _known(section, {"seed", "file", "generate", "capacity", "bbox"}, "demand")
     has_file = "file" in section
     has_gen = "generate" in section
     if has_file == has_gen:
         raise ConfigError("demand: exactly one of 'file' or 'generate' is required")
+    file_only = sorted({"capacity", "bbox"} & set(section))
+    if has_gen and file_only:
+        raise ConfigError(f"demand: {file_only} apply to a trip file only, not to 'generate'")
     if has_file:
         spec.file = str(section["file"])
         spec.capacity = _intval(section.get("capacity", DEFAULT_CAPACITY), "demand.capacity")
@@ -188,6 +200,8 @@ def _parse_demand(section: Any) -> DemandSpec:
     gen = section["generate"]
     if not isinstance(gen, dict):
         raise ConfigError("demand.generate: expected a mapping")
+    _known(gen, {"rate_per_hour", "duration_s", "party_probs", "patience_range", "region"},
+           "demand.generate")
     spec.rate_per_hour = _num(_need(gen, "rate_per_hour", "demand.generate"),
                               "demand.generate.rate_per_hour")
     spec.duration_s = _num(_need(gen, "duration_s", "demand.generate"),
@@ -217,11 +231,12 @@ def parse_config(doc: Any, base_dir: str = ".") -> RunConfig:
     unknown = set(doc) - {"network", "zones", "demand", "fleet", "traffic",
                           "dispatch", "sim", "out"}
     if unknown:
-        raise ConfigError(f"config root: unknown sections {sorted(unknown)}")
+        raise ConfigError(f"config root: unknown sections {sorted(map(str, unknown))}")
 
     net = _need(doc, "network", "config")
     if not isinstance(net, dict):
         raise ConfigError("network: expected a mapping")
+    _known(net, {"nodes", "edges", "speed_limit_mps"}, "network")
     nodes_path = str(_need(net, "nodes", "network"))
     edges_path = str(_need(net, "edges", "network"))
     speed_limit = _num(net.get("speed_limit_mps", DEFAULT_SPEED_LIMIT_MPS),
@@ -235,6 +250,7 @@ def parse_config(doc: Any, base_dir: str = ".") -> RunConfig:
     fl = _need(doc, "fleet", "config")
     if not isinstance(fl, dict):
         raise ConfigError("fleet: expected a mapping")
+    _known(fl, {"size", "seed", "capacity"}, "fleet")
     fleet_size = _intval(_need(fl, "size", "fleet"), "fleet.size")
     fleet_seed = _intval(_need(fl, "seed", "fleet"), "fleet.seed")
     fleet_capacity = _intval(fl.get("capacity", DEFAULT_CAPACITY), "fleet.capacity")
@@ -255,6 +271,7 @@ def parse_config(doc: Any, base_dir: str = ".") -> RunConfig:
     tr = doc.get("traffic") or {}
     if not isinstance(tr, dict):
         raise ConfigError("traffic: expected a mapping")
+    _known(tr, {"schedule", "walk_seed", "walk_step_s", "walk_sigma"}, "traffic")
     schedule = []
     for i, entry in enumerate(tr.get("schedule") or []):
         if not (isinstance(entry, list) and len(entry) == 2):
@@ -274,6 +291,7 @@ def parse_config(doc: Any, base_dir: str = ".") -> RunConfig:
     dp = doc.get("dispatch") or {}
     if not isinstance(dp, dict):
         raise ConfigError("dispatch: expected a mapping")
+    _known(dp, {"strategy", "eat", "oss_reassign_threshold_s"}, "dispatch")
     strategy_name = str(dp.get("strategy", "NSS")).upper()
     if strategy_name not in STRATEGY_NAMES:
         raise ConfigError(f"dispatch.strategy: expected one of {STRATEGY_NAMES}, "
@@ -289,6 +307,7 @@ def parse_config(doc: Any, base_dir: str = ".") -> RunConfig:
     sim = doc.get("sim") or {}
     if not isinstance(sim, dict):
         raise ConfigError("sim: expected a mapping")
+    _known(sim, {"snap_radius_m", "metric_period_s"}, "sim")
     snap = _num(sim.get("snap_radius_m", DEFAULT_SNAP_RADIUS_M), "sim.snap_radius_m")
     period = _num(sim.get("metric_period_s", DEFAULT_METRIC_PERIOD_S), "sim.metric_period_s")
     if snap <= 0 or period <= 0:

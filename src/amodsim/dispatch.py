@@ -54,29 +54,38 @@ class DispatchDecision:
 class _EtaRanking:
     """Lowest-ETA candidates against one pickup node, from one lazy search.
 
-    A vehicle's ETA is the wait until it is free (fleet.job_start; zero when
+    A vehicle's ETA is its wait until it is free (fleet.job_start; zero when
     idle) plus the leg from where it is free. The leg comes from a
     ReverseSearch toward the pickup that settles nodes in time order and only
     as far as a query needs: no unsettled node is closer than the frontier,
-    and no ETA is below its leg, so once the frontier passes the best ETA
-    found nothing unsettled can win. Later queries resume the same search.
-    Winners and ETAs are those of a full scan followed by an id-ordered
-    strict-`<` pick.
+    so no unsettled candidate's ETA is below its wait plus the frontier, and
+    once the frontier passes the best ETA found less the least wait of the
+    candidates unsettled, nothing unsettled can win. Later queries
+    resume the same search. Winners and ETAs are those of a full scan
+    followed by an id-ordered strict-`<` pick.
     """
 
     def __init__(self, pickup_node: int, net: RoadNetwork,
                  traffic: TrafficState | None, now_s: float):
         self._search = road.ReverseSearch(net, pickup_node, now_s, traffic)
+        self._traffic = traffic
         self._now = now_s
 
     @property
     def nodes_settled(self) -> int:
         return len(self._search.settled)
 
-    def leg_s(self, v: Vehicle) -> float:
-        """The time of v's leg to the pickup as the search settled it; v is
-        a candidate `best` returned, so its job_start node is settled."""
-        return self._search.settled[job_start(v, self._now)[0]]
+    def leg(self, v: Vehicle) -> tuple[Route, float]:
+        """v's route from job_start to the pickup, and its ETA. v is a
+        candidate `best` returned, so its job_start node is settled: the
+        settled time bounds the route search, and the search's settled times
+        prune it to the nodes that can lie on a fastest route."""
+        search = self._search
+        node, depart = job_start(v, self._now)
+        leg = road.route_astar(search.net, node, search.dst, self._now, self._traffic,
+                               within=search.settled[node], search=search)
+        assert leg is not None, f"vehicle {v.id} lost its route to node {search.dst}"
+        return leg, (depart - self._now) + leg.total_time_s
 
     def best(self, candidates: list[Vehicle],
              cap: float = math.inf) -> tuple[Vehicle | None, float]:
@@ -84,26 +93,35 @@ class _EtaRanking:
         ETA is at most `cap`; (None, inf) when no candidate reaches the
         pickup within it. The search settles nodes no further than `cap`."""
         settled = self._search.settled
+        now = self._now
         best: Vehicle | None = None
         best_key = (math.inf, math.inf)
         waiting: dict[int, list[tuple[Vehicle, float]]] = {}
+        least = math.inf  # the least departure of the unsettled candidates
         for v in candidates:
-            node, depart = job_start(v, self._now)
+            node, depart = job_start(v, now)
             if node in settled:
-                key = ((depart - self._now) + settled[node], v.id)
+                key = ((depart - now) + settled[node], v.id)
                 if key < best_key:
                     best, best_key = v, key
             else:
                 waiting.setdefault(node, []).append((v, depart))
-        # Continuing while the frontier equals the best ETA lets a lower-id
-        # vehicle at that distance take the tie.
+                if depart < least:
+                    least = depart
+        # Every unsettled ETA is at least its wait plus the frontier, so the
+        # search stops once the frontier passes the limit (the best ETA, or
+        # the cap) less the least wait of the candidates unsettled at the
+        # start. Once the candidate with that wait settles, its ETA, at least
+        # the limit, puts the stop at the frontier already. The margin of two
+        # ulps of the limit keeps every leg whose sum with its wait could
+        # still round to the limit, so a lower-id vehicle there takes the tie.
         limit = min(best_key[0], cap)
         while waiting:
-            node = self._search.settle(limit)
+            node = self._search.settle(limit - (least - now) + 2.0 * math.ulp(limit))
             if node is None:
                 break
             for v, depart in waiting.pop(node, ()):
-                key = ((depart - self._now) + settled[node], v.id)
+                key = ((depart - now) + settled[node], v.id)
                 if key < best_key:
                     best, best_key = v, key
                     limit = min(key[0], cap)
@@ -112,17 +130,16 @@ class _EtaRanking:
         return best, best_key[0]
 
 
-def _pickup_leg(v: Vehicle, pickup_node: int, net: RoadNetwork,
-                traffic: TrafficState | None, now_s: float,
-                within: float) -> tuple[Route, float]:
-    """v's route from job_start to the pickup, and its ETA; `within` is an
-    upper bound on the leg's time (route_astar). The road graph never
-    changes, so the route exists for a ranked candidate, which the search
-    reached, and for a job's incumbent, whose job_start lies on its planned
-    leg or is the dropoff its queued leg starts from: a None here is a bad
-    bound."""
+def _incumbent_leg(v: Vehicle, pickup_node: int, old_leg: Route, net: RoadNetwork,
+                   traffic: TrafficState | None, now_s: float) -> tuple[Route, float]:
+    """v's fresh route from job_start to the pickup of a job it holds, and
+    its ETA. The old leg, re-timed from job_start's node on, bounds the
+    search (route_astar's `within`). job_start lies on the planned leg or is
+    the dropoff the queued leg starts from, and the road graph never
+    changes, so the route exists: a None here is a bad bound."""
     node, depart = job_start(v, now_s)
-    leg = road.route_astar(net, node, pickup_node, now_s, traffic, within=within)
+    leg = road.route_astar(net, node, pickup_node, now_s, traffic,
+                           within=_retimed(old_leg, node, net, traffic, now_s))
     assert leg is not None, f"vehicle {v.id} lost its route to node {pickup_node}"
     return leg, (depart - now_s) + leg.total_time_s
 
@@ -198,8 +215,7 @@ def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | Non
         decision.reject_reason = REJECT_NO_VEHICLE
         return decision
     decision.vehicle_id = winner.id
-    decision.route_to_pickup, decision.eta_s = _pickup_leg(winner, pickup_node, net,
-                                                           traffic, now_s, ranking.leg_s(winner))
+    decision.route_to_pickup, decision.eta_s = ranking.leg(winner)
     if trip_route is None:
         trip_route = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic)
     decision.route_of_trip = trip_route
@@ -214,9 +230,15 @@ class RescheduleAction:
     reassigned: bool
 
 
+class RescheduleActions(list[RescheduleAction]):
+    """The actions of one OSS pass, in job order, and the number of nodes
+    its rankings settled."""
+    nodes_settled = 0
+
+
 def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: RoadNetwork,
                    traffic: TrafficState | None, now_s: float,
-                   cfg: DispatchConfig) -> list[RescheduleAction]:
+                   cfg: DispatchConfig) -> RescheduleActions:
     """Re-plan every waiting pickup under the traffic in force now.
 
     Jobs are the fleet's waiting jobs (fleet.waiting_jobs), visited in the
@@ -231,16 +253,15 @@ def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: R
     """
     if cfg.strategy is not Strategy.OSS:
         raise ValueError(f"rescheduling requires OSS, got {cfg.strategy.value}")
-    actions: list[RescheduleAction] = []
+    actions = RescheduleActions()
     for request, v in jobs:
         rid = request.id
         old_plan = waiting_job(v, rid)
         pickup_node = old_plan.route_of_trip.nodes[0]
         dropoff_node = old_plan.route_of_trip.nodes[-1]
         # The old legs, re-timed, bound the fresh searches between their ends.
-        leg, incumbent_eta = _pickup_leg(
-            v, pickup_node, net, traffic, now_s,
-            _retimed(old_plan.route_to_pickup, job_start(v, now_s)[0], net, traffic, now_s))
+        leg, incumbent_eta = _incumbent_leg(v, pickup_node, old_plan.route_to_pickup,
+                                            net, traffic, now_s)
 
         others = candidate_pool(fleet, Strategy.OSS, request.party_size)
         # A candidate with ETA e takes the job only if fl(incumbent_eta - e)
@@ -251,6 +272,7 @@ def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: R
         cap = math.nextafter(incumbent_eta - cfg.oss_reassign_threshold_s, math.inf)
         ranking = _EtaRanking(pickup_node, net, traffic, now_s)
         best, best_eta = ranking.best(others, cap)
+        actions.nodes_settled += ranking.nodes_settled
 
         improves = best is not None and incumbent_eta - best_eta > cfg.oss_reassign_threshold_s
         # The old trip joins the pickup to the dropoff, so this route exists.
@@ -260,7 +282,7 @@ def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: R
         assert trip is not None, f"request {rid} lost its trip route"
         if improves:
             release(v, rid, now_s)
-            new_leg, _ = _pickup_leg(best, pickup_node, net, traffic, now_s, ranking.leg_s(best))
+            new_leg, _ = ranking.leg(best)
             plan = assign(best, request, new_leg, trip, now_s)
             actions.append(RescheduleAction(rid, best.id, plan.pickup_time_s, True))
             continue

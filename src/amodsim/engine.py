@@ -136,6 +136,7 @@ class _Simulation:
         self.records: list[CallRecord] = []
         self.reassignment_count = 0
         self.nodes_settled = 0
+        self.oss_nodes_settled = 0
         self.requests = sorted(requests, key=lambda r: (r.request_time_s, r.id))
         ids = [r.id for r in self.requests]
         if len(set(ids)) != len(ids):
@@ -250,6 +251,7 @@ class _Simulation:
     def on_reschedule(self) -> None:
         actions = oss_reschedule(waiting_jobs(self.fleet), self.fleet, self.net, self.traffic,
                                  self.now, self.cfg.dispatch)
+        self.oss_nodes_settled += actions.nodes_settled
         reassigned = 0
         for act in actions:
             st = self.states[act.request_id]
@@ -318,6 +320,7 @@ class _Simulation:
             "snap_failures": self.snap_failures,
             "events_processed": self.events_processed,
             "nodes_settled": self.nodes_settled,
+            "oss_nodes_settled": self.oss_nodes_settled,
         }
         return RunResult(records, self.log_lines, transitions, metadata)
 

@@ -151,6 +151,8 @@ class NodeIndex:
         for nid in sorted(locations):
             p = locations[nid]
             self._cells.setdefault(self._cell(p), []).append((nid, p))
+        # The box of the occupied cells, (lowest, highest) on each axis.
+        self._box = [(min(axis), max(axis)) for axis in zip(*self._cells)]
 
     def _cell(self, p: GeoPoint) -> tuple[int, int, int]:
         phi, lam = math.radians(p.lat), math.radians(p.lon)
@@ -169,12 +171,16 @@ class NodeIndex:
         # for rounding, exceeds the best distance or the radius; it goes on
         # at equality, so ties still reach the lowest id. Once the shells
         # have looked up more cells than are occupied, one pass over every
-        # cell is cheaper and ends the scan.
+        # cell is cheaper and ends the scan. Shells nearer than the box of
+        # the occupied cells hold none, so the scan starts at the first that
+        # reaches it, counting the cells before it as looked up.
         cells = self._cells
         origin = self._cell(p)
         best_d = math.inf
         best_id = None
-        looked = k = 0
+        (x, y, z), ((x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi)) = origin, self._box
+        k = max(x_lo - x, x - x_hi, y_lo - y, y - y_hi, z_lo - z, z - z_hi, 0)
+        looked = (2 * k - 1) ** 3 if k else 0
         while (k - 1) * self.CELL_M * (1.0 - 1e-9) <= min(best_d, max_radius_m):
             shell = cells if looked > len(cells) else _shell(origin, k)
             for key in shell:

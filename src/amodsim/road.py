@@ -326,7 +326,8 @@ def load_network(nodes_path: str, edges_path: str, speed_limit_mps: float) -> Ro
 
 def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
                 traffic: TrafficState | None = None,
-                within: float = math.inf) -> Route | None:
+                within: float = math.inf,
+                search: "ReverseSearch | None" = None) -> Route | None:
     """Fastest route src -> dst under the multiplier in force at at_s.
 
     Returns None when dst is unreachable. Ties in the frontier break to the
@@ -338,17 +339,35 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     heap key as in an unbounded search, so every bound at least the answer
     gives the same route, bit for bit. A bound below the answer gives None,
     so a caller's bad bound does not pass unseen.
+
+    `search`, a ReverseSearch over net toward dst under the same multiplier,
+    tightens that pruning: a node's time to dst is at least its settled time
+    if it has one, else the search's radius. With `within` the time the
+    search settled for src, only the nodes that can lie on a fastest route
+    are kept. A search toward another node or under another multiplier
+    raises ValueError.
     """
     if src not in net.nodes:
         raise KeyError(f"unknown source node {src}")
     if dst not in net.nodes:
         raise KeyError(f"unknown destination node {dst}")
+    traffic = traffic or _NO_TRAFFIC
+    mult = traffic.multiplier_at(at_s)
+    if search is not None and (search.net is not net or search.dst != dst
+                               or search.mult != mult):
+        raise ValueError(f"search toward node {search.dst} under multiplier {search.mult} "
+                         f"cannot prune a route to node {dst} under {mult}")
     bound = within * (1.0 + BOUND_SLACK)
     if src == dst:
         return Route((src,), (0.0,)) if bound >= 0.0 else None
-    traffic = traffic or _NO_TRAFFIC
-    mult = traffic.multiplier_at(at_s)
     forward, _ = net.edge_times(mult)
+    # A settled node's tentative time is its time to dst, at most the radius;
+    # an unsettled node's is at least its time to dst, itself at least the
+    # radius. So min(tentative, radius) bounds every node's time from below.
+    if search is None:
+        lower, radius = None, 0.0
+    else:
+        lower, radius = search._tentative, search.radius
     # Admissible bound on remaining time: no edge beats the speed limit times
     # the largest multiplier, and no path is shorter than MIN_LENGTH_FACTOR
     # times the great-circle distance. The bound is
@@ -383,6 +402,10 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
         for nxt, hop, lat, lon, cos_lat in forward[node]:
             ng = g + hop
             if ng < best_g[nxt]:
+                if lower is not None:
+                    lb = lower[nxt]
+                    if ng + (lb if lb < radius else radius) > bound:
+                        continue
                 h = (sin((dst_lat - lat) * _RAD_PER_DEG / 2.0) ** 2
                      + cos_lat * dst_cos * sin((dst_lon - lon) * _RAD_PER_DEG / 2.0) ** 2)
                 s = sqrt(h)
@@ -439,13 +462,18 @@ class ReverseSearch:
     edge times. Stopping early and resuming later settles the same nodes
     with the same values as one uninterrupted scan, also after the network
     has built tables for another multiplier: the search keeps its own.
+    `net`, `dst` and `mult` name what it searches, and `radius` is the
+    largest time settled so far (0.0 before the first settle); no unsettled
+    node is closer to the destination.
     """
 
     def __init__(self, net: RoadNetwork, dst: int, at_s: float,
                  traffic: TrafficState | None = None):
         if dst not in net.nodes:
             raise KeyError(f"unknown destination node {dst}")
-        _, self._reverse = net.edge_times((traffic or _NO_TRAFFIC).multiplier_at(at_s))
+        self.net, self.dst = net, dst
+        self.mult = (traffic or _NO_TRAFFIC).multiplier_at(at_s)
+        _, self._reverse = net.edge_times(self.mult)
         self._ids = net.ids
         goal = net.index_of[dst]
         # By node index, as in the tables; a heap entry is stale once its
@@ -454,6 +482,7 @@ class ReverseSearch:
         self._tentative[goal] = 0.0
         self._heap: list[tuple[float, int]] = [(0.0, goal)]
         self.settled: dict[int, float] = {}
+        self.radius = 0.0
 
     def settle(self, limit: float = math.inf) -> int | None:
         """Settle the closest unsettled node if its time is at most `limit`.
@@ -478,6 +507,7 @@ class ReverseSearch:
                     heapq.heappush(heap, (nd, prev))
             node_id = self._ids[node]
             self.settled[node_id] = d
+            self.radius = d
             return node_id
         return None
 

@@ -129,6 +129,38 @@ def break_zero_rate_patience(doc):
     doc["demand"]["generate"].update(rate_per_hour=0, patience_range=[5000, 10])
 
 
+def break_fleet_key(doc):
+    doc["fleet"]["capasity"] = 4
+
+
+def break_dispatch_key(doc):
+    doc["dispatch"]["oss_threshold_s"] = 30.0
+
+
+def break_sim_key(doc):
+    doc["sim"] = {"snap_radius": 500.0}
+
+
+def break_traffic_key(doc):
+    doc["traffic"] = {"walk_seed": 3, "walk_steps": 300.0}
+
+
+def break_network_key(doc):
+    doc["network"]["speed_limit"] = 10.0
+
+
+def break_generate_key(doc):
+    doc["demand"]["generate"]["duration"] = 60.0
+
+
+def break_generated_bbox(doc):
+    doc["demand"]["bbox"] = [-74, 40, -73, 41]
+
+
+def break_generated_capacity(doc):
+    doc["demand"]["capacity"] = 2
+
+
 @pytest.mark.parametrize("mutate, message", [pytest.param(m, msg, id=m.__name__) for m, msg in (
     (break_unknown_section, "unknown sections"),
     (break_demand_modes, "exactly one of"),
@@ -146,6 +178,15 @@ def break_zero_rate_patience(doc):
     (break_walk_sigma_negative, "traffic.walk_sigma must be >= 0, got -0.1"),
     (break_zero_rate_party_probs, "party_probs must be a distribution, got (-1.0, 2.0)"),
     (break_zero_rate_patience, "patience range (5000.0, 10.0) outside"),
+    (break_fleet_key, "fleet: unknown keys ['capasity']"),
+    (break_dispatch_key, "dispatch: unknown keys ['oss_threshold_s']"),
+    (break_sim_key, "sim: unknown keys ['snap_radius']"),
+    (break_traffic_key, "traffic: unknown keys ['walk_steps']"),
+    (break_network_key, "network: unknown keys ['speed_limit']"),
+    (break_generate_key, "demand.generate: unknown keys ['duration']"),
+    (break_generated_bbox, "demand: ['bbox'] apply to a trip file only, not to 'generate'"),
+    (break_generated_capacity,
+     "demand: ['capacity'] apply to a trip file only, not to 'generate'"),
 )])
 def test_validate_rejects_bad_config(tmp_path, capsys, mutate, message):
     doc = copy.deepcopy(BASE_DOC)
@@ -154,6 +195,21 @@ def test_validate_rejects_bad_config(tmp_path, capsys, mutate, message):
     assert cli.main(["validate", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error ") and message in err
+
+
+def test_validate_names_unknown_keys_of_any_type(tmp_path, capsys):
+    cfg = setup_dir(tmp_path)
+    with open(cfg, "a") as fh:
+        fh.write("1: {}\nsurplus: {}\n")
+    assert cli.main(["validate", "--config", cfg]) == 1
+    assert "config root: unknown sections ['1', 'surplus']" in stderr_only(capsys)
+    cfg = setup_dir(tmp_path)
+    with open(cfg) as fh:
+        text = fh.read()
+    with open(cfg, "w") as fh:
+        fh.write(text.replace("fleet:\n", "fleet:\n  2: 3\n  extra: 1\n"))
+    assert cli.main(["validate", "--config", cfg]) == 1
+    assert "fleet: unknown keys ['2', 'extra']" in stderr_only(capsys)
 
 
 def test_validate_rejects_malformed_zones(tmp_path, capsys):

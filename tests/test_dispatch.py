@@ -547,6 +547,33 @@ def test_ranking_drains_when_the_only_candidate_is_unreachable():
     assert ranking.nodes_settled == 2
 
 
+def test_ranking_of_busy_vehicles_stops_at_best_eta_less_the_least_wait():
+    """With no idle candidate, the search stops once the frontier passes
+    the best ETA less the least wait still unsettled, not the best ETA."""
+    net = grid_network(1, 8)  # HOP_S per hop from node 0
+    near, far = busy_vehicle(0, 1, 0.0, 100.0), busy_vehicle(1, 6, 0.0, 300.0)
+    ranking = _EtaRanking(0, net, None, 0.0)
+    assert ranking.best([far, near]) == (near, 100.0 + HOP_S)
+    # nodes 0 and 1; far's ETA is over 300 s, and stopping at the best ETA
+    # alone would settle nodes 2 and 3 as well
+    assert ranking.nodes_settled == 2
+    assert full_scan_best([far, near], 0, net, None, 0.0) == (near, 100.0 + HOP_S)
+
+
+def test_ranking_keeps_a_leg_whose_eta_rounds_to_the_best():
+    """A lower-id vehicle whose wait plus leg rounds to the best ETA takes
+    the tie, though its leg lies past the best ETA less its wait: the stop
+    keeps a margin for the rounding."""
+    nodes = {0: GeoPoint(0.0, 0.0), 1: GeoPoint(0.0, 0.001), 2: GeoPoint(0.001, 0.0)}
+    leg_b = math.nextafter(240.0, math.inf)  # a leg one ulp over 24 s
+    net = RoadNetwork(nodes, [(1, 0, 240.0, 10.0), (2, 0, leg_b, 10.0)], speed_limit_mps=10.0)
+    a, b = busy_vehicle(1, 1, 0.0, 1000.0), busy_vehicle(0, 2, 0.0, 1000.0)
+    assert leg_b / 10.0 > 1024.0 - 1000.0 and 1000.0 + leg_b / 10.0 == 1024.0
+    ranking = _EtaRanking(0, net, None, 0.0)
+    assert ranking.best([a, b]) == (b, 1024.0)
+    assert full_scan_best([a, b], 0, net, None, 0.0) == (b, 1024.0)
+
+
 # -- capped OSS ranking against the uncapped pass --------------------------
 
 
@@ -659,8 +686,8 @@ def test_every_bound_a_run_passes_holds_and_keeps_the_route(monkeypatch):
                                  walk_step_s=300.0, walk_sigma=0.15, horizon_s=5400.0)
     bounded = []
 
-    def checked(net, src, dst, at_s, traffic=None, within=math.inf):
-        route = route_astar(net, src, dst, at_s, traffic, within=within)
+    def checked(net, src, dst, at_s, traffic=None, within=math.inf, **kw):
+        route = route_astar(net, src, dst, at_s, traffic, within=within, **kw)
         if within < math.inf:
             bounded.append(within)
             assert route is not None and within >= route.total_time_s, (src, dst, within)

@@ -85,6 +85,7 @@ def test_golden_scenario_metadata():
         "snap_failures": 0,
         "events_processed": 33,
         "nodes_settled": 33,
+        "oss_nodes_settled": 0,
     }
     assert sched.pairs() == [(0, 1), (1, 2), (1, 3), (2, 3)]
     assert validate_transitions(result.transitions) == []

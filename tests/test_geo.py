@@ -168,6 +168,36 @@ def test_node_index_stops_early_on_the_bench_grid(monkeypatch):
         (sum(per_query) / len(per_query), max(per_query))
 
 
+class CountedCells(dict):
+    """A cell dict that counts its lookups."""
+    looked = 0
+
+    def get(self, key, default=None):
+        self.looked += 1
+        return super().get(key, default)
+
+
+def test_node_index_starts_at_the_shell_that_reaches_the_occupied_cells():
+    """A query off the network's edge looks up no cell nearer than the box
+    of the occupied cells, and none at all when even that box lies beyond
+    the radius (shells 0 to 5 are 1,331 cells at a 1,000 m radius); the
+    answers stay those of a linear scan."""
+    net = grid_network(40, 40)
+    idx = NodeIndex(net.nodes)
+    idx._cells = cells = CountedCells(idx._cells)
+    rng = random.Random(77)
+    top = max(p.lat for p in net.nodes.values())
+    km = 1000.0 / METERS_PER_DEG_LAT
+    looked = []
+    for off_km in [rng.uniform(0.2, 1.3) for _ in range(100)] + [1.5, 2.0, 7.0, 300.0]:
+        q = GeoPoint(top + off_km * km, rng.uniform(0.0, top))
+        cells.looked = 0
+        assert idx.nearest(q, 1000.0) == brute_nearest(net.nodes, q, 1000.0), off_km
+        looked.append((off_km, cells.looked))
+    assert [n for off_km, n in looked if off_km >= 1.5] == [0, 0, 0, 0]
+    assert max(n for _, n in looked) < 1331
+
+
 def wrapped(lon: float) -> float:
     return (lon + 180.0) % 360.0 - 180.0
 

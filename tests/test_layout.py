@@ -6,8 +6,10 @@ writes a vehicle's status. engine.py writes a request's CallRecord in one
 method, when the request ends. road.py computes every edge time, in one
 method, because routes and searches are exact only while they all read the
 same floats. Every route search in dispatch.py but the trip search of a new
-call passes the bound its caller holds: a dropped bound slows the program
-and moves no output, so nothing else would see it.
+call passes the bound its caller holds, and every pickup leg of a ranked
+vehicle passes the ranking's own reverse search, which prunes it: a dropped
+bound or prune slows the program and moves no output, so nothing else would
+see it.
 """
 
 import ast
@@ -150,6 +152,25 @@ def unbounded_route_searches(source: str) -> list[tuple[str | None, str, str]]:
     return [(owner, *map(ast.unparse, call.args[1:3])) for (owner, _), call in zip(owners, calls)]
 
 
+def pickup_leg_searches(source: str) -> list[tuple[str | None, str | None]]:
+    """(enclosing function, `search` argument or None) of every route_astar
+    call in source that does not route to `dropoff_node`: the pickup legs."""
+    calls: list[ast.Call] = []
+
+    def hit(node: ast.AST) -> bool:
+        func = node.func if isinstance(node, ast.Call) else None
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name == "route_astar" and ast.unparse(node.args[2]) != "dropoff_node":
+            calls.append(node)
+            return True
+        return False
+
+    owners = owned_hits(source, hit)
+    return [(owner, next((ast.unparse(kw.value) for kw in call.keywords if kw.arg == "search"),
+                         None))
+            for (owner, _), call in zip(owners, calls)]
+
+
 def src_modules():
     """(file name, source) of every module of the package."""
     src_dir = os.path.dirname(amodsim.__file__)
@@ -211,6 +232,23 @@ def test_bound_guard_sees_a_dropped_bound():
     assert unbounded_route_searches(source) == [("oss", "b", "a")]
     assert unbounded_route_searches(source.replace(", within=w", "")) == \
         [("oss", "a", "b"), ("oss", "b", "a")]
+
+
+def test_ranked_pickup_legs_are_pruned_by_the_ranking_search():
+    """A ranked vehicle's leg (`_EtaRanking.leg`) passes the search that
+    ranked it; only the OSS incumbent's leg, bounded by its old leg
+    re-timed, passes none."""
+    source = dict(src_modules())["dispatch.py"]
+    assert sorted(pickup_leg_searches(source), key=str) == [("_incumbent_leg", None),
+                                                             ("leg", "search")]
+
+
+def test_pickup_leg_guard_sees_a_dropped_search():
+    source = ("def leg(self, net, a, b, t, tr):\n"
+              "    road.route_astar(net, a, b, t, tr, within=w, search=self.search)\n"
+              "    road.route_astar(net, b, dropoff_node, t, tr)\n"
+              "    return route_astar(net, a, b, t, tr, within=w)\n")
+    assert pickup_leg_searches(source) == [("leg", "self.search"), ("leg", None)]
 
 
 def test_edge_time_guard_sees_a_division_planted_elsewhere():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from amodsim.geo import GeoPoint, haversine_m
 from amodsim.road import (
+    BOUND_SLACK,
     NetworkLoadError,
     ReverseSearch,
     RoadNetwork,
@@ -299,6 +300,86 @@ def test_bounded_route_matches_the_reference_search(seed, n_nodes, n_edges, lat)
             assert [t.hex() for t in got.arrive_s] == [t.hex() for t in want.arrive_s]
         for within in (answer * (1.0 - 1e-6) - 1e-6, answer / 2.0 - 1.0):
             assert route_astar(net, src, dst, 0.0, traffic, within=within) is None
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_route_pruned_by_a_reverse_search_matches_the_reference_search(data):
+    """A route pruned by a ReverseSearch toward its destination, stopped at
+    any radius at least the source's time, is the unpruned route, bit for
+    bit, under a multiplier below the schedule's maximum; an unreachable
+    source still gives None. The bound is the source's settled time, or
+    looser."""
+    kind = data.draw(st.sampled_from(["grid", "dyadic", "irregular", "one-way"]),
+                     label="network")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="network seed"))
+    if kind == "grid":  # many equal-time paths, all on the shortest-path DAG
+        net = grid_network(rng.randrange(1, 8), rng.randrange(2, 8))
+    elif kind == "one-way":  # often not strongly connected
+        net = relabelled(one_way_network(rng, rng.randrange(1, 40), rng.randrange(0, 120)), rng)
+    else:
+        net = random_network(rng, rng.randrange(2, 40), rng.randrange(0, 60),
+                             dyadic=kind == "dyadic")
+    if kind in ("grid", "dyadic"):
+        low, high = DYADIC_MULTIPLIERS[0], DYADIC_MULTIPLIERS[-1]
+    else:
+        low, high = sorted((rng.uniform(0.3, 2.0), rng.uniform(0.3, 2.0)))
+    traffic = TrafficState([(0.0, low), (100.0, high)])
+    at_s = data.draw(st.sampled_from([0.0, 100.0]), label="at_s")
+    for _ in range(6):
+        src, dst = rng.choice(net.ids), rng.choice(net.ids)
+        want = reference_route_astar(net, src, dst, at_s, traffic)
+        search = ReverseSearch(net, dst, at_s, traffic)
+        while src not in search.settled and search.settle() is not None:
+            pass
+        if want is None:
+            assert src not in search.settled
+            assert route_astar(net, src, dst, at_s, traffic, search=search) is None
+            continue
+        for _ in range(data.draw(st.integers(0, len(net.ids)), label="extra settles")):
+            search.settle()
+        assert search.radius >= search.settled[src]
+        leg_s = search.settled[src]
+        for within in (leg_s, 1.5 * leg_s + 60.0, math.inf):
+            got = route_astar(net, src, dst, at_s, traffic, within=within, search=search)
+            assert got.nodes == want.nodes, (src, dst, within)
+            assert [t.hex() for t in got.arrive_s] == [t.hex() for t in want.arrive_s]
+
+
+def test_route_at_the_slackened_bound_is_kept():
+    """A route whose time equals within * (1 + BOUND_SLACK) exactly is kept,
+    with or without a search: only a node strictly past the bound is
+    pruned."""
+    net = grid_network(3, 4)
+    answer = route_astar(net, 0, 11, 0.0).total_time_s
+    within = answer / (1.0 + BOUND_SLACK)
+    while within * (1.0 + BOUND_SLACK) != answer:
+        within = math.nextafter(within, math.inf if within * (1.0 + BOUND_SLACK) < answer
+                                else -math.inf)
+    search = ReverseSearch(net, 11, 0.0)
+    while search.settle() is not None:
+        pass
+    for pruned_by in (None, search):
+        route = route_astar(net, 0, 11, 0.0, within=within, search=pruned_by)
+        assert route is not None and route.total_time_s == answer
+        below = math.nextafter(within, -math.inf)
+        assert route_astar(net, 0, 11, 0.0, within=below, search=pruned_by) is None
+
+
+def test_route_rejects_a_search_toward_another_node_or_under_another_multiplier():
+    net = grid_network(3, 3)
+    traffic = TrafficState([(0.0, 0.5), (100.0, 2.0), (200.0, 0.5)])
+    search = ReverseSearch(net, 8, 0.0, traffic)
+    search.settle()
+    with pytest.raises(ValueError, match="toward node 8"):
+        route_astar(net, 0, 7, 0.0, traffic, search=search)
+    with pytest.raises(ValueError, match="under multiplier 0.5"):
+        route_astar(net, 0, 8, 100.0, traffic, search=search)
+    with pytest.raises(ValueError):
+        route_astar(grid_network(3, 3), 0, 8, 0.0, traffic, search=search)
+    # the same multiplier at another instant is the same search
+    assert route_astar(net, 0, 8, 200.0, traffic, search=search) == route_astar(net, 0, 8, 0.0,
+                                                                                 traffic)
 
 
 def test_path_time_takes_the_fastest_parallel_edge():
