@@ -50,34 +50,36 @@ def _error(text: object) -> None:
 
 
 def load_inputs(cfg: RunConfig) -> Inputs:
-    net = load_network(cfg.path(cfg.nodes_path), cfg.path(cfg.edges_path),
-                       cfg.speed_limit_mps)
-    zone_map, sched = load_zones(cfg.path(cfg.zones_path))
+    doc = cfg.doc
+    network, demand = doc["network"], doc["demand"]
+    net = load_network(cfg.path(network["nodes"]), cfg.path(network["edges"]),
+                       network["speed_limit_mps"])
+    zone_map, sched = load_zones(cfg.path(doc["zones"]))
     cleaning = None
     epoch = None
-    if cfg.demand.generated:
-        kwargs = {"zone_map": zone_map} if cfg.demand.region == "zones" \
+    if "generate" in demand:
+        gen = demand["generate"]
+        kwargs = {"zone_map": zone_map} if gen["region"] == "zones" \
             else {"bbox": zone_map.bbox()}
-        requests = generate_demand(cfg.demand.rate_per_hour, cfg.demand.duration_s,
-                                   party_probs=cfg.demand.party_probs,
-                                   seed=cfg.demand.seed,
-                                   patience_range=cfg.demand.patience_range,
+        requests = generate_demand(gen["rate_per_hour"], gen["duration_s"],
+                                   party_probs=tuple(gen["party_probs"]),
+                                   seed=demand["seed"],
+                                   patience_range=tuple(gen["patience_range"]),
                                    **kwargs)
-        horizon = cfg.demand.duration_s
+        horizon = gen["duration_s"]
     else:
-        requests, cleaning = parse_trips(cfg.path(cfg.demand.file),
-                                         bbox=cfg.demand.bbox or NYC_BBOX,
-                                         capacity=cfg.demand.capacity,
-                                         rng_seed=cfg.demand.seed)
+        requests, cleaning = parse_trips(cfg.path(demand["file"]),
+                                         bbox=tuple(demand.get("bbox", NYC_BBOX)),
+                                         capacity=demand["capacity"],
+                                         rng_seed=demand["seed"])
         if cleaning.epoch_iso:
             epoch = datetime.strptime(cleaning.epoch_iso, TIMESTAMP_FORMAT)
         horizon = max((r.request_time_s for r in requests), default=0.0)
-    traffic = TrafficState.build(list(cfg.traffic_schedule),
-                                 walk_seed=cfg.traffic_walk_seed,
-                                 walk_step_s=cfg.traffic_walk_step_s,
-                                 walk_sigma=cfg.traffic_walk_sigma,
-                                 horizon_s=horizon)
-    fleet = Fleet.place_uniform(net, cfg.fleet_size, cfg.fleet_seed, cfg.fleet_capacity)
+    tr, fl = doc["traffic"], doc["fleet"]
+    traffic = TrafficState.build(tr["schedule"], walk_seed=tr["walk_seed"],
+                                 walk_step_s=tr["walk_step_s"],
+                                 walk_sigma=tr["walk_sigma"], horizon_s=horizon)
+    fleet = Fleet.place_uniform(net, fl["size"], fl["seed"], fl["capacity"])
     return Inputs(net, zone_map, sched, requests, cleaning, traffic, fleet, epoch)
 
 
@@ -90,10 +92,11 @@ def cmd_validate(cfg: RunConfig, out=None) -> int:
     warnings: list[str] = []
     infos: list[str] = []
 
-    paths = [("network.nodes", cfg.nodes_path), ("network.edges", cfg.edges_path),
-             ("zones", cfg.zones_path)]
-    if not cfg.demand.generated:
-        paths.append(("demand.file", cfg.demand.file))
+    doc = cfg.doc
+    paths = [("network.nodes", doc["network"]["nodes"]),
+             ("network.edges", doc["network"]["edges"]), ("zones", doc["zones"])]
+    if "file" in doc["demand"]:
+        paths.append(("demand.file", doc["demand"]["file"]))
     for label, p in paths:
         if not os.path.exists(cfg.path(p)):
             errors.append(f"{label}: no such file {cfg.path(p)}")
@@ -135,11 +138,12 @@ def cmd_validate(cfg: RunConfig, out=None) -> int:
     if uncovered:
         warnings.append(f"zones: {uncovered} of {len(inputs.requests)} pickups outside "
                         "all zones (nearest-centroid fallback applies)")
+    radius = doc["sim"]["snap_radius_m"]
     unsnapped = sum(1 for r in inputs.requests
-                    if net.nearest_node(r.pickup, cfg.snap_radius_m) is None
-                    or net.nearest_node(r.dropoff, cfg.snap_radius_m) is None)
+                    if net.nearest_node(r.pickup, radius) is None
+                    or net.nearest_node(r.dropoff, radius) is None)
     if unsnapped:
-        warnings.append(f"network: {unsnapped} requests beyond the {cfg.snap_radius_m} m "
+        warnings.append(f"network: {unsnapped} requests beyond the {radius} m "
                         "snap radius (will be rejected as unroutable)")
 
     for line in infos:
@@ -168,7 +172,7 @@ def cmd_run(cfg: RunConfig, out=None) -> int:
         _error(exc)
         return EXIT_VALIDATION
     engine_cfg = EngineConfig(dispatch=cfg.dispatch_config(),
-                              snap_radius_m=cfg.snap_radius_m)
+                              snap_radius_m=cfg.doc["sim"]["snap_radius_m"])
     try:
         result = run(inputs.requests, inputs.fleet, inputs.net, inputs.zone_map,
                      inputs.sched, inputs.traffic, engine_cfg)
@@ -176,7 +180,7 @@ def cmd_run(cfg: RunConfig, out=None) -> int:
         _error(exc)
         return EXIT_RUNTIME
 
-    out_dir = cfg.path(cfg.out_dir)
+    out_dir = cfg.path(cfg.doc["out"])
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "call_records.txt"),
            "".join(line + "\n" for line in result.record_lines()))
@@ -186,13 +190,13 @@ def cmd_run(cfg: RunConfig, out=None) -> int:
     whole = metrics.aggregate(result.records, metrics.BUCKET_WHOLE_RUN)
     daily = metrics.aggregate(result.records, metrics.BUCKET_DAILY, epoch=inputs.epoch)
     _write(os.path.join(out_dir, "summary.txt"), metrics.summary_text(whole + daily))
-    _write(os.path.join(out_dir, "periodic.txt"),
-           metrics.summary_text(metrics.periodic_rows(result.records, cfg.metric_period_s)))
+    _write(os.path.join(out_dir, "periodic.txt"), metrics.summary_text(
+        metrics.periodic_rows(result.records, cfg.doc["sim"]["metric_period_s"])))
     _write(os.path.join(out_dir, "adjacency_final.txt"), inputs.sched.export_text())
     if inputs.cleaning is not None:
         _write(os.path.join(out_dir, "cleaning_report.txt"), inputs.cleaning.as_text())
     metadata = {
-        "config": cfg.normalized(),
+        "config": cfg.doc,
         "config_hash": cfg.config_hash(),
         "demand_fingerprint": cfg.demand_fingerprint(),
         "epoch": inputs.cleaning.epoch_iso if inputs.cleaning else None,
@@ -213,13 +217,6 @@ def cmd_run(cfg: RunConfig, out=None) -> int:
 # -- compare -------------------------------------------------------------
 
 
-def _epoch(meta: dict) -> datetime | None:
-    """The trip file's epoch a finished run stored, if any."""
-    if not meta.get("epoch"):
-        return None
-    return datetime.strptime(meta["epoch"], TIMESTAMP_FORMAT)
-
-
 def _whole_run_improvement(rec_with: list, rec_without: list) -> metrics.ImprovementReport:
     """Whole-run improvement of the expansion run over the baseline run."""
     s_with = metrics.aggregate(rec_with, metrics.BUCKET_WHOLE_RUN)[0]
@@ -230,9 +227,28 @@ def _whole_run_improvement(rec_with: list, rec_without: list) -> metrics.Improve
                                dataclasses.replace(s_without, window_end_s=end))
 
 
+def _read_meta(run_dir: str) -> dict:
+    """A finished run's metadata.json, its trip-file epoch (if any) parsed to
+    a datetime; ValueError, naming the file, if it lacks a field that compare
+    or matrix reads."""
+    path = os.path.join(run_dir, "metadata.json")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            meta = json.load(fh)
+            dispatch = meta["config"]["dispatch"]
+            epoch = meta["epoch"]
+            meta["epoch"] = datetime.strptime(epoch, TIMESTAMP_FORMAT) if epoch else None
+            if all(isinstance(v, str) for v in (meta["config_hash"], meta["demand_fingerprint"],
+                                                dispatch["strategy"])) \
+                    and isinstance(dispatch["eat"], bool):
+                return meta
+        except (KeyError, TypeError, ValueError):
+            pass
+    raise ValueError(f"{path}: not the metadata of a finished run")
+
+
 def _read_run(run_dir: str) -> tuple[dict, list]:
-    with open(os.path.join(run_dir, "metadata.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = _read_meta(run_dir)
     records = []
     with open(os.path.join(run_dir, "call_records.txt"), encoding="utf-8") as fh:
         for line in fh:
@@ -247,7 +263,7 @@ def cmd_compare(dir_a: str, dir_b: str, out=None) -> int:
     try:
         meta_a, rec_a = _read_run(dir_a)
         meta_b, rec_b = _read_run(dir_b)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         _error(exc)
         return EXIT_VALIDATION
     if meta_a["demand_fingerprint"] != meta_b["demand_fingerprint"]:
@@ -260,7 +276,7 @@ def cmd_compare(dir_a: str, dir_b: str, out=None) -> int:
     if not meta_a["config"]["dispatch"]["eat"] and meta_b["config"]["dispatch"]["eat"]:
         meta_a, rec_a, meta_b, rec_b = meta_b, rec_b, meta_a, rec_a
         dir_a, dir_b = dir_b, dir_a
-    epoch = _epoch(meta_a)
+    epoch = meta_a["epoch"]
     rows = [("whole-run", _whole_run_improvement(rec_a, rec_b))]
     daily_a = {s.window_start_s: s for s in metrics.aggregate(rec_a, metrics.BUCKET_DAILY,
                                                               epoch=epoch)}
@@ -284,29 +300,24 @@ def _cell_name(strategy: Strategy, eat: bool) -> str:
 
 
 def _cell_done(out_dir: str, config_hash: str) -> bool:
-    meta_path = os.path.join(out_dir, "metadata.json")
-    if not os.path.exists(meta_path):
-        return False
     try:
-        with open(meta_path, encoding="utf-8") as fh:
-            return json.load(fh).get("config_hash") == config_hash
-    except (OSError, json.JSONDecodeError):
+        return _read_meta(out_dir)["config_hash"] == config_hash
+    except (OSError, ValueError):
         return False
 
 
 def cmd_matrix(cfg: RunConfig, strategies: list[Strategy], out=None) -> int:
     out = out if out is not None else sys.stdout
-    root = cfg.path(cfg.out_dir)
+    root = cfg.path(cfg.doc["out"])
     os.makedirs(root, exist_ok=True)
     failures = []
     cells: list[str] = []
     for strategy in strategies:
         for eat in (True, False):
             name = _cell_name(strategy, eat)
-            cell_cfg = dataclasses.replace(cfg, strategy=strategy, eat_enabled=eat,
-                                           out_dir=os.path.join(cfg.out_dir, name))
+            cell_cfg = cfg.cell(strategy, eat, os.path.join(cfg.doc["out"], name))
             cells.append(name)
-            if _cell_done(cfg.path(cell_cfg.out_dir), cell_cfg.config_hash()):
+            if _cell_done(cfg.path(cell_cfg.doc["out"]), cell_cfg.config_hash()):
                 print(f"skip {name}: already complete", file=out)
                 continue
             code = cmd_run(cell_cfg, out=out)
@@ -316,9 +327,10 @@ def cmd_matrix(cfg: RunConfig, strategies: list[Strategy], out=None) -> int:
 
     done: dict[str, tuple[dict, list]] = {}
     for name in cells:
-        cell_dir = os.path.join(root, name)
-        if os.path.exists(os.path.join(cell_dir, "call_records.txt")):
-            done[name] = _read_run(cell_dir)
+        try:
+            done[name] = _read_run(os.path.join(root, name))
+        except (OSError, ValueError) as exc:
+            _error(f"cell {name} left out of the reports: {exc}")
 
     rows = []
     for strategy in strategies:
@@ -346,7 +358,7 @@ def _write_plot_data(root: str, cells: list[str], done: dict, out) -> None:
             continue
         meta, records = done[name]
         daily[name] = {s.window_start_s: s for s in
-                       metrics.aggregate(records, metrics.BUCKET_DAILY, epoch=_epoch(meta))}
+                       metrics.aggregate(records, metrics.BUCKET_DAILY, epoch=meta["epoch"])}
     if not daily:
         return
     starts = sorted({t for series in daily.values() for t in series})
@@ -414,7 +426,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_compare(args.run_a, args.run_b)
         cfg = load_config(args.config)
         if getattr(args, "out", None):
-            cfg.out_dir = os.path.abspath(args.out)
+            cfg.doc["out"] = os.path.abspath(args.out)
         if getattr(args, "seed_override", None) is not None:
             apply_seed_override(cfg, args.seed_override)
         if args.command == "validate":

@@ -18,6 +18,8 @@ NYC_BBOX = (-74.30, 40.45, -73.65, 41.00)
 
 PATIENCE_MIN_S = 60.0
 PATIENCE_MAX_S = 3600.0
+# the largest party a vehicle carries, unless configured
+DEFAULT_CAPACITY = 4
 # weights of party sizes 1, 2, ... in generated demand
 DEFAULT_PARTY_PROBS = (0.7, 0.15, 0.1, 0.05)
 
@@ -101,7 +103,7 @@ def _coords_invalid(lat: float, lon: float) -> bool:
 
 
 def parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = NYC_BBOX,
-                capacity: int = 4, rng_seed: int = 0,
+                capacity: int = DEFAULT_CAPACITY, rng_seed: int = 0,
                 ) -> tuple[list[TripRequest], CleaningReport]:
     """Read trip rows, keep the clean ones, attach seeded patience values.
 

@@ -12,10 +12,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 
-from .demand import TripRequest
+from .demand import DEFAULT_CAPACITY, TripRequest
 from .road import RoadNetwork, Route
-
-DEFAULT_CAPACITY = 4
 
 
 class VehicleStatus(Enum):

@@ -33,6 +33,10 @@ BOUND_SLACK = 1e-9
 _RAD_PER_DEG = math.pi / 180.0  # the factor math.radians multiplies by
 _TWO_R = 2.0 * EARTH_RADIUS_M
 
+# A seeded traffic walk steps every walk_step_s, by a gaussian of walk_sigma.
+DEFAULT_WALK_STEP_S = 600.0
+DEFAULT_WALK_SIGMA = 0.1
+
 
 class NetworkLoadError(ValueError):
     """Bad network input; `edge` is the index of the offending edge, if any."""
@@ -76,8 +80,8 @@ class TrafficState:
 
     @classmethod
     def build(cls, schedule: list[tuple[float, float]] | None,
-              walk_seed: int | None = None, walk_step_s: float = 600.0,
-              walk_sigma: float = 0.1, horizon_s: float = 0.0) -> "TrafficState":
+              walk_seed: int | None = None, walk_step_s: float = DEFAULT_WALK_STEP_S,
+              walk_sigma: float = DEFAULT_WALK_SIGMA, horizon_s: float = 0.0) -> "TrafficState":
         """Materialize a schedule, optionally perturbed by a seeded random walk.
 
         The walk multiplies the configured schedule value; walk values are

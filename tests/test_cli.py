@@ -121,6 +121,14 @@ def break_walk_sigma_negative(doc):
     doc["traffic"] = {"walk_seed": 3, "walk_sigma": -0.1}
 
 
+def break_walk_step_without_seed(doc):
+    doc["traffic"] = {"walk_step_s": 60.0}
+
+
+def break_walk_sigma_without_seed(doc):
+    doc["traffic"] = {"schedule": [[0.0, 1.2]], "walk_sigma": 0.5}
+
+
 def break_zero_rate_party_probs(doc):
     doc["demand"]["generate"].update(rate_per_hour=0, party_probs=[-1, 2])
 
@@ -176,6 +184,10 @@ def break_generated_capacity(doc):
     (break_speed_limit_inf, "network.speed_limit_mps: expected a finite number, got inf"),
     (break_walk_step_zero, "traffic.walk_step_s must be positive, got 0.0"),
     (break_walk_sigma_negative, "traffic.walk_sigma must be >= 0, got -0.1"),
+    (break_walk_step_without_seed,
+     "traffic: ['walk_step_s'] apply to a walk only, and need 'walk_seed'"),
+    (break_walk_sigma_without_seed,
+     "traffic: ['walk_sigma'] apply to a walk only, and need 'walk_seed'"),
     (break_zero_rate_party_probs, "party_probs must be a distribution, got (-1.0, 2.0)"),
     (break_zero_rate_patience, "patience range (5000.0, 10.0) outside"),
     (break_fleet_key, "fleet: unknown keys ['capasity']"),
@@ -401,6 +413,40 @@ def test_matrix_sweep_resume_and_plots(tmp_path, capsys):
     assert len(re.findall(r"^run ", out, re.M)) == 1
     assert len(re.findall(r"^skip ", out, re.M)) == 3
     assert load_meta(os.path.join(root, "nss-eat"))["config_hash"]
+
+
+def test_compare_names_metadata_of_the_wrong_shape(tmp_path, capsys):
+    dir_with, dir_without = run_pair(tmp_path)
+    meta_path = os.path.join(dir_without, "metadata.json")
+    for text in ("{}\n", "[]\n", '{"config": 1}\n'):
+        with open(meta_path, "w") as fh:
+            fh.write(text)
+        capsys.readouterr()
+        assert cli.main(["compare", dir_with, dir_without]) == 1
+        assert f"error {meta_path}: not the metadata of a finished run" in stderr_only(capsys)
+
+
+def test_matrix_reruns_bad_metadata_and_names_bad_records(tmp_path, capsys):
+    doc = copy.deepcopy(BASE_DOC)
+    doc["out"] = "sweep"
+    cfg = setup_dir(tmp_path, doc)
+    assert cli.main(["matrix", "--config", cfg, "--strategies", "NSS"]) == 0
+    cell = os.path.join(str(tmp_path), "sweep", "nss-base")
+    with open(os.path.join(cell, "metadata.json"), "w") as fh:
+        fh.write("[]\n")
+    capsys.readouterr()
+    assert cli.main(["matrix", "--config", cfg, "--strategies", "NSS"]) == 0
+    out = capsys.readouterr().out
+    assert re.findall(r"^(run|skip) .*?(nss-\w+)", out, re.M) == [("skip", "nss-eat"),
+                                                                 ("run", "nss-base")]
+    assert load_meta(cell)["config_hash"]
+
+    # a cell whose records cannot be read is named, and left out of the reports
+    with open(os.path.join(cell, "call_records.txt"), "a") as fh:
+        fh.write("garbage\n")
+    assert cli.main(["matrix", "--config", cfg, "--strategies", "NSS"]) == 0
+    assert "error cell nss-base left out of the reports: bad call record line" \
+        in stderr_only(capsys)
 
 
 def test_matrix_rejects_unknown_strategy(tmp_path, capsys):
