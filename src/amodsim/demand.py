@@ -25,17 +25,10 @@ DEFAULT_PARTY_PROBS = (0.7, 0.15, 0.1, 0.05)
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
 
-# Canonical column names; the dataset spells longitude as "log".
-DEFAULT_COLUMNS = {
-    "medallion": "medallion",
-    "pickup_time": "pickup time",
-    "dropoff_time": "dropoff time",
-    "passenger_count": "passenger count",
-    "pickup_lon": "pickup log",
-    "pickup_lat": "pickup lat",
-    "dropoff_lon": "dropoff log",
-    "dropoff_lat": "dropoff lat",
-}
+# The trip file's header; the dataset spells longitude as "log". All eight
+# columns are required, including those no request keeps.
+COLUMNS = ("medallion", "pickup time", "dropoff time", "passenger count",
+           "pickup log", "pickup lat", "dropoff log", "dropoff lat")
 
 REJECT_UNPARSEABLE = "unparseable"
 REJECT_BAD_COORDINATES = "bad-coordinates"
@@ -57,7 +50,6 @@ class GenerationError(ValueError):
 @dataclass(frozen=True)
 class TripRequest:
     id: int
-    medallion: str
     request_time_s: float
     pickup: GeoPoint
     dropoff: GeoPoint
@@ -81,9 +73,6 @@ class CleaningReport:
     rows_kept: int = 0
     rejections: dict[str, int] = field(default_factory=lambda: {r: 0 for r in REJECTION_REASONS})
     epoch_iso: str | None = None
-
-    def balances(self) -> bool:
-        return self.rows_read == self.rows_kept + sum(self.rejections.values())
 
     def as_text(self) -> str:
         lines = [f"rows_read {self.rows_read}", f"rows_kept {self.rows_kept}"]
@@ -111,26 +100,24 @@ def parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = NYC_BBO
     file order. One rejection reason per bad row, checked in a fixed order
     (parse errors, coordinates, bounds, duration, party size).
     """
-    cols = DEFAULT_COLUMNS
     report = CleaningReport()
-    kept: list[tuple[datetime, str, GeoPoint, GeoPoint, int]] = []
+    kept: list[tuple[datetime, GeoPoint, GeoPoint, int]] = []
     with open(csv_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        missing = [v for v in cols.values() if v not in header]
+        missing = [c for c in COLUMNS if c not in header]
         if missing:
             raise DemandFormatError(f"{csv_path}: missing columns {missing}; header {header}")
         for row in reader:
             report.rows_read += 1
             try:
-                pickup_dt = datetime.strptime(row[cols["pickup_time"]].strip(), TIMESTAMP_FORMAT)
-                dropoff_dt = datetime.strptime(row[cols["dropoff_time"]].strip(), TIMESTAMP_FORMAT)
-                party = int(row[cols["passenger_count"]].strip())
-                plat = float(row[cols["pickup_lat"]].strip())
-                plon = float(row[cols["pickup_lon"]].strip())
-                dlat = float(row[cols["dropoff_lat"]].strip())
-                dlon = float(row[cols["dropoff_lon"]].strip())
-                medallion = (row[cols["medallion"]] or "").strip()
+                pickup_dt = datetime.strptime(row["pickup time"].strip(), TIMESTAMP_FORMAT)
+                dropoff_dt = datetime.strptime(row["dropoff time"].strip(), TIMESTAMP_FORMAT)
+                party = int(row["passenger count"].strip())
+                plat = float(row["pickup lat"].strip())
+                plon = float(row["pickup log"].strip())
+                dlat = float(row["dropoff lat"].strip())
+                dlon = float(row["dropoff log"].strip())
                 if party < 1:
                     raise ValueError("party below 1")
             except (ValueError, TypeError, AttributeError):
@@ -150,7 +137,7 @@ def parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = NYC_BBO
             if party > capacity:
                 report.rejections[REJECT_OVERSIZE_PARTY] += 1
                 continue
-            kept.append((pickup_dt, medallion, GeoPoint(plat, plon), GeoPoint(dlat, dlon), party))
+            kept.append((pickup_dt, GeoPoint(plat, plon), GeoPoint(dlat, dlon), party))
     report.rows_kept = len(kept)
     if not kept:
         return [], report
@@ -160,10 +147,10 @@ def parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = NYC_BBO
     rng = random.Random(rng_seed)
     requests = []
     for idx in order:
-        pickup_dt, medallion, pickup, dropoff, party = kept[idx]
+        pickup_dt, pickup, dropoff, party = kept[idx]
         t_s = (pickup_dt - epoch).total_seconds()
         patience = rng.uniform(PATIENCE_MIN_S, PATIENCE_MAX_S)
-        requests.append(TripRequest(idx, medallion, t_s, pickup, dropoff, party, patience))
+        requests.append(TripRequest(idx, t_s, pickup, dropoff, party, patience))
     return requests, report
 
 
@@ -220,7 +207,7 @@ def generate_demand(rate_per_hour: float, duration_s: float, *,
         dropoff = draw_point()
         party = rng.choices(range(1, len(party_probs) + 1), weights=party_probs)[0]
         patience = rng.uniform(lo_p, hi_p)
-        requests.append(TripRequest(rid, f"syn-{rid}", t, pickup, dropoff, party, patience))
+        requests.append(TripRequest(rid, t, pickup, dropoff, party, patience))
         rid += 1
         t += rng.expovariate(rate_per_s)
     return requests

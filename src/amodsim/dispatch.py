@@ -204,12 +204,14 @@ def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | Non
             break
     if winner is None and cfg.eat_enabled:
         all_zones = frozenset(sched.zone_ids())
+        # The last region holds a_c and none of its candidates was
+        # reachable, so a winner from the rest of the city lies outside a_c.
         if all_zones > region:
             decision.zones_searched.append(all_zones)
-        winner, _ = ranking.best(pool)
-        if winner is not None and vzone[winner.id] != a_c:
-            sched.add_neighbor(a_c, vzone[winner.id])
-            decision.adjacency_updated = True
+            winner, _ = ranking.best(pool)
+            if winner is not None:
+                sched.add_neighbor(a_c, vzone[winner.id])
+                decision.adjacency_updated = True
     decision.nodes_settled = ranking.nodes_settled
     if winner is None:
         decision.reject_reason = REJECT_NO_VEHICLE

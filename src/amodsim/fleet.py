@@ -73,9 +73,6 @@ class Vehicle:
         self.queued: Plan | None = None
         self.transitions: list[Transition] = []  # status changes, oldest first
 
-    def __repr__(self):
-        return f"Vehicle({self.id}, {self.status.value}, node={self.node})"
-
     def current_node(self, now_s: float) -> int:
         """Last routing node passed at now_s."""
         if self.plan is None:

@@ -44,9 +44,8 @@ def haversine_m(a: GeoPoint, b: GeoPoint) -> float:
 def _on_segment(px, py, x1, y1, x2, y2) -> bool:
     # Perpendicular offset from the segment's line, scaled by segment length.
     cross = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
+    # Polygon rejects repeated consecutive vertices, so the length is not 0.
     seg_len = math.hypot(x2 - x1, y2 - y1)
-    if seg_len == 0.0:
-        return math.hypot(px - x1, py - y1) <= _BOUNDARY_EPS_DEG
     if abs(cross) / seg_len > _BOUNDARY_EPS_DEG:
         return False
     if min(x1, x2) - _BOUNDARY_EPS_DEG <= px <= max(x1, x2) + _BOUNDARY_EPS_DEG and \

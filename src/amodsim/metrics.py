@@ -11,14 +11,13 @@ two decimals.
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 
 from .engine import OUTCOME_PICKED_UP, CallRecord
 
 SECONDS_PER_DAY = 86400.0
 
 BUCKET_DAILY = "daily"
-BUCKET_MONTHLY = "monthly"
 BUCKET_WHOLE_RUN = "whole-run"
 
 SUMMARY_COLUMNS = ("window_start_s", "window_end_s", "n_calls", "n_success",
@@ -104,9 +103,6 @@ def improvement_pcts(t_with_s: float | None, t_without_s: float | None,
 
 
 def improvement(with_eat: MetricsSummary, without_eat: MetricsSummary) -> ImprovementReport:
-    if (with_eat.window_start_s, with_eat.window_end_s) != \
-            (without_eat.window_start_s, without_eat.window_end_s):
-        raise ValueError("summaries cover different windows")
     time_pct, rate_pct = improvement_pcts(with_eat.t_apw_s, without_eat.t_apw_s,
                                           with_eat.r_ts, without_eat.r_ts)
     return ImprovementReport(with_eat, without_eat, time_pct, rate_pct)
@@ -135,8 +131,8 @@ def aggregate(records: list[CallRecord], bucket: str,
               epoch: datetime | None = None) -> list[MetricsSummary]:
     """Bucket records by request time and summarize each bucket.
 
-    Day and month boundaries fall at local midnight of the calendar the
-    epoch datetime anchors; without an epoch, time zero is treated as a
+    Day boundaries fall at local midnight of the calendar the epoch
+    datetime anchors; without an epoch, time zero is treated as a
     midnight. Only buckets that contain records are returned, so counts are
     conserved against the whole-run summary.
     """
@@ -150,21 +146,6 @@ def aggregate(records: list[CallRecord], bucket: str,
         return [summarize(groups[k], (k * SECONDS_PER_DAY - offset,
                                       (k + 1) * SECONDS_PER_DAY - offset))
                 for k in sorted(groups)]
-    if bucket == BUCKET_MONTHLY:
-        if epoch is None:
-            raise ValueError("monthly bucketing requires the demand epoch datetime")
-        groups2: dict[tuple[int, int], list[CallRecord]] = {}
-        for r in records:
-            d = epoch + timedelta(seconds=r.request_time_s)
-            groups2.setdefault((d.year, d.month), []).append(r)
-        out = []
-        for (y, m) in sorted(groups2):
-            start = datetime(y, m, 1)
-            end = datetime(y + 1, 1, 1) if m == 12 else datetime(y, m + 1, 1)
-            out.append(summarize(groups2[(y, m)],
-                                 ((start - epoch).total_seconds(),
-                                  (end - epoch).total_seconds())))
-        return out
     raise ValueError(f"unknown bucket {bucket!r}")
 
 

@@ -25,7 +25,6 @@ class ZoneLoadError(ValueError):
 @dataclass(frozen=True)
 class Zone:
     id: int
-    name: str
     boundary: Polygon
 
 
@@ -207,8 +206,7 @@ def load_zones(path: str) -> tuple[ZoneMap, AdjacencySchedule]:
     for i, feat in enumerate(feats):
         if not isinstance(feat, dict):
             raise ZoneLoadError(f"{path}: feature {i}: expected a JSON object")
-        props = feat.get("properties") or {}
-        if not isinstance(props, dict):
+        if not isinstance(feat.get("properties") or {}, dict):
             raise ZoneLoadError(f"{path}: feature {i}: properties must be a JSON object")
         geom = feat.get("geometry") or {}
         if not isinstance(geom, dict) or geom.get("type") != "Polygon":
@@ -226,8 +224,7 @@ def load_zones(path: str) -> tuple[ZoneMap, AdjacencySchedule]:
             poly = Polygon(verts)
         except (TypeError, ValueError) as exc:
             raise ZoneLoadError(f"{path}: feature {i}: {exc}") from exc
-        name = str(props.get("name", f"zone-{i}"))
-        zones.append(Zone(i, name, poly))
+        zones.append(Zone(i, poly))
     zmap = ZoneMap(zones)
     log.info("loaded %d zones from %s", len(zones), path)
     return zmap, initial_adjacency(zmap)

@@ -69,9 +69,8 @@ def tile_zones(rows: int, cols: int, zone_rows: int, zone_cols: int,
     for zr in range(zone_rows):
         for zc in range(zone_cols):
             zid = zr * zone_cols + zc
-            zones.append(Zone(zid, f"tile-{zr}-{zc}",
-                              box_polygon(lat_cuts[zr], lat_cuts[zr + 1],
-                                          lon_cuts[zc], lon_cuts[zc + 1])))
+            zones.append(Zone(zid, box_polygon(lat_cuts[zr], lat_cuts[zr + 1],
+                                               lon_cuts[zc], lon_cuts[zc + 1])))
     return zones
 
 
@@ -136,13 +135,13 @@ def golden_zone_boxes() -> list[tuple[float, float, float, float]]:
 
 def golden_city() -> tuple[RoadNetwork, ZoneMap, object]:
     net = grid_network(3, 3, GOLDEN_EDGE_LEN_M)
-    zones = [Zone(i, f"Z{i}", box_polygon(*b)) for i, b in enumerate(golden_zone_boxes())]
+    zones = [Zone(i, box_polygon(*b)) for i, b in enumerate(golden_zone_boxes())]
     zone_map = ZoneMap(zones)
     return net, zone_map, initial_adjacency(zone_map)
 
 
 def golden_requests() -> list[TripRequest]:
-    return [TripRequest(i, f"golden-{i}", t, golden_node_point(a),
+    return [TripRequest(i, t, golden_node_point(a),
                         golden_node_point(b), 1, patience)
             for i, (t, a, b, patience) in enumerate(GOLDEN_SCRIPT)]
 

@@ -194,14 +194,14 @@ def random_fleet(rng, net, now_s):
         if draw >= 0.55:
             a = rng.choice(nodes)
             b = rng.choice([n for n in nodes if n != a])
-            job = TripRequest(900 + vid, f"bg-{vid}", now_s, net.nodes[a],
+            job = TripRequest(900 + vid, now_s, net.nodes[a],
                               net.nodes[b], 1, 3600.0)
             assign(v, job, route_astar(net, v.node, a, now_s),
                    route_astar(net, a, b, now_s), now_s)
             pick_up(v, job.id, now_s)
             if draw > 0.90:
                 c = rng.choice([n for n in nodes if n != b])
-                follow = TripRequest(950 + vid, f"bgq-{vid}", now_s,
+                follow = TripRequest(950 + vid, now_s,
                                      net.nodes[b], net.nodes[c], 1, 3600.0)
                 assign(v, follow, route_astar(net, b, b, now_s),
                        route_astar(net, b, c, now_s), now_s)
@@ -213,7 +213,7 @@ def random_call(rng, net, now_s):
     nodes = sorted(net.nodes)
     pickup = rng.choice(nodes)
     dropoff = rng.choice([n for n in nodes if n != pickup])
-    return TripRequest(0, "call", now_s, net.nodes[pickup],
+    return TripRequest(0, now_s, net.nodes[pickup],
                        net.nodes[dropoff], 1, 1800.0), pickup, dropoff
 
 
@@ -258,8 +258,7 @@ def chain_city():
     """Three zones in a row, linked 0-1 and 1-2 only."""
     net = grid_network(1, 5)
     ranges = ((0, 0), (1, 3), (4, 4))
-    zones = [Zone(k, f"chain-{k}", box_polygon(-0.5 * D, 0.5 * D,
-                                               (lo - 0.5) * D, (hi + 0.5) * D))
+    zones = [Zone(k, box_polygon(-0.5 * D, 0.5 * D, (lo - 0.5) * D, (hi + 0.5) * D))
              for k, (lo, hi) in enumerate(ranges)]
     zm = ZoneMap(zones)
     sched = AdjacencySchedule([0, 1, 2])
@@ -296,7 +295,7 @@ def test_criterion_4_expansion_dominates_baseline():
     # constructed chain: the only vehicle is two rings away from the call
     net, zm, sched, node_zone = chain_city()
     fleet = Fleet([Vehicle(0, 4)])
-    call = TripRequest(0, "chain", 0.0, net.nodes[0], net.nodes[2], 1, 1800.0)
+    call = TripRequest(0, 0.0, net.nodes[0], net.nodes[2], 1, 1800.0)
     base = dispatch(call, 0, 2, fleet, sched, zm, node_zone, net,
                     None, 0.0, DispatchConfig(eat_enabled=False))
     eat = dispatch(call, 0, 2, fleet, copy_schedule(sched), zm, node_zone, net,

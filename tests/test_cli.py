@@ -4,13 +4,15 @@ import copy
 import json
 import os
 import re
+import shutil
 
 import pytest
 import yaml
 
 from amodsim import cli
 from amodsim.engine import SimulationError
-from scenario_tools import GRID_SPEED_LIMIT_MPS, write_golden_inputs
+from scenario_tools import (GOLDEN_EDGE_LEN_M, GOLDEN_SPACING_DEG, GRID_SPEED_LIMIT_MPS,
+                            GRID_SPEED_MPS, write_golden_inputs)
 
 BASE_DOC = {
     "network": {"nodes": "nodes.txt", "edges": "edges.txt",
@@ -60,6 +62,34 @@ def test_validate_ok(tmp_path, capsys):
     assert "ok zones: 4 zones, 4 adjacent pairs" in out
     assert re.search(r"ok demand: generated \d+ requests", out)
     assert "warning" not in out and "error" not in out
+
+
+def test_validate_warns_of_split_network_and_stray_requests(tmp_path, capsys):
+    d = GOLDEN_SPACING_DEG
+    doc = copy.deepcopy(BASE_DOC)
+    doc["demand"] = {"seed": 1, "file": "trips.csv", "bbox": [-0.1, -0.1, 0.1, 0.1]}
+    doc["sim"] = {"snap_radius_m": 300.0}
+    cfg = setup_dir(tmp_path, doc)
+    # node 9 is reached by a one-way street only: a component of its own
+    with open(os.path.join(str(tmp_path), "nodes.txt"), "a") as fh:
+        fh.write(f"9 {2 * d!r} {3 * d!r}\n")
+    with open(os.path.join(str(tmp_path), "edges.txt"), "a") as fh:
+        fh.write(f"8 9 {GOLDEN_EDGE_LEN_M} {GRID_SPEED_MPS}\n")
+    with open(os.path.join(str(tmp_path), "trips.csv"), "w") as fh:
+        fh.write("medallion,pickup time,dropoff time,passenger count,"
+                 "pickup log,pickup lat,dropoff log,dropoff lat\n"
+                 f"m0,2013-01-05 12:00:00,2013-01-05 12:20:00,1,{d!r},0.0,{d!r},{d!r}\n"
+                 # east of every zone, and 800 m from the nearest node
+                 f"m1,2013-01-05 12:01:00,2013-01-05 12:20:00,1,{4 * d!r},0.0,{d!r},{d!r}\n")
+    assert cli.main(["validate", "--config", cfg]) == 0
+    warnings = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("warning")]
+    assert warnings == [
+        "warning network: 2 strongly connected components; some trips may be unroutable",
+        "warning zones: 1 of 2 pickups outside all zones (nearest-centroid fallback applies)",
+        "warning network: 1 requests beyond the 300.0 m snap radius "
+        "(will be rejected as unroutable)",
+    ]
 
 
 def test_validate_missing_input_file(tmp_path, capsys):
@@ -415,6 +445,21 @@ def test_matrix_sweep_resume_and_plots(tmp_path, capsys):
     assert load_meta(os.path.join(root, "nss-eat"))["config_hash"]
 
 
+def test_compare_names_the_file_and_line_of_a_bad_record(tmp_path, capsys):
+    dir_with, dir_without = run_pair(tmp_path)
+    broken = os.path.join(str(tmp_path), "broken")
+    shutil.copytree(dir_without, broken)
+    path = os.path.join(broken, "call_records.txt")
+    with open(path) as fh:
+        lines = fh.readlines()
+    lines[2] = "garbage line\n"
+    with open(path, "w") as fh:
+        fh.writelines(lines)
+    capsys.readouterr()
+    assert cli.main(["compare", dir_with, broken]) == 1
+    assert stderr_only(capsys) == f"error {path}:3: bad call record line 'garbage line'\n"
+
+
 def test_compare_names_metadata_of_the_wrong_shape(tmp_path, capsys):
     dir_with, dir_without = run_pair(tmp_path)
     meta_path = os.path.join(dir_without, "metadata.json")
@@ -442,17 +487,45 @@ def test_matrix_reruns_bad_metadata_and_names_bad_records(tmp_path, capsys):
     assert load_meta(cell)["config_hash"]
 
     # a cell whose records cannot be read is named, and left out of the reports
-    with open(os.path.join(cell, "call_records.txt"), "a") as fh:
+    records = os.path.join(cell, "call_records.txt")
+    with open(records) as fh:
+        garbage_line = len(fh.readlines()) + 1
+    with open(records, "a") as fh:
         fh.write("garbage\n")
     assert cli.main(["matrix", "--config", cfg, "--strategies", "NSS"]) == 0
-    assert "error cell nss-base left out of the reports: bad call record line" \
-        in stderr_only(capsys)
+    assert f"error cell nss-base left out of the reports: {records}:{garbage_line}: " \
+        "bad call record line 'garbage'" in stderr_only(capsys)
 
 
 def test_matrix_rejects_unknown_strategy(tmp_path, capsys):
     cfg = setup_dir(tmp_path)
     assert cli.main(["matrix", "--config", cfg, "--strategies", "NSS,XXX"]) == 1
     assert "unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("strategies, message", [("NSS,nss", "repeated ['NSS']"),
+                                                 (",", "empty list")])
+def test_matrix_rejects_strategy_list(tmp_path, capsys, strategies, message):
+    doc = copy.deepcopy(BASE_DOC)
+    doc["out"] = "sweep"
+    cfg = setup_dir(tmp_path, doc)
+    assert cli.main(["matrix", "--config", cfg, "--strategies", strategies]) == 1
+    assert stderr_only(capsys) == f"error --strategies: {message}\n"
+    assert not os.path.exists(os.path.join(str(tmp_path), "sweep"))
+
+
+def test_matrix_whose_cells_all_fail_writes_no_report(tmp_path, capsys):
+    doc = copy.deepcopy(BASE_DOC)
+    doc["out"] = "sweep"
+    doc["demand"] = {"seed": 1, "file": "absent.csv"}
+    cfg = setup_dir(tmp_path, doc)
+    assert cli.main(["matrix", "--config", cfg, "--strategies", "NSS"]) == 2
+    cap = capsys.readouterr()
+    assert re.findall(r"^cell (\S+) failed with exit 1$", cap.out, re.M) == \
+        ["nss-eat", "nss-base"]
+    assert re.findall(r"^error cell (\S+) left out of the reports", cap.err, re.M) == \
+        ["nss-eat", "nss-base"]
+    assert os.listdir(os.path.join(str(tmp_path), "sweep")) == []
 
 
 def test_run_from_trip_file(tmp_path, capsys):

@@ -46,9 +46,8 @@ def test_parse_trips_keeps_clean_rows_and_sorts(tmp_path):
     ])
     requests, report = parse_trips(path, rng_seed=7)
     assert report.rows_read == 2 and report.rows_kept == 2
-    assert report.balances()
+    assert report.rows_read == report.rows_kept + sum(report.rejections.values())
     assert report.epoch_iso == "2013-01-05 12:00:00"
-    assert [r.medallion for r in requests] == ["early", "late"]
     assert [r.request_time_s for r in requests] == [0.0, 30.0]
     # ids number kept rows in file order, not output order
     assert [r.id for r in requests] == [1, 0]
@@ -81,21 +80,22 @@ def test_parse_trips_rejection_reasons(tmp_path):
         row(party="x"),                                           # unparseable
         row(coords=("0", "0", "-73.97", "40.76")),                # bad coords
         row(coords=("-73.99", "95.0", "-73.97", "40.76")),        # bad coords
+        row(coords=("-73.99", "40.75", "nan", "40.76")),          # bad coords
         row(coords=CHICAGO),                                      # out of bounds
         row(dropoff="2013-01-05 12:00:00"),                       # zero duration
         row(party="5"),                                           # oversize
     ])
     requests, report = parse_trips(path, capacity=4)
     assert len(requests) == 1
-    assert report.rows_read == 9 and report.rows_kept == 1
+    assert report.rows_read == 10 and report.rows_kept == 1
     assert report.rejections["unparseable"] == 3
-    assert report.rejections["bad-coordinates"] == 2
+    assert report.rejections["bad-coordinates"] == 3
     assert report.rejections["out-of-bounds"] == 1
     assert report.rejections["non-positive-duration"] == 1
     assert report.rejections["oversize-party"] == 1
-    assert report.balances()
+    assert report.rows_read == report.rows_kept + sum(report.rejections.values())
     text = report.as_text()
-    assert "rows_read 9" in text and "rejected[oversize-party] 1" in text
+    assert "rows_read 10" in text and "rejected[oversize-party] 1" in text
 
 
 def test_parse_trips_one_reason_per_row(tmp_path):
@@ -112,7 +112,7 @@ def test_parse_trips_one_reason_per_row(tmp_path):
     assert report.rejections["out-of-bounds"] == 1
     assert report.rejections["non-positive-duration"] == 1
     assert report.rejections["oversize-party"] == 0
-    assert report.balances()
+    assert report.rows_read == report.rows_kept + sum(report.rejections.values())
 
 
 def test_parse_trips_epoch_ignores_rejected_rows(tmp_path):
@@ -130,6 +130,10 @@ def test_parse_trips_missing_column(tmp_path):
     path.write_text("medallion,pickup time\nx,2013-01-05 12:00:00\n")
     with pytest.raises(DemandFormatError):
         parse_trips(str(path))
+    # no request keeps the medallion, but the header must still carry it
+    path.write_text(HEADER.replace("medallion,", "") + "\n")
+    with pytest.raises(DemandFormatError, match=r"missing columns \['medallion'\]"):
+        parse_trips(str(path))
 
 
 def test_parse_trips_empty_file(tmp_path):
@@ -143,13 +147,13 @@ def test_parse_trips_empty_file(tmp_path):
 def test_trip_request_validation():
     p = GeoPoint(40.75, -73.99)
     with pytest.raises(ValueError):
-        TripRequest(0, "m", -1.0, p, p, 1, 300.0)
+        TripRequest(0, -1.0, p, p, 1, 300.0)
     with pytest.raises(ValueError):
-        TripRequest(0, "m", 0.0, p, p, 0, 300.0)
+        TripRequest(0, 0.0, p, p, 0, 300.0)
     with pytest.raises(ValueError):
-        TripRequest(0, "m", 0.0, p, p, 1, 10.0)
+        TripRequest(0, 0.0, p, p, 1, 10.0)
     with pytest.raises(ValueError):
-        TripRequest(0, "m", 0.0, p, p, 1, 4000.0)
+        TripRequest(0, 0.0, p, p, 1, 4000.0)
 
 
 def test_generate_demand_is_seeded():
@@ -175,8 +179,8 @@ def test_generate_demand_is_seeded():
 
 
 def test_generate_demand_zone_region():
-    zm = ZoneMap([Zone(0, "a", box_polygon(0.0, 0.01, 0.0, 0.01)),
-                  Zone(1, "b", box_polygon(0.02, 0.03, 0.02, 0.03))])
+    zm = ZoneMap([Zone(0, box_polygon(0.0, 0.01, 0.0, 0.01)),
+                  Zone(1, box_polygon(0.02, 0.03, 0.02, 0.03))])
     reqs = generate_demand(600.0, 3600.0, zone_map=zm, seed=3)
     assert len(reqs) > 100
     for r in reqs:

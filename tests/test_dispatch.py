@@ -43,8 +43,7 @@ def line_city(col_ranges, pairs, cols=None):
     """1 x N grid; zone k covers node columns col_ranges[k] = (lo, hi)."""
     cols = cols if cols is not None else max(hi for _, hi in col_ranges) + 1
     net = grid_network(1, cols)
-    zones = [Zone(k, f"L{k}", box_polygon(-0.5 * D, 0.5 * D,
-                                          (lo - 0.5) * D, (hi + 0.5) * D))
+    zones = [Zone(k, box_polygon(-0.5 * D, 0.5 * D, (lo - 0.5) * D, (hi + 0.5) * D))
              for k, (lo, hi) in enumerate(col_ranges)]
     zm = ZoneMap(zones)
     sched = AdjacencySchedule([z.id for z in zones])
@@ -61,7 +60,7 @@ def line_city(col_ranges, pairs, cols=None):
 
 
 def call_at(net, pickup_node, dropoff_node, rid=0, t=0.0, patience=600.0):
-    return TripRequest(rid, f"m{rid}", t, net.nodes[pickup_node],
+    return TripRequest(rid, t, net.nodes[pickup_node],
                        net.nodes[dropoff_node], 1, patience)
 
 
@@ -202,13 +201,13 @@ def test_unroutable_rejections():
     q = GeoPoint(0.0, 0.004)
     oneway = RoadNetwork({0: p, 1: q}, [(0, 1, 500.0, 10.0)], 10.0)
     assert oneway.component[0] != oneway.component[1]
-    zm1 = ZoneMap([Zone(0, "z0", box_polygon(-0.01, 0.01, -0.01, 0.002)),
-                   Zone(1, "z1", box_polygon(-0.01, 0.01, 0.002, 0.01))])
+    zm1 = ZoneMap([Zone(0, box_polygon(-0.01, 0.01, -0.01, 0.002)),
+                   Zone(1, box_polygon(-0.01, 0.01, 0.002, 0.01))])
     sched1 = AdjacencySchedule([0, 1])
     fleet = Fleet([Vehicle(0, 0)])
 
     # reachable pickup, unreachable dropoff: rejected before any vehicle search
-    call = TripRequest(0, "m0", 0.0, q, p, 1, 600.0)
+    call = TripRequest(0, 0.0, q, p, 1, 600.0)
     d = dispatch(call, 1, 0, fleet, sched1, zm1, {0: 0, 1: 1}, oneway, None, 0.0, EAT)
     assert d.reject_reason == "unroutable"
     assert d.zones_searched == [frozenset({1})]
@@ -216,7 +215,7 @@ def test_unroutable_rejections():
     assert sched1.revision == 0 and sched1.pairs() == []
 
     # the trip the other way crosses components too, and is routed
-    call = TripRequest(1, "m1", 0.0, p, q, 1, 600.0)
+    call = TripRequest(1, 0.0, p, q, 1, 600.0)
     d = dispatch(call, 0, 1, fleet, sched1, zm1, {0: 0, 1: 1}, oneway, None, 0.0, EAT)
     assert d.vehicle_id == 0
     assert d.route_of_trip == route_astar(oneway, 0, 1, 0.0)
@@ -249,10 +248,10 @@ def test_dispatch_routes_the_trip_only_for_a_winner(monkeypatch):
 def test_party_larger_than_a_vehicle_skips_it():
     net, zm, sched, node_zone = line_city([(0, 4)], [])
     fleet = Fleet([Vehicle(0, 2, capacity=1), Vehicle(1, 0, capacity=2)])
-    pair = TripRequest(0, "m0", 0.0, net.nodes[2], net.nodes[4], 2, 600.0)
+    pair = TripRequest(0, 0.0, net.nodes[2], net.nodes[4], 2, 600.0)
     d = dispatch(pair, 2, 4, fleet, sched, zm, node_zone, net, None, 0.0, EAT)
     assert d.vehicle_id == 1 and d.eta_s == 2 * HOP_S    # not the one on the spot
-    crowd = TripRequest(1, "m1", 0.0, net.nodes[2], net.nodes[4], 3, 600.0)
+    crowd = TripRequest(1, 0.0, net.nodes[2], net.nodes[4], 3, 600.0)
     for cfg in (EAT, BASE):
         d = dispatch(crowd, 2, 4, fleet, sched, zm, node_zone, net, None, 0.0, cfg)
         assert not d.assigned and d.reject_reason == "no-vehicle"
@@ -418,7 +417,7 @@ def test_reschedule_visits_jobs_first_come_first_served():
 def test_reschedule_skips_vehicles_too_small_for_the_party():
     net, _, _, _ = line_city([(0, 9)], [], cols=10)
     slowpoke = Vehicle(0, 0)
-    call = TripRequest(0, "m0", 0.0, net.nodes[8], net.nodes[9], 2, 600.0)
+    call = TripRequest(0, 0.0, net.nodes[8], net.nodes[9], 2, 600.0)
     assign(slowpoke, call, route_astar(net, 0, 8, 0.0), route_astar(net, 8, 9, 0.0), 0.0)
     single = Vehicle(1, 7, capacity=1)            # one hop away, but one seat
     actions = reschedule(Fleet([slowpoke, single]), net, None, 40.0)
@@ -468,7 +467,7 @@ def busy_vehicle(vid, end_node, now, remaining_s):
     v = Vehicle(vid, end_node)
     trip = hop_route((end_node,), ())
     v.status = VehicleStatus.ON_TRIP
-    job = TripRequest(-1, "busy", now, GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.0), 1, 600.0)
+    job = TripRequest(-1, now, GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.0), 1, 600.0)
     v.plan = Plan(job, trip, trip, now, now, now + remaining_s)
     return v
 

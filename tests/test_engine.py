@@ -48,13 +48,12 @@ def nss_eat():
 
 def one_zone_city(cols):
     net = grid_network(1, cols)
-    zm = ZoneMap([Zone(0, "all", box_polygon(-0.5 * D, 0.5 * D,
-                                             -0.5 * D, (cols - 0.5) * D))])
+    zm = ZoneMap([Zone(0, box_polygon(-0.5 * D, 0.5 * D, -0.5 * D, (cols - 0.5) * D))])
     return net, zm, AdjacencySchedule([0])
 
 
 def req(net, rid, t, pickup, dropoff, patience=3600.0):
-    return TripRequest(rid, f"m{rid}", t, net.nodes[pickup],
+    return TripRequest(rid, t, net.nodes[pickup],
                        net.nodes[dropoff], 1, patience)
 
 
@@ -171,6 +170,17 @@ def test_pickup_wins_deadline_tie():
     result = run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, None, nss_eat())
     assert result.record_lines() == ["0 0.0 PICKED_UP 80.0 120.0 0"]
     assert result.metadata["abandoned"] == 0
+
+
+def test_replanned_pickup_wins_deadline_tie():
+    net, zm, sched = one_zone_city(5)
+    # 80 s to the pickup at first; halved speeds at 40 s make the OSS
+    # re-plan land the vehicle on node 2 at 120 s, the deadline itself
+    requests = [req(net, 0, 0.0, 2, 4, patience=120.0)]
+    cfg = EngineConfig(dispatch=DispatchConfig(strategy=Strategy.OSS, eat_enabled=True))
+    result = run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched,
+                 TrafficState([(40.0, 0.5)]), cfg)
+    assert result.record_lines() == ["0 0.0 PICKED_UP 120.0 280.0 0"]
 
 
 # -- queued follow-up jobs -----------------------------------------------
@@ -360,7 +370,7 @@ def test_unsnappable_request_is_rejected_as_unroutable():
     net, zm, sched = one_zone_city(5)
     from amodsim.geo import GeoPoint
     far = GeoPoint(0.5, 0.5)                      # ~70 km off the line
-    requests = [TripRequest(0, "m0", 0.0, far, net.nodes[2], 1, 600.0)]
+    requests = [TripRequest(0, 0.0, far, net.nodes[2], 1, 600.0)]
     result = run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, None, nss_eat())
     assert result.record_lines() == ["0 0.0 REJECTED unroutable"]
     assert result.metadata["snap_failures"] == 1
@@ -369,8 +379,8 @@ def test_unsnappable_request_is_rejected_as_unroutable():
 
 def test_party_no_vehicle_fits_is_rejected_no_vehicle():
     net, zm, sched = one_zone_city(5)
-    requests = [TripRequest(0, "m0", 0.0, net.nodes[2], net.nodes[4], 4, 600.0),
-                TripRequest(1, "m1", 10.0, net.nodes[2], net.nodes[4], 1, 600.0)]
+    requests = [TripRequest(0, 0.0, net.nodes[2], net.nodes[4], 4, 600.0),
+                TripRequest(1, 10.0, net.nodes[2], net.nodes[4], 1, 600.0)]
     fleet = Fleet([Vehicle(0, 0, capacity=1), Vehicle(1, 1, capacity=1)])
     result = run(requests, fleet, net, zm, sched, None, nss_eat())
     assert result.record_lines()[0] == "0 0.0 REJECTED no-vehicle"
@@ -411,7 +421,7 @@ def run_city(city, strategy, eat):
     net = grid_network(rows, cols)
     zm = ZoneMap(tile_zones(rows, cols, *city["zone_split"], D))
     fleet = Fleet([Vehicle(i, node % n) for i, node in enumerate(city["vehicles"])])
-    requests = [TripRequest(i, f"m{i}", 5.0 * t, FAR if far else net.nodes[a % n],
+    requests = [TripRequest(i, 5.0 * t, FAR if far else net.nodes[a % n],
                             net.nodes[b % n], 1, float(patience))
                 for i, (t, a, b, patience, far) in enumerate(city["calls"])]
     traffic = TrafficState(sorted((5.0 * t, m) for t, m in city["changes"]))

@@ -31,7 +31,7 @@ HOP_S = 40.0
 def request(rid=0, pickup_node=4, dropoff_node=5, t=0.0):
     # locations are irrelevant at this layer; routing is by node
     from scenario_tools import golden_node_point
-    return TripRequest(rid, f"m{rid}", t, golden_node_point(pickup_node),
+    return TripRequest(rid, t, golden_node_point(pickup_node),
                        golden_node_point(dropoff_node), 1, 600.0)
 
 

@@ -100,6 +100,7 @@ def test_point_in_polygon_concave():
     assert point_in_polygon(GeoPoint(0.5, 1.5), ell)
     assert point_in_polygon(GeoPoint(1.5, 0.5), ell)
     assert not point_in_polygon(GeoPoint(1.5, 1.5), ell)
+    assert not point_in_polygon(GeoPoint(1.5, 2.0), ell)    # on an edge's line, past its end
 
 
 def test_point_in_polygon_matches_winding_oracle():

@@ -102,14 +102,12 @@ def test_improvement_percentages():
     assert improvement_pcts(360.0, 480.0, None, 0.8)[1] is None
 
 
-def test_improvement_requires_matching_windows():
+def test_improvement_of_two_summaries():
     a = summarize(MIXED, (0.0, 600.0))
     b = summarize(MIXED[:3], (0.0, 600.0))
     rep = improvement(a, b)
     assert rep.time_improvement_pct == pytest.approx((70.0 / 100.0 - 1) * 100)
     assert rep.rate_improvement_pct == pytest.approx((0.6 / (2 / 3) - 1) * 100)
-    with pytest.raises(ValueError):
-        improvement(a, summarize(MIXED, (0.0, 700.0)))
 
 
 # -- the year-long benchmark sheets --------------------------------------
@@ -189,22 +187,6 @@ def test_daily_aggregate_with_midrun_epoch():
     assert [(s.window_start_s, s.window_end_s) for s in out] == \
         [(-84600.0, 1800.0), (1800.0, 88200.0)]
     assert [s.n_calls for s in out] == [1, 1]
-
-
-def test_monthly_aggregate_requires_and_uses_epoch():
-    with pytest.raises(ValueError):
-        aggregate(MIXED, "monthly")
-    epoch = datetime(2013, 1, 30, 12, 0, 0)
-    records = [picked(0, 0.0, 40.0),            # Jan 30
-               picked(1, 2 * 86400.0, 40.0),    # Feb 1
-               rejected(2, 3 * 86400.0)]        # Feb 2
-    out = aggregate(records, "monthly", epoch=epoch)
-    assert len(out) == 2
-    jan, feb = out
-    assert jan.n_calls == 1 and feb.n_calls == 2
-    assert jan.window_start_s == -(29.5 * 86400.0)
-    assert jan.window_end_s == feb.window_start_s == 1.5 * 86400.0
-    assert feb.window_end_s == 1.5 * 86400.0 + 28 * 86400.0
 
 
 def test_periodic_rows_include_empty_periods():

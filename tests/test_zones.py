@@ -18,8 +18,8 @@ from scenario_tools import box_feature, box_polygon, copy_schedule, golden_city
 DEG_PER_M = 1.0 / METERS_PER_DEG_LAT
 
 
-def zone(zid, lat_lo, lat_hi, lon_lo, lon_hi, name=None):
-    return Zone(zid, name or f"z{zid}", box_polygon(lat_lo, lat_hi, lon_lo, lon_hi))
+def zone(zid, lat_lo, lat_hi, lon_lo, lon_hi):
+    return Zone(zid, box_polygon(lat_lo, lat_hi, lon_lo, lon_hi))
 
 
 def test_locate_prefers_lowest_id_on_overlap():
@@ -135,12 +135,11 @@ def test_load_zones_geojson(tmp_path):
     path.write_text(json.dumps(doc))
     zmap, sched = load_zones(str(path))
     assert len(zmap) == 2
-    assert [z.name for z in zmap.zones] == ["east", "west"]
     assert zmap.locate(GeoPoint(0.5, 1.5)) == 0
     assert sched.pairs() == [(0, 1)]
 
 
-def test_load_zones_closed_ring_and_default_name(tmp_path):
+def test_load_zones_closed_ring(tmp_path):
     ring = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 0.0]]
     doc = {"type": "FeatureCollection", "features": [
         {"type": "Feature", "properties": {},
@@ -149,7 +148,6 @@ def test_load_zones_closed_ring_and_default_name(tmp_path):
     path = tmp_path / "z.geojson"
     path.write_text(json.dumps(doc))
     zmap, _ = load_zones(str(path))
-    assert zmap.zones[0].name == "zone-0"
     assert len(zmap.zones[0].boundary.vertices) == 4    # repeated closing vertex dropped
 
 
