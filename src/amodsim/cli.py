@@ -10,26 +10,23 @@ import dataclasses
 import json
 import os
 import sys
-import time
 from datetime import datetime
 
 from . import metrics
-from .config import (ConfigError, RunConfig, STRATEGY_NAMES, apply_seed_override,
-                     load_config)
-from .demand import (NYC_BBOX, TIMESTAMP_FORMAT, CleaningReport, DemandFormatError,
-                     GenerationError, TripRequest, generate_demand, parse_trips)
+from .config import ConfigError, RunConfig, STRATEGY_NAMES, apply_seed_override, load_config
+from .demand import (NYC_BBOX, TIMESTAMP_FORMAT, CleaningReport, TripRequest,
+                     generate_demand, parse_trips)
 from .engine import EngineConfig, SimulationError, parse_record_line, run
 from .fleet import Fleet, Strategy
-from .road import NetworkLoadError, RoadNetwork, TrafficState, load_network
-from .zones import AdjacencySchedule, ZoneLoadError, ZoneMap, load_zones
+from .road import RoadNetwork, TrafficState, load_network
+from .zones import AdjacencySchedule, ZoneMap, load_zones
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 EXIT_COMPARE = 3
 
-LOAD_ERRORS = (ConfigError, NetworkLoadError, ZoneLoadError, DemandFormatError,
-               GenerationError, OSError, ValueError)
+LOAD_ERRORS = (OSError, ValueError)
 
 
 @dataclasses.dataclass
@@ -41,7 +38,6 @@ class Inputs:
     cleaning: CleaningReport | None
     traffic: TrafficState
     fleet: Fleet
-    epoch: datetime | None
 
 
 def _error(text: object) -> None:
@@ -56,38 +52,32 @@ def load_inputs(cfg: RunConfig) -> Inputs:
                        network["speed_limit_mps"])
     zone_map, sched = load_zones(cfg.path(doc["zones"]))
     cleaning = None
-    epoch = None
     if "generate" in demand:
         gen = demand["generate"]
-        kwargs = {"zone_map": zone_map} if gen["region"] == "zones" \
-            else {"bbox": zone_map.bbox()}
-        requests = generate_demand(gen["rate_per_hour"], gen["duration_s"],
+        requests = generate_demand(gen["rate_per_hour"], gen["duration_s"], zone_map.bbox(),
+                                   zone_map=zone_map if gen["region"] == "zones" else None,
                                    party_probs=tuple(gen["party_probs"]),
                                    seed=demand["seed"],
-                                   patience_range=tuple(gen["patience_range"]),
-                                   **kwargs)
+                                   patience_range=tuple(gen["patience_range"]))
         horizon = gen["duration_s"]
     else:
         requests, cleaning = parse_trips(cfg.path(demand["file"]),
                                          bbox=tuple(demand.get("bbox", NYC_BBOX)),
                                          capacity=demand["capacity"],
                                          rng_seed=demand["seed"])
-        if cleaning.epoch_iso:
-            epoch = datetime.strptime(cleaning.epoch_iso, TIMESTAMP_FORMAT)
         horizon = max((r.request_time_s for r in requests), default=0.0)
     tr, fl = doc["traffic"], doc["fleet"]
     traffic = TrafficState.build(tr["schedule"], walk_seed=tr["walk_seed"],
                                  walk_step_s=tr["walk_step_s"],
                                  walk_sigma=tr["walk_sigma"], horizon_s=horizon)
     fleet = Fleet.place_uniform(net, fl["size"], fl["seed"], fl["capacity"])
-    return Inputs(net, zone_map, sched, requests, cleaning, traffic, fleet, epoch)
+    return Inputs(net, zone_map, sched, requests, cleaning, traffic, fleet)
 
 
 # -- validate ------------------------------------------------------------
 
 
-def cmd_validate(cfg: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_validate(cfg: RunConfig) -> int:
     warnings: list[str] = []
     infos: list[str] = []
 
@@ -141,9 +131,9 @@ def cmd_validate(cfg: RunConfig, out=None) -> int:
                         "snap radius (will be rejected as unroutable)")
 
     for line in infos:
-        print(f"ok {line}", file=out)
+        print(f"ok {line}")
     for line in warnings:
-        print(f"warning {line}", file=out)
+        print(f"warning {line}")
     return EXIT_OK
 
 
@@ -155,9 +145,7 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def cmd_run(cfg: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
-    t0 = time.monotonic()
+def cmd_run(cfg: RunConfig) -> int:
     try:
         inputs = load_inputs(cfg)
     except LOAD_ERRORS as exc:
@@ -179,8 +167,9 @@ def cmd_run(cfg: RunConfig, out=None) -> int:
     _write(os.path.join(out_dir, "event_log.txt"),
            f"# amodsim {cfg.config_hash()}\n"
            + "".join(line + "\n" for line in result.event_log))
+    epoch = inputs.cleaning.epoch if inputs.cleaning else None
     whole = metrics.aggregate(result.records, metrics.BUCKET_WHOLE_RUN)
-    daily = metrics.aggregate(result.records, metrics.BUCKET_DAILY, epoch=inputs.epoch)
+    daily = metrics.aggregate(result.records, metrics.BUCKET_DAILY, epoch=epoch)
     _write(os.path.join(out_dir, "summary.txt"), metrics.summary_text(whole + daily))
     _write(os.path.join(out_dir, "periodic.txt"), metrics.summary_text(
         metrics.periodic_rows(result.records, cfg.doc["sim"]["metric_period_s"])))
@@ -191,8 +180,7 @@ def cmd_run(cfg: RunConfig, out=None) -> int:
         "config": cfg.doc,
         "config_hash": cfg.config_hash(),
         "demand_fingerprint": cfg.demand_fingerprint(),
-        "epoch": inputs.cleaning.epoch_iso if inputs.cleaning else None,
-        "wall_time_s": round(time.monotonic() - t0, 3),
+        "epoch": epoch.strftime(TIMESTAMP_FORMAT) if epoch else None,
         "counts": result.metadata,
     }
     _write(os.path.join(out_dir, "metadata.json"),
@@ -202,7 +190,7 @@ def cmd_run(cfg: RunConfig, out=None) -> int:
     t_apw = "NA" if s.t_apw_s is None else f"{s.t_apw_s / 60.0:.2f}"
     r_ts = "NA" if s.r_ts is None else f"{s.r_ts:.4f}"
     print(f"run {out_dir}: calls={s.n_calls} served={s.n_success} "
-          f"r_ts={r_ts} t_apw_min={t_apw}", file=out)
+          f"r_ts={r_ts} t_apw_min={t_apw}")
     return EXIT_OK
 
 
@@ -252,8 +240,7 @@ def _read_run(run_dir: str) -> tuple[dict, list]:
     return meta, records
 
 
-def cmd_compare(dir_a: str, dir_b: str, out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_compare(dir_a: str, dir_b: str) -> int:
     try:
         meta_a, rec_a = _read_run(dir_a)
         meta_b, rec_b = _read_run(dir_b)
@@ -279,10 +266,10 @@ def cmd_compare(dir_a: str, dir_b: str, out=None) -> int:
     for k, start in enumerate(sorted(set(daily_a) & set(daily_b))):
         rows.append((f"day-{k}", metrics.improvement(daily_a[start], daily_b[start])))
     print(f"with-expansion    {meta_a['config']['dispatch']['strategy']}"
-          f"{'-EAT' if meta_a['config']['dispatch']['eat'] else ''}: {dir_a}", file=out)
+          f"{'-EAT' if meta_a['config']['dispatch']['eat'] else ''}: {dir_a}")
     print(f"without-expansion {meta_b['config']['dispatch']['strategy']}"
-          f"{'-EAT' if meta_b['config']['dispatch']['eat'] else ''}: {dir_b}", file=out)
-    print(metrics.comparison_text(rows), end="", file=out)
+          f"{'-EAT' if meta_b['config']['dispatch']['eat'] else ''}: {dir_b}")
+    print(metrics.comparison_text(rows), end="")
     return EXIT_OK
 
 
@@ -300,11 +287,10 @@ def _cell_done(out_dir: str, config_hash: str) -> bool:
         return False
 
 
-def cmd_matrix(cfg: RunConfig, strategies: list[Strategy], out=None) -> int:
-    out = out if out is not None else sys.stdout
+def cmd_matrix(cfg: RunConfig, strategies: list[Strategy]) -> int:
     root = cfg.path(cfg.doc["out"])
     os.makedirs(root, exist_ok=True)
-    failures = []
+    failed: list[str] = []
     cells: list[str] = []
     for strategy in strategies:
         for eat in (True, False):
@@ -312,15 +298,17 @@ def cmd_matrix(cfg: RunConfig, strategies: list[Strategy], out=None) -> int:
             cell_cfg = cfg.cell(strategy, eat, os.path.join(cfg.doc["out"], name))
             cells.append(name)
             if _cell_done(cfg.path(cell_cfg.doc["out"]), cell_cfg.config_hash()):
-                print(f"skip {name}: already complete", file=out)
+                print(f"skip {name}: already complete")
                 continue
-            code = cmd_run(cell_cfg, out=out)
+            code = cmd_run(cell_cfg)
             if code != EXIT_OK:
-                failures.append((name, code))
-                print(f"cell {name} failed with exit {code}", file=out)
+                failed.append(name)
+                print(f"cell {name} failed with exit {code}")
 
     done: dict[str, tuple[dict, list]] = {}
     for name in cells:
+        if name in failed:  # its own error is already reported
+            continue
         try:
             done[name] = _read_run(os.path.join(root, name))
         except (OSError, ValueError) as exc:
@@ -336,15 +324,13 @@ def cmd_matrix(cfg: RunConfig, strategies: list[Strategy], out=None) -> int:
     if rows:
         report = metrics.comparison_text(rows)
         _write(os.path.join(root, "combined_report.txt"), report)
-        print(report, end="", file=out)
+        print(report, end="")
 
-    _write_plot_data(root, cells, done, out)
-    if failures:
-        return EXIT_RUNTIME
-    return EXIT_OK
+    _write_plot_data(root, cells, done)
+    return EXIT_RUNTIME if failed else EXIT_OK
 
 
-def _write_plot_data(root: str, cells: list[str], done: dict, out) -> None:
+def _write_plot_data(root: str, cells: list[str], done: dict) -> None:
     """Per-day series, one column per matrix cell, NA where a day is absent."""
     daily: dict[str, dict[float, metrics.MetricsSummary]] = {}
     for name in cells:

@@ -72,14 +72,14 @@ class CleaningReport:
     rows_read: int = 0
     rows_kept: int = 0
     rejections: dict[str, int] = field(default_factory=lambda: {r: 0 for r in REJECTION_REASONS})
-    epoch_iso: str | None = None
+    epoch: datetime | None = None
 
     def as_text(self) -> str:
         lines = [f"rows_read {self.rows_read}", f"rows_kept {self.rows_kept}"]
         for reason in REJECTION_REASONS:
             lines.append(f"rejected[{reason}] {self.rejections[reason]}")
-        if self.epoch_iso:
-            lines.append(f"epoch {self.epoch_iso}")
+        if self.epoch is not None:
+            lines.append(f"epoch {self.epoch.strftime(TIMESTAMP_FORMAT)}")
         return "\n".join(lines) + "\n"
 
 
@@ -141,8 +141,7 @@ def parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = NYC_BBO
     report.rows_kept = len(kept)
     if not kept:
         return [], report
-    epoch = min(item[0] for item in kept)
-    report.epoch_iso = epoch.strftime(TIMESTAMP_FORMAT)
+    epoch = report.epoch = min(item[0] for item in kept)
     order = sorted(range(len(kept)), key=lambda i: ((kept[i][0] - epoch).total_seconds(), i))
     rng = random.Random(rng_seed)
     requests = []
@@ -154,32 +153,23 @@ def parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = NYC_BBO
     return requests, report
 
 
-def generate_demand(rate_per_hour: float, duration_s: float, *,
-                    bbox: tuple[float, float, float, float] | None = None,
+def generate_demand(rate_per_hour: float, duration_s: float,
+                    bbox: tuple[float, float, float, float], *,
                     zone_map=None,
                     party_probs: tuple[float, ...] = DEFAULT_PARTY_PROBS,
                     seed: int = 0,
                     patience_range: tuple[float, float] = (PATIENCE_MIN_S, PATIENCE_MAX_S),
                     ) -> list[TripRequest]:
-    """Poisson arrivals with uniform pickup/dropoff locations.
+    """Poisson arrivals with uniform pickup/dropoff locations in `bbox`.
 
-    Region is either a bbox or the union of a ZoneMap's polygons (points are
-    rejection-sampled from the covering box). Same seed, same output.
+    Given a ZoneMap, points are rejection-sampled to its zones as well.
+    Same seed, same output.
     """
     if rate_per_hour < 0:
         raise GenerationError(f"negative rate {rate_per_hour}")
-    if zone_map is None and bbox is None:
-        raise GenerationError("either bbox or zone_map is required")
-    if zone_map is not None and len(zone_map) == 0:
-        raise GenerationError("zone_map has no zones")
-    if bbox is not None:
-        lon_min, lat_min, lon_max, lat_max = bbox
-        if not (lon_max > lon_min and lat_max > lat_min):
-            raise GenerationError(f"degenerate bbox {bbox}")
-    if zone_map is not None:
-        lon_min, lat_min, lon_max, lat_max = zone_map.bbox()
-        if not (lon_max > lon_min and lat_max > lat_min):
-            raise GenerationError("zones cover a degenerate region")
+    lon_min, lat_min, lon_max, lat_max = bbox
+    if not (lon_max > lon_min and lat_max > lat_min):
+        raise GenerationError(f"degenerate bbox {bbox}")
     if abs(sum(party_probs) - 1.0) > 1e-9 or any(p < 0 for p in party_probs):
         raise GenerationError(f"party_probs must be a distribution, got {party_probs}")
     lo_p, hi_p = patience_range

@@ -517,24 +517,13 @@ class ReverseSearch:
 
 
 def eta_table(net: RoadNetwork, dst: int, at_s: float,
-              traffic: TrafficState | None = None,
-              sources: set[int] | None = None) -> dict[int, float]:
-    """Travel time to dst from every reachable node (or just `sources`).
-
-    Runs a ReverseSearch until every source (or every reachable node) is
-    settled. Unreachable sources are simply absent from the result.
-    """
+              traffic: TrafficState | None = None) -> dict[int, float]:
+    """Travel time to dst from every node that can reach it: a drained
+    ReverseSearch."""
     search = ReverseSearch(net, dst, at_s, traffic)
-    remaining = None if sources is None else set(sources)
-    while remaining is None or remaining:
-        node = search.settle()
-        if node is None:
-            break
-        if remaining is not None:
-            remaining.discard(node)
-    if sources is None:
-        return dict(search.settled)
-    return {s: search.settled[s] for s in sources if s in search.settled}
+    while search.settle() is not None:
+        pass
+    return search.settled
 
 
 _NO_TRAFFIC = TrafficState([])

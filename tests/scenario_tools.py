@@ -398,8 +398,7 @@ def full_scan_best(candidates: list[Vehicle], pickup_node: int, net: RoadNetwork
     returns (None, inf) when no candidate can reach the pickup.
     """
     free = {v.id: free_after(v, now_s) for v in candidates}
-    legs = eta_table(net, pickup_node, now_s, traffic,
-                     sources={node for node, _ in free.values()})
+    legs = eta_table(net, pickup_node, now_s, traffic)
     best, best_eta = None, math.inf
     for v in sorted(candidates, key=lambda v: v.id):
         node, free_s = free[v.id]

@@ -347,8 +347,9 @@ def test_criterion_5_directional_desk_experiment():
     net = grid_network(CITY_ROWS, CITY_ROWS)
     pairs = {s: {"wait": [], "rate": []} for s in STRATEGIES}
     for k in range(REPLICATIONS):
-        requests = generate_demand(DEMAND_RATE_PER_H, DEMAND_DURATION_S,
-                                   zone_map=desk_city_zones(), seed=1000 + k,
+        zm = desk_city_zones()
+        requests = generate_demand(DEMAND_RATE_PER_H, DEMAND_DURATION_S, zm.bbox(),
+                                   zone_map=zm, seed=1000 + k,
                                    patience_range=PATIENCE_RANGE)
         for s in STRATEGIES:
             with_eat = desk_run(net, requests, s, True, 2000 + k)
@@ -392,7 +393,7 @@ def determinism_run():
     net = grid_network(CITY_ROWS, CITY_ROWS)
     zm = desk_city_zones()
     sched = initial_adjacency(zm)
-    requests = generate_demand(DEMAND_RATE_PER_H, 3600.0, zone_map=zm,
+    requests = generate_demand(DEMAND_RATE_PER_H, 3600.0, zm.bbox(), zone_map=zm,
                                seed=71, patience_range=PATIENCE_RANGE)
     fleet = Fleet.place_uniform(net, FLEET_SIZE, 72)
     traffic = TrafficState.build([(600.0, 1.25)], walk_seed=73,
@@ -433,7 +434,7 @@ def test_criterion_7_metrics_invariants():
         sched = initial_adjacency(zm)
         strategy = STRATEGIES[i % 3]
         eat = (i // 3) % 2 == 0
-        requests = generate_demand(3.0, 216000.0, zone_map=zm, seed=5000 + i)
+        requests = generate_demand(3.0, 216000.0, zm.bbox(), zone_map=zm, seed=5000 + i)
         fleet = Fleet.place_uniform(net, 6, seed=6000 + i)
         cfg = EngineConfig(dispatch=DispatchConfig(strategy=strategy,
                                                    eat_enabled=eat))

@@ -309,11 +309,8 @@ def test_run_is_byte_stable_across_copies(tmp_path):
     assert cli.main(["run", "--config", cfg_b]) == 0
     dir_a = os.path.join(str(tmp_path), "a", "out")
     dir_b = os.path.join(str(tmp_path), "b", "out")
-    for name in RUN_FILES[:-1]:
+    for name in RUN_FILES:
         assert read(os.path.join(dir_a, name)) == read(os.path.join(dir_b, name)), name
-    meta_a, meta_b = load_meta(dir_a), load_meta(dir_b)
-    meta_a.pop("wall_time_s"), meta_b.pop("wall_time_s")
-    assert meta_a == meta_b
 
 
 def test_run_out_override(tmp_path):
@@ -523,8 +520,7 @@ def test_matrix_whose_cells_all_fail_writes_no_report(tmp_path, capsys):
     cap = capsys.readouterr()
     assert re.findall(r"^cell (\S+) failed with exit 1$", cap.out, re.M) == \
         ["nss-eat", "nss-base"]
-    assert re.findall(r"^error cell (\S+) left out of the reports", cap.err, re.M) == \
-        ["nss-eat", "nss-base"]
+    assert "left out of the reports" not in cap.err
     assert os.listdir(os.path.join(str(tmp_path), "sweep")) == []
 
 

@@ -1,6 +1,8 @@
 """Trip CSV cleaning rules and the seeded synthetic demand generator."""
 
+import hashlib
 import random
+from datetime import datetime
 
 import pytest
 
@@ -16,7 +18,7 @@ from amodsim.demand import (
 )
 from amodsim.geo import GeoPoint
 from amodsim.zones import Zone, ZoneMap
-from scenario_tools import box_polygon
+from scenario_tools import GOLDEN_SPACING_DEG, box_polygon, tile_zones
 
 HEADER = ("medallion,pickup time,dropoff time,passenger count,"
           "pickup log,pickup lat,dropoff log,dropoff lat")
@@ -47,7 +49,7 @@ def test_parse_trips_keeps_clean_rows_and_sorts(tmp_path):
     requests, report = parse_trips(path, rng_seed=7)
     assert report.rows_read == 2 and report.rows_kept == 2
     assert report.rows_read == report.rows_kept + sum(report.rejections.values())
-    assert report.epoch_iso == "2013-01-05 12:00:00"
+    assert report.epoch == datetime(2013, 1, 5, 12, 0, 0)
     assert [r.request_time_s for r in requests] == [0.0, 30.0]
     # ids number kept rows in file order, not output order
     assert [r.id for r in requests] == [1, 0]
@@ -121,7 +123,7 @@ def test_parse_trips_epoch_ignores_rejected_rows(tmp_path):
         row(pickup="2013-01-05 12:00:00"),
     ])
     requests, report = parse_trips(path)
-    assert report.epoch_iso == "2013-01-05 12:00:00"
+    assert report.epoch == datetime(2013, 1, 5, 12, 0, 0)
     assert requests[0].request_time_s == 0.0
 
 
@@ -141,7 +143,7 @@ def test_parse_trips_empty_file(tmp_path):
     empty.write_text(HEADER + "\n")
     requests, report = parse_trips(str(empty))
     assert requests == [] and report.rows_read == 0
-    assert report.epoch_iso is None
+    assert report.epoch is None
 
 
 def test_trip_request_validation():
@@ -181,11 +183,34 @@ def test_generate_demand_is_seeded():
 def test_generate_demand_zone_region():
     zm = ZoneMap([Zone(0, box_polygon(0.0, 0.01, 0.0, 0.01)),
                   Zone(1, box_polygon(0.02, 0.03, 0.02, 0.03))])
-    reqs = generate_demand(600.0, 3600.0, zone_map=zm, seed=3)
+    reqs = generate_demand(600.0, 3600.0, zm.bbox(), zone_map=zm, seed=3)
     assert len(reqs) > 100
     for r in reqs:
         assert zm.locate(r.pickup) is not None
         assert zm.locate(r.dropoff) is not None
+
+
+# SHA-256 of repr(requests) on the 20x20 desk city's nine zones: drawn over
+# the zones, over their box alone, and over the zones less the middle one
+# (whose box is the same, so only rejection tells the two apart).
+DESK_DRAW_DIGESTS = {
+    "zones": (109, "893a224755cb242b259adba9f6e4c38605046e26153e1386f7ce54bee84a7a48"),
+    "box": (109, "893a224755cb242b259adba9f6e4c38605046e26153e1386f7ce54bee84a7a48"),
+    "gapped": (106, "bdb4e1002bad101147bf129aafff97cd93d488b608af9f892207f2c0cb639b27"),
+}
+
+
+def test_generate_demand_draws_are_pinned_for_both_region_forms():
+    zones = tile_zones(20, 20, 3, 3, GOLDEN_SPACING_DEG)
+    zm = ZoneMap(zones)
+    gapped = ZoneMap([z for z in zones if z.id != 4])
+    assert gapped.bbox() == zm.bbox()
+    kw = dict(bbox=zm.bbox(), seed=1000, patience_range=(60.0, 1800.0))
+    drawn = {"zones": generate_demand(80.0, 5400.0, zone_map=zm, **kw),
+             "box": generate_demand(80.0, 5400.0, **kw),
+             "gapped": generate_demand(80.0, 5400.0, zone_map=gapped, **kw)}
+    assert {name: (len(reqs), hashlib.sha256(repr(reqs).encode()).hexdigest())
+            for name, reqs in drawn.items()} == DESK_DRAW_DIGESTS
 
 
 def test_generate_demand_party_distribution():
@@ -201,8 +226,6 @@ def test_generate_demand_edge_cases_and_errors():
     with pytest.raises(GenerationError):
         generate_demand(-1.0, 3600.0, bbox=NYC_BBOX, seed=1)
     with pytest.raises(GenerationError):
-        generate_demand(10.0, 3600.0, seed=1)
-    with pytest.raises(GenerationError):
         generate_demand(10.0, 3600.0, bbox=(0.0, 0.0, 0.0, 1.0), seed=1)
     with pytest.raises(GenerationError):
         generate_demand(10.0, 3600.0, bbox=NYC_BBOX, seed=1,
@@ -210,8 +233,6 @@ def test_generate_demand_edge_cases_and_errors():
     with pytest.raises(GenerationError):
         generate_demand(10.0, 3600.0, bbox=NYC_BBOX, seed=1,
                         patience_range=(10.0, 600.0))
-    with pytest.raises(GenerationError):
-        generate_demand(10.0, 3600.0, zone_map=ZoneMap([]), seed=1)
     # an empty stream still checks every parameter
     for rate, duration in ((0.0, 3600.0), (10.0, 0.0)):
         with pytest.raises(GenerationError, match="party_probs"):

@@ -679,7 +679,7 @@ def test_every_bound_a_run_passes_holds_and_keeps_the_route(monkeypatch):
     route, bit for bit, as the unbounded search."""
     net = grid_network(12, 12)
     zm = ZoneMap(tile_zones(12, 12, 3, 3, D))
-    requests = generate_demand(240.0, 3600.0, zone_map=zm, seed=11,
+    requests = generate_demand(240.0, 3600.0, zm.bbox(), zone_map=zm, seed=11,
                                patience_range=(300.0, 1800.0))
     traffic = TrafficState.build([(900.0, 1.3), (2400.0, 0.8)], walk_seed=12,
                                  walk_step_s=300.0, walk_sigma=0.15, horizon_s=5400.0)

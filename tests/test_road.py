@@ -542,11 +542,8 @@ def test_eta_table_matches_point_queries():
                 assert table[src] == t, f"trial {trial}: {src}->{dst}"
 
 
-def test_eta_table_source_subset():
+def test_eta_table_rejects_unknown_destination():
     net = grid_network(3, 3)
-    full = eta_table(net, 4, 0.0)
-    part = eta_table(net, 4, 0.0, sources={0, 8, 4})
-    assert part == {0: full[0], 8: full[8], 4: 0.0}
     with pytest.raises(KeyError):
         eta_table(net, 99, 0.0)
 
@@ -555,7 +552,6 @@ def test_eta_table_skips_unreachable_sources():
     nodes = {0: GeoPoint(0.0, 0.0), 1: GeoPoint(0.0, 0.001), 2: GeoPoint(0.001, 0.0)}
     net = RoadNetwork(nodes, [(0, 1, 200.0, 10.0)], speed_limit_mps=10.0)
     assert eta_table(net, 1, 0.0) == {1: 0.0, 0: 20.0}
-    assert eta_table(net, 1, 0.0, sources={0, 2}) == {0: 20.0}
 
 
 def test_network_counts_components():
