@@ -16,7 +16,7 @@ from . import metrics
 from .config import ConfigError, RunConfig, STRATEGY_NAMES, apply_seed_override, load_config
 from .demand import (NYC_BBOX, TIMESTAMP_FORMAT, CleaningReport, TripRequest,
                      generate_demand, parse_trips)
-from .engine import EngineConfig, SimulationError, parse_record_line, run
+from .engine import SimulationError, parse_record_line, run
 from .fleet import Fleet, Strategy
 from .road import RoadNetwork, TrafficState, load_network
 from .zones import AdjacencySchedule, ZoneMap, load_zones
@@ -151,11 +151,10 @@ def cmd_run(cfg: RunConfig) -> int:
     except LOAD_ERRORS as exc:
         _error(exc)
         return EXIT_VALIDATION
-    engine_cfg = EngineConfig(dispatch=cfg.dispatch_config(),
-                              snap_radius_m=cfg.doc["sim"]["snap_radius_m"])
     try:
         result = run(inputs.requests, inputs.fleet, inputs.net, inputs.zone_map,
-                     inputs.sched, inputs.traffic, engine_cfg)
+                     inputs.sched, inputs.traffic, cfg.dispatch_config(),
+                     cfg.doc["sim"]["snap_radius_m"])
     except SimulationError as exc:
         _error(exc)
         return EXIT_RUNTIME
@@ -168,9 +167,9 @@ def cmd_run(cfg: RunConfig) -> int:
            f"# amodsim {cfg.config_hash()}\n"
            + "".join(line + "\n" for line in result.event_log))
     epoch = inputs.cleaning.epoch if inputs.cleaning else None
-    whole = metrics.aggregate(result.records, metrics.BUCKET_WHOLE_RUN)
-    daily = metrics.aggregate(result.records, metrics.BUCKET_DAILY, epoch=epoch)
-    _write(os.path.join(out_dir, "summary.txt"), metrics.summary_text(whole + daily))
+    whole = metrics.whole_run(result.records)
+    daily = metrics.aggregate(result.records, epoch)
+    _write(os.path.join(out_dir, "summary.txt"), metrics.summary_text([whole, *daily]))
     _write(os.path.join(out_dir, "periodic.txt"), metrics.summary_text(
         metrics.periodic_rows(result.records, cfg.doc["sim"]["metric_period_s"])))
     _write(os.path.join(out_dir, "adjacency_final.txt"), inputs.sched.export_text())
@@ -186,21 +185,17 @@ def cmd_run(cfg: RunConfig) -> int:
     _write(os.path.join(out_dir, "metadata.json"),
            json.dumps(metadata, sort_keys=True, indent=2) + "\n")
 
-    s = whole[0]
-    t_apw = "NA" if s.t_apw_s is None else f"{s.t_apw_s / 60.0:.2f}"
-    r_ts = "NA" if s.r_ts is None else f"{s.r_ts:.4f}"
-    print(f"run {out_dir}: calls={s.n_calls} served={s.n_success} "
-          f"r_ts={r_ts} t_apw_min={t_apw}")
+    print(f"run {out_dir}: calls={whole.n_calls} served={whole.n_success} "
+          f"r_ts={metrics.fmt(whole.r_ts, 4)} t_apw_min={metrics.fmt(whole.t_apw_min, 2)}")
     return EXIT_OK
 
 
 # -- compare -------------------------------------------------------------
 
 
-def _whole_run_improvement(rec_with: list, rec_without: list) -> metrics.ImprovementReport:
-    """Whole-run improvement of the expansion run over the baseline run."""
-    return metrics.improvement(metrics.aggregate(rec_with, metrics.BUCKET_WHOLE_RUN)[0],
-                               metrics.aggregate(rec_without, metrics.BUCKET_WHOLE_RUN)[0])
+def _daily(records: list, epoch: datetime | None) -> dict[float, metrics.MetricsSummary]:
+    """A run's daily summaries by window start."""
+    return {s.window_start_s: s for s in metrics.aggregate(records, epoch)}
 
 
 def _read_meta(run_dir: str) -> dict:
@@ -258,11 +253,9 @@ def cmd_compare(dir_a: str, dir_b: str) -> int:
         meta_a, rec_a, meta_b, rec_b = meta_b, rec_b, meta_a, rec_a
         dir_a, dir_b = dir_b, dir_a
     epoch = meta_a["epoch"]
-    rows = [("whole-run", _whole_run_improvement(rec_a, rec_b))]
-    daily_a = {s.window_start_s: s for s in metrics.aggregate(rec_a, metrics.BUCKET_DAILY,
-                                                              epoch=epoch)}
-    daily_b = {s.window_start_s: s for s in metrics.aggregate(rec_b, metrics.BUCKET_DAILY,
-                                                              epoch=epoch)}
+    rows = [("whole-run", metrics.improvement(metrics.whole_run(rec_a),
+                                              metrics.whole_run(rec_b)))]
+    daily_a, daily_b = _daily(rec_a, epoch), _daily(rec_b, epoch)
     for k, start in enumerate(sorted(set(daily_a) & set(daily_b))):
         rows.append((f"day-{k}", metrics.improvement(daily_a[start], daily_b[start])))
     print(f"with-expansion    {meta_a['config']['dispatch']['strategy']}"
@@ -320,7 +313,8 @@ def cmd_matrix(cfg: RunConfig, strategies: list[Strategy]) -> int:
         wo = done.get(_cell_name(strategy, False))
         if w is None or wo is None:
             continue
-        rows.append((strategy.value, _whole_run_improvement(w[1], wo[1])))
+        rows.append((strategy.value, metrics.improvement(metrics.whole_run(w[1]),
+                                                         metrics.whole_run(wo[1]))))
     if rows:
         report = metrics.comparison_text(rows)
         _write(os.path.join(root, "combined_report.txt"), report)
@@ -332,27 +326,19 @@ def cmd_matrix(cfg: RunConfig, strategies: list[Strategy]) -> int:
 
 def _write_plot_data(root: str, cells: list[str], done: dict) -> None:
     """Per-day series, one column per matrix cell, NA where a day is absent."""
-    daily: dict[str, dict[float, metrics.MetricsSummary]] = {}
-    for name in cells:
-        if name not in done:
-            continue
-        meta, records = done[name]
-        daily[name] = {s.window_start_s: s for s in
-                       metrics.aggregate(records, metrics.BUCKET_DAILY, epoch=meta["epoch"])}
+    daily = {name: _daily(done[name][1], done[name][0]["epoch"])
+             for name in cells if name in done}
     if not daily:
         return
     starts = sorted({t for series in daily.values() for t in series})
     names = [name for name in cells if name in daily]
-    for fname, field in (("plot_wait_daily.tsv", "t_apw_s"), ("plot_rate_daily.tsv", "r_ts")):
+    for fname, field in (("plot_wait_daily.tsv", "t_apw_min"), ("plot_rate_daily.tsv", "r_ts")):
         lines = ["\t".join(["day", *names])]
         for k, start in enumerate(starts):
             row = [str(k)]
             for name in names:
                 s = daily[name].get(start)
-                v = None if s is None else getattr(s, field)
-                if v is not None and field == "t_apw_s":
-                    v = v / 60.0
-                row.append("NA" if v is None else f"{v:.4f}")
+                row.append(metrics.fmt(None if s is None else getattr(s, field), 4))
             lines.append("\t".join(row))
         _write(os.path.join(root, fname), "\n".join(lines) + "\n")
 

@@ -44,6 +44,7 @@ class DispatchDecision:
     zones_searched: list[frozenset[int]] = field(default_factory=list)
     adjacency_updated: bool = False
     origin_zone: int | None = None
+    zone_fallback: bool = False  # the pickup lies outside every zone
     nodes_settled: int = 0
 
     @property
@@ -152,22 +153,30 @@ def _retimed(route: Route, start: int, net: RoadNetwork,
     return road.path_time(net, nodes[nodes.index(start):], now_s, traffic)
 
 
-def _regions(a_c: int, sched: AdjacencySchedule, expand: bool) -> Iterator[frozenset[int]]:
-    """The zone regions a call in zone a_c searches, in order."""
+def _regions(a_c: int, sched: AdjacencySchedule,
+             expand: bool) -> Iterator[tuple[frozenset[int], bool]]:
+    """The zone regions a call in zone a_c searches, in order, each with
+    whether a winner there gets its zone linked to a_c."""
     neighbors = sched.neighbors(a_c)
     if not expand:
-        yield frozenset({a_c})
+        yield frozenset({a_c}), False
         if neighbors:
-            yield frozenset(neighbors)
+            yield frozenset(neighbors), False
         return
     region = frozenset({a_c, *neighbors})
-    yield region
+    yield region, False
     while neighbors:  # an isolated zone has no ring to widen
         wider = frozenset(sched.expand_frontier(set(region)))
         if wider == region:
-            return  # connected component exhausted
+            break  # connected component exhausted
         region = wider
-        yield region
+        yield region, False
+    # Reached only once no ring held a reachable candidate. The last ring
+    # holds a_c, so a winner from the rest of the city lies outside a_c. A
+    # last ring that already covers the city is not searched twice.
+    everywhere = frozenset(sched.zone_ids())
+    if everywhere > region:
+        yield everywhere, True
 
 
 def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | None,
@@ -177,8 +186,8 @@ def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | Non
              cfg: DispatchConfig) -> DispatchDecision:
     """Pick a vehicle for one call. Expansion may add one adjacency link on
     an out-of-component assignment; vehicle state is never touched."""
-    a_c = zone_map.locate_or_nearest(call.pickup)
-    decision = DispatchDecision(origin_zone=a_c)
+    a_c, fell_back = zone_map.locate_or_nearest(call.pickup)
+    decision = DispatchDecision(origin_zone=a_c, zone_fallback=fell_back)
     # Nodes of one strongly connected component reach each other, so only a
     # trip across components needs a search to tell whether it is routable;
     # that route is kept for the winner.
@@ -197,21 +206,14 @@ def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | Non
     # A vehicle sits in the zone of its last-passed routing node.
     vzone = {v.id: node_zone[v.current_node(now_s)] for v in pool}
     winner = None
-    for region in _regions(a_c, sched, cfg.eat_enabled):
+    for region, link in _regions(a_c, sched, cfg.eat_enabled):
         decision.zones_searched.append(region)
         winner, _ = ranking.best([v for v in pool if vzone[v.id] in region])
         if winner is not None:
-            break
-    if winner is None and cfg.eat_enabled:
-        all_zones = frozenset(sched.zone_ids())
-        # The last region holds a_c and none of its candidates was
-        # reachable, so a winner from the rest of the city lies outside a_c.
-        if all_zones > region:
-            decision.zones_searched.append(all_zones)
-            winner, _ = ranking.best(pool)
-            if winner is not None:
+            if link:
                 sched.add_neighbor(a_c, vzone[winner.id])
                 decision.adjacency_updated = True
+            break
     decision.nodes_settled = ranking.nodes_settled
     if winner is None:
         decision.reject_reason = REJECT_NO_VEHICLE

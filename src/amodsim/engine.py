@@ -12,7 +12,7 @@ multiplier changes.
 
 import heapq
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .demand import TripRequest
@@ -89,12 +89,6 @@ def parse_record_line(line: str) -> CallRecord:
 
 
 @dataclass
-class EngineConfig:
-    dispatch: DispatchConfig = field(default_factory=DispatchConfig)
-    snap_radius_m: float = DEFAULT_SNAP_RADIUS_M
-
-
-@dataclass
 class RunResult:
     records: list[CallRecord]
     event_log: list[str]
@@ -106,27 +100,27 @@ class RunResult:
 
 
 class _RequestState:
-    """A request some vehicle holds: the vehicle, and the token of the one
-    pickup event still valid. Any change of vehicle or pickup time bumps the
-    token, so an older pickup event finds a different token and is stale."""
-    __slots__ = ("request", "vehicle_id", "token")
+    """A request some vehicle holds: the vehicle, and the sequence number of
+    the pickup event last scheduled for it. Any change of vehicle or pickup
+    time schedules a new pickup event, so an older one is stale."""
+    __slots__ = ("vehicle_id", "pickup_seq")
 
-    def __init__(self, request: TripRequest, vehicle_id: int):
-        self.request = request
+    def __init__(self, vehicle_id: int, pickup_seq: int):
         self.vehicle_id = vehicle_id
-        self.token = 0
+        self.pickup_seq = pickup_seq
 
 
 class _Simulation:
     def __init__(self, requests: list[TripRequest], fleet: Fleet, net: RoadNetwork,
                  zone_map: ZoneMap, sched: AdjacencySchedule,
-                 traffic: TrafficState, cfg: EngineConfig):
+                 traffic: TrafficState, cfg: DispatchConfig, snap_radius_m: float):
         self.fleet = fleet
         self.net = net
         self.zone_map = zone_map
         self.sched = sched
         self.traffic = traffic
         self.cfg = cfg
+        self.snap_radius_m = snap_radius_m
         self.heap: list[tuple[float, int, EventKind, tuple]] = []
         self.seq = 0
         self.now = 0.0
@@ -137,6 +131,8 @@ class _Simulation:
         self.reassignment_count = 0
         self.nodes_settled = 0
         self.oss_nodes_settled = 0
+        self.zone_fallbacks = 0
+        self.adjacency_links = 0
         self.requests = sorted(requests, key=lambda r: (r.request_time_s, r.id))
         ids = [r.id for r in self.requests]
         if len(set(ids)) != len(ids):
@@ -147,19 +143,19 @@ class _Simulation:
         if len(zone_map) == 0:
             raise SimulationError("at least one zone is required to dispatch")
         # Vehicles are looked up by the zone of their current node; resolve
-        # every node once. Nodes outside all zones map to the nearest one.
-        self.node_zone: dict[int, int] = {}
-        for nid in net.ids:
-            z = zone_map.locate(net.nodes[nid])
-            self.node_zone[nid] = z if z is not None else zone_map.nearest_by_centroid(net.nodes[nid])
+        # every node once.
+        self.node_zone = {nid: zone_map.locate_or_nearest(net.nodes[nid])[0]
+                          for nid in net.ids}
 
     # -- scheduling ----------------------------------------------------
 
-    def schedule(self, t_s: float, kind: EventKind, payload: tuple) -> None:
+    def schedule(self, t_s: float, kind: EventKind, payload: tuple) -> int:
+        """Queue an event and return its sequence number."""
         if t_s < self.now:
             raise SimulationError(f"event {kind.value} scheduled in the past ({t_s} < {self.now})")
         heapq.heappush(self.heap, (t_s, self.seq, kind, payload))
         self.seq += 1
+        return self.seq - 1
 
     def schedule_arrival(self, i: int) -> None:
         """Queue the i-th request's arrival under the sequence number run()
@@ -184,14 +180,16 @@ class _Simulation:
         self.schedule_arrival(i + 1)
         r = self.requests[i]
         req_id = r.id
-        pickup_node = self.net.nearest_node(r.pickup, self.cfg.snap_radius_m)
-        dropoff_node = self.net.nearest_node(r.dropoff, self.cfg.snap_radius_m)
+        pickup_node = self.net.nearest_node(r.pickup, self.snap_radius_m)
+        dropoff_node = self.net.nearest_node(r.dropoff, self.snap_radius_m)
         if pickup_node is None or dropoff_node is None:
             self.snap_failures += 1
         decision = dispatch(r, pickup_node, dropoff_node, self.fleet,
                             self.sched, self.zone_map, self.node_zone, self.net,
-                            self.traffic, self.now, self.cfg.dispatch)
+                            self.traffic, self.now, self.cfg)
         self.nodes_settled += decision.nodes_settled
+        self.zone_fallbacks += decision.zone_fallback
+        self.adjacency_links += decision.adjacency_updated
         if not decision.assigned:
             self.end(r, OUTCOME_REJECTED, reject_reason=decision.reject_reason)
             self.emit(EventKind.REQUEST_ARRIVAL,
@@ -200,8 +198,8 @@ class _Simulation:
             return
         v = self.fleet.vehicle(decision.vehicle_id)
         plan = assign(v, r, decision.route_to_pickup, decision.route_of_trip, self.now)
-        st = self.states[req_id] = _RequestState(r, v.id)
-        self.schedule(plan.pickup_time_s, EventKind.ARRIVED_AT_PICKUP, (req_id, st.token))
+        self.states[req_id] = _RequestState(
+            v.id, self.schedule(plan.pickup_time_s, EventKind.ARRIVED_AT_PICKUP, (req_id,)))
         self.schedule(r.request_time_s + r.patience_s,
                       EventKind.PASSENGER_ABANDONED, (req_id,))
         self.emit(EventKind.REQUEST_ARRIVAL,
@@ -209,14 +207,15 @@ class _Simulation:
                   f"vehicle={v.id} eta={decision.eta_s!r} rounds={len(decision.zones_searched)} "
                   f"adj={int(decision.adjacency_updated)}")
 
-    def on_arrived_at_pickup(self, req_id: int, token: int) -> None:
+    def on_arrived_at_pickup(self, req_id: int) -> None:
         st = self.states.get(req_id)
-        if st is None or st.token != token:
+        if st is None or st.pickup_seq != self.current_seq:
             return  # superseded by a re-plan or an abandonment
-        if self.now - st.request.request_time_s > st.request.patience_s:
-            raise SimulationError(f"request {req_id} picked up after its patience ran out")
         v = self.fleet.vehicle(st.vehicle_id)
         pick_up(v, req_id, self.now)
+        r = v.plan.request
+        if self.now - r.request_time_s > r.patience_s:
+            raise SimulationError(f"request {req_id} picked up after its patience ran out")
         self.schedule(v.plan.dropoff_time_s, EventKind.TRIP_COMPLETED, (req_id, v.id))
         self.emit(EventKind.ARRIVED_AT_PICKUP, f"req={req_id} vehicle={v.id}")
 
@@ -240,25 +239,24 @@ class _Simulation:
         if job.pickup_time_s <= self.now:
             return  # the pickup due this same instant wins the tie
         release(v, req_id, self.now)
-        self.end(st.request, OUTCOME_ABANDONED, abandon_time_s=self.now)
+        self.end(job.request, OUTCOME_ABANDONED, abandon_time_s=self.now)
         self.emit(EventKind.PASSENGER_ABANDONED, f"req={req_id} vehicle={st.vehicle_id}")
 
     def on_traffic_change(self, multiplier: float) -> None:
         self.emit(EventKind.TRAFFIC_CHANGE, f"multiplier={multiplier!r}")
-        if self.cfg.dispatch.strategy is Strategy.OSS:
+        if self.cfg.strategy is Strategy.OSS:
             self.schedule(self.now, EventKind.RESCHEDULE, ())
 
     def on_reschedule(self) -> None:
         actions = oss_reschedule(waiting_jobs(self.fleet), self.fleet, self.net, self.traffic,
-                                 self.now, self.cfg.dispatch)
+                                 self.now, self.cfg)
         self.oss_nodes_settled += actions.nodes_settled
         reassigned = 0
         for act in actions:
             st = self.states[act.request_id]
-            st.token += 1
             st.vehicle_id = act.new_vehicle_id
-            self.schedule(act.new_pickup_time_s, EventKind.ARRIVED_AT_PICKUP,
-                          (act.request_id, st.token))
+            st.pickup_seq = self.schedule(act.new_pickup_time_s, EventKind.ARRIVED_AT_PICKUP,
+                                          (act.request_id,))
             if act.reassigned:
                 reassigned += 1
         self.reassignment_count += reassigned
@@ -301,8 +299,8 @@ class _Simulation:
         if problems:
             raise SimulationError("state machine violations: " + "; ".join(problems[:5]))
         if self.states:
-            st = next(iter(self.states.values()))  # the earliest left, in request order
-            raise SimulationError(f"request {st.request.id} never ended; vehicle "
+            rid, st = next(iter(self.states.items()))  # the earliest left, in request order
+            raise SimulationError(f"request {rid} never ended; vehicle "
                                   f"{st.vehicle_id} still holds it")
         records = sorted(self.records, key=lambda rec: (rec.request_time_s, rec.request_id))
         rejects: dict[str, int] = {}
@@ -315,8 +313,8 @@ class _Simulation:
             "abandoned": sum(1 for rec in records if rec.outcome == OUTCOME_ABANDONED),
             "rejected": rejects,
             "reassignments": self.reassignment_count,
-            "adjacency_revision": self.sched.revision,
-            "zone_fallback_calls": self.zone_map.fallback_count,
+            "adjacency_revision": self.adjacency_links,
+            "zone_fallback_calls": self.zone_fallbacks,
             "snap_failures": self.snap_failures,
             "events_processed": self.events_processed,
             "nodes_settled": self.nodes_settled,
@@ -327,12 +325,13 @@ class _Simulation:
 
 def run(requests: list[TripRequest], fleet: Fleet, net: RoadNetwork,
         zone_map: ZoneMap, sched: AdjacencySchedule, traffic: TrafficState | None,
-        cfg: EngineConfig | None = None) -> RunResult:
+        cfg: DispatchConfig | None = None,
+        snap_radius_m: float = DEFAULT_SNAP_RADIUS_M) -> RunResult:
     """Simulate one demand stream to completion and return its records.
 
     The caller's fleet and schedule are mutated (final vehicle positions,
     adjacency links discovered during the run).
     """
-    return _Simulation(requests, fleet, net, zone_map, sched,
-                       traffic or TrafficState([]), cfg or EngineConfig()).run()
+    return _Simulation(requests, fleet, net, zone_map, sched, traffic or TrafficState([]),
+                       cfg or DispatchConfig(), snap_radius_m).run()
 

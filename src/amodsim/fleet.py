@@ -28,15 +28,13 @@ class Strategy(Enum):
     OSS = "OSS"
 
 
-# (from, to) pairs the state machine allows. OnTrip -> OnTrip covers queueing
-# or dropping a follow-up job without a status change.
+# (from, to) pairs the state machine allows.
 ALLOWED_TRANSITIONS = {
     (VehicleStatus.IDLE, VehicleStatus.EN_ROUTE_TO_PICKUP),
     (VehicleStatus.EN_ROUTE_TO_PICKUP, VehicleStatus.ON_TRIP),
     (VehicleStatus.EN_ROUTE_TO_PICKUP, VehicleStatus.IDLE),
     (VehicleStatus.ON_TRIP, VehicleStatus.IDLE),
     (VehicleStatus.ON_TRIP, VehicleStatus.EN_ROUTE_TO_PICKUP),
-    (VehicleStatus.ON_TRIP, VehicleStatus.ON_TRIP),
 }
 
 

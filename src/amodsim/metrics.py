@@ -17,9 +17,6 @@ from .engine import OUTCOME_PICKED_UP, CallRecord
 
 SECONDS_PER_DAY = 86400.0
 
-BUCKET_DAILY = "daily"
-BUCKET_WHOLE_RUN = "whole-run"
-
 SUMMARY_COLUMNS = ("window_start_s", "window_end_s", "n_calls", "n_success",
                    "r_ts", "t_apw_min")
 
@@ -45,6 +42,10 @@ class MetricsSummary:
         return self.sum_wait_s / self.n_success
 
     @property
+    def t_apw_min(self) -> float | None:
+        return None if self.t_apw_s is None else self.t_apw_s / 60.0
+
+    @property
     def r_ts(self) -> float | None:
         if self.n_calls == 0:
             return None
@@ -56,12 +57,13 @@ class MetricsSummary:
             repr(self.window_end_s),
             str(self.n_calls),
             str(self.n_success),
-            _fmt(self.r_ts, 4),
-            _fmt(None if self.t_apw_s is None else self.t_apw_s / 60.0, 2),
+            fmt(self.r_ts, 4),
+            fmt(self.t_apw_min, 2),
         ])
 
 
-def _fmt(value: float | None, places: int) -> str:
+def fmt(value: float | None, places: int) -> str:
+    """A metric with fixed decimals; "NA" for a window with no data."""
     return "NA" if value is None else f"{value:.{places}f}"
 
 
@@ -127,26 +129,26 @@ def _epoch_midnight_offset_s(epoch: datetime | None) -> float:
     return (epoch - midnight).total_seconds()
 
 
-def aggregate(records: list[CallRecord], bucket: str,
-              epoch: datetime | None = None) -> list[MetricsSummary]:
-    """Bucket records by request time and summarize each bucket.
+def whole_run(records: list[CallRecord]) -> MetricsSummary:
+    """One summary from time zero to the end of the last activity."""
+    return summarize(records, (0.0, horizon_s(records)))
+
+
+def aggregate(records: list[CallRecord], epoch: datetime | None = None) -> list[MetricsSummary]:
+    """Group records by the day of their request time and summarize each day.
 
     Day boundaries fall at local midnight of the calendar the epoch
     datetime anchors; without an epoch, time zero is treated as a
-    midnight. Only buckets that contain records are returned, so counts are
+    midnight. Only days that contain records are returned, so counts are
     conserved against the whole-run summary.
     """
-    if bucket == BUCKET_WHOLE_RUN:
-        return [summarize(records, (0.0, horizon_s(records)))]
-    if bucket == BUCKET_DAILY:
-        offset = _epoch_midnight_offset_s(epoch)
-        groups: dict[int, list[CallRecord]] = {}
-        for r in records:
-            groups.setdefault(int((r.request_time_s + offset) // SECONDS_PER_DAY), []).append(r)
-        return [summarize(groups[k], (k * SECONDS_PER_DAY - offset,
-                                      (k + 1) * SECONDS_PER_DAY - offset))
-                for k in sorted(groups)]
-    raise ValueError(f"unknown bucket {bucket!r}")
+    offset = _epoch_midnight_offset_s(epoch)
+    groups: dict[int, list[CallRecord]] = {}
+    for r in records:
+        groups.setdefault(int((r.request_time_s + offset) // SECONDS_PER_DAY), []).append(r)
+    return [summarize(groups[k], (k * SECONDS_PER_DAY - offset,
+                                  (k + 1) * SECONDS_PER_DAY - offset))
+            for k in sorted(groups)]
 
 
 def periodic_rows(records: list[CallRecord], period_s: float) -> list[MetricsSummary]:
@@ -194,10 +196,8 @@ def comparison_text(rows: list[tuple[str, ImprovementReport]]) -> str:
         w = rep.with_eat
         wo = rep.without_eat
         lines.append(
-            f"{label:<12} "
-            f"{_fmt(None if w.t_apw_s is None else w.t_apw_s / 60.0, 2):>13} "
-            f"{_fmt(None if wo.t_apw_s is None else wo.t_apw_s / 60.0, 2):>16} "
-            f"{_fmt(w.r_ts, 4):>9} {_fmt(wo.r_ts, 4):>12} "
-            f"{_fmt(rep.time_improvement_pct, 2):>16} "
-            f"{_fmt(rep.rate_improvement_pct, 2):>16}")
+            f"{label:<12} {fmt(w.t_apw_min, 2):>13} {fmt(wo.t_apw_min, 2):>16} "
+            f"{fmt(w.r_ts, 4):>9} {fmt(wo.r_ts, 4):>12} "
+            f"{fmt(rep.time_improvement_pct, 2):>16} "
+            f"{fmt(rep.rate_improvement_pct, 2):>16}")
     return "\n".join(lines) + "\n"

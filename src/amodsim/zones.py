@@ -2,7 +2,7 @@
 
 Zone adjacency starts from geometry (boundaries that touch within 1 m or
 overlap) and can grow at runtime when the dispatcher discovers a useful link.
-The schedule tracks a revision counter so exports can be ordered by history.
+Neither the zone map nor the schedule counts anything a run does.
 """
 
 import json
@@ -29,16 +29,10 @@ class Zone:
 
 
 class AdjacencySchedule:
-    """Symmetric, irreflexive neighbor sets with a revision counter.
-
-    add_neighbor always bumps the revision, even for an already-present pair;
-    the counter records how many times the dispatcher touched the schedule,
-    not the number of distinct links.
-    """
+    """Symmetric, irreflexive neighbor sets."""
 
     def __init__(self, zone_ids: list[int]):
         self._nbrs: dict[int, set[int]] = {z: set() for z in zone_ids}
-        self.revision = 0
 
     def zone_ids(self) -> list[int]:
         return sorted(self._nbrs)
@@ -55,7 +49,6 @@ class AdjacencySchedule:
             raise ValueError(f"zone {a} cannot neighbor itself")
         self._nbrs[a].add(b)
         self._nbrs[b].add(a)
-        self.revision += 1
 
     def expand_frontier(self, visited: set[int]) -> set[int]:
         """One breadth-first ring: visited plus every neighbor of visited."""
@@ -128,7 +121,7 @@ class ZoneMap:
 
     locate() returns the lowest-id zone containing the point, or None.
     locate_or_nearest() falls back to the zone with the nearest vertex-mean
-    centroid and counts how often the fallback fired.
+    centroid.
     """
 
     def __init__(self, zones: list[Zone]):
@@ -137,7 +130,6 @@ class ZoneMap:
             raise ZoneLoadError("duplicate zone ids")
         self.zones = sorted(zones, key=lambda z: z.id)
         self._centroids = {z.id: z.boundary.centroid() for z in self.zones}
-        self.fallback_count = 0
 
     def __len__(self):
         return len(self.zones)
@@ -166,12 +158,13 @@ class ZoneMap:
                 best = z.id
         return best
 
-    def locate_or_nearest(self, p: GeoPoint) -> int:
+    def locate_or_nearest(self, p: GeoPoint) -> tuple[int, bool]:
+        """The containing zone, else the nearest centroid's; and whether the
+        point lies outside every zone."""
         z = self.locate(p)
         if z is None:
-            z = self.nearest_by_centroid(p)
-            self.fallback_count += 1
-        return z
+            return self.nearest_by_centroid(p), True
+        return z, False
 
 
 def initial_adjacency(zone_map: ZoneMap) -> AdjacencySchedule:
@@ -182,14 +175,14 @@ def initial_adjacency(zone_map: ZoneMap) -> AdjacencySchedule:
         for j in range(i + 1, len(zs)):
             if _zones_touch(zs[i].boundary, zs[j].boundary):
                 sched.add_neighbor(zs[i].id, zs[j].id)
-    sched.revision = 0  # geometry is the baseline, not dispatcher history
     return sched
 
 
 def load_zones(path: str) -> tuple[ZoneMap, AdjacencySchedule]:
     """Load a GeoJSON FeatureCollection of Polygon features.
 
-    Zone ids follow feature order; a `name` property is kept when present.
+    Zone ids follow feature order; a feature's `properties`, which must be
+    an object, are otherwise ignored.
     """
     try:
         with open(path, encoding="utf-8") as fh:

@@ -110,11 +110,10 @@ GOLDEN_RECORD_LINES = (
 
 
 def copy_schedule(sched: AdjacencySchedule) -> AdjacencySchedule:
-    """An independent schedule with the same pairs and revision."""
+    """An independent schedule with the same pairs."""
     dup = AdjacencySchedule(sched.zone_ids())
     for a, b in sched.pairs():
         dup.add_neighbor(a, b)
-    dup.revision = sched.revision
     return dup
 
 

@@ -13,7 +13,7 @@ import reference_results as ref
 from acceptance_report import record
 from amodsim.demand import TripRequest, generate_demand
 from amodsim.dispatch import DispatchConfig, dispatch
-from amodsim.engine import EngineConfig, run
+from amodsim.engine import run
 from amodsim.fleet import (
     Fleet,
     Strategy,
@@ -22,7 +22,7 @@ from amodsim.fleet import (
     candidate_pool,
     pick_up,
 )
-from amodsim.metrics import aggregate, improvement_pcts
+from amodsim.metrics import aggregate, improvement_pcts, whole_run
 from amodsim.road import TrafficState, route_astar
 from amodsim.zones import AdjacencySchedule, Zone, ZoneMap, initial_adjacency
 from scenario_tools import (
@@ -180,7 +180,6 @@ def random_city(rng, adjacency):
         for j in ids:
             if i < j and (adjacency == "full" or rng.random() < 0.35):
                 sched.add_neighbor(i, j)
-    sched.revision = 0
     node_zone = {nid: zm.locate(net.nodes[nid]) for nid in net.nodes}
     return net, zm, sched, node_zone
 
@@ -264,7 +263,6 @@ def chain_city():
     sched = AdjacencySchedule([0, 1, 2])
     sched.add_neighbor(0, 1)
     sched.add_neighbor(1, 2)
-    sched.revision = 0
     node_zone = {nid: next(k for k, (lo, hi) in enumerate(ranges)
                            if lo <= nid <= hi) for nid in net.nodes}
     return net, zm, sched, node_zone
@@ -335,10 +333,10 @@ def desk_run(net, requests, strategy, eat, fleet_seed):
     zm = desk_city_zones()
     sched = initial_adjacency(zm)
     fleet = Fleet.place_uniform(net, FLEET_SIZE, fleet_seed)
-    cfg = EngineConfig(dispatch=DispatchConfig(strategy=strategy, eat_enabled=eat))
+    cfg = DispatchConfig(strategy=strategy, eat_enabled=eat)
     result = run(list(requests), fleet, net, zm, sched,
                  TrafficState(list(TRAFFIC_STEPS)), cfg)
-    [whole] = aggregate(result.records, "whole-run")
+    whole = whole_run(result.records)
     return whole.t_apw_s, whole.r_ts
 
 
@@ -399,8 +397,7 @@ def determinism_run():
     traffic = TrafficState.build([(600.0, 1.25)], walk_seed=73,
                                  walk_step_s=300.0, walk_sigma=0.1,
                                  horizon_s=3600.0)
-    cfg = EngineConfig(dispatch=DispatchConfig(strategy=Strategy.SSS,
-                                               eat_enabled=True))
+    cfg = DispatchConfig(strategy=Strategy.SSS, eat_enabled=True)
     return run(requests, fleet, net, zm, sched, traffic, cfg)
 
 
@@ -436,8 +433,7 @@ def test_criterion_7_metrics_invariants():
         eat = (i // 3) % 2 == 0
         requests = generate_demand(3.0, 216000.0, zm.bbox(), zone_map=zm, seed=5000 + i)
         fleet = Fleet.place_uniform(net, 6, seed=6000 + i)
-        cfg = EngineConfig(dispatch=DispatchConfig(strategy=strategy,
-                                                   eat_enabled=eat))
+        cfg = DispatchConfig(strategy=strategy, eat_enabled=eat)
         result = run(list(requests), fleet, net, zm, sched,
                      TrafficState(traffic_steps), cfg)
         n_runs += 1
@@ -454,8 +450,8 @@ def test_criterion_7_metrics_invariants():
                 wait = rec.pickup_time_s - rec.request_time_s
                 assert 0.0 <= wait <= by_id[rec.request_id].patience_s
 
-        whole = aggregate(result.records, "whole-run")[0]
-        days = aggregate(result.records, "daily")
+        whole = whole_run(result.records)
+        days = aggregate(result.records)
         if whole.r_ts is not None:
             assert 0.0 <= whole.r_ts <= 1.0
         for day in days:
@@ -480,8 +476,7 @@ def test_criterion_7_metrics_invariants():
 def test_criterion_8_golden_scenario_regression():
     t0 = perf_counter()
     net, zm, sched = golden_city()
-    cfg = EngineConfig(dispatch=DispatchConfig(strategy=Strategy.NSS,
-                                               eat_enabled=True))
+    cfg = DispatchConfig(strategy=Strategy.NSS, eat_enabled=True)
     result = run(golden_requests(), golden_fleet(), net, zm, sched, None, cfg)
     lines = tuple(result.record_lines())
     dt = perf_counter() - t0

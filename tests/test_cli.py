@@ -12,7 +12,7 @@ import yaml
 from amodsim import cli
 from amodsim.engine import SimulationError
 from scenario_tools import (GOLDEN_EDGE_LEN_M, GOLDEN_SPACING_DEG, GRID_SPEED_LIMIT_MPS,
-                            GRID_SPEED_MPS, write_golden_inputs)
+                            GRID_SPEED_MPS, box_feature, write_golden_inputs)
 
 BASE_DOC = {
     "network": {"nodes": "nodes.txt", "edges": "edges.txt",
@@ -90,6 +90,30 @@ def test_validate_warns_of_split_network_and_stray_requests(tmp_path, capsys):
         "warning network: 1 requests beyond the 300.0 m snap radius "
         "(will be rejected as unroutable)",
     ]
+
+
+def test_run_counts_agree_with_validate_and_the_event_log(tmp_path, capsys):
+    # Two zones, the bottom and the top row of nodes, with the middle row
+    # between them: pickups drawn over their box fall in the gap, and a call
+    # whose vehicle is found only across it links the two zones.
+    d = GOLDEN_SPACING_DEG
+    doc = copy.deepcopy(BASE_DOC)
+    doc["demand"]["generate"]["region"] = "bbox"
+    cfg = setup_dir(tmp_path, doc)
+    with open(os.path.join(str(tmp_path), "zones.geojson"), "w") as fh:
+        json.dump({"type": "FeatureCollection", "features": [
+            box_feature("bottom", -0.5 * d, 0.5 * d, -0.5 * d, 2.5 * d),
+            box_feature("top", 1.5 * d, 2.5 * d, -0.5 * d, 2.5 * d)]}, fh)
+    assert cli.main(["validate", "--config", cfg]) == 0
+    stray = re.search(r"warning zones: (\d+) of \d+ pickups outside all zones",
+                      capsys.readouterr().out)
+    assert cli.main(["run", "--config", cfg]) == 0
+    out = os.path.join(str(tmp_path), "out")
+    counts = load_meta(out)["counts"]
+    with open(os.path.join(out, "event_log.txt")) as fh:
+        links = sum(1 for line in fh if line.split()[-1] == "adj=1")
+    assert counts["zone_fallback_calls"] == int(stray.group(1)) > 0
+    assert counts["adjacency_revision"] == links > 0
 
 
 def test_validate_missing_input_file(tmp_path, capsys):

@@ -17,7 +17,7 @@ from amodsim.dispatch import (
     dispatch,
     oss_reschedule,
 )
-from amodsim.engine import EngineConfig, run
+from amodsim.engine import run
 from amodsim.fleet import (Fleet, Plan, Strategy, Transition, Vehicle, VehicleStatus, assign,
                            candidate_pool, job_start, pick_up, waiting_job, waiting_jobs)
 from amodsim.geo import GeoPoint, haversine_m
@@ -49,7 +49,6 @@ def line_city(col_ranges, pairs, cols=None):
     sched = AdjacencySchedule([z.id for z in zones])
     for a, b in pairs:
         sched.add_neighbor(a, b)
-    sched.revision = 0
     node_zone = {}
     for nid in net.nodes:
         for k, (lo, hi) in enumerate(col_ranges):
@@ -88,7 +87,6 @@ def test_expansion_keeps_widening_where_baseline_stops():
     assert d.eta_s == 4 * HOP_S
     assert not d.adjacency_updated
     assert sched.pairs() == [(0, 1), (1, 2)]     # same component: no new link
-    assert sched.revision == 0
 
     d = run_dispatch(net, zm, sched, node_zone, [Vehicle(0, 4)], 0, 2, BASE)
     assert not d.assigned
@@ -129,7 +127,6 @@ def test_global_fallback_links_winning_zone():
     assert d.zones_searched == [frozenset({0, 1}), frozenset({0, 1, 2, 3})]
     assert d.adjacency_updated
     assert sched.pairs() == [(0, 1), (0, 2), (2, 3)]
-    assert sched.revision == 1
 
 
 def test_global_fallback_without_winner_keeps_adjacency():
@@ -139,7 +136,7 @@ def test_global_fallback_without_winner_keeps_adjacency():
     assert not d.assigned and d.reject_reason == "no-vehicle"
     assert d.zones_searched == [frozenset({0, 1}), frozenset({0, 1, 2, 3})]
     assert not d.adjacency_updated
-    assert sched.pairs() == [(0, 1), (2, 3)] and sched.revision == 0
+    assert sched.pairs() == [(0, 1), (2, 3)]
 
 
 def test_component_covering_everything_skips_duplicate_global_round():
@@ -149,6 +146,13 @@ def test_component_covering_everything_skips_duplicate_global_round():
     # the last expansion already reached every zone; no extra global round
     assert d.zones_searched == [frozenset({0, 1}), frozenset({0, 1, 2})]
     assert d.reject_reason == "no-vehicle"
+    # A vehicle in that last ring is found there. The ring equals the whole
+    # city, but it is a ring of the call's component, so no link is added.
+    d = run_dispatch(net, zm, sched, node_zone, [Vehicle(0, 4)], 0, 2, EAT)
+    assert d.vehicle_id == 0
+    assert d.zones_searched == [frozenset({0, 1}), frozenset({0, 1, 2})]
+    assert not d.adjacency_updated
+    assert sched.pairs() == [(0, 1), (1, 2)]
 
 
 def test_isolated_zone_searches_itself_then_everywhere():
@@ -164,14 +168,13 @@ def test_isolated_zone_searches_itself_then_everywhere():
     base = run_dispatch(net, zm, sched, node_zone, [Vehicle(0, 4)], 0, 3, BASE)
     assert base.zones_searched == [frozenset({0})]
     assert not base.assigned and base.reject_reason == "no-vehicle"
-    assert sched.pairs() == [(1, 2)] and sched.revision == 0
+    assert sched.pairs() == [(1, 2)] and not base.adjacency_updated
 
     far = run_dispatch(net, zm, sched, node_zone, [Vehicle(0, 4)], 0, 3, EAT)
     assert far.assigned
     assert far.zones_searched == [frozenset({0}), frozenset({0, 1, 2})]
     assert far.adjacency_updated
     assert sched.pairs() == [(0, 2), (1, 2)]
-    assert sched.revision == 1
 
 
 def test_baseline_prefers_call_zone_over_closer_ring_vehicle():
@@ -212,7 +215,7 @@ def test_unroutable_rejections():
     assert d.reject_reason == "unroutable"
     assert d.zones_searched == [frozenset({1})]
     assert d.nodes_settled == 0
-    assert sched1.revision == 0 and sched1.pairs() == []
+    assert not d.adjacency_updated and sched1.pairs() == []
 
     # the trip the other way crosses components too, and is routed
     call = TripRequest(1, 0.0, p, q, 1, 600.0)
@@ -451,7 +454,7 @@ def test_reschedule_records_a_release_and_a_rehire_in_one_pass():
     assert fleet.vehicle(2).transitions[-1] == Transition(40.0, 2, E, I)
 
     net, zm, sched, requests, fleet, traffic = released_then_rehired()
-    cfg = EngineConfig(dispatch=DispatchConfig(strategy=Strategy.OSS, eat_enabled=False))
+    cfg = DispatchConfig(strategy=Strategy.OSS, eat_enabled=False)
     result = run(requests, fleet, net, zm, sched, traffic, cfg)
     assert result.metadata["reassignments"] == 2
     assert [r.vehicle_id for r in result.records] == [1, 0]
@@ -696,7 +699,7 @@ def test_every_bound_a_run_passes_holds_and_keeps_the_route(monkeypatch):
         return route
 
     monkeypatch.setattr(road, "route_astar", checked)
-    cfg = EngineConfig(dispatch=DispatchConfig(strategy=Strategy.OSS, eat_enabled=True))
+    cfg = DispatchConfig(strategy=Strategy.OSS, eat_enabled=True)
     result = run(requests, Fleet.place_uniform(net, 15, 13), net, zm, initial_adjacency(zm),
                  traffic, cfg)
     assert len(result.records) == len(requests)

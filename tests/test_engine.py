@@ -15,7 +15,6 @@ from amodsim.engine import (
     OUTCOME_ABANDONED,
     OUTCOME_PICKED_UP,
     CallRecord,
-    EngineConfig,
     EventKind,
     SimulationError,
     parse_record_line,
@@ -42,8 +41,7 @@ D = GOLDEN_SPACING_DEG
 
 
 def nss_eat():
-    return EngineConfig(dispatch=DispatchConfig(strategy=Strategy.NSS,
-                                                eat_enabled=True))
+    return DispatchConfig(strategy=Strategy.NSS, eat_enabled=True)
 
 
 def one_zone_city(cols):
@@ -177,7 +175,7 @@ def test_replanned_pickup_wins_deadline_tie():
     # 80 s to the pickup at first; halved speeds at 40 s make the OSS
     # re-plan land the vehicle on node 2 at 120 s, the deadline itself
     requests = [req(net, 0, 0.0, 2, 4, patience=120.0)]
-    cfg = EngineConfig(dispatch=DispatchConfig(strategy=Strategy.OSS, eat_enabled=True))
+    cfg = DispatchConfig(strategy=Strategy.OSS, eat_enabled=True)
     result = run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched,
                  TrafficState([(40.0, 0.5)]), cfg)
     assert result.record_lines() == ["0 0.0 PICKED_UP 120.0 280.0 0"]
@@ -193,8 +191,7 @@ def test_sss_queues_job_behind_running_trip():
         req(net, 0, 0.0, 0, 2),      # trip runs 0 -> 2, done at 80
         req(net, 1, 10.0, 3, 4),     # queued: depart 80, pickup 120
     ]
-    cfg = EngineConfig(dispatch=DispatchConfig(strategy=Strategy.SSS,
-                                               eat_enabled=True))
+    cfg = DispatchConfig(strategy=Strategy.SSS, eat_enabled=True)
     result = run(requests, fleet, net, zm, sched, None, cfg)
     assert result.record_lines() == [
         "0 0.0 PICKED_UP 0.0 80.0 0",
@@ -221,8 +218,7 @@ def test_oss_reassigns_when_a_better_vehicle_frees_up():
         req(net, 1, 10.0, 11, 10),   # vehicle 0 crawls over from node 0
     ]
     traffic = TrafficState([(100.0, 0.5)])
-    cfg = EngineConfig(dispatch=DispatchConfig(strategy=Strategy.OSS,
-                                               eat_enabled=True))
+    cfg = DispatchConfig(strategy=Strategy.OSS, eat_enabled=True)
     result = run(requests, fleet, net, zm, sched, traffic, cfg)
     # the slowdown doubles vehicle 0's remaining 9 hops; vehicle 1 is already
     # idle at the pickup node, so the waiting job moves to it
@@ -236,6 +232,33 @@ def test_oss_reassigns_when_a_better_vehicle_frees_up():
     assert any("TRAFFIC_CHANGE multiplier=0.5" in line for line in result.event_log)
     assert any("RESCHEDULE actions=1 reassigned=1" in line for line in result.event_log)
     assert validate_transitions(result.transitions) == []
+
+
+def test_pickup_fires_from_the_event_scheduled_last():
+    # The queued job's pickup goes from 240 s to 320 s under the slowdown and
+    # back to 240 s when it lifts, each time by a new pickup event. The first
+    # event, at the same 240 s, must not fire: only the one scheduled last
+    # for the request is live.
+    net, zm, sched = one_zone_city(8)
+    requests = [
+        req(net, 0, 0.0, 0, 4),      # vehicle 0 is at the pickup; dropoff at 160
+        req(net, 1, 10.0, 6, 7),     # queued behind it: 2 hops from node 4
+    ]
+    traffic = TrafficState([(50.0, 0.5), (100.0, 1.0)])
+    cfg = DispatchConfig(strategy=Strategy.OSS, eat_enabled=True)
+    result = run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, traffic, cfg)
+    assert result.record_lines() == [
+        "0 0.0 PICKED_UP 0.0 160.0 0",
+        "1 10.0 PICKED_UP 240.0 280.0 0",
+    ]
+    lines = [line.split() for line in result.event_log]
+    reschedules = [int(seq) for _, seq, kind, *text in lines if kind == "RESCHEDULE"
+                   and text == ["actions=1", "reassigned=0"]]
+    pickups = [(t, int(seq)) for t, seq, kind, *text in lines
+               if kind == "ARRIVED_AT_PICKUP" and text[0] == "req=1"]
+    assert len(reschedules) == 2
+    assert len(pickups) == 1
+    assert pickups[0][0] == "240.0" and pickups[0][1] > reschedules[1]
 
 
 def test_nss_ignores_traffic_changes():
@@ -434,7 +457,7 @@ def run_city(city, strategy, eat):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine._Simulation, "emit", checked_emit)
-        cfg = EngineConfig(dispatch=DispatchConfig(strategy=strategy, eat_enabled=eat))
+        cfg = DispatchConfig(strategy=strategy, eat_enabled=eat)
         result = run(requests, fleet, net, zm, initial_adjacency(zm), traffic, cfg)
     return requests, fleet, result
 

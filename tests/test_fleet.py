@@ -199,9 +199,11 @@ def test_validate_transitions_catches_violations():
     two = [Transition(0.0, 0, I, E), Transition(0.0, 1, I, E),
            Transition(40.0, 0, E, O), Transition(41.0, 1, E, O)]
     assert validate_transitions(two) == []
-    # OnTrip -> OnTrip records queueing a job without a status change
+    # queueing a job changes no status, so an OnTrip self loop is as wrong
+    # as an Idle one
     assert validate_transitions([Transition(0.0, 0, I, E), Transition(1.0, 0, E, O),
-                                 Transition(2.0, 0, O, O)]) == []
+                                 Transition(2.0, 0, O, O)]) == \
+        ["t=2.0: vehicle 0 illegal transition OnTrip -> OnTrip"]
 
 
 # -- random sequences of fleet operations ----------------------------------

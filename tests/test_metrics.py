@@ -18,6 +18,7 @@ from amodsim.metrics import (
     periodic_rows,
     summarize,
     summary_text,
+    whole_run,
 )
 
 
@@ -40,11 +41,6 @@ MIXED = [
     abandoned(3, 30.0, 90.0),
     picked(4, 40.0, 160.0),
 ]
-
-
-def whole_run(records):
-    [s] = aggregate(records, "whole-run")
-    return s
 
 
 def test_mean_wait_covers_picked_up_calls_only():
@@ -161,18 +157,14 @@ def test_horizon_covers_latest_activity():
 
 
 def test_whole_run_aggregate():
-    out = aggregate(MIXED, "whole-run")
-    assert len(out) == 1
-    assert out[0] == summarize(MIXED, (0.0, 500.0))
-    with pytest.raises(ValueError):
-        aggregate(MIXED, "hourly")
+    assert whole_run(MIXED) == summarize(MIXED, (0.0, 500.0))
 
 
 def test_daily_aggregate_without_epoch():
     day = 86400.0
     records = [picked(0, 100.0, 40.0), picked(1, day - 1.0, 40.0),
                rejected(2, day + 5.0), picked(3, 3 * day + 10.0, 80.0)]
-    out = aggregate(records, "daily")
+    out = aggregate(records)
     assert [(s.window_start_s, s.window_end_s) for s in out] == \
         [(0.0, day), (day, 2 * day), (3 * day, 4 * day)]   # day 2 empty: absent
     assert [s.n_calls for s in out] == [2, 1, 1]
@@ -183,7 +175,7 @@ def test_daily_aggregate_with_midrun_epoch():
     # runs starting at 23:30 cross midnight 1800 s in
     epoch = datetime(2013, 1, 5, 23, 30, 0)
     records = [picked(0, 0.0, 40.0), picked(1, 1800.0, 40.0)]
-    out = aggregate(records, "daily", epoch=epoch)
+    out = aggregate(records, epoch)
     assert [(s.window_start_s, s.window_end_s) for s in out] == \
         [(-84600.0, 1800.0), (1800.0, 88200.0)]
     assert [s.n_calls for s in out] == [1, 1]
@@ -229,8 +221,8 @@ def test_partition_additivity_is_exact():
                 records.append(rejected(i, t))
             else:
                 records.append(abandoned(i, t, t + 60.0))
-        whole = aggregate(records, "whole-run")[0]
-        days = aggregate(records, "daily")
+        whole = whole_run(records)
+        days = aggregate(records)
         assert sum(d.n_calls for d in days) == whole.n_calls == 120
         assert sum(d.n_success for d in days) == whole.n_success
         assert math.fsum(d.sum_wait_s for d in days) == whole.sum_wait_s

@@ -31,13 +31,11 @@ def test_locate_prefers_lowest_id_on_overlap():
     assert zm.locate(GeoPoint(5.0, 5.0)) is None
 
 
-def test_locate_or_nearest_counts_fallbacks():
+def test_locate_or_nearest_flags_fallbacks():
     zm = ZoneMap([zone(0, 0.0, 1.0, 0.0, 1.0), zone(1, 0.0, 1.0, 2.0, 3.0)])
-    assert zm.locate_or_nearest(GeoPoint(0.5, 0.5)) == 0
-    assert zm.fallback_count == 0
-    assert zm.locate_or_nearest(GeoPoint(0.5, 1.4)) == 0   # nearer left centroid
-    assert zm.locate_or_nearest(GeoPoint(0.5, 1.8)) == 1
-    assert zm.fallback_count == 2
+    assert zm.locate_or_nearest(GeoPoint(0.5, 0.5)) == (0, False)
+    assert zm.locate_or_nearest(GeoPoint(0.5, 1.4)) == (0, True)   # nearer left centroid
+    assert zm.locate_or_nearest(GeoPoint(0.5, 1.8)) == (1, True)
 
 
 def test_zone_map_rejects_duplicate_ids():
@@ -51,7 +49,6 @@ def test_adjacency_from_shared_edges():
                   zone(2, 1, 2, 0, 1), zone(3, 1, 2, 1, 2)])
     sched = initial_adjacency(zm)
     assert sched.pairs() == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
-    assert sched.revision == 0
 
 
 def test_adjacency_tolerance_is_one_meter():
@@ -73,16 +70,14 @@ def test_adjacency_from_overlap_and_containment():
     assert sched.pairs() == [(0, 1), (0, 2)]
 
 
-def test_schedule_mutation_and_revision():
+def test_schedule_mutation():
     sched = AdjacencySchedule([0, 1, 2])
     assert sched.zone_ids() == [0, 1, 2]
-    assert sched.revision == 0
+    assert sched.pairs() == []
     sched.add_neighbor(2, 0)
     assert sched.neighbors(0) == [2]
     assert sched.neighbors(2) == [0]
-    assert sched.revision == 1
-    sched.add_neighbor(0, 2)     # repeat counts as another touch
-    assert sched.revision == 2
+    sched.add_neighbor(0, 2)     # a repeated pair is kept once
     assert sched.pairs() == [(0, 2)]
     with pytest.raises(ValueError):
         sched.add_neighbor(1, 1)
@@ -104,12 +99,12 @@ def test_expand_frontier_adds_one_ring():
 
 
 def test_schedule_copy_is_independent():
-    sched = AdjacencySchedule([0, 1])
+    sched = AdjacencySchedule([0, 1, 2])
     sched.add_neighbor(0, 1)
     dup = copy_schedule(sched)
-    assert dup.pairs() == [(0, 1)] and dup.revision == 1
-    dup.add_neighbor(1, 0)
-    assert dup.revision == 2 and sched.revision == 1
+    assert dup.pairs() == [(0, 1)]
+    dup.add_neighbor(2, 1)
+    assert dup.pairs() == [(0, 1), (1, 2)] and sched.pairs() == [(0, 1)]
 
 
 def test_export_text_format():
