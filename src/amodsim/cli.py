@@ -6,17 +6,19 @@ interrupted sweep by skipping cells whose stored config hash already matches.
 """
 
 import argparse
+import copy
 import dataclasses
 import json
 import os
 import sys
+from collections.abc import Iterator
 from datetime import datetime
 
 from . import metrics
 from .config import ConfigError, RunConfig, STRATEGY_NAMES, apply_seed_override, load_config
 from .demand import (NYC_BBOX, TIMESTAMP_FORMAT, CleaningReport, TripRequest,
                      generate_demand, parse_trips)
-from .engine import SimulationError, parse_record_line, run
+from .engine import RunResult, SimulationError, parse_record_line, run
 from .fleet import Fleet, Strategy
 from .road import RoadNetwork, TrafficState, load_network
 from .zones import AdjacencySchedule, ZoneMap, load_zones
@@ -145,20 +147,9 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    try:
-        inputs = load_inputs(cfg)
-    except LOAD_ERRORS as exc:
-        _error(exc)
-        return EXIT_VALIDATION
-    try:
-        result = run(inputs.requests, inputs.fleet, inputs.net, inputs.zone_map,
-                     inputs.sched, inputs.traffic, cfg.dispatch_config(),
-                     cfg.doc["sim"]["snap_radius_m"])
-    except SimulationError as exc:
-        _error(exc)
-        return EXIT_RUNTIME
-
+def _write_run(cfg: RunConfig, inputs: Inputs, sched: AdjacencySchedule,
+               result: RunResult) -> None:
+    """A finished run's files, and its report line."""
     out_dir = cfg.path(cfg.doc["out"])
     os.makedirs(out_dir, exist_ok=True)
     _write(os.path.join(out_dir, "call_records.txt"),
@@ -172,7 +163,7 @@ def cmd_run(cfg: RunConfig) -> int:
     _write(os.path.join(out_dir, "summary.txt"), metrics.summary_text([whole, *daily]))
     _write(os.path.join(out_dir, "periodic.txt"), metrics.summary_text(
         metrics.periodic_rows(result.records, cfg.doc["sim"]["metric_period_s"])))
-    _write(os.path.join(out_dir, "adjacency_final.txt"), inputs.sched.export_text())
+    _write(os.path.join(out_dir, "adjacency_final.txt"), sched.export_text())
     if inputs.cleaning is not None:
         _write(os.path.join(out_dir, "cleaning_report.txt"), inputs.cleaning.as_text())
     metadata = {
@@ -187,7 +178,43 @@ def cmd_run(cfg: RunConfig) -> int:
 
     print(f"run {out_dir}: calls={whole.n_calls} served={whole.n_success} "
           f"r_ts={metrics.fmt(whole.r_ts, 4)} t_apw_min={metrics.fmt(whole.t_apw_min, 2)}")
-    return EXIT_OK
+
+
+def _run_cells(cells: list[RunConfig]) -> Iterator[int]:
+    """Simulate cells that share one demand (they differ in dispatch and out
+    alone) in one pass over inputs loaded once. Then, cell by cell and in
+    order, write the cell's files or report what failed it, and yield its
+    exit code."""
+    try:
+        inputs = load_inputs(cells[0])
+    except LOAD_ERRORS as exc:
+        for _ in cells:
+            _error(exc)
+            yield EXIT_VALIDATION
+        return
+    # Each cell starts from its own copy of what a run changes.
+    states = [(inputs.fleet, inputs.sched)]
+    states += [copy.deepcopy(states[0]) for _ in cells[1:]]
+    try:
+        results = run(inputs.requests,
+                      [(fleet, sched, c.dispatch_config()) for c, (fleet, sched)
+                       in zip(cells, states)],
+                      inputs.net, inputs.zone_map, inputs.traffic,
+                      cells[0].doc["sim"]["snap_radius_m"])
+    except SimulationError as exc:  # in what every cell shares
+        results = [exc] * len(cells)
+    for c, (_, sched) in zip(cells, states):
+        result = results.pop(0)  # freed once written
+        if isinstance(result, SimulationError):
+            _error(result)
+            yield EXIT_RUNTIME
+        else:
+            _write_run(c, inputs, sched, result)
+            yield EXIT_OK
+
+
+def cmd_run(cfg: RunConfig) -> int:
+    return next(_run_cells([cfg]))
 
 
 # -- compare -------------------------------------------------------------
@@ -283,20 +310,26 @@ def _cell_done(out_dir: str, config_hash: str) -> bool:
 def cmd_matrix(cfg: RunConfig, strategies: list[Strategy]) -> int:
     root = cfg.path(cfg.doc["out"])
     os.makedirs(root, exist_ok=True)
-    failed: list[str] = []
-    cells: list[str] = []
+    cells: dict[str, RunConfig] = {}
     for strategy in strategies:
         for eat in (True, False):
             name = _cell_name(strategy, eat)
-            cell_cfg = cfg.cell(strategy, eat, os.path.join(cfg.doc["out"], name))
-            cells.append(name)
-            if _cell_done(cfg.path(cell_cfg.doc["out"]), cell_cfg.config_hash()):
-                print(f"skip {name}: already complete")
-                continue
-            code = cmd_run(cell_cfg)
-            if code != EXIT_OK:
-                failed.append(name)
-                print(f"cell {name} failed with exit {code}")
+            cells[name] = cfg.cell(strategy, eat, os.path.join(cfg.doc["out"], name))
+    pending = {name: c for name, c in cells.items()
+               if not _cell_done(c.path(c.doc["out"]), c.config_hash())}
+    # One pass runs every pending cell, each reporting in cell order. The
+    # pass starts at the first report, so with no cell pending nothing loads.
+    codes = _run_cells(list(pending.values()))
+    failed: list[str] = []
+    for name in cells:
+        if name not in pending:
+            print(f"skip {name}: already complete")
+            continue
+        code = next(codes)
+        if code != EXIT_OK:
+            failed.append(name)
+            print(f"cell {name} failed with exit {code}")
+    codes.close()  # frees the pass's inputs before the reports read the cells back
 
     done: dict[str, tuple[dict, list]] = {}
     for name in cells:
@@ -320,7 +353,7 @@ def cmd_matrix(cfg: RunConfig, strategies: list[Strategy]) -> int:
         _write(os.path.join(root, "combined_report.txt"), report)
         print(report, end="")
 
-    _write_plot_data(root, cells, done)
+    _write_plot_data(root, list(cells), done)
     return EXIT_RUNTIME if failed else EXIT_OK
 
 

@@ -10,6 +10,9 @@ it where it stopped.
 - expansion: the call's zone with its ring, widened one adjacency ring at a
   time until it stops growing; then the whole city, recording a new
   adjacency link to the winning vehicle's zone.
+
+What a call's dispatch reads that no cell of a pass changes (its snapped
+ends, its zone, its trip route) is one Arrival, which the cells share.
 """
 
 import math
@@ -179,30 +182,58 @@ def _regions(a_c: int, sched: AdjacencySchedule,
         yield everywhere, True
 
 
-def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | None,
-             fleet: Fleet, sched: AdjacencySchedule, zone_map: ZoneMap,
-             node_zone: dict[int, int], net: RoadNetwork,
-             traffic: TrafficState | None, now_s: float,
-             cfg: DispatchConfig) -> DispatchDecision:
+class Arrival:
+    """One call at its arrival, as every cell of a pass sees it: the network
+    and traffic it is dispatched on, its snapped ends, its zone, and its
+    trip route, searched at most once and only when some cell first needs
+    it. None of it depends on a cell's fleet or adjacency, and every cell
+    handles the call at the same instant, so the cells share one Arrival."""
+
+    def __init__(self, call: TripRequest, pickup_node: int | None,
+                 dropoff_node: int | None, zone_map: ZoneMap, net: RoadNetwork,
+                 traffic: TrafficState | None):
+        self.pickup_node = pickup_node
+        self.dropoff_node = dropoff_node
+        self.zone, self.zone_fallback = zone_map.locate_or_nearest(call.pickup)
+        self.net = net
+        self.traffic = traffic
+        self.now_s = call.request_time_s
+        self.trip_searched = False
+        self._trip: Route | None = None
+
+    def trip(self) -> Route | None:
+        """The fastest route from pickup to dropoff, None if there is none."""
+        if not self.trip_searched:
+            self.trip_searched = True
+            net, pickup_node, dropoff_node = self.net, self.pickup_node, self.dropoff_node
+            self._trip = road.route_astar(net, pickup_node, dropoff_node, self.now_s,
+                                          self.traffic)
+        return self._trip
+
+    def routable(self) -> bool:
+        """Whether both ends snapped and the dropoff can be reached. Nodes of
+        one strongly connected component reach each other, so only a trip
+        across components needs the search to tell; its route is kept."""
+        p, d = self.pickup_node, self.dropoff_node
+        if p is None or d is None:
+            return False
+        return self.net.component[p] == self.net.component[d] or self.trip() is not None
+
+
+def dispatch(call: TripRequest, arrival: Arrival, fleet: Fleet, sched: AdjacencySchedule,
+             node_zone: dict[int, int], cfg: DispatchConfig) -> DispatchDecision:
     """Pick a vehicle for one call. Expansion may add one adjacency link on
     an out-of-component assignment; vehicle state is never touched."""
-    a_c, fell_back = zone_map.locate_or_nearest(call.pickup)
-    decision = DispatchDecision(origin_zone=a_c, zone_fallback=fell_back)
-    # Nodes of one strongly connected component reach each other, so only a
-    # trip across components needs a search to tell whether it is routable;
-    # that route is kept for the winner.
-    routable = pickup_node is not None and dropoff_node is not None
-    trip_route = None
-    if routable and net.component[pickup_node] != net.component[dropoff_node]:
-        trip_route = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic)
-        routable = trip_route is not None
-    if not routable:
+    a_c = arrival.zone
+    decision = DispatchDecision(origin_zone=a_c, zone_fallback=arrival.zone_fallback)
+    if not arrival.routable():
         decision.zones_searched.append(frozenset({a_c}))
         decision.reject_reason = REJECT_UNROUTABLE
         return decision
 
+    now_s = arrival.now_s
     pool = candidate_pool(fleet, cfg.strategy, call.party_size)
-    ranking = _EtaRanking(pickup_node, net, traffic, now_s)
+    ranking = _EtaRanking(arrival.pickup_node, arrival.net, arrival.traffic, now_s)
     # A vehicle sits in the zone of its last-passed routing node.
     vzone = {v.id: node_zone[v.current_node(now_s)] for v in pool}
     winner = None
@@ -220,9 +251,7 @@ def dispatch(call: TripRequest, pickup_node: int | None, dropoff_node: int | Non
         return decision
     decision.vehicle_id = winner.id
     decision.route_to_pickup, decision.eta_s = ranking.leg(winner)
-    if trip_route is None:
-        trip_route = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic)
-    decision.route_of_trip = trip_route
+    decision.route_of_trip = arrival.trip()
     return decision
 
 

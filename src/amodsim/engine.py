@@ -1,22 +1,26 @@
 """Discrete-event simulation loop and its replayable event log.
 
-Events are processed in (time, sequence) order; the sequence number is fixed
-when an event is scheduled, so ties at the same instant resolve by scheduling
-history and every run of the same inputs pops the same events in the same
-order. Requests arrive one at a time from the sorted demand, each under a
-number reserved for it at the start; the engine keeps state for a request
-only while a vehicle holds it. Leg durations are fixed when a job is
-planned; only the OSS strategy re-plans waiting pickups when the traffic
-multiplier changes.
+One pass runs any number of cells, each a fleet, an adjacency schedule and
+a dispatcher, over one demand. Within a cell, events are processed in
+(time, sequence) order; the sequence number is fixed when an event is
+scheduled, so ties at the same instant resolve by scheduling history and
+every run of the same inputs pops the same events in the same order.
+Requests arrive one at a time from the sorted demand, each under a number
+reserved for it at the start, and never wait in a queue: the pass hands
+each arrival to every cell in turn, after the cell's own events keyed
+before it. A cell keeps state for a request only while a vehicle holds it.
+Leg durations are fixed when a job is planned; only the OSS strategy
+re-plans waiting pickups when the traffic multiplier changes.
 """
 
 import heapq
 import logging
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 from .demand import TripRequest
-from .dispatch import DispatchConfig, dispatch, oss_reschedule
+from .dispatch import Arrival, DispatchConfig, dispatch, oss_reschedule
 from .fleet import (Fleet, Strategy, Transition, assign, finish_trip, pick_up, release,
                     validate_transitions, waiting_job, waiting_jobs)
 from .road import RoadNetwork, TrafficState
@@ -45,7 +49,7 @@ OUTCOME_REJECTED = "REJECTED"
 OUTCOME_ABANDONED = "ABANDONED"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CallRecord:
     request_id: int
     request_time_s: float
@@ -99,6 +103,9 @@ class RunResult:
         return [r.line() for r in self.records]
 
 
+Cell = tuple[Fleet, AdjacencySchedule, DispatchConfig]
+
+
 class _RequestState:
     """A request some vehicle holds: the vehicle, and the sequence number of
     the pickup event last scheduled for it. Any change of vehicle or pickup
@@ -110,17 +117,21 @@ class _RequestState:
         self.pickup_seq = pickup_seq
 
 
-class _Simulation:
-    def __init__(self, requests: list[TripRequest], fleet: Fleet, net: RoadNetwork,
-                 zone_map: ZoneMap, sched: AdjacencySchedule,
-                 traffic: TrafficState, cfg: DispatchConfig, snap_radius_m: float):
+class _Cell:
+    """One dispatcher's run inside a pass: its own fleet, adjacency schedule,
+    event heap and sequence numbers, request states, log, records and
+    counts. It refers to what the demand fixes, but not to the pass, so a
+    finished pass is freed as soon as its last reference goes."""
+
+    def __init__(self, fleet: Fleet, sched: AdjacencySchedule, cfg: DispatchConfig,
+                 net: RoadNetwork, traffic: TrafficState, node_zone: dict[int, int],
+                 arrivals: int):
         self.fleet = fleet
-        self.net = net
-        self.zone_map = zone_map
         self.sched = sched
-        self.traffic = traffic
         self.cfg = cfg
-        self.snap_radius_m = snap_radius_m
+        self.net = net
+        self.traffic = traffic
+        self.node_zone = node_zone
         self.heap: list[tuple[float, int, EventKind, tuple]] = []
         self.seq = 0
         self.now = 0.0
@@ -133,19 +144,14 @@ class _Simulation:
         self.oss_nodes_settled = 0
         self.zone_fallbacks = 0
         self.adjacency_links = 0
-        self.requests = sorted(requests, key=lambda r: (r.request_time_s, r.id))
-        ids = [r.id for r in self.requests]
-        if len(set(ids)) != len(ids):
-            raise SimulationError("duplicate request ids")
-        self.snap_failures = 0
-        self.first_arrival_seq = 0
         self.states: dict[int, _RequestState] = {}
-        if len(zone_map) == 0:
-            raise SimulationError("at least one zone is required to dispatch")
-        # Vehicles are looked up by the zone of their current node; resolve
-        # every node once.
-        self.node_zone = {nid: zone_map.locate_or_nearest(net.nodes[nid])[0]
-                          for nid in net.ids}
+        self.outcome: RunResult | SimulationError | None = None  # set when the cell ends
+        for t in traffic.change_times():
+            self.schedule(t, EventKind.TRAFFIC_CHANGE, (traffic.multiplier_at(t),))
+        # Arrival i is numbered T + i, after the T traffic changes; events
+        # scheduled while the run goes take the numbers after the arrivals.
+        self.first_arrival_seq = self.seq
+        self.seq += arrivals
 
     # -- scheduling ----------------------------------------------------
 
@@ -157,13 +163,30 @@ class _Simulation:
         self.seq += 1
         return self.seq - 1
 
-    def schedule_arrival(self, i: int) -> None:
-        """Queue the i-th request's arrival under the sequence number run()
-        reserved for it; the heap holds one arrival at a time."""
-        if i < len(self.requests):
-            heapq.heappush(self.heap, (self.requests[i].request_time_s,
-                                       self.first_arrival_seq + i,
-                                       EventKind.REQUEST_ARRIVAL, (i,)))
+    def process(self, t: float, seq: int, kind: EventKind, payload: tuple) -> None:
+        if t < self.now:
+            raise SimulationError(f"time went backwards: {t} after {self.now}")
+        self.now = t
+        self.current_seq = seq
+        try:
+            self.HANDLERS[kind](self, *payload)
+        except ValueError as exc:  # a fleet operation the state machine refused
+            raise SimulationError(f"t={self.now!r}: {exc}") from exc
+        self.events_processed += 1
+
+    def advance(self, key: tuple[float, int]) -> None:
+        """Process every queued event keyed before `key`, in key order."""
+        heap = self.heap
+        while heap and heap[0][:2] < key:
+            self.process(*heapq.heappop(heap))
+
+    def arrive(self, i: int, r: TripRequest, arrival: Arrival) -> None:
+        """Process the arrival of request i, r, after every event keyed
+        before it. The arrival never waits in the heap: the pass hands it to
+        each cell in turn."""
+        key = (r.request_time_s, self.first_arrival_seq + i)
+        self.advance(key)
+        self.process(*key, EventKind.REQUEST_ARRIVAL, (r, arrival))
 
     def emit(self, kind: EventKind, text: str) -> None:
         self.log_lines.append(f"{self.now!r} {self.current_seq} {kind.value} {text}")
@@ -176,17 +199,9 @@ class _Simulation:
 
     # -- handlers ------------------------------------------------------
 
-    def on_request_arrival(self, i: int) -> None:
-        self.schedule_arrival(i + 1)
-        r = self.requests[i]
+    def on_request_arrival(self, r: TripRequest, arrival: Arrival) -> None:
         req_id = r.id
-        pickup_node = self.net.nearest_node(r.pickup, self.snap_radius_m)
-        dropoff_node = self.net.nearest_node(r.dropoff, self.snap_radius_m)
-        if pickup_node is None or dropoff_node is None:
-            self.snap_failures += 1
-        decision = dispatch(r, pickup_node, dropoff_node, self.fleet,
-                            self.sched, self.zone_map, self.node_zone, self.net,
-                            self.traffic, self.now, self.cfg)
+        decision = dispatch(r, arrival, self.fleet, self.sched, self.node_zone, self.cfg)
         self.nodes_settled += decision.nodes_settled
         self.zone_fallbacks += decision.zone_fallback
         self.adjacency_links += decision.adjacency_updated
@@ -262,38 +277,9 @@ class _Simulation:
         self.reassignment_count += reassigned
         self.emit(EventKind.RESCHEDULE, f"actions={len(actions)} reassigned={reassigned}")
 
-    # -- main loop -----------------------------------------------------
-
-    def run(self) -> RunResult:
-        for t in self.traffic.change_times():
-            self.schedule(t, EventKind.TRAFFIC_CHANGE, (self.traffic.multiplier_at(t),))
-        # Arrival i is numbered T + i, after the T traffic changes; events
-        # scheduled while the run goes take the numbers after the arrivals.
-        self.first_arrival_seq = self.seq
-        self.seq += len(self.requests)
-        self.schedule_arrival(0)
-        handlers = {
-            EventKind.REQUEST_ARRIVAL: self.on_request_arrival,
-            EventKind.ARRIVED_AT_PICKUP: self.on_arrived_at_pickup,
-            EventKind.TRIP_COMPLETED: self.on_trip_completed,
-            EventKind.PASSENGER_ABANDONED: self.on_passenger_abandoned,
-            EventKind.TRAFFIC_CHANGE: self.on_traffic_change,
-            EventKind.RESCHEDULE: self.on_reschedule,
-        }
-        while self.heap:
-            t, seq, kind, payload = heapq.heappop(self.heap)
-            if t < self.now:
-                raise SimulationError(f"time went backwards: {t} after {self.now}")
-            self.now = t
-            self.current_seq = seq
-            try:
-                handlers[kind](*payload)
-            except ValueError as exc:  # a fleet operation the state machine refused
-                raise SimulationError(f"t={self.now!r}: {exc}") from exc
-            self.events_processed += 1
-        if self.snap_failures:
-            log.warning("%d of %d requests fall outside the road network snap radius",
-                        self.snap_failures, len(self.requests))
+    def finish(self, snap_failures: int) -> None:
+        """Drain the heap, check the run and keep its records as the outcome."""
+        self.advance((math.inf, math.inf))
         transitions = self.fleet.transitions()
         problems = validate_transitions(transitions)
         if problems:
@@ -315,23 +301,115 @@ class _Simulation:
             "reassignments": self.reassignment_count,
             "adjacency_revision": self.adjacency_links,
             "zone_fallback_calls": self.zone_fallbacks,
-            "snap_failures": self.snap_failures,
+            "snap_failures": snap_failures,
             "events_processed": self.events_processed,
             "nodes_settled": self.nodes_settled,
             "oss_nodes_settled": self.oss_nodes_settled,
         }
-        return RunResult(records, self.log_lines, transitions, metadata)
+        self.outcome = RunResult(records, self.log_lines, transitions, metadata)
+
+    # Plain functions, not bound methods, so that a cell holds no reference
+    # to itself and is freed without waiting for the cycle collector.
+    HANDLERS = {
+        EventKind.REQUEST_ARRIVAL: on_request_arrival,
+        EventKind.ARRIVED_AT_PICKUP: on_arrived_at_pickup,
+        EventKind.TRIP_COMPLETED: on_trip_completed,
+        EventKind.PASSENGER_ABANDONED: on_passenger_abandoned,
+        EventKind.TRAFFIC_CHANGE: on_traffic_change,
+        EventKind.RESCHEDULE: on_reschedule,
+    }
 
 
-def run(requests: list[TripRequest], fleet: Fleet, net: RoadNetwork,
-        zone_map: ZoneMap, sched: AdjacencySchedule, traffic: TrafficState | None,
-        cfg: DispatchConfig | None = None,
-        snap_radius_m: float = DEFAULT_SNAP_RADIUS_M) -> RunResult:
-    """Simulate one demand stream to completion and return its records.
+class PassResult(list[RunResult | SimulationError]):
+    """Each cell's result, or the error that failed it, in cell order; and
+    the pass's own counts: events processed over every cell, and trip
+    routes searched."""
 
-    The caller's fleet and schedule are mutated (final vehicle positions,
-    adjacency links discovered during the run).
+    def __init__(self, outcomes, metadata: dict):
+        super().__init__(outcomes)
+        self.metadata = metadata
+
+
+class _Simulation:
+    """One pass over the sorted demand for every cell at once. The cells
+    differ in their dispatcher alone, so the pass holds what the demand
+    fixes (the network, the zones and the node-to-zone table, the requests,
+    the traffic, the snap radius) and hands each arrival, snapped once, to
+    every cell in turn. The cells run in lockstep: each processes its own
+    events keyed before arrival i, then arrival i, before any cell sees
+    arrival i + 1. A SimulationError in a cell takes that cell alone out of
+    the pass."""
+
+    def __init__(self, requests: list[TripRequest], cells: list[Cell], net: RoadNetwork,
+                 zone_map: ZoneMap, traffic: TrafficState, snap_radius_m: float):
+        self.net = net
+        self.zone_map = zone_map
+        self.traffic = traffic
+        self.snap_radius_m = snap_radius_m
+        self.requests = sorted(requests, key=lambda r: (r.request_time_s, r.id))
+        ids = [r.id for r in self.requests]
+        if len(set(ids)) != len(ids):
+            raise SimulationError("duplicate request ids")
+        if len(zone_map) == 0:
+            raise SimulationError("at least one zone is required to dispatch")
+        # Vehicles are looked up by the zone of their current node; resolve
+        # every node once.
+        self.node_zone = {nid: zone_map.locate_or_nearest(net.nodes[nid])[0]
+                          for nid in net.ids}
+        self.cells = [_Cell(fleet, sched, cfg, net, traffic, self.node_zone, len(self.requests))
+                      for fleet, sched, cfg in cells]
+        self.snap_failures = 0
+        self.trip_searches = 0
+
+    def _live(self) -> list[_Cell]:
+        return [cell for cell in self.cells if cell.outcome is None]
+
+    @staticmethod
+    def _step(cell: _Cell, step, *args) -> None:
+        """One step of a cell; a SimulationError takes the cell out of the
+        pass, as its outcome."""
+        try:
+            step(*args)
+        except SimulationError as exc:
+            cell.outcome = exc
+
+    def _round(self, i: int) -> None:
+        """Arrival i, snapped once, in every live cell; it is dropped on
+        return, so only one arrival's shared data is ever alive."""
+        live = self._live()
+        if not live:
+            return
+        r = self.requests[i]
+        arrival = Arrival(r, self.net.nearest_node(r.pickup, self.snap_radius_m),
+                          self.net.nearest_node(r.dropoff, self.snap_radius_m),
+                          self.zone_map, self.net, self.traffic)
+        self.snap_failures += arrival.pickup_node is None or arrival.dropoff_node is None
+        for cell in live:
+            self._step(cell, cell.arrive, i, r, arrival)
+        self.trip_searches += arrival.trip_searched
+
+    def run(self) -> PassResult:
+        for i in range(len(self.requests)):
+            self._round(i)
+        for cell in self._live():
+            self._step(cell, cell.finish, self.snap_failures)
+        if self.snap_failures:
+            log.warning("%d of %d requests fall outside the road network snap radius",
+                        self.snap_failures, len(self.requests))
+        return PassResult((cell.outcome for cell in self.cells),
+                          {"events_processed": sum(c.events_processed for c in self.cells),
+                           "trip_searches": self.trip_searches})
+
+
+def run(requests: list[TripRequest], cells: list[Cell], net: RoadNetwork,
+        zone_map: ZoneMap, traffic: TrafficState | None,
+        snap_radius_m: float = DEFAULT_SNAP_RADIUS_M) -> PassResult:
+    """Simulate one demand stream to completion for every cell, a
+    (fleet, adjacency schedule, dispatcher) triple, in one pass.
+
+    Each cell's fleet and schedule are mutated (final vehicle positions,
+    adjacency links discovered during the run). A SimulationError in one
+    cell fails that cell alone; one in the shared inputs fails the pass.
     """
-    return _Simulation(requests, fleet, net, zone_map, sched, traffic or TrafficState([]),
-                       cfg or DispatchConfig(), snap_radius_m).run()
-
+    return _Simulation(requests, cells, net, zone_map, traffic or TrafficState([]),
+                       snap_radius_m).run()

@@ -53,7 +53,7 @@ class Plan:
     dropoff_time_s: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transition:
     time_s: float
     vehicle_id: int

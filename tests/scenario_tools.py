@@ -14,6 +14,7 @@ import os
 import random
 from dataclasses import dataclass
 
+from amodsim import engine
 from amodsim.demand import TripRequest
 from amodsim.dispatch import DispatchConfig, RescheduleAction
 from amodsim.fleet import (Fleet, Strategy, Vehicle, VehicleStatus, assign, candidate_pool,
@@ -176,6 +177,25 @@ def write_golden_inputs(dirpath: str) -> dict[str, str]:
     with open(paths["zones"], "w") as fh:
         json.dump({"type": "FeatureCollection", "features": features}, fh)
     return paths
+
+
+def run_pass(requests: list[TripRequest], cells: list[engine.Cell], net: RoadNetwork,
+             zone_map: ZoneMap, traffic: TrafficState | None,
+             snap_radius_m: float = engine.DEFAULT_SNAP_RADIUS_M) -> engine.PassResult:
+    """engine.run, with the first cell's SimulationError raised."""
+    results = engine.run(requests, cells, net, zone_map, traffic, snap_radius_m)
+    for result in results:
+        if isinstance(result, engine.SimulationError):
+            raise result
+    return results
+
+
+def run_one(requests: list[TripRequest], fleet: Fleet, net: RoadNetwork, zone_map: ZoneMap,
+            sched: AdjacencySchedule, traffic: TrafficState | None, cfg: DispatchConfig,
+            snap_radius_m: float = engine.DEFAULT_SNAP_RADIUS_M) -> engine.RunResult:
+    """A pass of one cell."""
+    [result] = run_pass(requests, [(fleet, sched, cfg)], net, zone_map, traffic, snap_radius_m)
+    return result
 
 
 # -- oracles -------------------------------------------------------------

@@ -12,8 +12,7 @@ from time import perf_counter
 import reference_results as ref
 from acceptance_report import record
 from amodsim.demand import TripRequest, generate_demand
-from amodsim.dispatch import DispatchConfig, dispatch
-from amodsim.engine import run
+from amodsim.dispatch import Arrival, DispatchConfig, dispatch
 from amodsim.fleet import (
     Fleet,
     Strategy,
@@ -39,6 +38,8 @@ from scenario_tools import (
     grid_network,
     random_network,
     replay_check,
+    run_one,
+    run_pass,
     sign_test_p,
     tile_zones,
 )
@@ -240,8 +241,8 @@ def test_criterion_3_expansion_matches_global_argmin():
                 if eta is not None and eta < best_eta:
                     best_id, best_eta = v.id, eta
             cfg = DispatchConfig(strategy=strategy, eat_enabled=True)
-            d = dispatch(call, pickup, dropoff, fleet, sched, zm,
-                         node_zone, net, traffic, 0.0, cfg)
+            d = dispatch(call, Arrival(call, pickup, dropoff, zm, net, traffic), fleet, sched,
+                         node_zone, cfg)
             if d.vehicle_id != best_id or d.adjacency_updated:
                 disagreements += 1
     dt = perf_counter() - t0
@@ -279,11 +280,10 @@ def test_criterion_4_expansion_dominates_baseline():
         traffic = random_traffic(rng)
         n_instances += 1
         for strategy in STRATEGIES:
-            base = dispatch(call, pickup, dropoff, fleet, sched, zm,
-                            node_zone, net, traffic, 0.0,
+            arrival = Arrival(call, pickup, dropoff, zm, net, traffic)
+            base = dispatch(call, arrival, fleet, sched, node_zone,
                             DispatchConfig(strategy=strategy, eat_enabled=False))
-            eat = dispatch(call, pickup, dropoff, fleet, copy_schedule(sched), zm,
-                           node_zone, net, traffic, 0.0,
+            eat = dispatch(call, arrival, fleet, copy_schedule(sched), node_zone,
                            DispatchConfig(strategy=strategy, eat_enabled=True))
             base_assigned += base.assigned
             eat_assigned += eat.assigned
@@ -294,10 +294,10 @@ def test_criterion_4_expansion_dominates_baseline():
     net, zm, sched, node_zone = chain_city()
     fleet = Fleet([Vehicle(0, 4)])
     call = TripRequest(0, 0.0, net.nodes[0], net.nodes[2], 1, 1800.0)
-    base = dispatch(call, 0, 2, fleet, sched, zm, node_zone, net,
-                    None, 0.0, DispatchConfig(eat_enabled=False))
-    eat = dispatch(call, 0, 2, fleet, copy_schedule(sched), zm, node_zone, net,
-                   None, 0.0, DispatchConfig(eat_enabled=True))
+    arrival = Arrival(call, 0, 2, zm, net, None)
+    base = dispatch(call, arrival, fleet, sched, node_zone, DispatchConfig(eat_enabled=False))
+    eat = dispatch(call, arrival, fleet, copy_schedule(sched), node_zone,
+                   DispatchConfig(eat_enabled=True))
     chain_ok = (not base.assigned and base.reject_reason == "no-vehicle"
                 and eat.assigned and eat.vehicle_id == 0)
     dt = perf_counter() - t0
@@ -329,15 +329,16 @@ def desk_city_zones():
                               CITY_ZONE_SPLIT, D))
 
 
-def desk_run(net, requests, strategy, eat, fleet_seed):
+def desk_pass(net, requests, fleet_seed):
+    """One replication: every strategy with and without expansion, run in
+    one pass from one fleet seed; (mean wait, served rate) by (strategy, eat)."""
     zm = desk_city_zones()
-    sched = initial_adjacency(zm)
-    fleet = Fleet.place_uniform(net, FLEET_SIZE, fleet_seed)
-    cfg = DispatchConfig(strategy=strategy, eat_enabled=eat)
-    result = run(list(requests), fleet, net, zm, sched,
-                 TrafficState(list(TRAFFIC_STEPS)), cfg)
-    whole = whole_run(result.records)
-    return whole.t_apw_s, whole.r_ts
+    keys = [(s, eat) for s in STRATEGIES for eat in (True, False)]
+    cells = [(Fleet.place_uniform(net, FLEET_SIZE, fleet_seed), initial_adjacency(zm),
+              DispatchConfig(strategy=s, eat_enabled=eat)) for s, eat in keys]
+    results = run_pass(list(requests), cells, net, zm, TrafficState(list(TRAFFIC_STEPS)))
+    wholes = [whole_run(result.records) for result in results]
+    return {key: (whole.t_apw_s, whole.r_ts) for key, whole in zip(keys, wholes)}
 
 
 def test_criterion_5_directional_desk_experiment():
@@ -349,9 +350,9 @@ def test_criterion_5_directional_desk_experiment():
         requests = generate_demand(DEMAND_RATE_PER_H, DEMAND_DURATION_S, zm.bbox(),
                                    zone_map=zm, seed=1000 + k,
                                    patience_range=PATIENCE_RANGE)
+        cells = desk_pass(net, requests, 2000 + k)
         for s in STRATEGIES:
-            with_eat = desk_run(net, requests, s, True, 2000 + k)
-            without = desk_run(net, requests, s, False, 2000 + k)
+            with_eat, without = cells[s, True], cells[s, False]
             pairs[s]["wait"].append((with_eat[0], without[0]))
             pairs[s]["rate"].append((with_eat[1], without[1]))
     dt = perf_counter() - t0
@@ -398,7 +399,7 @@ def determinism_run():
                                  walk_step_s=300.0, walk_sigma=0.1,
                                  horizon_s=3600.0)
     cfg = DispatchConfig(strategy=Strategy.SSS, eat_enabled=True)
-    return run(requests, fleet, net, zm, sched, traffic, cfg)
+    return run_one(requests, fleet, net, zm, sched, traffic, cfg)
 
 
 def test_criterion_6_seeded_runs_are_byte_identical():
@@ -434,8 +435,8 @@ def test_criterion_7_metrics_invariants():
         requests = generate_demand(3.0, 216000.0, zm.bbox(), zone_map=zm, seed=5000 + i)
         fleet = Fleet.place_uniform(net, 6, seed=6000 + i)
         cfg = DispatchConfig(strategy=strategy, eat_enabled=eat)
-        result = run(list(requests), fleet, net, zm, sched,
-                     TrafficState(traffic_steps), cfg)
+        result = run_one(list(requests), fleet, net, zm, sched,
+                         TrafficState(traffic_steps), cfg)
         n_runs += 1
         n_records += len(result.records)
 
@@ -477,7 +478,7 @@ def test_criterion_8_golden_scenario_regression():
     t0 = perf_counter()
     net, zm, sched = golden_city()
     cfg = DispatchConfig(strategy=Strategy.NSS, eat_enabled=True)
-    result = run(golden_requests(), golden_fleet(), net, zm, sched, None, cfg)
+    result = run_one(golden_requests(), golden_fleet(), net, zm, sched, None, cfg)
     lines = tuple(result.record_lines())
     dt = perf_counter() - t0
 

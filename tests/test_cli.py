@@ -3,13 +3,14 @@
 import copy
 import json
 import os
+import random
 import re
 import shutil
 
 import pytest
 import yaml
 
-from amodsim import cli
+from amodsim import cli, engine
 from amodsim.engine import SimulationError
 from scenario_tools import (GOLDEN_EDGE_LEN_M, GOLDEN_SPACING_DEG, GRID_SPEED_LIMIT_MPS,
                             GRID_SPEED_MPS, box_feature, write_golden_inputs)
@@ -546,6 +547,114 @@ def test_matrix_whose_cells_all_fail_writes_no_report(tmp_path, capsys):
         ["nss-eat", "nss-base"]
     assert "left out of the reports" not in cap.err
     assert os.listdir(os.path.join(str(tmp_path), "sweep")) == []
+
+
+def patchy_city(dirpath):
+    """The golden grid with a one-way spur from node 8 to node 9, a strongly
+    connected component of its own outside every zone, and a trip file
+    with unparseable, unsnappable and cross-component rows. Returns the
+    matrix config's document."""
+    write_golden_inputs(str(dirpath))
+    d = GOLDEN_SPACING_DEG
+    with open(os.path.join(str(dirpath), "nodes.txt"), "a") as fh:
+        fh.write(f"9 {2 * d!r} {3 * d!r}\n")
+    with open(os.path.join(str(dirpath), "edges.txt"), "a") as fh:
+        fh.write(f"8 9 {GOLDEN_EDGE_LEN_M} {GRID_SPEED_MPS}\n")
+    points = [(r * d, c * d) for r in range(3) for c in range(3)] + [(2 * d, 3 * d)]
+    points.append((0.5 * d, 0.5 * d))  # a grid cell's middle, beyond the snap radius
+    rng = random.Random(5)
+    rows = ["medallion,pickup time,dropoff time,passenger count,"
+            "pickup log,pickup lat,dropoff log,dropoff lat",
+            "m,2013-01-07 08:00:30,2013-01-07 08:10:00,x,0.0,0.0,0.0,0.0"]
+    for k in range(60):
+        a, b = rng.sample(range(len(points)), 2)
+        t = 60 * k + rng.randrange(60)
+        (plat, plon), (dlat, dlon) = points[a], points[b]
+        rows.append(f"m,2013-01-07 08:{t // 60:02d}:{t % 60:02d},"
+                    f"2013-01-07 09:{t // 60:02d}:{t % 60:02d},1,"
+                    f"{plon!r},{plat!r},{dlon!r},{dlat!r}")
+    with open(os.path.join(str(dirpath), "trips.csv"), "w") as fh:
+        fh.write("\n".join(rows) + "\n")
+    doc = copy.deepcopy(BASE_DOC)
+    doc.update(demand={"seed": 5, "file": "trips.csv", "bbox": [-0.01, -0.01, 0.02, 0.02]},
+               fleet={"size": 4, "seed": 11}, sim={"snap_radius_m": 200.0},
+               traffic={"schedule": [[900.0, 0.5], [2400.0, 1.25]], "walk_seed": 3,
+                        "walk_step_s": 600.0, "walk_sigma": 0.1},
+               out="sweep")
+    return doc
+
+
+def tree(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {os.path.relpath(os.path.join(d, f), root): read(os.path.join(d, f))
+            for d, _, files in os.walk(root) for f in files}
+
+
+def lone_runs(tmp_path, doc, names, capsys):
+    """Each named cell of doc's matrix run alone by `run`, into the cell's
+    own directory: its files, and its stdout lines."""
+    files, lines = {}, []
+    for name in names:
+        strategy, variant = name.split("-")
+        cell = copy.deepcopy(doc)
+        cell["dispatch"] = {"strategy": strategy.upper(), "eat": variant == "eat"}
+        cell["out"] = os.path.join(doc["out"], name)
+        cfg = os.path.join(str(tmp_path), f"{name}.yaml")
+        with open(cfg, "w") as fh:
+            yaml.safe_dump(cell, fh)
+        assert cli.main(["run", "--config", cfg]) == 0
+        files[name] = tree(os.path.join(str(tmp_path), cell["out"]))
+        lines += capsys.readouterr().out.splitlines()
+    return files, lines
+
+
+def test_matrix_cells_equal_lone_runs(tmp_path, capsys):
+    doc = patchy_city(tmp_path)
+    cfg = os.path.join(str(tmp_path), "config.yaml")
+    with open(cfg, "w") as fh:
+        yaml.safe_dump(doc, fh)
+    assert cli.main(["matrix", "--config", cfg, "--strategies", "NSS,SSS,OSS"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    root = os.path.join(str(tmp_path), "sweep")
+    names = [f"{s}-{v}" for s in ("nss", "sss", "oss") for v in ("eat", "base")]
+    matrix = {name: tree(os.path.join(root, name)) for name in names}
+    shutil.rmtree(root)
+
+    lone, lines = lone_runs(tmp_path, doc, names, capsys)
+    assert [line for line in out if line.startswith("run ")] == lines
+    for name in names:
+        assert sorted(matrix[name]) == sorted([*RUN_FILES, "cleaning_report.txt"])
+        assert matrix[name] == lone[name], name
+    counts = json.loads(lone["nss-eat"]["metadata.json"])["counts"]
+    assert counts["snap_failures"] > 0 and counts["rejected"]["unroutable"] > counts["snap_failures"]
+
+
+def test_a_failing_cell_fails_alone(tmp_path, capsys, monkeypatch):
+    doc = copy.deepcopy(BASE_DOC)
+    doc["out"] = "sweep"
+    cfg = setup_dir(tmp_path, doc)
+    dispatch = engine.dispatch
+
+    def fail_expansion(call, arrival, fleet, sched, node_zone, dispatch_cfg):
+        if dispatch_cfg.eat_enabled:
+            raise SimulationError("boom")
+        return dispatch(call, arrival, fleet, sched, node_zone, dispatch_cfg)
+
+    monkeypatch.setattr(engine, "dispatch", fail_expansion)
+    assert cli.main(["matrix", "--config", cfg, "--strategies", "NSS"]) == 2
+    cap = capsys.readouterr()
+    assert re.findall(r"^(run|cell) .*?(nss-\w+)", cap.out, re.M) == [("cell", "nss-eat"),
+                                                                    ("run", "nss-base")]
+    assert "cell nss-eat failed with exit 2" in cap.out and "error boom" in cap.err
+    root = os.path.join(str(tmp_path), "sweep")
+    assert not os.path.exists(os.path.join(root, "nss-eat"))
+    assert not os.path.exists(os.path.join(root, "combined_report.txt"))
+    base = tree(os.path.join(root, "nss-base"))
+
+    monkeypatch.undo()
+    shutil.rmtree(root)
+    lone, _ = lone_runs(tmp_path, doc, ["nss-base"], capsys)
+    assert base == lone["nss-base"]
 
 
 def test_run_from_trip_file(tmp_path, capsys):

@@ -12,12 +12,12 @@ from amodsim import dispatch as dispatch_module
 from amodsim import road
 from amodsim.demand import TripRequest, generate_demand
 from amodsim.dispatch import (
+    Arrival,
     DispatchConfig,
     _EtaRanking,
     dispatch,
     oss_reschedule,
 )
-from amodsim.engine import run
 from amodsim.fleet import (Fleet, Plan, Strategy, Transition, Vehicle, VehicleStatus, assign,
                            candidate_pool, job_start, pick_up, waiting_job, waiting_jobs)
 from amodsim.geo import GeoPoint, haversine_m
@@ -32,6 +32,7 @@ from scenario_tools import (
     hop_route,
     random_network,
     reference_oss_reschedule,
+    run_one,
     tile_zones,
 )
 
@@ -67,8 +68,8 @@ def run_dispatch(net, zm, sched, node_zone, vehicles, pickup, dropoff,
                  cfg, now=0.0, traffic=None):
     fleet = Fleet(vehicles)
     call = call_at(net, pickup, dropoff, t=now)
-    return dispatch(call, pickup, dropoff, fleet, sched, zm, node_zone,
-                    net, traffic, now, cfg)
+    return dispatch(call, Arrival(call, pickup, dropoff, zm, net, traffic), fleet, sched,
+                    node_zone, cfg)
 
 
 EAT = DispatchConfig(strategy=Strategy.NSS, eat_enabled=True)
@@ -192,8 +193,8 @@ def test_baseline_prefers_call_zone_over_closer_ring_vehicle():
 def test_unroutable_rejections():
     net, zm, sched, node_zone = line_city([(0, 4)], [])
     call = call_at(net, 2, 4)        # location is fine; node snap came up empty
-    d = dispatch(call, None, 4, Fleet([Vehicle(0, 0)]), sched, zm, node_zone,
-                 net, None, 0.0, EAT)
+    d = dispatch(call, Arrival(call, None, 4, zm, net, None), Fleet([Vehicle(0, 0)]), sched,
+                 node_zone, EAT)
     assert d.reject_reason == "unroutable"
     assert d.zones_searched == [frozenset({0})]
 
@@ -211,7 +212,7 @@ def test_unroutable_rejections():
 
     # reachable pickup, unreachable dropoff: rejected before any vehicle search
     call = TripRequest(0, 0.0, q, p, 1, 600.0)
-    d = dispatch(call, 1, 0, fleet, sched1, zm1, {0: 0, 1: 1}, oneway, None, 0.0, EAT)
+    d = dispatch(call, Arrival(call, 1, 0, zm1, oneway, None), fleet, sched1, {0: 0, 1: 1}, EAT)
     assert d.reject_reason == "unroutable"
     assert d.zones_searched == [frozenset({1})]
     assert d.nodes_settled == 0
@@ -219,7 +220,7 @@ def test_unroutable_rejections():
 
     # the trip the other way crosses components too, and is routed
     call = TripRequest(1, 0.0, p, q, 1, 600.0)
-    d = dispatch(call, 0, 1, fleet, sched1, zm1, {0: 0, 1: 1}, oneway, None, 0.0, EAT)
+    d = dispatch(call, Arrival(call, 0, 1, zm1, oneway, None), fleet, sched1, {0: 0, 1: 1}, EAT)
     assert d.vehicle_id == 0
     assert d.route_of_trip == route_astar(oneway, 0, 1, 0.0)
 
@@ -252,11 +253,11 @@ def test_party_larger_than_a_vehicle_skips_it():
     net, zm, sched, node_zone = line_city([(0, 4)], [])
     fleet = Fleet([Vehicle(0, 2, capacity=1), Vehicle(1, 0, capacity=2)])
     pair = TripRequest(0, 0.0, net.nodes[2], net.nodes[4], 2, 600.0)
-    d = dispatch(pair, 2, 4, fleet, sched, zm, node_zone, net, None, 0.0, EAT)
+    d = dispatch(pair, Arrival(pair, 2, 4, zm, net, None), fleet, sched, node_zone, EAT)
     assert d.vehicle_id == 1 and d.eta_s == 2 * HOP_S    # not the one on the spot
     crowd = TripRequest(1, 0.0, net.nodes[2], net.nodes[4], 3, 600.0)
     for cfg in (EAT, BASE):
-        d = dispatch(crowd, 2, 4, fleet, sched, zm, node_zone, net, None, 0.0, cfg)
+        d = dispatch(crowd, Arrival(crowd, 2, 4, zm, net, None), fleet, sched, node_zone, cfg)
         assert not d.assigned and d.reject_reason == "no-vehicle"
 
 
@@ -277,11 +278,12 @@ def test_sss_considers_busy_vehicles():
     fleet = Fleet([v])
     call = call_at(net, 3, 4, rid=1, t=32.0)
 
-    nss = dispatch(call, 3, 4, fleet, sched, zm, node_zone, net, None, 32.0,
+    arrival = Arrival(call, 3, 4, zm, net, None)
+    nss = dispatch(call, arrival, fleet, sched, node_zone,
                    DispatchConfig(strategy=Strategy.NSS, eat_enabled=True))
     assert nss.reject_reason == "no-vehicle"
 
-    sss = dispatch(call, 3, 4, fleet, sched, zm, node_zone, net, None, 32.0,
+    sss = dispatch(call, arrival, fleet, sched, node_zone,
                    DispatchConfig(strategy=Strategy.SSS, eat_enabled=True))
     # 48 s left on the trip to node 2, then one hop to node 3
     assert sss.vehicle_id == 0
@@ -455,7 +457,7 @@ def test_reschedule_records_a_release_and_a_rehire_in_one_pass():
 
     net, zm, sched, requests, fleet, traffic = released_then_rehired()
     cfg = DispatchConfig(strategy=Strategy.OSS, eat_enabled=False)
-    result = run(requests, fleet, net, zm, sched, traffic, cfg)
+    result = run_one(requests, fleet, net, zm, sched, traffic, cfg)
     assert result.metadata["reassignments"] == 2
     assert [r.vehicle_id for r in result.records] == [1, 0]
     pass_changes = [tr for tr in result.transitions if tr.vehicle_id == 0 and tr.time_s == 40.0]
@@ -700,8 +702,8 @@ def test_every_bound_a_run_passes_holds_and_keeps_the_route(monkeypatch):
 
     monkeypatch.setattr(road, "route_astar", checked)
     cfg = DispatchConfig(strategy=Strategy.OSS, eat_enabled=True)
-    result = run(requests, Fleet.place_uniform(net, 15, 13), net, zm, initial_adjacency(zm),
-                 traffic, cfg)
+    result = run_one(requests, Fleet.place_uniform(net, 15, 13), net, zm, initial_adjacency(zm),
+                     traffic, cfg)
     assert len(result.records) == len(requests)
     # pickup legs of winners and OSS re-plans, some of which moved jobs
     assert result.metadata["reassignments"] > 0 and len(bounded) > len(requests)

@@ -1,16 +1,17 @@
 """Event loop semantics, frozen end-to-end scenario, log replay checking."""
 
 import heapq
+import weakref
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amodsim import engine
+from amodsim import engine, road
 
-from amodsim.demand import TripRequest
-from amodsim.dispatch import DispatchConfig
+from amodsim.demand import TripRequest, generate_demand
+from amodsim.dispatch import Arrival, DispatchConfig
 from amodsim.engine import (
     OUTCOME_ABANDONED,
     OUTCOME_PICKED_UP,
@@ -18,7 +19,6 @@ from amodsim.engine import (
     EventKind,
     SimulationError,
     parse_record_line,
-    run,
 )
 from amodsim.fleet import Fleet, Strategy, Vehicle, VehicleStatus, validate_transitions
 from amodsim.road import TrafficState
@@ -29,11 +29,13 @@ from scenario_tools import (
     GOLDEN_RECORD_LINES,
     GOLDEN_SPACING_DEG,
     box_polygon,
+    copy_schedule,
     golden_city,
     golden_fleet,
     golden_requests,
     grid_network,
     replay_check,
+    run_one,
     tile_zones,
 )
 
@@ -57,7 +59,7 @@ def req(net, rid, t, pickup, dropoff, patience=3600.0):
 
 def run_golden():
     net, zm, sched = golden_city()
-    return run(golden_requests(), golden_fleet(), net, zm, sched, None, nss_eat())
+    return run_one(golden_requests(), golden_fleet(), net, zm, sched, None, nss_eat())
 
 
 # -- frozen scenario -----------------------------------------------------
@@ -70,7 +72,7 @@ def test_golden_scenario_records_are_frozen():
 
 def test_golden_scenario_metadata():
     net, zm, sched = golden_city()
-    result = run(golden_requests(), golden_fleet(), net, zm, sched, None, nss_eat())
+    result = run_one(golden_requests(), golden_fleet(), net, zm, sched, None, nss_eat())
     assert result.metadata == {
         "requests": 10,
         "picked_up": 7,
@@ -133,7 +135,7 @@ def test_records_are_written_in_request_order_whatever_order_requests_end():
         req(net, 2, 20.0, 5, 6),                  # no idle vehicle: rejected at t=20
         req(net, 3, 10.0, 5, 6),                  # ties with 1; rejected at t=10
     ]
-    result = run(requests, fleet, net, zm, sched, None, nss_eat())
+    result = run_one(requests, fleet, net, zm, sched, None, nss_eat())
     assert result.record_lines() == [
         "0 0.0 PICKED_UP 0.0 360.0 0",
         "1 10.0 PICKED_UP 10.0 50.0 1",
@@ -152,7 +154,7 @@ def test_abandonment_frees_vehicle_at_last_passed_node():
         req(net, 0, 0.0, 2, 4, patience=60.0),    # 80 s away: will give up at 60
         req(net, 1, 61.0, 1, 0),                  # picks up where the car stopped
     ]
-    result = run(requests, fleet, net, zm, sched, None, nss_eat())
+    result = run_one(requests, fleet, net, zm, sched, None, nss_eat())
     assert result.record_lines() == [
         "0 0.0 ABANDONED 60.0",
         "1 61.0 PICKED_UP 61.0 101.0 0",          # at node 1 since t=40: no leg
@@ -165,7 +167,7 @@ def test_pickup_wins_deadline_tie():
     net, zm, sched = one_zone_city(5)
     # exactly 80 s of patience against an 80 s approach: pickup happens
     requests = [req(net, 0, 0.0, 2, 3, patience=80.0)]
-    result = run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, None, nss_eat())
+    result = run_one(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, None, nss_eat())
     assert result.record_lines() == ["0 0.0 PICKED_UP 80.0 120.0 0"]
     assert result.metadata["abandoned"] == 0
 
@@ -176,8 +178,8 @@ def test_replanned_pickup_wins_deadline_tie():
     # re-plan land the vehicle on node 2 at 120 s, the deadline itself
     requests = [req(net, 0, 0.0, 2, 4, patience=120.0)]
     cfg = DispatchConfig(strategy=Strategy.OSS, eat_enabled=True)
-    result = run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched,
-                 TrafficState([(40.0, 0.5)]), cfg)
+    result = run_one(requests, Fleet([Vehicle(0, 0)]), net, zm, sched,
+                     TrafficState([(40.0, 0.5)]), cfg)
     assert result.record_lines() == ["0 0.0 PICKED_UP 120.0 280.0 0"]
 
 
@@ -192,7 +194,7 @@ def test_sss_queues_job_behind_running_trip():
         req(net, 1, 10.0, 3, 4),     # queued: depart 80, pickup 120
     ]
     cfg = DispatchConfig(strategy=Strategy.SSS, eat_enabled=True)
-    result = run(requests, fleet, net, zm, sched, None, cfg)
+    result = run_one(requests, fleet, net, zm, sched, None, cfg)
     assert result.record_lines() == [
         "0 0.0 PICKED_UP 0.0 80.0 0",
         "1 10.0 PICKED_UP 120.0 160.0 0",
@@ -200,7 +202,7 @@ def test_sss_queues_job_behind_running_trip():
     # same demand under NSS: no idle vehicle when the second call lands
     net2, zm2, sched2 = one_zone_city(5)
     requests2 = [req(net2, 0, 0.0, 0, 2), req(net2, 1, 10.0, 3, 4)]
-    result2 = run(requests2, Fleet([Vehicle(0, 0)]), net2, zm2, sched2, None, nss_eat())
+    result2 = run_one(requests2, Fleet([Vehicle(0, 0)]), net2, zm2, sched2, None, nss_eat())
     assert result2.record_lines() == [
         "0 0.0 PICKED_UP 0.0 80.0 0",
         "1 10.0 REJECTED no-vehicle",
@@ -219,7 +221,7 @@ def test_oss_reassigns_when_a_better_vehicle_frees_up():
     ]
     traffic = TrafficState([(100.0, 0.5)])
     cfg = DispatchConfig(strategy=Strategy.OSS, eat_enabled=True)
-    result = run(requests, fleet, net, zm, sched, traffic, cfg)
+    result = run_one(requests, fleet, net, zm, sched, traffic, cfg)
     # the slowdown doubles vehicle 0's remaining 9 hops; vehicle 1 is already
     # idle at the pickup node, so the waiting job moves to it
     assert result.record_lines() == [
@@ -246,7 +248,7 @@ def test_pickup_fires_from_the_event_scheduled_last():
     ]
     traffic = TrafficState([(50.0, 0.5), (100.0, 1.0)])
     cfg = DispatchConfig(strategy=Strategy.OSS, eat_enabled=True)
-    result = run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, traffic, cfg)
+    result = run_one(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, traffic, cfg)
     assert result.record_lines() == [
         "0 0.0 PICKED_UP 0.0 160.0 0",
         "1 10.0 PICKED_UP 240.0 280.0 0",
@@ -265,7 +267,7 @@ def test_nss_ignores_traffic_changes():
     net, zm, sched = one_zone_city(5)
     requests = [req(net, 0, 0.0, 4, 3)]           # planned before the slowdown
     traffic = TrafficState([(100.0, 0.5)])
-    result = run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, traffic, nss_eat())
+    result = run_one(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, traffic, nss_eat())
     # legs keep the times fixed at planning: pickup at 160 regardless
     assert result.record_lines() == ["0 0.0 PICKED_UP 160.0 200.0 0"]
     assert not any("RESCHEDULE" in line for line in result.event_log)
@@ -276,7 +278,7 @@ def test_dispatch_sees_multiplier_in_force():
     net, zm, sched = one_zone_city(5)
     requests = [req(net, 0, 200.0, 4, 3)]         # arrives under the slowdown
     traffic = TrafficState([(100.0, 0.5)])
-    result = run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, traffic, nss_eat())
+    result = run_one(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, traffic, nss_eat())
     assert result.record_lines() == ["0 200.0 PICKED_UP 520.0 600.0 0"]
 
 
@@ -287,8 +289,8 @@ def test_event_log_header_and_shape():
     # The engine writes events only; the `# amodsim <config hash>` header is
     # the caller's (cli.cmd_run writes it ahead of these lines).
     net, zm, sched = one_zone_city(5)
-    result = run([req(net, 0, 0.0, 1, 2)], Fleet([Vehicle(0, 0)]),
-                 net, zm, sched, None, nss_eat())
+    result = run_one([req(net, 0, 0.0, 1, 2)], Fleet([Vehicle(0, 0)]),
+                     net, zm, sched, None, nss_eat())
     assert not any(line.startswith("#") for line in result.event_log)
     for line in result.event_log:
         t, seq, kind = line.split()[:3]
@@ -306,8 +308,8 @@ def test_arrivals_take_the_sequence_numbers_reserved_for_them():
     requests = [req(net, 4, 45.0, 3, 4), req(net, 3, 30.0, 1, 0),
                 req(net, 2, 10.0, 4, 3), req(net, 1, 10.0, 2, 3),
                 req(net, 0, 0.0, 0, 1)]                   # vehicle 0 waits at node 0
-    result = run(requests, Fleet([Vehicle(0, 0), Vehicle(1, 4)]), net, zm, sched,
-                 traffic, nss_eat())
+    result = run_one(requests, Fleet([Vehicle(0, 0), Vehicle(1, 4)]), net, zm, sched,
+                     traffic, nss_eat())
     n_changes, n_requests = 2, len(requests)
     lines = [line.split() for line in result.event_log]
     arrivals = [(int(seq), text[0]) for _, seq, kind, *text in lines
@@ -324,17 +326,90 @@ def test_arrivals_take_the_sequence_numbers_reserved_for_them():
 
 
 def test_the_queue_holds_one_arrival_at_a_time(monkeypatch):
-    most = 0
+    """No cell queues an arrival: the pass hands each one to every cell in
+    turn, and drops what the cells share of it (snapped ends, zone, trip
+    route) before the next one is made."""
+    queued = alive = made = 0
 
     def push(heap, item):
-        nonlocal most
+        nonlocal queued
         heapq.heappush(heap, item)
-        most = max(most, sum(1 for e in heap if e[2] is EventKind.REQUEST_ARRIVAL))
+        queued = max(queued, sum(1 for e in heap if e[2] is EventKind.REQUEST_ARRIVAL))
+
+    live = weakref.WeakSet()
+
+    class Counted(Arrival):
+        def __init__(self, *args):
+            nonlocal alive, made
+            super().__init__(*args)
+            live.add(self)
+            alive = max(alive, len(live))
+            made += 1
 
     monkeypatch.setattr(engine, "heapq", SimpleNamespace(heappush=push,
                                                          heappop=heapq.heappop))
-    assert tuple(run_golden().record_lines()) == GOLDEN_RECORD_LINES
-    assert most == 1
+    monkeypatch.setattr(engine, "Arrival", Counted)
+    net, zm, sched = golden_city()
+    cells = [(golden_fleet(), copy_schedule(sched), cfg)
+             for cfg in (nss_eat(), DispatchConfig(strategy=Strategy.SSS, eat_enabled=False))]
+    eat, base = engine.run(golden_requests(), cells, net, zm, None)
+    assert tuple(eat.record_lines()) == GOLDEN_RECORD_LINES
+    assert len(base.records) == 10
+    assert (queued, alive, made) == (0, 1, 10)
+
+
+def routed_trips(monkeypatch) -> list[int]:
+    """The request id of every trip search (a route_astar call with no
+    bound) from now on."""
+    current, routed = [None], []
+    real_dispatch, real_route = engine.dispatch, road.route_astar
+
+    def tagged(call, *args):
+        current[0] = call.id
+        return real_dispatch(call, *args)
+
+    def counted(net, src, dst, *args, **kw):
+        if "within" not in kw:
+            routed.append(current[0])
+        return real_route(net, src, dst, *args, **kw)
+
+    monkeypatch.setattr(engine, "dispatch", tagged)
+    monkeypatch.setattr(road, "route_astar", counted)
+    return routed
+
+
+def test_a_pass_equals_lone_runs_and_routes_each_trip_once(monkeypatch):
+    net = grid_network(9, 9)
+    zm = ZoneMap(tile_zones(9, 9, 3, 3, D))
+    requests = generate_demand(120.0, 1800.0, zm.bbox(), zone_map=zm, seed=3,
+                               patience_range=(300.0, 900.0))
+    traffic = TrafficState([(600.0, 0.5), (1200.0, 1.0)])
+    cfgs = [DispatchConfig(strategy=Strategy.NSS, eat_enabled=eat) for eat in (True, False)]
+
+    def cell(cfg):
+        return Fleet.place_uniform(net, 10, 4), initial_adjacency(zm), cfg
+
+    routed = routed_trips(monkeypatch)
+    lone, lone_routed = [], []
+    for cfg in cfgs:
+        fleet, sched, _ = cell(cfg)
+        lone.append(run_one(requests, fleet, net, zm, sched, traffic, cfg))
+        lone_routed.append(list(routed))
+        routed.clear()
+    both = engine.run(requests, [cell(cfg) for cfg in cfgs], net, zm, traffic)
+
+    assert lone[0].record_lines() != lone[1].record_lines()
+    for got, want in zip(both, lone):
+        assert got.record_lines() == want.record_lines()
+        assert got.event_log == want.event_log
+        assert got.metadata == want.metadata
+    assert both.metadata["events_processed"] == sum(r.metadata["events_processed"] for r in lone)
+    # Each arrival's trip is searched at most once, by the first cell that
+    # needs it, and only if some lone run searched it too.
+    distinct = set(lone_routed[0]) | set(lone_routed[1])
+    assert sorted(routed) == sorted(distinct)
+    assert both.metadata["trip_searches"] == len(distinct)
+    assert len(distinct) < len(lone_routed[0]) + len(lone_routed[1])
 
 
 def test_replay_check_reports_diffs():
@@ -369,7 +444,7 @@ def test_duplicate_request_ids_rejected():
     net, zm, sched = one_zone_city(5)
     requests = [req(net, 0, 0.0, 1, 2), req(net, 0, 5.0, 2, 3)]
     with pytest.raises(SimulationError):
-        run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, None, nss_eat())
+        run_one(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, None, nss_eat())
 
 
 def test_refused_fleet_operation_stops_the_run(monkeypatch):
@@ -380,13 +455,13 @@ def test_refused_fleet_operation_stops_the_run(monkeypatch):
     net, zm, sched = one_zone_city(5)
     requests = [req(net, 0, 0.0, 2, 3)]
     with pytest.raises(SimulationError, match=r"^t=80\.0: vehicle 0 refuses request 0$"):
-        run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, None, nss_eat())
+        run_one(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, None, nss_eat())
 
 
 def test_empty_zone_map_rejected():
     net, _, _ = one_zone_city(5)
     with pytest.raises(SimulationError):
-        run([], Fleet([]), net, ZoneMap([]), AdjacencySchedule([]), None, nss_eat())
+        run_one([], Fleet([]), net, ZoneMap([]), AdjacencySchedule([]), None, nss_eat())
 
 
 def test_unsnappable_request_is_rejected_as_unroutable():
@@ -394,7 +469,7 @@ def test_unsnappable_request_is_rejected_as_unroutable():
     from amodsim.geo import GeoPoint
     far = GeoPoint(0.5, 0.5)                      # ~70 km off the line
     requests = [TripRequest(0, 0.0, far, net.nodes[2], 1, 600.0)]
-    result = run(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, None, nss_eat())
+    result = run_one(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, None, nss_eat())
     assert result.record_lines() == ["0 0.0 REJECTED unroutable"]
     assert result.metadata["snap_failures"] == 1
     assert result.metadata["rejected"] == {"unroutable": 1}
@@ -405,7 +480,7 @@ def test_party_no_vehicle_fits_is_rejected_no_vehicle():
     requests = [TripRequest(0, 0.0, net.nodes[2], net.nodes[4], 4, 600.0),
                 TripRequest(1, 10.0, net.nodes[2], net.nodes[4], 1, 600.0)]
     fleet = Fleet([Vehicle(0, 0, capacity=1), Vehicle(1, 1, capacity=1)])
-    result = run(requests, fleet, net, zm, sched, None, nss_eat())
+    result = run_one(requests, fleet, net, zm, sched, None, nss_eat())
     assert result.record_lines()[0] == "0 0.0 REJECTED no-vehicle"
     assert result.record_lines()[1].split()[2] == "PICKED_UP"
     assert result.metadata["rejected"] == {"no-vehicle": 1}
@@ -448,7 +523,7 @@ def run_city(city, strategy, eat):
                             net.nodes[b % n], 1, float(patience))
                 for i, (t, a, b, patience, far) in enumerate(city["calls"])]
     traffic = TrafficState(sorted((5.0 * t, m) for t, m in city["changes"]))
-    emit = engine._Simulation.emit
+    emit = engine._Cell.emit
 
     def checked_emit(sim, kind, text):
         held = {p.request.id for v in sim.fleet for p in (v.plan, v.queued) if p is not None}
@@ -456,9 +531,9 @@ def run_city(city, strategy, eat):
         emit(sim, kind, text)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine._Simulation, "emit", checked_emit)
+        mp.setattr(engine._Cell, "emit", checked_emit)
         cfg = DispatchConfig(strategy=strategy, eat_enabled=eat)
-        result = run(requests, fleet, net, zm, initial_adjacency(zm), traffic, cfg)
+        result = run_one(requests, fleet, net, zm, initial_adjacency(zm), traffic, cfg)
     return requests, fleet, result
 
 

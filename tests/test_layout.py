@@ -221,7 +221,7 @@ def test_only_road_computes_edge_times():
 
 def test_dispatch_bounds_every_route_search_but_a_new_trip():
     source = dict(src_modules())["dispatch.py"]
-    assert set(unbounded_route_searches(source)) == {("dispatch", "pickup_node", "dropoff_node")}
+    assert unbounded_route_searches(source) == [("trip", "pickup_node", "dropoff_node")]
 
 
 def test_bound_guard_sees_a_dropped_bound():
