@@ -184,13 +184,12 @@ def _run_cells(cells: list[RunConfig]) -> Iterator[int]:
     """Simulate cells that share one demand (they differ in dispatch and out
     alone) in one pass over inputs loaded once. Then, cell by cell and in
     order, write the cell's files or report what failed it, and yield its
-    exit code."""
+    exit code. A failure every cell shares is reported once."""
     try:
         inputs = load_inputs(cells[0])
     except LOAD_ERRORS as exc:
-        for _ in cells:
-            _error(exc)
-            yield EXIT_VALIDATION
+        _error(exc)
+        yield from [EXIT_VALIDATION] * len(cells)
         return
     # Each cell starts from its own copy of what a run changes.
     states = [(inputs.fleet, inputs.sched)]
@@ -202,7 +201,9 @@ def _run_cells(cells: list[RunConfig]) -> Iterator[int]:
                       inputs.net, inputs.zone_map, inputs.traffic,
                       cells[0].doc["sim"]["snap_radius_m"])
     except SimulationError as exc:  # in what every cell shares
-        results = [exc] * len(cells)
+        _error(exc)
+        yield from [EXIT_RUNTIME] * len(cells)
+        return
     for c, (_, sched) in zip(cells, states):
         result = results.pop(0)  # freed once written
         if isinstance(result, SimulationError):

@@ -18,6 +18,7 @@ ends, its zone, its trip route) is one Arrival, which the cells share.
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import road
 from .demand import TripRequest
@@ -46,8 +47,6 @@ class DispatchDecision:
     reject_reason: str | None = None
     zones_searched: list[frozenset[int]] = field(default_factory=list)
     adjacency_updated: bool = False
-    origin_zone: int | None = None
-    zone_fallback: bool = False  # the pickup lies outside every zone
     nodes_settled: int = 0
 
     @property
@@ -134,26 +133,17 @@ class _EtaRanking:
         return best, best_key[0]
 
 
-def _incumbent_leg(v: Vehicle, pickup_node: int, old_leg: Route, net: RoadNetwork,
-                   traffic: TrafficState | None, now_s: float) -> tuple[Route, float]:
-    """v's fresh route from job_start to the pickup of a job it holds, and
-    its ETA. The old leg, re-timed from job_start's node on, bounds the
-    search (route_astar's `within`). job_start lies on the planned leg or is
-    the dropoff the queued leg starts from, and the road graph never
-    changes, so the route exists: a None here is a bad bound."""
-    node, depart = job_start(v, now_s)
-    leg = road.route_astar(net, node, pickup_node, now_s, traffic,
-                           within=_retimed(old_leg, node, net, traffic, now_s))
-    assert leg is not None, f"vehicle {v.id} lost its route to node {pickup_node}"
-    return leg, (depart - now_s) + leg.total_time_s
-
-
-def _retimed(route: Route, start: int, net: RoadNetwork,
-             traffic: TrafficState | None, now_s: float) -> float:
-    """The time of route from its node `start` on, under the traffic in
-    force now: a bound for a fresh search between the same ends."""
-    nodes = route.nodes
-    return road.path_time(net, nodes[nodes.index(start):], now_s, traffic)
+def _reroute(old: Route, start: int, net: RoadNetwork, traffic: TrafficState | None,
+             now_s: float) -> Route:
+    """A fresh route from `start`, a node of `old`, to old's last node. The
+    rest of old, re-timed under the traffic in force now, bounds the search
+    (route_astar's `within`). The road graph never changes, so the route
+    exists: a None here is a bad bound."""
+    rest = old.nodes[old.nodes.index(start):]
+    route = road.route_astar(net, start, rest[-1], now_s, traffic,
+                             within=road.path_time(net, rest, now_s, traffic))
+    assert route is not None, f"lost the route from node {start} to node {rest[-1]}"
+    return route
 
 
 def _regions(a_c: int, sched: AdjacencySchedule,
@@ -198,17 +188,12 @@ class Arrival:
         self.net = net
         self.traffic = traffic
         self.now_s = call.request_time_s
-        self.trip_searched = False
-        self._trip: Route | None = None
 
+    @cached_property
     def trip(self) -> Route | None:
         """The fastest route from pickup to dropoff, None if there is none."""
-        if not self.trip_searched:
-            self.trip_searched = True
-            net, pickup_node, dropoff_node = self.net, self.pickup_node, self.dropoff_node
-            self._trip = road.route_astar(net, pickup_node, dropoff_node, self.now_s,
-                                          self.traffic)
-        return self._trip
+        net, pickup_node, dropoff_node = self.net, self.pickup_node, self.dropoff_node
+        return road.route_astar(net, pickup_node, dropoff_node, self.now_s, self.traffic)
 
     def routable(self) -> bool:
         """Whether both ends snapped and the dropoff can be reached. Nodes of
@@ -217,7 +202,7 @@ class Arrival:
         p, d = self.pickup_node, self.dropoff_node
         if p is None or d is None:
             return False
-        return self.net.component[p] == self.net.component[d] or self.trip() is not None
+        return self.net.component[p] == self.net.component[d] or self.trip is not None
 
 
 def dispatch(call: TripRequest, arrival: Arrival, fleet: Fleet, sched: AdjacencySchedule,
@@ -225,7 +210,7 @@ def dispatch(call: TripRequest, arrival: Arrival, fleet: Fleet, sched: Adjacency
     """Pick a vehicle for one call. Expansion may add one adjacency link on
     an out-of-component assignment; vehicle state is never touched."""
     a_c = arrival.zone
-    decision = DispatchDecision(origin_zone=a_c, zone_fallback=arrival.zone_fallback)
+    decision = DispatchDecision()
     if not arrival.routable():
         decision.zones_searched.append(frozenset({a_c}))
         decision.reject_reason = REJECT_UNROUTABLE
@@ -251,7 +236,7 @@ def dispatch(call: TripRequest, arrival: Arrival, fleet: Fleet, sched: Adjacency
         return decision
     decision.vehicle_id = winner.id
     decision.route_to_pickup, decision.eta_s = ranking.leg(winner)
-    decision.route_of_trip = arrival.trip()
+    decision.route_of_trip = arrival.trip
     return decision
 
 
@@ -291,10 +276,10 @@ def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: R
         rid = request.id
         old_plan = waiting_job(v, rid)
         pickup_node = old_plan.route_of_trip.nodes[0]
-        dropoff_node = old_plan.route_of_trip.nodes[-1]
-        # The old legs, re-timed, bound the fresh searches between their ends.
-        leg, incumbent_eta = _incumbent_leg(v, pickup_node, old_plan.route_to_pickup,
-                                            net, traffic, now_s)
+        # job_start's node lies on the old leg, which may start there.
+        node, depart = job_start(v, now_s)
+        leg = _reroute(old_plan.route_to_pickup, node, net, traffic, now_s)
+        incumbent_eta = (depart - now_s) + leg.total_time_s
 
         others = candidate_pool(fleet, Strategy.OSS, request.party_size)
         # A candidate with ETA e takes the job only if fl(incumbent_eta - e)
@@ -308,11 +293,7 @@ def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: R
         actions.nodes_settled += ranking.nodes_settled
 
         improves = best is not None and incumbent_eta - best_eta > cfg.oss_reassign_threshold_s
-        # The old trip joins the pickup to the dropoff, so this route exists.
-        trip = road.route_astar(net, pickup_node, dropoff_node, now_s, traffic,
-                                within=_retimed(old_plan.route_of_trip, pickup_node, net,
-                                                traffic, now_s))
-        assert trip is not None, f"request {rid} lost its trip route"
+        trip = _reroute(old_plan.route_of_trip, pickup_node, net, traffic, now_s)
         if improves:
             release(v, rid, now_s)
             new_leg, _ = ranking.leg(best)

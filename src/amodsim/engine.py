@@ -21,7 +21,7 @@ from enum import Enum
 
 from .demand import TripRequest
 from .dispatch import Arrival, DispatchConfig, dispatch, oss_reschedule
-from .fleet import (Fleet, Strategy, Transition, assign, finish_trip, pick_up, release,
+from .fleet import (Fleet, Strategy, assign, finish_trip, pick_up, release,
                     validate_transitions, waiting_job, waiting_jobs)
 from .road import RoadNetwork, TrafficState
 from .zones import AdjacencySchedule, ZoneMap
@@ -96,7 +96,6 @@ def parse_record_line(line: str) -> CallRecord:
 class RunResult:
     records: list[CallRecord]
     event_log: list[str]
-    transitions: list[Transition]
     metadata: dict
 
     def record_lines(self) -> list[str]:
@@ -142,7 +141,6 @@ class _Cell:
         self.reassignment_count = 0
         self.nodes_settled = 0
         self.oss_nodes_settled = 0
-        self.zone_fallbacks = 0
         self.adjacency_links = 0
         self.states: dict[int, _RequestState] = {}
         self.outcome: RunResult | SimulationError | None = None  # set when the cell ends
@@ -203,12 +201,11 @@ class _Cell:
         req_id = r.id
         decision = dispatch(r, arrival, self.fleet, self.sched, self.node_zone, self.cfg)
         self.nodes_settled += decision.nodes_settled
-        self.zone_fallbacks += decision.zone_fallback
         self.adjacency_links += decision.adjacency_updated
         if not decision.assigned:
             self.end(r, OUTCOME_REJECTED, reject_reason=decision.reject_reason)
             self.emit(EventKind.REQUEST_ARRIVAL,
-                      f"req={req_id} zone={decision.origin_zone} outcome=rejected "
+                      f"req={req_id} zone={arrival.zone} outcome=rejected "
                       f"reason={decision.reject_reason} rounds={len(decision.zones_searched)}")
             return
         v = self.fleet.vehicle(decision.vehicle_id)
@@ -218,7 +215,7 @@ class _Cell:
         self.schedule(r.request_time_s + r.patience_s,
                       EventKind.PASSENGER_ABANDONED, (req_id,))
         self.emit(EventKind.REQUEST_ARRIVAL,
-                  f"req={req_id} zone={decision.origin_zone} outcome=assigned "
+                  f"req={req_id} zone={arrival.zone} outcome=assigned "
                   f"vehicle={v.id} eta={decision.eta_s!r} rounds={len(decision.zones_searched)} "
                   f"adj={int(decision.adjacency_updated)}")
 
@@ -277,11 +274,11 @@ class _Cell:
         self.reassignment_count += reassigned
         self.emit(EventKind.RESCHEDULE, f"actions={len(actions)} reassigned={reassigned}")
 
-    def finish(self, snap_failures: int) -> None:
-        """Drain the heap, check the run and keep its records as the outcome."""
+    def finish(self, snap_failures: int, zone_fallbacks: int) -> None:
+        """Drain the heap, check the run and keep its records as the outcome.
+        The counts are the pass's, which a cell still live has seen whole."""
         self.advance((math.inf, math.inf))
-        transitions = self.fleet.transitions()
-        problems = validate_transitions(transitions)
+        problems = validate_transitions(self.fleet.transitions())
         if problems:
             raise SimulationError("state machine violations: " + "; ".join(problems[:5]))
         if self.states:
@@ -300,13 +297,13 @@ class _Cell:
             "rejected": rejects,
             "reassignments": self.reassignment_count,
             "adjacency_revision": self.adjacency_links,
-            "zone_fallback_calls": self.zone_fallbacks,
+            "zone_fallback_calls": zone_fallbacks,
             "snap_failures": snap_failures,
             "events_processed": self.events_processed,
             "nodes_settled": self.nodes_settled,
             "oss_nodes_settled": self.oss_nodes_settled,
         }
-        self.outcome = RunResult(records, self.log_lines, transitions, metadata)
+        self.outcome = RunResult(records, self.log_lines, metadata)
 
     # Plain functions, not bound methods, so that a cell holds no reference
     # to itself and is freed without waiting for the cycle collector.
@@ -322,12 +319,25 @@ class _Cell:
 
 class PassResult(list[RunResult | SimulationError]):
     """Each cell's result, or the error that failed it, in cell order; and
-    the pass's own counts: events processed over every cell, and trip
-    routes searched."""
+    the pass's own count of events processed over every cell."""
 
     def __init__(self, outcomes, metadata: dict):
         super().__init__(outcomes)
         self.metadata = metadata
+
+
+class _NodeZones(dict[int, int]):
+    """The zone of each node, resolved when dispatch first reads it: only
+    nodes where a pooled vehicle stands are ever read."""
+
+    def __init__(self, net: RoadNetwork, zone_map: ZoneMap):
+        super().__init__()
+        self.net = net
+        self.zone_map = zone_map
+
+    def __missing__(self, node: int) -> int:
+        zone = self[node] = self.zone_map.locate_or_nearest(self.net.nodes[node])[0]
+        return zone
 
 
 class _Simulation:
@@ -352,14 +362,11 @@ class _Simulation:
             raise SimulationError("duplicate request ids")
         if len(zone_map) == 0:
             raise SimulationError("at least one zone is required to dispatch")
-        # Vehicles are looked up by the zone of their current node; resolve
-        # every node once.
-        self.node_zone = {nid: zone_map.locate_or_nearest(net.nodes[nid])[0]
-                          for nid in net.ids}
+        self.node_zone = _NodeZones(net, zone_map)
         self.cells = [_Cell(fleet, sched, cfg, net, traffic, self.node_zone, len(self.requests))
                       for fleet, sched, cfg in cells]
         self.snap_failures = 0
-        self.trip_searches = 0
+        self.zone_fallbacks = 0
 
     def _live(self) -> list[_Cell]:
         return [cell for cell in self.cells if cell.outcome is None]
@@ -384,21 +391,20 @@ class _Simulation:
                           self.net.nearest_node(r.dropoff, self.snap_radius_m),
                           self.zone_map, self.net, self.traffic)
         self.snap_failures += arrival.pickup_node is None or arrival.dropoff_node is None
+        self.zone_fallbacks += arrival.zone_fallback
         for cell in live:
             self._step(cell, cell.arrive, i, r, arrival)
-        self.trip_searches += arrival.trip_searched
 
     def run(self) -> PassResult:
         for i in range(len(self.requests)):
             self._round(i)
         for cell in self._live():
-            self._step(cell, cell.finish, self.snap_failures)
+            self._step(cell, cell.finish, self.snap_failures, self.zone_fallbacks)
         if self.snap_failures:
             log.warning("%d of %d requests fall outside the road network snap radius",
                         self.snap_failures, len(self.requests))
         return PassResult((cell.outcome for cell in self.cells),
-                          {"events_processed": sum(c.events_processed for c in self.cells),
-                           "trip_searches": self.trip_searches})
+                          {"events_processed": sum(c.events_processed for c in self.cells)})
 
 
 def run(requests: list[TripRequest], cells: list[Cell], net: RoadNetwork,

@@ -146,24 +146,13 @@ class ZoneMap:
                 return z.id
         return None
 
-    def nearest_by_centroid(self, p: GeoPoint) -> int:
-        if not self.zones:
-            raise ValueError("no zones loaded")
-        best = None
-        best_d = math.inf
-        for z in self.zones:
-            d = haversine_m(p, self._centroids[z.id])
-            if d < best_d:
-                best_d = d
-                best = z.id
-        return best
-
     def locate_or_nearest(self, p: GeoPoint) -> tuple[int, bool]:
-        """The containing zone, else the nearest centroid's; and whether the
-        point lies outside every zone."""
+        """The containing zone, else the one whose centroid is nearest, ties
+        to the lowest id; and whether the point lies outside every zone."""
         z = self.locate(p)
         if z is None:
-            return self.nearest_by_centroid(p), True
+            nearest = min(self.zones, key=lambda zone: haversine_m(p, self._centroids[zone.id]))
+            return nearest.id, True
         return z, False
 
 

@@ -545,6 +545,7 @@ def test_matrix_whose_cells_all_fail_writes_no_report(tmp_path, capsys):
     cap = capsys.readouterr()
     assert re.findall(r"^cell (\S+) failed with exit 1$", cap.out, re.M) == \
         ["nss-eat", "nss-base"]
+    assert len(re.findall(r"^error ", cap.err, re.M)) == 1  # the cells share one cause
     assert "left out of the reports" not in cap.err
     assert os.listdir(os.path.join(str(tmp_path), "sweep")) == []
 

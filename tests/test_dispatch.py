@@ -83,7 +83,6 @@ def test_expansion_keeps_widening_where_baseline_stops():
 
     d = run_dispatch(net, zm, sched, node_zone, [Vehicle(0, 4)], 0, 2, EAT)
     assert d.assigned and d.vehicle_id == 0
-    assert d.origin_zone == 0
     assert d.zones_searched == [frozenset({0, 1}), frozenset({0, 1, 2})]
     assert d.eta_s == 4 * HOP_S
     assert not d.adjacency_updated
@@ -460,7 +459,7 @@ def test_reschedule_records_a_release_and_a_rehire_in_one_pass():
     result = run_one(requests, fleet, net, zm, sched, traffic, cfg)
     assert result.metadata["reassignments"] == 2
     assert [r.vehicle_id for r in result.records] == [1, 0]
-    pass_changes = [tr for tr in result.transitions if tr.vehicle_id == 0 and tr.time_s == 40.0]
+    pass_changes = [tr for tr in fleet.transitions() if tr.vehicle_id == 0 and tr.time_s == 40.0]
     assert pass_changes == [Transition(40.0, 0, E, I), Transition(40.0, 0, I, E)]
 
 

@@ -72,7 +72,8 @@ def test_golden_scenario_records_are_frozen():
 
 def test_golden_scenario_metadata():
     net, zm, sched = golden_city()
-    result = run_one(golden_requests(), golden_fleet(), net, zm, sched, None, nss_eat())
+    fleet = golden_fleet()
+    result = run_one(golden_requests(), fleet, net, zm, sched, None, nss_eat())
     assert result.metadata == {
         "requests": 10,
         "picked_up": 7,
@@ -87,7 +88,7 @@ def test_golden_scenario_metadata():
         "oss_nodes_settled": 0,
     }
     assert sched.pairs() == [(0, 1), (1, 2), (1, 3), (2, 3)]
-    assert validate_transitions(result.transitions) == []
+    assert validate_transitions(fleet.transitions()) == []
 
 
 def test_golden_scenario_is_deterministic():
@@ -233,7 +234,7 @@ def test_oss_reassigns_when_a_better_vehicle_frees_up():
     assert fleet.vehicle(0).node == 2            # parked where the recall hit
     assert any("TRAFFIC_CHANGE multiplier=0.5" in line for line in result.event_log)
     assert any("RESCHEDULE actions=1 reassigned=1" in line for line in result.event_log)
-    assert validate_transitions(result.transitions) == []
+    assert validate_transitions(fleet.transitions()) == []
 
 
 def test_pickup_fires_from_the_event_scheduled_last():
@@ -408,8 +409,39 @@ def test_a_pass_equals_lone_runs_and_routes_each_trip_once(monkeypatch):
     # needs it, and only if some lone run searched it too.
     distinct = set(lone_routed[0]) | set(lone_routed[1])
     assert sorted(routed) == sorted(distinct)
-    assert both.metadata["trip_searches"] == len(distinct)
     assert len(distinct) < len(lone_routed[0]) + len(lone_routed[1])
+
+
+def test_node_zones_are_resolved_only_where_read(monkeypatch):
+    """A pass locates only calls' pickups and the nodes vehicles stand on
+    when a call is dispatched, each once, to the zone an eager table holds."""
+    net = grid_network(9, 9)
+    zm = ZoneMap(tile_zones(9, 9, 3, 3, D))
+    requests = generate_demand(20.0, 1800.0, zm.bbox(), zone_map=zm, seed=3,
+                               patience_range=(300.0, 900.0))
+    located = []
+    real_locate, real_dispatch = ZoneMap.locate_or_nearest, engine.dispatch
+
+    def locate(self, p):
+        located.append(p)
+        return real_locate(self, p)
+
+    stood, tables = set(), []
+
+    def spy(call, arrival, fleet, sched, node_zone, cfg):
+        stood.update(v.current_node(arrival.now_s) for v in fleet)
+        tables.append(node_zone)
+        return real_dispatch(call, arrival, fleet, sched, node_zone, cfg)
+
+    monkeypatch.setattr(ZoneMap, "locate_or_nearest", locate)
+    monkeypatch.setattr(engine, "dispatch", spy)
+    run_one(requests, Fleet.place_uniform(net, 3, 4), net, zm, initial_adjacency(zm), None,
+            DispatchConfig(strategy=Strategy.SSS))
+    assert set(located) <= {net.nodes[n] for n in stood} | {r.pickup for r in requests}
+    table = tables[0]
+    assert all(t is table for t in tables) and 0 < len(table) < len(net.ids)
+    for node, zone in table.items():
+        assert zone == real_locate(zm, net.nodes[node])[0]
 
 
 def test_replay_check_reports_diffs():
@@ -552,7 +584,7 @@ def test_runs_on_small_cities_keep_their_invariants(city):
                 elif rec.outcome == OUTCOME_ABANDONED:
                     assert rec.abandon_time_s == rec.request_time_s + patience
             assert result.metadata["snap_failures"] == sum(c[4] for c in city["calls"])
-            assert validate_transitions(result.transitions) == []
+            assert validate_transitions(fleet.transitions()) == []
             for v in fleet:  # each trace chains from Idle to the final status
                 states = [VehicleStatus.IDLE] + [tr.dst for tr in v.transitions]
                 assert [tr.src for tr in v.transitions] == states[:-1]

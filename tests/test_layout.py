@@ -236,10 +236,10 @@ def test_bound_guard_sees_a_dropped_bound():
 
 def test_ranked_pickup_legs_are_pruned_by_the_ranking_search():
     """A ranked vehicle's leg (`_EtaRanking.leg`) passes the search that
-    ranked it; only the OSS incumbent's leg, bounded by its old leg
-    re-timed, passes none."""
+    ranked it; only OSS's re-route of an old leg or trip (`_reroute`),
+    bounded by the old route re-timed, passes none."""
     source = dict(src_modules())["dispatch.py"]
-    assert sorted(pickup_leg_searches(source), key=str) == [("_incumbent_leg", None),
+    assert sorted(pickup_leg_searches(source), key=str) == [("_reroute", None),
                                                              ("leg", "search")]
 
 

@@ -36,6 +36,9 @@ def test_locate_or_nearest_flags_fallbacks():
     assert zm.locate_or_nearest(GeoPoint(0.5, 0.5)) == (0, False)
     assert zm.locate_or_nearest(GeoPoint(0.5, 1.4)) == (0, True)   # nearer left centroid
     assert zm.locate_or_nearest(GeoPoint(0.5, 1.8)) == (1, True)
+    assert zm.locate_or_nearest(GeoPoint(0.5, 1.5)) == (0, True)   # equidistant: lower id
+    touching = ZoneMap([zone(1, 0.0, 1.0, 0.0, 1.0), zone(0, 0.0, 1.0, 1.0, 2.0)])
+    assert touching.locate_or_nearest(GeoPoint(0.5, 1.0)) == (0, False)  # shared boundary
 
 
 def test_zone_map_rejects_duplicate_ids():
