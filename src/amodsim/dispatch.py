@@ -12,19 +12,21 @@ it where it stopped.
   adjacency link to the winning vehicle's zone.
 
 What a call's dispatch reads that no cell of a pass changes (its snapped
-ends, its zone, its trip route) is one Arrival, which the cells share.
+ends, its zone, its trip query) is one Arrival, which the cells share. A
+plan holds its trip as a road.RouteQuery, searched when the trip is first
+read, at the pickup; an OSS pass gives each job it re-plans a fresh query,
+so a trip that is never driven is never searched.
 """
 
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import road
 from .demand import TripRequest
 from .fleet import (Fleet, Strategy, Vehicle, assign, candidate_pool, job_start, release,
                     replan, waiting_job)
-from .road import RoadNetwork, Route, TrafficState
+from .road import RoadNetwork, Route, RouteQuery, TrafficState
 from .zones import AdjacencySchedule, ZoneMap
 
 REJECT_NO_VEHICLE = "no-vehicle"
@@ -43,7 +45,7 @@ class DispatchDecision:
     vehicle_id: int | None = None
     eta_s: float | None = None
     route_to_pickup: Route | None = None
-    route_of_trip: Route | None = None
+    trip: RouteQuery | None = None
     reject_reason: str | None = None
     zones_searched: list[frozenset[int]] = field(default_factory=list)
     adjacency_updated: bool = False
@@ -135,10 +137,10 @@ class _EtaRanking:
 
 def _reroute(old: Route, start: int, net: RoadNetwork, traffic: TrafficState | None,
              now_s: float) -> Route:
-    """A fresh route from `start`, a node of `old`, to old's last node. The
-    rest of old, re-timed under the traffic in force now, bounds the search
-    (route_astar's `within`). The road graph never changes, so the route
-    exists: a None here is a bad bound."""
+    """A fresh route for the incumbent's pickup leg `old` from `start`, a
+    node of it, to the pickup. The rest of old, re-timed under the traffic
+    in force now, bounds the search (route_astar's `within`). The road graph
+    never changes, so the route exists: a None here is a bad bound."""
     rest = old.nodes[old.nodes.index(start):]
     route = road.route_astar(net, start, rest[-1], now_s, traffic,
                              within=road.path_time(net, rest, now_s, traffic))
@@ -175,7 +177,8 @@ def _regions(a_c: int, sched: AdjacencySchedule,
 class Arrival:
     """One call at its arrival, as every cell of a pass sees it: the network
     and traffic it is dispatched on, its snapped ends, its zone, and its
-    trip route, searched at most once and only when some cell first needs
+    trip query, searched at most once, when some cell first reads it: a
+    routability check across components, or the pickup of a plan that holds
     it. None of it depends on a cell's fleet or adjacency, and every cell
     handles the call at the same instant, so the cells share one Arrival."""
 
@@ -188,12 +191,7 @@ class Arrival:
         self.net = net
         self.traffic = traffic
         self.now_s = call.request_time_s
-
-    @cached_property
-    def trip(self) -> Route | None:
-        """The fastest route from pickup to dropoff, None if there is none."""
-        net, pickup_node, dropoff_node = self.net, self.pickup_node, self.dropoff_node
-        return road.route_astar(net, pickup_node, dropoff_node, self.now_s, self.traffic)
+        self.trip = RouteQuery(net, pickup_node, dropoff_node, self.now_s, traffic)
 
     def routable(self) -> bool:
         """Whether both ends snapped and the dropoff can be reached. Nodes of
@@ -202,7 +200,7 @@ class Arrival:
         p, d = self.pickup_node, self.dropoff_node
         if p is None or d is None:
             return False
-        return self.net.component[p] == self.net.component[d] or self.trip is not None
+        return self.net.component[p] == self.net.component[d] or self.trip.route is not None
 
 
 def dispatch(call: TripRequest, arrival: Arrival, fleet: Fleet, sched: AdjacencySchedule,
@@ -236,7 +234,7 @@ def dispatch(call: TripRequest, arrival: Arrival, fleet: Fleet, sched: Adjacency
         return decision
     decision.vehicle_id = winner.id
     decision.route_to_pickup, decision.eta_s = ranking.leg(winner)
-    decision.route_of_trip = arrival.trip
+    decision.trip = arrival.trip
     return decision
 
 
@@ -264,10 +262,12 @@ def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: R
     visited, not held in the list, so a re-planned job's old legs are freed
     as the pass goes. A waiting job moves to another vehicle only when that
     vehicle's fresh ETA beats the incumbent's fresh ETA by more than the
-    configured threshold; otherwise the incumbent keeps the job with its legs
-    re-timed. Trips already carrying a passenger are left alone. Candidates
-    are drawn fleet-wide: re-planning is a refinement pass and has no zone
-    scope.
+    configured threshold; otherwise the incumbent keeps the job with its
+    pickup leg re-timed. Either way the job gets a fresh trip query under the
+    traffic in force now, searched only if the pickup comes, and the old
+    query is dropped unread. Trips already carrying a passenger are left
+    alone. Candidates are drawn fleet-wide: re-planning is a refinement pass
+    and has no zone scope.
     """
     if cfg.strategy is not Strategy.OSS:
         raise ValueError(f"rescheduling requires OSS, got {cfg.strategy.value}")
@@ -275,7 +275,7 @@ def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: R
     for request, v in jobs:
         rid = request.id
         old_plan = waiting_job(v, rid)
-        pickup_node = old_plan.route_of_trip.nodes[0]
+        pickup_node = old_plan.trip.src
         # job_start's node lies on the old leg, which may start there.
         node, depart = job_start(v, now_s)
         leg = _reroute(old_plan.route_to_pickup, node, net, traffic, now_s)
@@ -293,7 +293,7 @@ def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: R
         actions.nodes_settled += ranking.nodes_settled
 
         improves = best is not None and incumbent_eta - best_eta > cfg.oss_reassign_threshold_s
-        trip = _reroute(old_plan.route_of_trip, pickup_node, net, traffic, now_s)
+        trip = RouteQuery(net, pickup_node, old_plan.trip.dst, now_s, traffic)
         if improves:
             release(v, rid, now_s)
             new_leg, _ = ranking.leg(best)

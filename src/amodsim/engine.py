@@ -209,7 +209,7 @@ class _Cell:
                       f"reason={decision.reject_reason} rounds={len(decision.zones_searched)}")
             return
         v = self.fleet.vehicle(decision.vehicle_id)
-        plan = assign(v, r, decision.route_to_pickup, decision.route_of_trip, self.now)
+        plan = assign(v, r, decision.route_to_pickup, decision.trip, self.now)
         self.states[req_id] = _RequestState(
             v.id, self.schedule(plan.pickup_time_s, EventKind.ARRIVED_AT_PICKUP, (req_id,)))
         self.schedule(r.request_time_s + r.patience_s,
@@ -257,7 +257,16 @@ class _Cell:
     def on_traffic_change(self, multiplier: float) -> None:
         self.emit(EventKind.TRAFFIC_CHANGE, f"multiplier={multiplier!r}")
         if self.cfg.strategy is Strategy.OSS:
+            # The reschedule at this instant gives every waiting job a fresh
+            # trip query under the new multiplier.
             self.schedule(self.now, EventKind.RESCHEDULE, ())
+            return
+        # A waiting trip is searched under the multiplier it was planned at.
+        # Search it now, while the network still holds that multiplier's
+        # tables: read at its pickup, it would rebuild them, and the next
+        # dispatch would rebuild the new ones.
+        for request, v in waiting_jobs(self.fleet):
+            waiting_job(v, request.id).trip.route
 
     def on_reschedule(self) -> None:
         actions = oss_reschedule(waiting_jobs(self.fleet), self.fleet, self.net, self.traffic,
@@ -381,8 +390,9 @@ class _Simulation:
             cell.outcome = exc
 
     def _round(self, i: int) -> None:
-        """Arrival i, snapped once, in every live cell; it is dropped on
-        return, so only one arrival's shared data is ever alive."""
+        """Arrival i, snapped once, in every live cell. It is dropped on
+        return, so only one Arrival is ever alive; its trip query lives on
+        in the plans of the cells that assigned the call."""
         live = self._live()
         if not live:
             return

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .demand import DEFAULT_CAPACITY, TripRequest
-from .road import RoadNetwork, Route
+from .road import RoadNetwork, Route, RouteQuery
 
 
 class VehicleStatus(Enum):
@@ -40,17 +40,27 @@ ALLOWED_TRANSITIONS = {
 
 @dataclass
 class Plan:
-    """One accepted job: the pickup leg, the trip leg, and their fixed times.
+    """One accepted job: the pickup leg, the trip's query, and their fixed
+    times.
 
     Times are set when the job is (re)planned and do not drift afterwards;
-    replanning replaces the whole Plan.
+    replanning replaces the whole Plan. The trip is searched when its route
+    or dropoff time is first read, which is at the pickup: a job that is
+    released or re-planned before then never pays for it.
     """
     request: TripRequest
     route_to_pickup: Route
-    route_of_trip: Route
+    trip: RouteQuery
     depart_s: float
     pickup_time_s: float
-    dropoff_time_s: float
+
+    @property
+    def route_of_trip(self) -> Route:
+        return self.trip.route
+
+    @property
+    def dropoff_time_s(self) -> float:
+        return self.pickup_time_s + self.trip.route.total_time_s
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,22 +155,20 @@ def job_start(v: Vehicle, now_s: float) -> tuple[int, float]:
     dropoff for a vehicle on a trip, else where the vehicle is, now. The one
     rule for where and when a vehicle is next free, for dispatch and planning."""
     if v.status is VehicleStatus.ON_TRIP:
-        return v.plan.route_of_trip.nodes[-1], v.plan.dropoff_time_s
+        return v.plan.trip.dst, v.plan.dropoff_time_s
     return v.current_node(now_s), now_s
 
 
-def _schedule(v: Vehicle, request: TripRequest, route_to_pickup: Route, route_of_trip: Route,
+def _schedule(v: Vehicle, request: TripRequest, route_to_pickup: Route, trip: RouteQuery,
               now_s: float) -> Plan:
     """Fix a job's timeline from job_start (depart, then the pickup leg, then
     the trip) and hold it: queued behind a trip, else as the job in hand."""
     node, depart = job_start(v, now_s)
     if route_to_pickup.nodes[0] != node:
         raise ValueError(f"vehicle {v.id}: pickup leg must start at node {node}")
-    if route_of_trip.nodes[0] != route_to_pickup.nodes[-1]:
+    if trip.src != route_to_pickup.nodes[-1]:
         raise ValueError("trip leg must start at the pickup node")
-    pickup_t = depart + route_to_pickup.total_time_s
-    plan = Plan(request, route_to_pickup, route_of_trip, depart, pickup_t,
-                pickup_t + route_of_trip.total_time_s)
+    plan = Plan(request, route_to_pickup, trip, depart, depart + route_to_pickup.total_time_s)
     if v.status is VehicleStatus.ON_TRIP:
         v.queued = plan
     else:
@@ -170,7 +178,7 @@ def _schedule(v: Vehicle, request: TripRequest, route_to_pickup: Route, route_of
 
 
 def assign(vehicle: Vehicle, request: TripRequest, route_to_pickup: Route,
-           route_of_trip: Route, now_s: float) -> Plan:
+           trip: RouteQuery, now_s: float) -> Plan:
     """Commit a vehicle to a request and fix the job's timeline.
 
     Idle vehicles leave immediately; OnTrip vehicles queue the job behind the
@@ -180,7 +188,7 @@ def assign(vehicle: Vehicle, request: TripRequest, route_to_pickup: Route,
         raise ValueError(f"vehicle {vehicle.id} is already heading to a pickup")
     if vehicle.queued is not None:
         raise ValueError(f"vehicle {vehicle.id} already queued a job")
-    return _schedule(vehicle, request, route_to_pickup, route_of_trip, now_s)
+    return _schedule(vehicle, request, route_to_pickup, trip, now_s)
 
 
 def _waiting(v: Vehicle) -> Plan | None:
@@ -203,13 +211,13 @@ def waiting_jobs(fleet: Fleet) -> list[tuple[TripRequest, Vehicle]]:
     return jobs
 
 
-def replan(v: Vehicle, request_id: int, route_to_pickup: Route, route_of_trip: Route,
+def replan(v: Vehicle, request_id: int, route_to_pickup: Route, trip: RouteQuery,
            now_s: float) -> Plan:
     """Re-time a waiting job with fresh legs from job_start(v, now_s)."""
     job = waiting_job(v, request_id)
     if job is None:
         raise ValueError(f"vehicle {v.id} holds no waiting job {request_id}")
-    return _schedule(v, job.request, route_to_pickup, route_of_trip, now_s)
+    return _schedule(v, job.request, route_to_pickup, trip, now_s)
 
 
 def release(v: Vehicle, request_id: int, now_s: float) -> None:
@@ -240,7 +248,7 @@ def finish_trip(v: Vehicle, request_id: int, now_s: float) -> Plan:
     if v.status is not VehicleStatus.ON_TRIP or done.request.id != request_id:
         raise ValueError(f"vehicle {v.id} in {v.status.value} is not carrying "
                          f"request {request_id}")
-    v.node = done.route_of_trip.nodes[-1]
+    v.node = done.trip.dst
     v.plan, v.queued = v.queued, None
     _set_status(v, VehicleStatus.IDLE if v.plan is None else VehicleStatus.EN_ROUTE_TO_PICKUP,
                 now_s)

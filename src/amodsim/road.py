@@ -12,6 +12,7 @@ import math
 from array import array
 from itertools import accumulate
 from dataclasses import dataclass
+from functools import cached_property
 
 from .geo import EARTH_RADIUS_M, GeoPoint, NodeIndex, haversine_m
 
@@ -433,6 +434,25 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     for node in path[1:]:  # accumulate in travel order so the sum is reproducible
         arrive.append(arrive[-1] + hop_s[node])
     return Route(tuple(net.ids[i] for i in path), tuple(arrive))
+
+
+class RouteQuery:
+    """The fastest route src -> dst under the multiplier in force at at_s,
+    searched when `route` is first read and kept: a plan holds its trip as
+    one, and only a trip someone rides is ever searched. route_astar is a
+    pure function of its arguments, so the route does not depend on when
+    it is read; reading it while the network still holds the tables of
+    at_s's multiplier spares a rebuild (RoadNetwork.edge_times)."""
+
+    def __init__(self, net: RoadNetwork, src: int, dst: int, at_s: float,
+                 traffic: TrafficState | None = None):
+        self.net, self.src, self.dst = net, src, dst
+        self.at_s, self.traffic = at_s, traffic
+
+    @cached_property
+    def route(self) -> Route | None:
+        """The route, None if dst cannot be reached."""
+        return route_astar(self.net, self.src, self.dst, self.at_s, self.traffic)
 
 
 def path_time(net: RoadNetwork, nodes: tuple[int, ...], at_s: float,

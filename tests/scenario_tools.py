@@ -20,8 +20,8 @@ from amodsim.dispatch import DispatchConfig, RescheduleAction
 from amodsim.fleet import (Fleet, Strategy, Vehicle, VehicleStatus, assign, candidate_pool,
                            job_start, release, replan, waiting_job)
 from amodsim.geo import METERS_PER_DEG_LAT, GeoPoint, Polygon, haversine_m
-from amodsim.road import (MIN_LENGTH_FACTOR, RoadNetwork, Route, TrafficState, eta_table,
-                          route_astar)
+from amodsim.road import (MIN_LENGTH_FACTOR, RoadNetwork, Route, RouteQuery, TrafficState,
+                          eta_table, route_astar)
 from amodsim.zones import AdjacencySchedule, Zone, ZoneMap, initial_adjacency
 
 GRID_SPEED_MPS = 10.0
@@ -440,8 +440,7 @@ def reference_oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fle
     for request, v in jobs:
         rid = request.id
         old_plan = waiting_job(v, rid)
-        pickup_node = old_plan.route_of_trip.nodes[0]
-        dropoff_node = old_plan.route_of_trip.nodes[-1]
+        pickup_node, dropoff_node = old_plan.trip.src, old_plan.trip.dst
         origin, depart = job_start(v, now_s)
         leg = route_astar(net, origin, pickup_node, now_s, traffic)
         incumbent_eta = None if leg is None else (depart - now_s) + leg.total_time_s
@@ -453,8 +452,8 @@ def reference_oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fle
             incumbent_eta is None or incumbent_eta - best_eta > cfg.oss_reassign_threshold_s)
         if not improves and leg is None:
             continue
-        trip = route_astar(net, pickup_node, dropoff_node, now_s, traffic)
-        if trip is None:
+        trip = RouteQuery(net, pickup_node, dropoff_node, now_s, traffic)
+        if trip.route is None:
             continue
         if improves:
             release(v, rid, now_s)

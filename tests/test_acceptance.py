@@ -22,7 +22,7 @@ from amodsim.fleet import (
     pick_up,
 )
 from amodsim.metrics import aggregate, improvement_pcts, whole_run
-from amodsim.road import TrafficState, route_astar
+from amodsim.road import RouteQuery, TrafficState, route_astar
 from amodsim.zones import AdjacencySchedule, Zone, ZoneMap, initial_adjacency
 from scenario_tools import (
     DYADIC_MULTIPLIERS,
@@ -197,14 +197,14 @@ def random_fleet(rng, net, now_s):
             job = TripRequest(900 + vid, now_s, net.nodes[a],
                               net.nodes[b], 1, 3600.0)
             assign(v, job, route_astar(net, v.node, a, now_s),
-                   route_astar(net, a, b, now_s), now_s)
+                   RouteQuery(net, a, b, now_s), now_s)
             pick_up(v, job.id, now_s)
             if draw > 0.90:
                 c = rng.choice([n for n in nodes if n != b])
                 follow = TripRequest(950 + vid, now_s,
                                      net.nodes[b], net.nodes[c], 1, 3600.0)
                 assign(v, follow, route_astar(net, b, b, now_s),
-                       route_astar(net, b, c, now_s), now_s)
+                       RouteQuery(net, b, c, now_s), now_s)
         vehicles.append(v)
     return Fleet(vehicles)
 

@@ -21,7 +21,7 @@ from amodsim.dispatch import (
 from amodsim.fleet import (Fleet, Plan, Strategy, Transition, Vehicle, VehicleStatus, assign,
                            candidate_pool, job_start, pick_up, waiting_job, waiting_jobs)
 from amodsim.geo import GeoPoint, haversine_m
-from amodsim.road import RoadNetwork, TrafficState, route_astar
+from amodsim.road import RoadNetwork, RouteQuery, TrafficState, route_astar
 from amodsim.zones import AdjacencySchedule, Zone, ZoneMap, initial_adjacency
 from scenario_tools import (
     DYADIC_MULTIPLIERS,
@@ -102,7 +102,7 @@ def test_first_region_hit_targets_minimum_eta():
     assert d.eta_s == HOP_S
     assert d.zones_searched == [frozenset({0, 1})]
     assert d.route_to_pickup.nodes == (4, 3)
-    assert d.route_of_trip.nodes == (3, 4)
+    assert d.trip.route.nodes == (3, 4)
 
 
 def test_eta_tie_breaks_to_lowest_vehicle_id():
@@ -221,7 +221,7 @@ def test_unroutable_rejections():
     call = TripRequest(1, 0.0, p, q, 1, 600.0)
     d = dispatch(call, Arrival(call, 0, 1, zm1, oneway, None), fleet, sched1, {0: 0, 1: 1}, EAT)
     assert d.vehicle_id == 0
-    assert d.route_of_trip == route_astar(oneway, 0, 1, 0.0)
+    assert d.trip.route == route_astar(oneway, 0, 1, 0.0)
 
 
 def count_searches(monkeypatch) -> list[tuple[int, int]]:
@@ -237,6 +237,8 @@ def count_searches(monkeypatch) -> list[tuple[int, int]]:
 
 
 def test_dispatch_routes_the_trip_only_for_a_winner(monkeypatch):
+    """A rejected call's trip is never searched; a winner's decision
+    carries the trip as a query, searched once, when first read."""
     net, zm, sched, node_zone = line_city([(0, 2), (3, 4)], [])
     searches = count_searches(monkeypatch)
     d = run_dispatch(net, zm, sched, node_zone, [Vehicle(0, 4)], 1, 2, BASE)
@@ -245,7 +247,11 @@ def test_dispatch_routes_the_trip_only_for_a_winner(monkeypatch):
 
     d = run_dispatch(net, zm, sched, node_zone, [Vehicle(0, 0)], 1, 2, BASE)
     assert d.vehicle_id == 0
-    assert searches == [(0, 1), (1, 2)]      # the pickup leg, then the trip
+    assert searches == [(0, 1)]              # the winner's pickup leg alone
+    assert (d.trip.src, d.trip.dst) == (1, 2)
+    assert d.trip.route.nodes == (1, 2)      # the trip, searched when read
+    assert d.trip.route.nodes == (1, 2)
+    assert searches == [(0, 1), (1, 2)]      # and only once
 
 
 def test_party_larger_than_a_vehicle_skips_it():
@@ -272,7 +278,7 @@ def test_sss_considers_busy_vehicles():
     net, zm, sched, node_zone = line_city([(0, 4)], [])
     v = Vehicle(0, 0)
     assign(v, call_at(net, 1, 2, rid=9), route_astar(net, 0, 1, 0.0),
-           route_astar(net, 1, 2, 0.0), 0.0)
+           RouteQuery(net, 1, 2, 0.0), 0.0)
     pick_up(v, 9, 0.0)                        # passenger already aboard
     fleet = Fleet([v])
     call = call_at(net, 3, 4, rid=1, t=32.0)
@@ -306,7 +312,7 @@ OSS = DispatchConfig(strategy=Strategy.OSS, eat_enabled=True)
 def en_route_job(net, vehicle, pickup, dropoff, rid, now=0.0, traffic=None):
     call = call_at(net, pickup, dropoff, rid=rid, t=now)
     assign(vehicle, call, route_astar(net, vehicle.node, pickup, now, traffic),
-           route_astar(net, pickup, dropoff, now, traffic), now)
+           RouteQuery(net, pickup, dropoff, now, traffic), now)
 
 
 def reschedule(fleet, net, traffic, now):
@@ -385,10 +391,10 @@ def test_reschedule_retimes_queued_leg_only():
     net, _, _, _ = line_city([(0, 9)], [], cols=10)
     v = Vehicle(0, 0)
     first = call_at(net, 1, 2, rid=1)
-    assign(v, first, route_astar(net, 0, 1, 0.0), route_astar(net, 1, 2, 0.0), 0.0)
+    assign(v, first, route_astar(net, 0, 1, 0.0), RouteQuery(net, 1, 2, 0.0), 0.0)
     pick_up(v, first.id, 0.0)
     second = call_at(net, 4, 5, rid=2)
-    assign(v, second, route_astar(net, 2, 4, 0.0), route_astar(net, 4, 5, 0.0), 0.0)
+    assign(v, second, route_astar(net, 2, 4, 0.0), RouteQuery(net, 4, 5, 0.0), 0.0)
     assert v.queued.pickup_time_s == 80.0 + 2 * HOP_S
 
     traffic = TrafficState([(40.0, 0.5)])
@@ -422,7 +428,7 @@ def test_reschedule_skips_vehicles_too_small_for_the_party():
     net, _, _, _ = line_city([(0, 9)], [], cols=10)
     slowpoke = Vehicle(0, 0)
     call = TripRequest(0, 0.0, net.nodes[8], net.nodes[9], 2, 600.0)
-    assign(slowpoke, call, route_astar(net, 0, 8, 0.0), route_astar(net, 8, 9, 0.0), 0.0)
+    assign(slowpoke, call, route_astar(net, 0, 8, 0.0), RouteQuery(net, 8, 9, 0.0), 0.0)
     single = Vehicle(1, 7, capacity=1)            # one hop away, but one seat
     actions = reschedule(Fleet([slowpoke, single]), net, None, 40.0)
     assert all(not a.reassigned for a in actions)
@@ -466,13 +472,15 @@ def test_reschedule_records_a_release_and_a_rehire_in_one_pass():
 # -- winner-bounded ETA search against the full scan ----------------------
 
 
-def busy_vehicle(vid, end_node, now, remaining_s):
-    """An OnTrip vehicle whose trip ends at end_node, remaining_s after now."""
+def busy_vehicle(net, vid, end_node, now, remaining_s):
+    """An OnTrip vehicle of net whose trip ends at end_node, remaining_s
+    after now."""
     v = Vehicle(vid, end_node)
-    trip = hop_route((end_node,), ())
     v.status = VehicleStatus.ON_TRIP
     job = TripRequest(-1, now, GeoPoint(0.0, 0.0), GeoPoint(0.0, 0.0), 1, 600.0)
-    v.plan = Plan(job, trip, trip, now, now, now + remaining_s)
+    # a trip of no hops, picked up as it ends
+    v.plan = Plan(job, hop_route((end_node,), ()), RouteQuery(net, end_node, end_node, now),
+                  now, now + remaining_s)
     return v
 
 
@@ -518,7 +526,7 @@ def test_ranking_matches_full_scan(data):
     spec = data.draw(st.lists(st.tuples(st.sampled_from(nodes), REMAINING_S),
                               min_size=1, max_size=12), label="fleet")
     ids = data.draw(st.permutations(range(len(spec))), label="ids")
-    vehicles = {vid: Vehicle(vid, node) if rem is None else busy_vehicle(vid, node, now, rem)
+    vehicles = {vid: Vehicle(vid, node) if rem is None else busy_vehicle(net, vid, node, now, rem)
                 for vid, (node, rem) in zip(ids, spec)}
     pickup = data.draw(st.sampled_from(nodes), label="pickup")
 
@@ -554,7 +562,7 @@ def test_ranking_of_busy_vehicles_stops_at_best_eta_less_the_least_wait():
     """With no idle candidate, the search stops once the frontier passes
     the best ETA less the least wait still unsettled, not the best ETA."""
     net = grid_network(1, 8)  # HOP_S per hop from node 0
-    near, far = busy_vehicle(0, 1, 0.0, 100.0), busy_vehicle(1, 6, 0.0, 300.0)
+    near, far = busy_vehicle(net, 0, 1, 0.0, 100.0), busy_vehicle(net, 1, 6, 0.0, 300.0)
     ranking = _EtaRanking(0, net, None, 0.0)
     assert ranking.best([far, near]) == (near, 100.0 + HOP_S)
     # nodes 0 and 1; far's ETA is over 300 s, and stopping at the best ETA
@@ -570,7 +578,7 @@ def test_ranking_keeps_a_leg_whose_eta_rounds_to_the_best():
     nodes = {0: GeoPoint(0.0, 0.0), 1: GeoPoint(0.0, 0.001), 2: GeoPoint(0.001, 0.0)}
     leg_b = math.nextafter(240.0, math.inf)  # a leg one ulp over 24 s
     net = RoadNetwork(nodes, [(1, 0, 240.0, 10.0), (2, 0, leg_b, 10.0)], speed_limit_mps=10.0)
-    a, b = busy_vehicle(1, 1, 0.0, 1000.0), busy_vehicle(0, 2, 0.0, 1000.0)
+    a, b = busy_vehicle(net, 1, 1, 0.0, 1000.0), busy_vehicle(net, 0, 2, 0.0, 1000.0)
     assert leg_b / 10.0 > 1024.0 - 1000.0 and 1000.0 + leg_b / 10.0 == 1024.0
     ranking = _EtaRanking(0, net, None, 0.0)
     assert ranking.best([a, b]) == (b, 1024.0)
@@ -592,7 +600,7 @@ def oss_fleet(net, rng, traffic, count):
         start, _ = job_start(v, 0.0)
         assign(v, call_at(net, pickup, dropoff, rid=next(rids)),
                route_astar(net, start, pickup, 0.0, traffic),
-               route_astar(net, pickup, dropoff, 0.0, traffic), 0.0)
+               RouteQuery(net, pickup, dropoff, 0.0, traffic), 0.0)
 
     for vid in range(count):
         v = Vehicle(vid, rng.choice(nodes), capacity=rng.choice((1, 4)))
@@ -625,8 +633,17 @@ class CheckedAgainstUncapped(_EtaRanking):
         return got
 
 
+def plan_state(plan):
+    """A plan's fields with its trip query's ends, time and route."""
+    if plan is None:
+        return None
+    trip = plan.trip
+    return (plan.request, plan.route_to_pickup, trip.src, trip.dst, trip.at_s, trip.route,
+            plan.depart_s, plan.pickup_time_s)
+
+
 def fleet_state(fleet):
-    return [(v.id, v.status, v.node, v.plan, v.queued) for v in fleet]
+    return [(v.id, v.status, v.node, plan_state(v.plan), plan_state(v.queued)) for v in fleet]
 
 
 @settings(max_examples=150)
@@ -655,7 +672,7 @@ def test_capped_reschedule_matches_the_uncapped_pass(data):
     jobs = waiting_jobs(fleet)
     if jobs:
         request, v = jobs[0]
-        pickup = waiting_job(v, request.id).route_of_trip.nodes[0]
+        pickup = waiting_job(v, request.id).trip.src
         origin, depart = job_start(v, now)
         leg = route_astar(net, origin, pickup, now, traffic)
         _, best_eta = full_scan_best(candidate_pool(fleet, Strategy.OSS, request.party_size),

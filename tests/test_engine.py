@@ -359,22 +359,16 @@ def test_the_queue_holds_one_arrival_at_a_time(monkeypatch):
     assert (queued, alive, made) == (0, 1, 10)
 
 
-def routed_trips(monkeypatch) -> list[int]:
-    """The request id of every trip search (a route_astar call with no
-    bound) from now on."""
-    current, routed = [None], []
-    real_dispatch, real_route = engine.dispatch, road.route_astar
+def routed_trips(monkeypatch) -> list[tuple[int, int, float]]:
+    """The (src, dst, at_s) of every trip search (a route_astar call with
+    no bound) from now on."""
+    routed, real_route = [], road.route_astar
 
-    def tagged(call, *args):
-        current[0] = call.id
-        return real_dispatch(call, *args)
-
-    def counted(net, src, dst, *args, **kw):
+    def counted(net, src, dst, at_s, *args, **kw):
         if "within" not in kw:
-            routed.append(current[0])
-        return real_route(net, src, dst, *args, **kw)
+            routed.append((src, dst, at_s))
+        return real_route(net, src, dst, at_s, *args, **kw)
 
-    monkeypatch.setattr(engine, "dispatch", tagged)
     monkeypatch.setattr(road, "route_astar", counted)
     return routed
 
@@ -410,6 +404,56 @@ def test_a_pass_equals_lone_runs_and_routes_each_trip_once(monkeypatch):
     distinct = set(lone_routed[0]) | set(lone_routed[1])
     assert sorted(routed) == sorted(distinct)
     assert len(distinct) < len(lone_routed[0]) + len(lone_routed[1])
+
+
+def overloaded_city():
+    """A strongly connected 9x9 grid with more calls than its fleet can
+    serve in time, and a traffic schedule of three changes."""
+    net = grid_network(9, 9)
+    zm = ZoneMap(tile_zones(9, 9, 3, 3, D))
+    requests = generate_demand(240.0, 1800.0, zm.bbox(), zone_map=zm, seed=5,
+                               patience_range=(200.0, 700.0))
+    traffic = TrafficState([(500.0, 0.5), (1000.0, 1.25), (1500.0, 0.8)])
+    return net, zm, requests, traffic
+
+
+def test_oss_searches_the_trip_of_each_pickup_alone(monkeypatch):
+    """A trip is searched once its passenger boards and never otherwise:
+    not at dispatch, and not when OSS re-plans a job whose passenger then
+    abandons it or whose plan a later pass replaces."""
+    net, zm, requests, traffic = overloaded_city()
+    assert net.scc_count == 1  # no routability check needs the trip
+    routed = routed_trips(monkeypatch)
+    cfg = DispatchConfig(strategy=Strategy.OSS, eat_enabled=True)
+    result = run_one(requests, Fleet.place_uniform(net, 8, 6), net, zm, initial_adjacency(zm),
+                     traffic, cfg)
+    counts = result.metadata
+    assert counts["abandoned"] > 0 and counts["reassignments"] > 0
+    assert len(routed) == counts["picked_up"]
+    assert len(set(routed)) == len(routed)  # no trip is searched twice
+
+
+@pytest.mark.parametrize("strategy", [Strategy.NSS, Strategy.SSS])
+def test_a_run_builds_each_multiplier_tables_once(monkeypatch, strategy):
+    """A run that does not re-plan searches its waiting trips at each
+    traffic change, under the tables already built, so it builds tables
+    once at the start and once per change."""
+    net, zm, requests, traffic = overloaded_city()
+    builds, real = [], road.RoadNetwork.edge_times
+
+    def counted(self, mult):
+        tables = real(self, mult)
+        if not builds or tables[0] is not builds[-1][1]:
+            builds.append((mult, tables[0]))
+        return tables
+
+    monkeypatch.setattr(road.RoadNetwork, "edge_times", counted)
+    cfg = DispatchConfig(strategy=strategy, eat_enabled=True)
+    result = run_one(requests, Fleet.place_uniform(net, 8, 6), net, zm, initial_adjacency(zm),
+                     traffic, cfg)
+    assert result.metadata["picked_up"] > 0
+    assert [mult for mult, _ in builds] == [1.0, 0.5, 1.25, 0.8]
+    assert len(builds) == len(traffic.change_times()) + 1
 
 
 def test_node_zones_are_resolved_only_where_read(monkeypatch):

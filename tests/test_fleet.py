@@ -22,7 +22,7 @@ from amodsim.fleet import (
     waiting_job,
     waiting_jobs,
 )
-from amodsim.road import route_astar
+from amodsim.road import RouteQuery, route_astar
 from scenario_tools import estimate_eta, grid_network
 
 HOP_S = 40.0
@@ -38,7 +38,7 @@ def request(rid=0, pickup_node=4, dropoff_node=5, t=0.0):
 def start_trip(net, vehicle, pickup_node, dropoff_node, now_s, rid=0):
     """Assign and advance through the pickup so the vehicle is OnTrip."""
     leg = route_astar(net, vehicle.node, pickup_node, now_s)
-    trip = route_astar(net, pickup_node, dropoff_node, now_s)
+    trip = RouteQuery(net, pickup_node, dropoff_node, now_s)
     plan = assign(vehicle, request(rid, pickup_node, dropoff_node), leg, trip, now_s)
     pick_up(vehicle, rid, now_s)
     return plan
@@ -72,13 +72,13 @@ def test_candidate_pool_by_strategy():
     idle = Vehicle(0, 0)
     en_route = Vehicle(1, 0)
     assign(en_route, request(1, 1, 2), route_astar(net, 0, 1, 0.0),
-           route_astar(net, 1, 2, 0.0), 0.0)
+           RouteQuery(net, 1, 2, 0.0), 0.0)
     on_trip = Vehicle(2, 0)
     start_trip(net, on_trip, 1, 2, 0.0, rid=2)
     queued_up = Vehicle(3, 0)
     start_trip(net, queued_up, 1, 2, 0.0, rid=3)
     assign(queued_up, request(4, 5, 8), route_astar(net, 2, 5, 0.0),
-           route_astar(net, 5, 8, 0.0), 0.0)
+           RouteQuery(net, 5, 8, 0.0), 0.0)
     fleet = Fleet([idle, en_route, on_trip, queued_up])
 
     assert [v.id for v in candidate_pool(fleet, Strategy.NSS, 1)] == [0]
@@ -109,7 +109,7 @@ def test_estimate_eta_idle_and_on_trip():
 
     heading = Vehicle(2, 0)
     assign(heading, request(8, 1, 2), route_astar(net, 0, 1, 0.0),
-           route_astar(net, 1, 2, 0.0), 0.0)
+           RouteQuery(net, 1, 2, 0.0), 0.0)
     with pytest.raises(ValueError):
         estimate_eta(heading, 5, net, None, 0.0)
 
@@ -126,7 +126,7 @@ def test_assign_idle_fixes_timeline():
     net = grid_network(3, 3)
     v = Vehicle(0, 0)
     plan = assign(v, request(5, 1, 8), route_astar(net, 0, 1, 10.0),
-                  route_astar(net, 1, 8, 10.0), now_s=10.0)
+                  RouteQuery(net, 1, 8, 10.0), now_s=10.0)
     assert v.status is VehicleStatus.EN_ROUTE_TO_PICKUP
     assert v.plan is plan and v.queued is None
     assert plan.request.id == 5
@@ -140,14 +140,14 @@ def test_assign_on_trip_queues_behind_dropoff():
     v = Vehicle(0, 0)
     first = start_trip(net, v, 1, 2, 0.0, rid=1)
     queued = assign(v, request(2, 5, 8), route_astar(net, 2, 5, 0.0),
-                    route_astar(net, 5, 8, 0.0), now_s=15.0)
+                    RouteQuery(net, 5, 8, 0.0), now_s=15.0)
     assert v.status is VehicleStatus.ON_TRIP
     assert v.queued is queued
     assert queued.depart_s == first.dropoff_time_s
     assert queued.pickup_time_s == first.dropoff_time_s + HOP_S
     with pytest.raises(ValueError):      # one queued job at most
         assign(v, request(3, 5, 8), route_astar(net, 2, 5, 0.0),
-               route_astar(net, 5, 8, 0.0), 15.0)
+               RouteQuery(net, 5, 8, 0.0), 15.0)
 
 
 def test_assign_rejects_mismatched_legs():
@@ -155,15 +155,15 @@ def test_assign_rejects_mismatched_legs():
     v = Vehicle(0, 0)
     with pytest.raises(ValueError):      # trip must start where pickup ends
         assign(v, request(1, 1, 2), route_astar(net, 0, 1, 0.0),
-               route_astar(net, 2, 5, 0.0), 0.0)
+               RouteQuery(net, 2, 5, 0.0), 0.0)
     with pytest.raises(ValueError):      # pickup leg must start at the vehicle
         assign(v, request(1, 2, 5), route_astar(net, 1, 2, 0.0),
-               route_astar(net, 2, 5, 0.0), 0.0)
+               RouteQuery(net, 2, 5, 0.0), 0.0)
     assign(v, request(1, 1, 2), route_astar(net, 0, 1, 0.0),
-           route_astar(net, 1, 2, 0.0), 0.0)
+           RouteQuery(net, 1, 2, 0.0), 0.0)
     with pytest.raises(ValueError):      # already heading to a pickup
         assign(v, request(2, 1, 2), route_astar(net, 0, 1, 0.0),
-               route_astar(net, 1, 2, 0.0), 0.0)
+               RouteQuery(net, 1, 2, 0.0), 0.0)
 
 
 def test_current_node_tracks_plan_progress():
@@ -171,7 +171,7 @@ def test_current_node_tracks_plan_progress():
     v = Vehicle(0, 0)
     assert v.current_node(50.0) == 0
     plan = assign(v, request(1, 2, 8), route_astar(net, 0, 2, 0.0),
-                  route_astar(net, 2, 8, 0.0), 0.0)
+                  RouteQuery(net, 2, 8, 0.0), 0.0)
     assert v.current_node(0.0) == 0
     assert v.current_node(39.9) == 0
     assert v.current_node(40.0) == plan.route_to_pickup.nodes[1]
@@ -241,7 +241,7 @@ def test_waiting_jobs_are_first_come_first_served():
     def held(v, rid, t, pickup, dropoff):
         start, _ = job_start(v, 0.0)
         return assign(v, request(rid, pickup, dropoff, t), route_astar(net, start, pickup, 0.0),
-                      route_astar(net, pickup, dropoff, 0.0), 0.0)
+                      RouteQuery(net, pickup, dropoff, 0.0), 0.0)
 
     queued_behind = Vehicle(0, 0)
     held(queued_behind, 9, 0.0, 0, 2)             # the trip in progress: left out
@@ -283,16 +283,16 @@ def test_fleet_operations_keep_the_state_machine(steps):
         if op == "assign":
             start = v.node if v.plan is None else v.plan.route_of_trip.nodes[-1]
             leg = route_astar(net, b if pick == 0 else start, a, now)
-            trip = route_astar(net, b if pick == 1 else a, b, now)
+            trip = RouteQuery(net, b if pick == 1 else a, b, now)
             legal = (v.status is not E and v.queued is None and leg.nodes[0] == start
-                     and trip.nodes[0] == a)
+                     and trip.src == a)
             call = lambda: assign(v, request(next_id, a, b), leg, trip, now)
         elif op == "replan":
             start = (v.plan.route_of_trip.nodes[-1] if v.status is O
                      else v.current_node(now))
             pickup = waiting.route_to_pickup.nodes[-1] if waiting is not None else a
             leg = route_astar(net, b if pick == 0 else start, pickup, now)
-            trip = route_astar(net, pickup, b, now)
+            trip = RouteQuery(net, pickup, b, now)
             legal = is_waiting and leg.nodes[0] == start
             call = lambda: replan(v, rid, leg, trip, now)
         elif op == "release":
@@ -319,7 +319,8 @@ def test_fleet_operations_keep_the_state_machine(steps):
             next_id += 1
             depart = now if src is I else plan.dropoff_time_s
             assert (out.depart_s, out.pickup_time_s, out.dropoff_time_s) == (
-                depart, depart + leg.total_time_s, depart + leg.total_time_s + trip.total_time_s)
+                depart, depart + leg.total_time_s,
+                depart + leg.total_time_s + trip.route.total_time_s)
             assert (v.plan if src is I else v.queued) is out
         elif op == "replan":
             assert v.status is src and waiting_job(v, rid) is out

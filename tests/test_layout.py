@@ -5,11 +5,11 @@ status changes or reads a vehicle's queued job; inside it, one function
 writes a vehicle's status. engine.py writes a request's CallRecord in one
 method, when the request ends. road.py computes every edge time, in one
 method, because routes and searches are exact only while they all read the
-same floats. Every route search in dispatch.py but the trip search of a new
-call passes the bound its caller holds, and every pickup leg of a ranked
-vehicle passes the ranking's own reverse search, which prunes it: a dropped
-bound or prune slows the program and moves no output, so nothing else would
-see it.
+same floats. Every route search of the package but a trip query's, in
+road.RouteQuery, passes the bound its caller holds, and every pickup leg of
+a ranked vehicle passes the ranking's own reverse search, which prunes it: a
+dropped bound or prune slows the program and moves no output, so nothing
+else would see it.
 """
 
 import ast
@@ -220,8 +220,11 @@ def test_only_road_computes_edge_times():
 
 
 def test_dispatch_bounds_every_route_search_but_a_new_trip():
-    source = dict(src_modules())["dispatch.py"]
-    assert unbounded_route_searches(source) == [("trip", "pickup_node", "dropoff_node")]
+    """A trip is searched, unbounded, by its query alone; dispatch and OSS
+    pass a query, never search a trip themselves."""
+    unbounded = {name: hits for name, source in src_modules()
+                 if (hits := unbounded_route_searches(source))}
+    assert unbounded == {"road.py": [("route", "self.src", "self.dst")]}
 
 
 def test_bound_guard_sees_a_dropped_bound():
@@ -236,8 +239,8 @@ def test_bound_guard_sees_a_dropped_bound():
 
 def test_ranked_pickup_legs_are_pruned_by_the_ranking_search():
     """A ranked vehicle's leg (`_EtaRanking.leg`) passes the search that
-    ranked it; only OSS's re-route of an old leg or trip (`_reroute`),
-    bounded by the old route re-timed, passes none."""
+    ranked it; only OSS's re-route of the incumbent's leg (`_reroute`),
+    bounded by the old leg re-timed, passes none."""
     source = dict(src_modules())["dispatch.py"]
     assert sorted(pickup_leg_searches(source), key=str) == [("_reroute", None),
                                                              ("leg", "search")]
