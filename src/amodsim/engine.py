@@ -5,10 +5,10 @@ a dispatcher, over one demand. Within a cell, events are processed in
 (time, sequence) order; the sequence number is fixed when an event is
 scheduled, so ties at the same instant resolve by scheduling history and
 every run of the same inputs pops the same events in the same order.
-Requests arrive one at a time from the sorted demand, each under a number
-reserved for it at the start, and never wait in a queue: the pass hands
-each arrival to every cell in turn, after the cell's own events keyed
-before it. A cell keeps state for a request only while a vehicle holds it.
+The traffic changes and the sorted requests reach the cells as one stream
+of numbered inputs, in key order, and never wait in a queue: the pass hands
+each input to every cell in turn, after the cell's own events keyed before
+it. A cell keeps state for a request only while a vehicle holds it.
 Leg durations are fixed when a job is planned; only the OSS strategy
 re-plans waiting pickups when the traffic multiplier changes.
 """
@@ -118,13 +118,14 @@ class _RequestState:
 
 class _Cell:
     """One dispatcher's run inside a pass: its own fleet, adjacency schedule,
-    event heap and sequence numbers, request states, log, records and
-    counts. It refers to what the demand fixes, but not to the pass, so a
-    finished pass is freed as soon as its last reference goes."""
+    heap of the events it schedules (numbered after the pass's inputs),
+    request states, log, records and counts. It refers to what the demand
+    fixes, but not to the pass, so a finished pass is freed as soon as its
+    last reference goes."""
 
     def __init__(self, fleet: Fleet, sched: AdjacencySchedule, cfg: DispatchConfig,
                  net: RoadNetwork, traffic: TrafficState, node_zone: dict[int, int],
-                 arrivals: int):
+                 inputs: int):
         self.fleet = fleet
         self.sched = sched
         self.cfg = cfg
@@ -132,7 +133,7 @@ class _Cell:
         self.traffic = traffic
         self.node_zone = node_zone
         self.heap: list[tuple[float, int, EventKind, tuple]] = []
-        self.seq = 0
+        self.seq = inputs
         self.now = 0.0
         self.current_seq = -1
         self.events_processed = 0
@@ -144,12 +145,6 @@ class _Cell:
         self.adjacency_links = 0
         self.states: dict[int, _RequestState] = {}
         self.outcome: RunResult | SimulationError | None = None  # set when the cell ends
-        for t in traffic.change_times():
-            self.schedule(t, EventKind.TRAFFIC_CHANGE, (traffic.multiplier_at(t),))
-        # Arrival i is numbered T + i, after the T traffic changes; events
-        # scheduled while the run goes take the numbers after the arrivals.
-        self.first_arrival_seq = self.seq
-        self.seq += arrivals
 
     # -- scheduling ----------------------------------------------------
 
@@ -178,13 +173,10 @@ class _Cell:
         while heap and heap[0][:2] < key:
             self.process(*heapq.heappop(heap))
 
-    def arrive(self, i: int, r: TripRequest, arrival: Arrival) -> None:
-        """Process the arrival of request i, r, after every event keyed
-        before it. The arrival never waits in the heap: the pass hands it to
-        each cell in turn."""
-        key = (r.request_time_s, self.first_arrival_seq + i)
-        self.advance(key)
-        self.process(*key, EventKind.REQUEST_ARRIVAL, (r, arrival))
+    def take(self, t: float, seq: int, kind: EventKind, payload: tuple) -> None:
+        """Process one of the pass's inputs after every event keyed before it."""
+        self.advance((t, seq))
+        self.process(t, seq, kind, payload)
 
     def emit(self, kind: EventKind, text: str) -> None:
         self.log_lines.append(f"{self.now!r} {self.current_seq} {kind.value} {text}")
@@ -353,11 +345,11 @@ class _Simulation:
     """One pass over the sorted demand for every cell at once. The cells
     differ in their dispatcher alone, so the pass holds what the demand
     fixes (the network, the zones and the node-to-zone table, the requests,
-    the traffic, the snap radius) and hands each arrival, snapped once, to
-    every cell in turn. The cells run in lockstep: each processes its own
-    events keyed before arrival i, then arrival i, before any cell sees
-    arrival i + 1. A SimulationError in a cell takes that cell alone out of
-    the pass."""
+    the traffic, the snap radius) and is the cells' one source of inputs:
+    it numbers traffic change k as k and arrival i as T + i, after the T
+    changes, and hands each input, in key order, to every cell in turn. So
+    every cell takes a change before any cell dispatches the next arrival.
+    A SimulationError in a cell takes that cell alone out of the pass."""
 
     def __init__(self, requests: list[TripRequest], cells: list[Cell], net: RoadNetwork,
                  zone_map: ZoneMap, traffic: TrafficState, snap_radius_m: float):
@@ -372,7 +364,9 @@ class _Simulation:
         if len(zone_map) == 0:
             raise SimulationError("at least one zone is required to dispatch")
         self.node_zone = _NodeZones(net, zone_map)
-        self.cells = [_Cell(fleet, sched, cfg, net, traffic, self.node_zone, len(self.requests))
+        self.changes = traffic.change_times()
+        inputs = len(self.changes) + len(self.requests)
+        self.cells = [_Cell(fleet, sched, cfg, net, traffic, self.node_zone, inputs)
                       for fleet, sched, cfg in cells]
         self.snap_failures = 0
         self.zone_fallbacks = 0
@@ -389,25 +383,31 @@ class _Simulation:
         except SimulationError as exc:
             cell.outcome = exc
 
-    def _round(self, i: int) -> None:
-        """Arrival i, snapped once, in every live cell. It is dropped on
-        return, so only one Arrival is ever alive; its trip query lives on
-        in the plans of the cells that assigned the call."""
+    def _round(self, t: float, seq: int, kind: EventKind, payload: tuple) -> None:
+        """One input in every live cell. An arrival is snapped once and
+        dropped on return, so only one Arrival is ever alive; its trip query
+        lives on in the plans of the cells that assigned the call."""
         live = self._live()
         if not live:
             return
-        r = self.requests[i]
-        arrival = Arrival(r, self.net.nearest_node(r.pickup, self.snap_radius_m),
-                          self.net.nearest_node(r.dropoff, self.snap_radius_m),
-                          self.zone_map, self.net, self.traffic)
-        self.snap_failures += arrival.pickup_node is None or arrival.dropoff_node is None
-        self.zone_fallbacks += arrival.zone_fallback
+        if kind is EventKind.REQUEST_ARRIVAL:
+            r, = payload
+            arrival = Arrival(r, self.net.nearest_node(r.pickup, self.snap_radius_m),
+                              self.net.nearest_node(r.dropoff, self.snap_radius_m),
+                              self.zone_map, self.net, self.traffic)
+            self.snap_failures += arrival.pickup_node is None or arrival.dropoff_node is None
+            self.zone_fallbacks += arrival.zone_fallback
+            payload = (r, arrival)
         for cell in live:
-            self._step(cell, cell.arrive, i, r, arrival)
+            self._step(cell, cell.take, t, seq, kind, payload)
 
     def run(self) -> PassResult:
-        for i in range(len(self.requests)):
-            self._round(i)
+        for item in heapq.merge(
+                ((t, k, EventKind.TRAFFIC_CHANGE, (self.traffic.multiplier_at(t),))
+                 for k, t in enumerate(self.changes)),
+                ((r.request_time_s, len(self.changes) + i, EventKind.REQUEST_ARRIVAL, (r,))
+                 for i, r in enumerate(self.requests))):
+            self._round(*item)
         for cell in self._live():
             self._step(cell, cell.finish, self.snap_failures, self.zone_fallbacks)
         if self.snap_failures:

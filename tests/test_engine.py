@@ -327,15 +327,22 @@ def test_arrivals_take_the_sequence_numbers_reserved_for_them():
 
 
 def test_the_queue_holds_one_arrival_at_a_time(monkeypatch):
-    """No cell queues an arrival: the pass hands each one to every cell in
-    turn, and drops what the cells share of it (snapped ends, zone, trip
-    route) before the next one is made."""
+    """No cell queues an input: the pass hands each traffic change and each
+    arrival to every cell in turn, and drops what the cells share of an
+    arrival (snapped ends, zone, trip route) before the next one is made."""
+    net, zm, sched = golden_city()
+    # a change tied with an arrival, one between arrivals, one after the last
+    traffic = TrafficState([(48.0, 0.5), (150.0, 1.0), (400.0, 2.0)])
+    cfgs = (nss_eat(), DispatchConfig(strategy=Strategy.SSS, eat_enabled=False))
+    lone = [run_one(golden_requests(), golden_fleet(), net, zm, copy_schedule(sched), traffic,
+                    cfg) for cfg in cfgs]
     queued = alive = made = 0
+    inputs = (EventKind.REQUEST_ARRIVAL, EventKind.TRAFFIC_CHANGE)
 
     def push(heap, item):
         nonlocal queued
         heapq.heappush(heap, item)
-        queued = max(queued, sum(1 for e in heap if e[2] is EventKind.REQUEST_ARRIVAL))
+        queued = max(queued, sum(1 for e in heap if e[2] in inputs))
 
     live = weakref.WeakSet()
 
@@ -347,15 +354,15 @@ def test_the_queue_holds_one_arrival_at_a_time(monkeypatch):
             alive = max(alive, len(live))
             made += 1
 
-    monkeypatch.setattr(engine, "heapq", SimpleNamespace(heappush=push,
-                                                         heappop=heapq.heappop))
+    monkeypatch.setattr(engine, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop,
+                                                         merge=heapq.merge))
     monkeypatch.setattr(engine, "Arrival", Counted)
-    net, zm, sched = golden_city()
-    cells = [(golden_fleet(), copy_schedule(sched), cfg)
-             for cfg in (nss_eat(), DispatchConfig(strategy=Strategy.SSS, eat_enabled=False))]
-    eat, base = engine.run(golden_requests(), cells, net, zm, None)
-    assert tuple(eat.record_lines()) == GOLDEN_RECORD_LINES
-    assert len(base.records) == 10
+    cells = [(golden_fleet(), copy_schedule(sched), cfg) for cfg in cfgs]
+    both = engine.run(golden_requests(), cells, net, zm, traffic)
+    for got, want in zip(both, lone):
+        assert len(got.records) == 10
+        assert got.event_log == want.event_log
+        assert sum("TRAFFIC_CHANGE" in line for line in got.event_log) == 3
     assert (queued, alive, made) == (0, 1, 10)
 
 
@@ -433,11 +440,18 @@ def test_oss_searches_the_trip_of_each_pickup_alone(monkeypatch):
     assert len(set(routed)) == len(routed)  # no trip is searched twice
 
 
-@pytest.mark.parametrize("strategy", [Strategy.NSS, Strategy.SSS])
-def test_a_run_builds_each_multiplier_tables_once(monkeypatch, strategy):
-    """A run that does not re-plan searches its waiting trips at each
-    traffic change, under the tables already built, so it builds tables
-    once at the start and once per change."""
+@pytest.mark.parametrize("cfgs", [
+    [DispatchConfig(strategy=Strategy.NSS, eat_enabled=True)],
+    [DispatchConfig(strategy=Strategy.SSS, eat_enabled=True)],
+    [DispatchConfig(strategy=strategy, eat_enabled=eat) for strategy in Strategy
+     for eat in (True, False)],
+], ids=["Strategy.NSS", "Strategy.SSS", "six-cells"])
+def test_a_run_builds_each_multiplier_tables_once(monkeypatch, cfgs):
+    """A cell that does not re-plan searches its waiting trips at each
+    traffic change, under the tables already built, and every cell of a
+    pass takes a change before any cell dispatches under the new
+    multiplier; so a pass of one cell or six builds tables once at the
+    start and once per change."""
     net, zm, requests, traffic = overloaded_city()
     builds, real = [], road.RoadNetwork.edge_times
 
@@ -448,10 +462,9 @@ def test_a_run_builds_each_multiplier_tables_once(monkeypatch, strategy):
         return tables
 
     monkeypatch.setattr(road.RoadNetwork, "edge_times", counted)
-    cfg = DispatchConfig(strategy=strategy, eat_enabled=True)
-    result = run_one(requests, Fleet.place_uniform(net, 8, 6), net, zm, initial_adjacency(zm),
-                     traffic, cfg)
-    assert result.metadata["picked_up"] > 0
+    cells = [(Fleet.place_uniform(net, 8, 6), initial_adjacency(zm), cfg) for cfg in cfgs]
+    for result in engine.run(requests, cells, net, zm, traffic):
+        assert result.metadata["picked_up"] > 0
     assert [mult for mult, _ in builds] == [1.0, 0.5, 1.25, 0.8]
     assert len(builds) == len(traffic.change_times()) + 1
 
@@ -532,6 +545,32 @@ def test_refused_fleet_operation_stops_the_run(monkeypatch):
     requests = [req(net, 0, 0.0, 2, 3)]
     with pytest.raises(SimulationError, match=r"^t=80\.0: vehicle 0 refuses request 0$"):
         run_one(requests, Fleet([Vehicle(0, 0)]), net, zm, sched, None, nss_eat())
+
+
+def test_no_arrival_is_snapped_once_every_cell_has_failed(monkeypatch, caplog):
+    """After the last live cell fails, the pass neither snaps the rest of
+    the demand nor counts it in the snap-failure warning."""
+    made = []
+
+    class Counted(Arrival):
+        def __init__(self, call, *args):
+            super().__init__(call, *args)
+            made.append(call.id)
+
+    def boom(*args):
+        raise SimulationError("boom")
+
+    monkeypatch.setattr(engine, "Arrival", Counted)
+    monkeypatch.setattr(engine, "dispatch", boom)
+    net, zm, sched = one_zone_city(5)
+    far = GeoPoint(0.5, 0.5)                      # beyond the snap radius
+    requests = [req(net, 0, 0.0, 1, 2), TripRequest(1, 5.0, far, net.nodes[2], 1, 600.0)]
+    traffic = TrafficState([(10.0, 0.5)])
+    [outcome] = engine.run(requests, [(Fleet([Vehicle(0, 0)]), sched, nss_eat())], net, zm,
+                           traffic)
+    assert isinstance(outcome, SimulationError)
+    assert made == [0]
+    assert "snap radius" not in caplog.text
 
 
 def test_empty_zone_map_rejected():
