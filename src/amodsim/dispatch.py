@@ -121,11 +121,12 @@ class _EtaRanking:
         # ulps of the limit keeps every leg whose sum with its wait could
         # still round to the limit, so a lower-id vehicle there takes the tie.
         limit = min(best_key[0], cap)
+        # The stop moves only when a waiting node settles, where settle returns.
         while waiting:
-            node = self._search.settle(limit - (least - now) + 2.0 * math.ulp(limit))
+            node = self._search.settle(limit - (least - now) + 2.0 * math.ulp(limit), waiting)
             if node is None:
                 break
-            for v, depart in waiting.pop(node, ()):
+            for v, depart in waiting.pop(node):
                 key = ((depart - now) + settled[node], v.id)
                 if key < best_key:
                     best, best_key = v, key

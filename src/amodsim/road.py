@@ -10,6 +10,7 @@ import heapq
 import logging
 import math
 from array import array
+from collections.abc import Container
 from itertools import accumulate
 from dataclasses import dataclass
 from functools import cached_property
@@ -508,31 +509,33 @@ class ReverseSearch:
         self.settled: dict[int, float] = {}
         self.radius = 0.0
 
-    def settle(self, limit: float = math.inf) -> int | None:
-        """Settle the closest unsettled node if its time is at most `limit`.
-
-        Returns that node, or None when the frontier lies beyond `limit` or
-        every reachable node is settled already.
-        """
-        heap = self._heap
-        tentative = self._tentative
+    def settle(self, limit: float = math.inf,
+               until: Container[int] | None = None) -> int | None:
+        """Settle nodes in order while the closest unsettled one's time is at
+        most `limit`, and return the first one in `until` (any node if None),
+        as repeated one-node calls would reach it; None once the frontier
+        lies beyond `limit` or every reachable node is settled."""
+        heap, tentative, reverse = self._heap, self._tentative, self._reverse
+        ids, settled = self._ids, self.settled
+        heappop, heappush = heapq.heappop, heapq.heappush
         while heap:
             d, node = heap[0]
             if d > tentative[node]:
-                heapq.heappop(heap)
+                heappop(heap)
                 continue
             if d > limit:
                 return None
-            heapq.heappop(heap)
-            for prev, time_s in self._reverse[node]:
+            heappop(heap)
+            for prev, time_s in reverse[node]:
                 nd = d + time_s
                 if nd < tentative[prev]:
                     tentative[prev] = nd
-                    heapq.heappush(heap, (nd, prev))
-            node_id = self._ids[node]
-            self.settled[node_id] = d
+                    heappush(heap, (nd, prev))
+            node_id = ids[node]
+            settled[node_id] = d
             self.radius = d
-            return node_id
+            if until is None or node_id in until:
+                return node_id
         return None
 
 
@@ -541,8 +544,7 @@ def eta_table(net: RoadNetwork, dst: int, at_s: float,
     """Travel time to dst from every node that can reach it: a drained
     ReverseSearch."""
     search = ReverseSearch(net, dst, at_s, traffic)
-    while search.settle() is not None:
-        pass
+    search.settle(until=())
     return search.settled
 
 

@@ -615,6 +615,34 @@ def oss_fleet(net, rng, traffic, count):
     return Fleet(vehicles)
 
 
+def fleet_state_of(v):
+    """Which of oss_fleet's four states v is in."""
+    if v.status is VehicleStatus.ON_TRIP:
+        return "on-trip" if v.queued is None else "queued"
+    return {VehicleStatus.IDLE: "idle", VehicleStatus.EN_ROUTE_TO_PICKUP: "heading"}[v.status]
+
+
+# the strategies under which a vehicle in each state may take a new job
+TAKES_A_JOB = {"idle": set(Strategy), "heading": set(), "queued": set(),
+               "on-trip": {Strategy.SSS, Strategy.OSS}}
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(0, 12),
+       strategy=st.sampled_from(Strategy), party_size=st.integers(1, 5))
+def test_candidate_pool_matches_a_plain_filter(seed, count, strategy, party_size):
+    """On fleets of idle, heading, on-trip and queued vehicles of 1 and 4
+    seats, the pool is every vehicle with enough seats whose state may take
+    a job under the strategy, in ascending id order."""
+    rng = random.Random(seed)
+    fleet = oss_fleet(grid_network(3, 3), rng, None, count)
+    vehicles = rng.sample(fleet.vehicles, count)
+    want = sorted((v for v in vehicles if v.capacity >= party_size
+                   and strategy in TAKES_A_JOB[fleet_state_of(v)]), key=lambda v: v.id)
+    got = candidate_pool(fleet, strategy, party_size)
+    assert [id(v) for v in got] == [id(v) for v in want]
+
+
 class CheckedAgainstUncapped(_EtaRanking):
     """The capped ranking, checked at each call against a fresh uncapped one:
     the same answer whenever the winner is within the cap, and no more nodes

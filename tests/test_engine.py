@@ -1,6 +1,7 @@
 """Event loop semantics, frozen end-to-end scenario, log replay checking."""
 
 import heapq
+import math
 import weakref
 from types import SimpleNamespace
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from amodsim import engine, road
 
 from amodsim.demand import TripRequest, generate_demand
-from amodsim.dispatch import Arrival, DispatchConfig
+from amodsim.dispatch import Arrival, DispatchConfig, _EtaRanking
 from amodsim.engine import (
     OUTCOME_ABANDONED,
     OUTCOME_PICKED_UP,
@@ -467,6 +468,48 @@ def test_a_run_builds_each_multiplier_tables_once(monkeypatch, cfgs):
         assert result.metadata["picked_up"] > 0
     assert [mult for mult, _ in builds] == [1.0, 0.5, 1.25, 0.8]
     assert len(builds) == len(traffic.change_times()) + 1
+
+
+def test_a_ranking_enters_the_search_once_per_candidate_node_it_settles(monkeypatch):
+    """An OSS run under traffic changes: each `best` call of a ranking
+    enters ReverseSearch.settle once, and once more for each node it
+    settles where a candidate waits, not once per node settled; and it
+    settles the same nodes as a run whose searches step one node per call."""
+    net, zm, requests, traffic = overloaded_city()
+    cfg = DispatchConfig(strategy=Strategy.OSS, eat_enabled=True)
+    real_settle, real_best = road.ReverseSearch.settle, _EtaRanking.best
+    counts = {"entries": 0, "found": 0, "best": 0}
+
+    def counted_settle(self, limit=math.inf, until=None):
+        counts["entries"] += 1
+        node = real_settle(self, limit, until)
+        counts["found"] += node is not None
+        return node
+
+    def counted_best(self, *args):
+        counts["best"] += 1
+        return real_best(self, *args)
+
+    def one_node_steps(self, limit=math.inf, until=None):
+        node = real_settle(self, limit)
+        while node is not None and until is not None and node not in until:
+            node = real_settle(self, limit)
+        return node
+
+    def settled_nodes():
+        result = run_one(requests, Fleet.place_uniform(net, 8, 6), net, zm,
+                         initial_adjacency(zm), traffic, cfg)
+        return result.metadata["nodes_settled"], result.metadata["oss_nodes_settled"]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(road.ReverseSearch, "settle", counted_settle)
+        mp.setattr(_EtaRanking, "best", counted_best)
+        looped = settled_nodes()
+    monkeypatch.setattr(road.ReverseSearch, "settle", one_node_steps)
+    assert settled_nodes() == looped
+    assert looped[1] > 0 and counts["found"] > 0
+    assert counts["entries"] <= counts["best"] + counts["found"]
+    assert 10 * counts["entries"] < sum(looped)
 
 
 def test_node_zones_are_resolved_only_where_read(monkeypatch):

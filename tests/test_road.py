@@ -488,6 +488,55 @@ def test_search_outlives_the_tables_it_was_built_on():
         assert head_b + settled_in_order(b) == whole_b
 
 
+def step_until(search: ReverseSearch, limit: float, until: set[int]) -> int | None:
+    """One-node settle(limit) steps until one settles a node in `until`:
+    that node, or None where the steps stop first. Each step records its
+    node at its time and moves the radius there."""
+    while (node := search.settle(limit)) is not None:
+        assert next(reversed(search.settled)) == node
+        assert search.radius == search.settled[node] <= limit
+        if node in until:
+            return node
+    return None
+
+
+def settled_so_far(search: ReverseSearch) -> tuple[list[tuple[int, str]], str]:
+    """(node, float.hex of its time) for each node settled, in order, and
+    the radius."""
+    return [(n, t.hex()) for n, t in search.settled.items()], search.radius.hex()
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_settle_until_stops_where_one_node_steps_reach_a_target(data):
+    """settle(limit, until) returns the node that one-node steps under the
+    same limit settle first among `until`, or None where they stop short of
+    all of them. It leaves the same settled times, in the same order, and
+    the same radius, and the nodes left settle in the same order after it."""
+    kind = data.draw(st.sampled_from(["grid", "dyadic", "irregular"]), label="network")
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "grid":  # many equal-time ties, broken by node id
+        net = grid_network(rng.randrange(1, 6), rng.randrange(2, 6))
+    else:
+        net = random_network(rng, rng.randrange(1, 30), rng.randrange(0, 60),
+                             dyadic=kind == "dyadic")
+    mult = rng.uniform(0.3, 2.0) if kind == "irregular" else rng.choice(DYADIC_MULTIPLIERS)
+    traffic = TrafficState([(0.0, mult)])
+    dst = rng.choice(net.ids)
+    times = {float.fromhex(t) for _, t in settled_in_order(ReverseSearch(net, dst, 0.0, traffic))}
+    # each settled time, and the float just below it, splits the order
+    limits = sorted({math.inf, -1.0, *times, *(math.nextafter(t, -math.inf) for t in times)})
+    looped = ReverseSearch(net, dst, 0.0, traffic)
+    stepped = ReverseSearch(net, dst, 0.0, traffic)
+    for _ in range(data.draw(st.integers(1, 5), label="calls")):
+        limit = data.draw(st.sampled_from(limits), label="limit")
+        # -1 is no node: a target that never settles
+        until = data.draw(st.sets(st.sampled_from([-1, *net.ids]), max_size=6), label="until")
+        assert looped.settle(limit, until) == step_until(stepped, limit, until)
+        assert settled_so_far(looped) == settled_so_far(stepped)
+    assert settled_in_order(looped) == settled_in_order(stepped)
+
+
 @settings(max_examples=80)
 @given(seed=st.integers(0, 2**32 - 1), n_nodes=st.integers(1, 30),
        n_edges=st.integers(0, 90), mult=st.sampled_from([0.35, 0.8, 1.0, 1.45, 2.0]))
