@@ -12,6 +12,7 @@ import math
 from array import array
 from collections.abc import Container
 from itertools import accumulate
+from operator import itemgetter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -30,6 +31,26 @@ MIN_LENGTH_FACTOR = 0.99
 # differ by about k * 2**-53 relative; the slack covers that for any route
 # of fewer than a million hops.
 BOUND_SLACK = 1e-9
+
+# Landmark rows (RoadNetwork.landmarks) are Dijkstra sums, and a sum of k
+# hops is off by at most about k * 2**-53 of its size, so a difference of two
+# rows can overshoot the time it bounds by that share of both their sizes.
+# Each stored value is moved down by LANDMARK_SLACK of its size and a
+# destination's value up by three times that, which takes LANDMARK_SLACK of
+# both sizes off every difference: more than their rounding, and than the
+# rounding of the difference and of its rescaling to another multiplier
+# (route_astar), for any landmark path of fewer than a million hops.
+LANDMARK_SLACK = 1e-9
+
+# An unbounded route_astar that falls short reruns with its bound raised by
+# BOUND_RAISE, then BOUND_RAISE**2, and so on (or to the least key it dropped
+# if that is higher), so a bound k attempts short has grown by
+# BOUND_RAISE**(k * (k + 1) / 2) and overshoots by at most the last factor.
+# On the bench's one-way network 1.03 pops the fewest nodes of 1.02, 1.025,
+# 1.03 and 1.04, and of a fixed factor of 1.02, 1.05, 1.1 or 1.2, which
+# take more attempts or overshoot further; the least dropped key alone
+# (IDA*) pops eight times as many.
+BOUND_RAISE = 1.03
 
 # The constants of geo.haversine_m, for route_astar's inline copy of it.
 _RAD_PER_DEG = math.pi / 180.0  # the factor math.radians multiplies by
@@ -174,6 +195,12 @@ class RoadNetwork:
         self._forward: list[list[tuple[int, float, float, float, float]]] = []
         self._reverse: list[list[tuple[int, float]]] = []
         self._index: NodeIndex | None = None
+        self._landmarks: tuple[float, list[array]] | None = None
+        # route_astar's per-node best time, parent and hop time, kept between
+        # searches; `touched` lists the best times a search set, which the
+        # next one resets (parents and hops are read only where it set them).
+        self._scratch = ([math.inf] * len(self.ids), [-1] * len(self.ids),
+                         [0.0] * len(self.ids), [])
         self.component = self._scc_ids(out)
         if self.scc_count > 1:
             log.warning("road graph is not strongly connected: %d components", self.scc_count)
@@ -229,6 +256,38 @@ class RoadNetwork:
             self._mult, self._forward, self._reverse = mult, forward, reverse
         return self._forward, self._reverse
 
+    def landmarks(self, mult: float) -> tuple[float, list[array]]:
+        """(m0, rows): for each landmark, by node index, a row of each
+        node's time to it and a row of minus its time to each node, under
+        multiplier m0, each value moved down by LANDMARK_SLACK of its size.
+        For every row r and nodes v, w, r[v] - r[w] bounds the time from v
+        to w under m0 from below, once r[w] is moved up (_landmark_terms),
+        and is infinite only when v cannot reach w.
+
+        The landmarks are the nodes farthest out along lat + lon, lat - lon
+        and their opposites (lowest id on a tie): on a grid, a corner beyond
+        the destination gives the exact time. The rows are built on first
+        use from the edge_times tables of the multiplier in force then, m0,
+        and serve every multiplier m scaled by m0 / m, since edge times are
+        length / (speed * m).
+        """
+        if self._landmarks is None:
+            forward, reverse = self.edge_times(mult)
+            points = [self.nodes[n] for n in self.ids]
+            picked: list[int] = []
+            for a, b in ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)):
+                node = max(range(len(points)), key=lambda i: a * points[i].lat + b * points[i].lon)
+                if node not in picked:
+                    picked.append(node)
+            rows = []
+            for node in picked:
+                rows.append(array("d", [t * (1.0 - LANDMARK_SLACK)
+                                        for t in _dijkstra(reverse, node)]))
+                rows.append(array("d", [-t * (1.0 + LANDMARK_SLACK)
+                                        for t in _dijkstra(forward, node)]))
+            self._landmarks = (mult, rows)
+        return self._landmarks
+
     def _scc_ids(self, out: list[list[tuple[int, float, float]]]) -> dict[int, int]:
         """Strongly connected component id of each node, numbered 0, 1, ...
         by Kosaraju's algorithm over out, each node index's out-edges as
@@ -273,6 +332,44 @@ class RoadNetwork:
                         stack.append(prev)
             sccs += 1
         return dict(zip(self.ids, component))
+
+
+def _dijkstra(rows: list, start: int) -> list[float]:
+    """Time from start to every node index over rows, one row of (next,
+    time, ...) per node: forward rows give times from start, reverse rows
+    times to it; inf where there is no path."""
+    dist = [math.inf] * len(rows)
+    dist[start] = 0.0
+    heap = [(0.0, start)]
+    heappush, heappop = heapq.heappush, heapq.heappop
+    while heap:
+        d, node = heappop(heap)
+        if d > dist[node]:
+            continue
+        for edge in rows[node]:
+            nd = d + edge[1]
+            nxt = edge[0]
+            if nd < dist[nxt]:
+                dist[nxt] = nd
+                heappush(heap, (nd, nxt))
+    return dist
+
+
+def _landmark_terms(rows: list[array], start: int, goal: int,
+                    scale: float) -> list[tuple[float, array, float]]:
+    """(bound, row, c) for each landmark row, best bound first: c is the
+    row's value at node index goal moved up by three times LANDMARK_SLACK of
+    its size, so that (row[v] - c) * scale bounds v's time to goal under the
+    multiplier m0 / scale, and bound is that at start, with nan (a row that
+    knows neither node) counted as -inf."""
+    terms = []
+    for row in rows:
+        c = row[goal]
+        c *= 1.0 + 3.0 * LANDMARK_SLACK if c > 0.0 else 1.0 - 3.0 * LANDMARK_SLACK
+        lb = (row[start] - c) * scale
+        terms.append((lb if lb == lb else -math.inf, row, c))
+    terms.sort(key=itemgetter(0), reverse=True)
+    return terms
 
 
 def _parse_lines(path: str):
@@ -346,6 +443,25 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     gives the same route, bit for bit. A bound below the answer gives None,
     so a caller's bad bound does not pass unseen.
 
+    A node is skipped when its time so far plus a lower bound on its time
+    to dst passes the bound times (1 + BOUND_SLACK). The lower bounds are
+    the great-circle one under the multiplier in force and the landmark
+    one: the best of the three rows of net.landmarks that bound src's time
+    best, each row r giving r[node] - r[dst] (r[dst] moved up by the
+    LANDMARK_SLACK argued there) scaled to the multiplier in force. Neither
+    orders the heap. A node that cannot reach dst has an infinite landmark
+    bound and is skipped; a row that knows neither node gives nan, which
+    skips nothing. A src whose landmark bound is infinite gives None with
+    no search.
+
+    With no `within`, the search bounds itself. It starts from src's
+    landmark bound, its slack given back, and reruns with the bound raised
+    by a growing factor (BOUND_RAISE), or to the least key it dropped if
+    that is higher, until it reaches dst. An underestimate costs one more
+    attempt, never another route. An attempt that dropped no node that can
+    reach dst was the unbounded search, so its None is final; that ends the
+    reruns.
+
     `search`, a ReverseSearch over net toward dst under the same multiplier,
     tightens that pruning: a node's time to dst is at least its settled time
     if it has one, else the search's radius. With `within` the time the
@@ -363,10 +479,28 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
                                or search.mult != mult):
         raise ValueError(f"search toward node {search.dst} under multiplier {search.mult} "
                          f"cannot prune a route to node {dst} under {mult}")
-    bound = within * (1.0 + BOUND_SLACK)
     if src == dst:
-        return Route((src,), (0.0,)) if bound >= 0.0 else None
+        return Route((src,), (0.0,)) if within * (1.0 + BOUND_SLACK) >= 0.0 else None
     forward, _ = net.edge_times(mult)
+    # Nodes are indices from here on; index order is id order, so the heap's
+    # (f, node, g) keys break ties as they would on ids.
+    start, goal = net.index_of[src], net.index_of[dst]
+    base, rows = net.landmarks(mult)
+    scale = base / mult
+    # The three rows that bound src's time best prune (repeated if there
+    # are fewer): 3 rows pop a third fewer nodes than 2 on the bench's
+    # one-way network, and 4 or more save few pops for their cost.
+    terms = _landmark_terms(rows, start, goal, scale)
+    src_lb, r1, c1 = terms[0]
+    if src_lb == math.inf:
+        return None
+    (_, r2, c2), (_, r3, c3) = (terms[1:] + terms)[:2]
+    if within < math.inf:
+        b = within
+    elif src_lb > 0.0:  # with its slack given back
+        b = src_lb + 4.0 * LANDMARK_SLACK * (abs(r1[start]) + abs(c1)) * scale
+    else:  # a bound never below 0 keeps the reruns rising
+        b = 0.0
     # A settled node's tentative time is its time to dst, at most the radius;
     # an unsettled node's is at least its time to dst, itself at least the
     # radius. So min(tentative, radius) bounds every node's time from below.
@@ -391,41 +525,68 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     dst_lat, dst_lon, dst_cos = dst_pt.lat, dst_pt.lon, math.cos(math.radians(dst_pt.lat))
     sin, sqrt, asin = math.sin, math.sqrt, math.asin
     heappush, heappop = heapq.heappush, heapq.heappop
-    # Nodes are indices from here on; index order is id order, so the heap's
-    # (f, node, g) keys break ties as they would on ids.
-    start, goal = net.index_of[src], net.index_of[dst]
-    best_g = [math.inf] * len(forward)
-    best_g[start] = 0.0
-    parent = [-1] * len(forward)
-    hop_s = [0.0] * len(forward)
-    heap: list[tuple[float, int, float]] = [(0.0, start, 0.0)]  # popped alone: f is moot
-    while heap:
-        _, node, g = heappop(heap)
-        if g > best_g[node]:
-            continue
-        if node == goal:
-            break
-        for nxt, hop, lat, lon, cos_lat in forward[node]:
-            ng = g + hop
-            if ng < best_g[nxt]:
-                if lower is not None:
-                    lb = lower[nxt]
-                    if ng + (lb if lb < radius else radius) > bound:
+    best_g, parent, hop_s, touched = net._scratch
+    raise_by = BOUND_RAISE
+    while True:
+        for node in touched:
+            best_g[node] = math.inf
+        touched.clear()
+        touched.append(start)
+        best_g[start] = 0.0
+        bound = b * (1.0 + BOUND_SLACK)
+        least = math.inf  # the least key of a node dropped
+        heap: list[tuple[float, int, float]] = [(0.0, start, 0.0)]  # popped alone: f is moot
+        while heap:
+            _, node, g = heappop(heap)
+            if g > best_g[node]:
+                continue
+            if node == goal:
+                break
+            for nxt, hop, lat, lon, cos_lat in forward[node]:
+                ng = g + hop
+                if ng < best_g[nxt]:
+                    # Every path through nxt this way is slower than the
+                    # bound, so it is no route within it and takes part in
+                    # no tie. At the goal, where every lower bound is 0 or
+                    # just below, this drops an answer above the bound.
+                    if lower is not None:
+                        lb = lower[nxt]
+                        key = ng + (lb if lb < radius else radius)
+                        if key > bound:
+                            if key < least:
+                                least = key
+                            continue
+                    lb = r1[nxt] - c1
+                    other = r2[nxt] - c2
+                    if other > lb:
+                        lb = other
+                    other = r3[nxt] - c3
+                    if other > lb:
+                        lb = other
+                    key = ng + lb * scale
+                    if key > bound:
+                        if key < least:
+                            least = key
                         continue
-                h = (sin((dst_lat - lat) * _RAD_PER_DEG / 2.0) ** 2
-                     + cos_lat * dst_cos * sin((dst_lon - lon) * _RAD_PER_DEG / 2.0) ** 2)
-                s = sqrt(h)
-                dist = _TWO_R * asin(s if s < 1.0 else 1.0)
-                # Every path through nxt this way is slower than the bound,
-                # so it is no route within it and takes part in no tie. At
-                # the goal (dist 0) this drops an answer above the bound.
-                if ng + dist * per_m_now > bound:
-                    continue
-                best_g[nxt] = ng
-                parent[nxt] = node
-                hop_s[nxt] = hop
-                heappush(heap, (ng + MIN_LENGTH_FACTOR * dist / denom, nxt, ng))
-    if parent[goal] < 0:
+                    h = (sin((dst_lat - lat) * _RAD_PER_DEG / 2.0) ** 2
+                         + cos_lat * dst_cos * sin((dst_lon - lon) * _RAD_PER_DEG / 2.0) ** 2)
+                    s = sqrt(h)
+                    dist = _TWO_R * asin(s if s < 1.0 else 1.0)
+                    key = ng + dist * per_m_now
+                    if key > bound:
+                        if key < least:
+                            least = key
+                        continue
+                    best_g[nxt] = ng
+                    parent[nxt] = node
+                    hop_s[nxt] = hop
+                    touched.append(nxt)
+                    heappush(heap, (ng + MIN_LENGTH_FACTOR * dist / denom, nxt, ng))
+        if best_g[goal] < math.inf or least == math.inf or within < math.inf:
+            break
+        b = max(b * raise_by, least)
+        raise_by *= BOUND_RAISE
+    if best_g[goal] == math.inf:
         return None
     path = [goal]
     while path[-1] != start:

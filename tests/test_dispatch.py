@@ -1,8 +1,10 @@
 """Dispatch over both region schedules (expansion, one-ring baseline) and traffic re-planning."""
 
 import copy
+import heapq
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -222,6 +224,40 @@ def test_unroutable_rejections():
     d = dispatch(call, Arrival(call, 0, 1, zm1, oneway, None), fleet, sched1, {0: 0, 1: 1}, EAT)
     assert d.vehicle_id == 0
     assert d.trip.route == route_astar(oneway, 0, 1, 0.0)
+
+
+def test_a_trip_off_its_island_is_unroutable_with_no_search(monkeypatch):
+    """A 1 x 5 line and a two-node island of its own inside the line's zone:
+    a call from the island to the line, or the other way, is unroutable,
+    rejected before any vehicle search, and the trip query that tells so
+    searches nothing, since its landmark bound is infinite."""
+    line, zm, sched, node_zone = line_city([(0, 4)], [])
+    nodes = dict(line.nodes)
+    nodes[10] = GeoPoint(nodes[2].lat + 0.2 * D, nodes[2].lon)
+    nodes[11] = GeoPoint(nodes[2].lat + 0.2 * D, nodes[2].lon + 0.5 * D)
+    crow = haversine_m(nodes[10], nodes[11])
+    net = RoadNetwork(nodes, line.edges() + [(10, 11, 1.1 * crow, 10.0), (11, 10, 1.2 * crow, 10.0)],
+                      line.speed_limit_mps)
+    assert net.scc_count == 2
+    node_zone = {**node_zone, 10: 0, 11: 0}
+    assert route_astar(net, 10, 11, 0.0) is not None  # builds the landmark rows
+    pops = []
+
+    def pop(heap):
+        pops.append(heap)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(road, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=pop))
+    fleet = Fleet([Vehicle(0, 0)])
+    for pickup, dropoff in ((10, 3), (1, 11)):
+        call = call_at(net, pickup, dropoff)
+        arrival = Arrival(call, pickup, dropoff, zm, net, None)
+        assert not arrival.routable()
+        d = dispatch(call, arrival, fleet, sched, node_zone, EAT)
+        assert d.reject_reason == "unroutable"
+        assert d.zones_searched == [frozenset({0})]
+        assert d.nodes_settled == 0
+    assert pops == []
 
 
 def count_searches(monkeypatch) -> list[tuple[int, int]]:

@@ -1,16 +1,21 @@
 """Road network loading, traffic multipliers, and time-dependent routing."""
 
 import hashlib
+import heapq
 import math
 import random
+from array import array
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amodsim import road
 from amodsim.geo import GeoPoint, haversine_m
 from amodsim.road import (
     BOUND_SLACK,
+    _landmark_terms,
     NetworkLoadError,
     ReverseSearch,
     RoadNetwork,
@@ -21,6 +26,7 @@ from amodsim.road import (
     path_time,
     route_astar,
 )
+import scenario_tools
 from scenario_tools import (
     DYADIC_MULTIPLIERS,
     dijkstra_times,
@@ -380,6 +386,166 @@ def test_route_rejects_a_search_toward_another_node_or_under_another_multiplier(
     # the same multiplier at another instant is the same search
     assert route_astar(net, 0, 8, 200.0, traffic, search=search) == route_astar(net, 0, 8, 0.0,
                                                                                  traffic)
+
+
+def one_way_streets(rng: random.Random, side: int) -> RoadNetwork:
+    """A jittered side x side street grid at 40.7 N whose rows and columns
+    alternate one-way directions, every fourth one and the last two-way,
+    with irregular lengths (1.02 to 1.35 times the great circle) and speeds
+    (7 to 16 m/s) under a 25 m/s limit: the great-circle bound is loose."""
+    cell_lat = 220.0 / 111_194.9
+    cell_lon = cell_lat / math.cos(math.radians(40.7))
+    nodes = {r * side + c: GeoPoint(40.7 + (r + rng.uniform(-0.3, 0.3)) * cell_lat,
+                                    -73.99 + (c + rng.uniform(-0.3, 0.3)) * cell_lon)
+             for r in range(side) for c in range(side)}
+    edges = []
+    for k in range(side):  # street k: row k, then column k
+        two_way = k % 4 == 0 or k == side - 1
+        for j in range(side - 1):
+            for a, b in ((k * side + j, k * side + j + 1), (j * side + k, (j + 1) * side + k)):
+                ways = [(a, b), (b, a)] if two_way else [(a, b) if k % 2 else (b, a)]
+                for u, v in ways:
+                    edges.append((u, v, haversine_m(nodes[u], nodes[v]) * rng.uniform(1.02, 1.35),
+                                  rng.uniform(7.0, 16.0)))
+    return RoadNetwork(nodes, edges, speed_limit_mps=25.0)
+
+
+def landmark_test_network(kind: str, rng: random.Random) -> RoadNetwork:
+    if kind == "one-way":  # parallel edges, often not strongly connected
+        return relabelled(one_way_network(rng, rng.randrange(2, 40), rng.randrange(0, 150)), rng)
+    if kind == "streets":
+        return one_way_streets(rng, rng.randrange(2, 9))
+    return random_network(rng, rng.randrange(2, 40), rng.randrange(0, 60), dyadic=False)
+
+
+@settings(max_examples=150)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["one-way", "streets", "irregular"]))
+def test_landmark_bounds_never_exceed_the_true_time(seed, kind):
+    """Under multipliers below, at and above the one the rows were built
+    under, every row's bound on one node's time to another, as route_astar
+    computes it, is at most the true time (forward Dijkstra); where the
+    first cannot reach the second, anything goes. A row that knows neither
+    node gives nan, which exceeds nothing."""
+    rng = random.Random(seed)
+    net = landmark_test_network(kind, rng)
+    m0 = rng.uniform(0.3, 2.0)
+    base, rows = net.landmarks(m0)
+    assert base == m0 and net.landmarks(rng.uniform(0.3, 2.0)) == (base, rows)  # built once
+    for mult in (rng.uniform(0.3, m0), m0, rng.uniform(m0, 2.0)):
+        for src in rng.sample(net.ids, min(6, len(net.ids))):
+            true = dijkstra_times(net, src, mult)
+            for dst in net.ids:
+                start, goal = net.index_of[src], net.index_of[dst]
+                for lb, row, c in _landmark_terms(rows, start, goal, m0 / mult):
+                    assert not (row[start] - c) * (m0 / mult) > true.get(dst, math.inf)
+                    assert not lb > true.get(dst, math.inf)
+
+
+@settings(max_examples=120)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["one-way", "streets", "irregular"]))
+def test_landmark_pruned_route_matches_the_reference_search(seed, kind):
+    """Rows built under one multiplier prune routes under a lower and a
+    higher one: unbounded, at the answer and at 1.5 x + 60 s, route_astar
+    gives the plain A*'s path and bits; below the answer, and where dst
+    cannot be reached, None."""
+    rng = random.Random(seed)
+    net = landmark_test_network(kind, rng)
+    m0 = rng.uniform(0.5, 1.5)
+    traffic = TrafficState([(0.0, m0), (100.0, rng.uniform(0.3, m0)),
+                            (200.0, rng.uniform(m0, 2.0))])
+    route_astar(net, net.ids[0], net.ids[-1], 0.0, traffic)  # builds the rows under m0
+    assert net.landmarks(2.0)[0] == m0
+    for _ in range(6):
+        src, dst = rng.choice(net.ids), rng.choice(net.ids)
+        for at_s in (100.0, 200.0, 0.0):
+            want = reference_route_astar(net, src, dst, at_s, traffic)
+            if want is None:
+                assert route_astar(net, src, dst, at_s, traffic) is None
+                continue
+            answer = want.total_time_s
+            for within in (math.inf, answer, 1.5 * answer + 60.0):
+                got = route_astar(net, src, dst, at_s, traffic, within=within)
+                assert got.nodes == want.nodes, (src, dst, at_s, within)
+                assert [t.hex() for t in got.arrive_s] == [t.hex() for t in want.arrive_s]
+            below = answer * (1.0 - 1e-6) - 1e-6
+            assert route_astar(net, src, dst, at_s, traffic, within=below) is None
+
+
+def counted_heap(monkeypatch) -> list[int]:
+    """[pushes, pops] of route_astar's heap from now on."""
+    counts = [0, 0]
+
+    def push(heap, item):
+        counts[0] += 1
+        heapq.heappush(heap, item)
+
+    def pop(heap):
+        counts[1] += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(road, "heapq", SimpleNamespace(heappush=push, heappop=pop))
+    return counts
+
+
+def test_a_pair_no_landmark_knows_is_routed_and_a_trip_off_its_island_is_not_searched(
+        monkeypatch):
+    """An island of two nodes inside a grid's box, joined to each other
+    only: no landmark (a grid corner) reaches it or is reached from it, so
+    every row gives nan between them, which prunes nothing, and the route is
+    found. A trip between the island and the grid has an infinite bound,
+    and gives None with no search."""
+    grid = grid_network(3, 3)
+    nodes = dict(grid.nodes)
+    nodes[100] = GeoPoint(nodes[0].lat + 0.001, nodes[0].lon + 0.001)
+    nodes[101] = GeoPoint(nodes[0].lat + 0.001, nodes[0].lon + 0.002)
+    crow = haversine_m(nodes[100], nodes[101])
+    net = RoadNetwork(nodes, grid.edges() + [(100, 101, crow * 1.1, 9.0), (101, 100, crow * 1.2, 7.0)],
+                      grid.speed_limit_mps)
+    want = reference_route_astar(net, 100, 101, 0.0)
+    got = route_astar(net, 100, 101, 0.0)
+    assert got == want and len(got.nodes) == 2
+    _, rows = net.landmarks(1.0)
+    for row in rows:
+        assert math.isnan(row[net.index_of[100]] - row[net.index_of[101]])
+    counts = counted_heap(monkeypatch)
+    for src, dst in ((100, 4), (4, 101), (8, 100), (101, 0)):
+        assert route_astar(net, src, dst, 0.0) is None
+        assert route_astar(net, src, dst, 0.0, within=1e9) is None
+    assert counts == [0, 0]
+
+
+def test_landmarks_halve_the_pushes_of_unbounded_searches(monkeypatch):
+    """On an irregular one-way street grid, where the great-circle bound is
+    loose, unbounded searches pruned by the landmark rows push at most half
+    as many heap entries as with an all-zero table, and as the plain A*
+    oracle, and give the same routes."""
+    rng = random.Random(24)
+    net = one_way_streets(rng, 20)
+    pairs = [(rng.choice(net.ids), rng.choice(net.ids)) for _ in range(30)]
+    route_astar(net, *pairs[0], 0.0)  # builds the rows before the count
+    counts = counted_heap(monkeypatch)
+
+    def pushes() -> tuple[list[Route | None], int]:
+        counts[0] = 0
+        return [route_astar(net, src, dst, 0.0) for src, dst in pairs], counts[0]
+
+    routes, with_rows = pushes()
+    base, rows = net.landmarks(1.0)
+    monkeypatch.setattr(net, "_landmarks", (base, [array("d", bytes(8 * len(r))) for r in rows]))
+    zero_routes, with_zeros = pushes()
+    plain = [0]
+    real_push = scenario_tools.heapq.heappush
+
+    def plain_push(heap, item):
+        plain[0] += 1
+        real_push(heap, item)
+
+    monkeypatch.setattr(scenario_tools, "heapq", SimpleNamespace(heappush=plain_push,
+                                                                 heappop=heapq.heappop))
+    assert [reference_route_astar(net, src, dst, 0.0) for src, dst in pairs] == routes
+    assert zero_routes == routes
+    assert with_rows <= with_zeros / 2
+    assert with_rows <= plain[0] / 2
 
 
 def test_path_time_takes_the_fastest_parallel_edge():
