@@ -19,7 +19,7 @@ so a trip that is never driven is never searched.
 """
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
 from . import road
@@ -68,13 +68,24 @@ class _EtaRanking:
     candidates unsettled, nothing unsettled can win. Later queries
     resume the same search. Winners and ETAs are those of a full scan
     followed by an id-ordered strict-`<` pick.
+
+    Given a fleet, with its zone table and the call's party size, a query
+    may name a region, and the fleet's idle vehicles there with enough
+    seats are candidates too: the search takes them off the fleet's index
+    (Fleet.idle_at) as it settles their nodes, and keeps them, with their
+    zones, for the wider regions; the fleet's counts tell how many are left.
     """
 
     def __init__(self, pickup_node: int, net: RoadNetwork,
-                 traffic: TrafficState | None, now_s: float):
+                 traffic: TrafficState | None, now_s: float, fleet: Fleet | None = None,
+                 node_zone: dict[int, int] | None = None, seats: int = 1):
         self._search = road.ReverseSearch(net, pickup_node, now_s, traffic)
         self._traffic = traffic
         self._now = now_s
+        self._fleet = fleet
+        self._node_zone = node_zone
+        self._seats = seats
+        self._found: list[tuple[int, float, Vehicle]] = []  # (zone, leg, idle vehicle)
 
     @property
     def nodes_settled(self) -> int:
@@ -92,18 +103,26 @@ class _EtaRanking:
         assert leg is not None, f"vehicle {v.id} lost its route to node {search.dst}"
         return leg, (depart - self._now) + leg.total_time_s
 
-    def best(self, candidates: list[Vehicle],
-             cap: float = math.inf) -> tuple[Vehicle | None, float]:
+    def best(self, candidates: Iterable[Vehicle], cap: float = math.inf,
+             region: frozenset[int] | None = None) -> tuple[Vehicle | None, float]:
         """The candidate with the lowest ETA, ties to the lowest id, if that
         ETA is at most `cap`; (None, inf) when no candidate reaches the
-        pickup within it. The search settles nodes no further than `cap`."""
-        settled = self._search.settled
+        pickup within it. The search settles nodes no further than `cap`.
+        With a region, a set of zones, the candidates are those vehicles of
+        `candidates` with enough seats whose current zone lies in it, and
+        the fleet's idle vehicles there."""
+        search = self._search
+        settled = search.settled
         now = self._now
+        node_zone = self._node_zone
         best: Vehicle | None = None
         best_key = (math.inf, math.inf)
         waiting: dict[int, list[tuple[Vehicle, float]]] = {}
         least = math.inf  # the least departure of the unsettled candidates
         for v in candidates:
+            if region is not None and (v.capacity < self._seats
+                                       or node_zone[v.current_node(now)] not in region):
+                continue
             node, depart = job_start(v, now)
             if node in settled:
                 key = ((depart - now) + settled[node], v.id)
@@ -113,6 +132,20 @@ class _EtaRanking:
                 waiting.setdefault(node, []).append((v, depart))
                 if depart < least:
                     least = depart
+        # An idle vehicle's wait is zero. The settle loop below takes every
+        # idle vehicle off each settled node it finds them on, so those in
+        # the region not yet found stand on unsettled nodes.
+        idle_left = 0
+        if region is not None:
+            idle_at, free_at = self._fleet.idle_at, self._fleet.free_at
+            idle_left = self._fleet.idle_count(region, self._seats, node_zone)
+            for zone, leg, v in self._found:
+                if zone in region:
+                    idle_left -= 1
+                    if (leg, v.id) < best_key:
+                        best, best_key = v, (leg, v.id)
+            if idle_left and now < least:
+                least = now
         # Every unsettled ETA is at least its wait plus the frontier, so the
         # search stops once the frontier passes the limit (the best ETA, or
         # the cap) less the least wait of the candidates unsettled at the
@@ -121,16 +154,36 @@ class _EtaRanking:
         # ulps of the limit keeps every leg whose sum with its wait could
         # still round to the limit, so a lower-id vehicle there takes the tie.
         limit = min(best_key[0], cap)
-        # The stop moves only when a waiting node settles, where settle returns.
-        while waiting:
-            node = self._search.settle(limit - (least - now) + 2.0 * math.ulp(limit), waiting)
+        # The stop moves only when a candidate's node settles, where settle
+        # returns: a node where a candidate waits, which is one where some
+        # vehicle is next free (Fleet.free_at), or one with idle vehicles.
+        while waiting or idle_left:
+            if region is None:
+                until = waiting
+            else:
+                until = free_at if waiting else idle_at
+            node = search.settle(limit - (least - now) + 2.0 * math.ulp(limit), until)
             if node is None:
                 break
-            for v, depart in waiting.pop(node):
-                key = ((depart - now) + settled[node], v.id)
+            leg = settled[node]
+            for v, depart in waiting.pop(node, ()):
+                key = ((depart - now) + leg, v.id)
                 if key < best_key:
                     best, best_key = v, key
                     limit = min(key[0], cap)
+            here = idle_at.get(node) if region is not None else None
+            if not here:
+                continue
+            zone = node_zone[node]
+            for v in here:
+                if v.capacity < self._seats:
+                    continue
+                self._found.append((zone, leg, v))
+                if zone in region:
+                    idle_left -= 1
+                    if (leg, v.id) < best_key:
+                        best, best_key = v, (leg, v.id)
+                        limit = min(leg, cap)
         if best_key[0] > cap:
             return None, math.inf
         return best, best_key[0]
@@ -216,17 +269,19 @@ def dispatch(call: TripRequest, arrival: Arrival, fleet: Fleet, sched: Adjacency
         return decision
 
     now_s = arrival.now_s
-    pool = candidate_pool(fleet, cfg.strategy, call.party_size)
-    ranking = _EtaRanking(arrival.pickup_node, arrival.net, arrival.traffic, now_s)
-    # A vehicle sits in the zone of its last-passed routing node.
-    vzone = {v.id: node_zone[v.current_node(now_s)] for v in pool}
+    ranking = _EtaRanking(arrival.pickup_node, arrival.net, arrival.traffic, now_s,
+                          fleet, node_zone, call.party_size)
+    # The ranking finds the fleet's idle vehicles itself; SSS and OSS may
+    # also queue a job behind a trip.
+    on_trip = fleet.on_trip.values() if cfg.strategy is not Strategy.NSS else ()
     winner = None
     for region, link in _regions(a_c, sched, cfg.eat_enabled):
         decision.zones_searched.append(region)
-        winner, _ = ranking.best([v for v in pool if vzone[v.id] in region])
+        winner, _ = ranking.best(on_trip, math.inf, region)
         if winner is not None:
             if link:
-                sched.add_neighbor(a_c, vzone[winner.id])
+                # A vehicle sits in the zone of its last-passed routing node.
+                sched.add_neighbor(a_c, node_zone[winner.current_node(now_s)])
                 decision.adjacency_updated = True
             break
     decision.nodes_settled = ranking.nodes_settled

@@ -1,16 +1,18 @@
-"""Vehicles, their state machine and candidate pools.
+"""Vehicles, their state machine, candidate pools and the fleet's index.
 
 A vehicle is Idle, EnRouteToPickup, or OnTrip. Strategies that assign busy
 vehicles may queue exactly one future job behind the trip in progress; a
 vehicle already heading to a pickup (or already holding a queued job) takes
 no further work. The operations at the end of this module are the only code
 that changes a vehicle's status, position or plans, and each vehicle keeps
-the trace of its own status changes.
+the trace of its own status changes. They also keep its fleet's index of
+the vehicles that may take a job, by where they are next free.
 """
 
 import random
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from .demand import DEFAULT_CAPACITY, TripRequest
 from .road import RoadNetwork, Route, RouteQuery
@@ -80,6 +82,7 @@ class Vehicle:
         self.plan: Plan | None = None
         self.queued: Plan | None = None
         self.transitions: list[Transition] = []  # status changes, oldest first
+        self.fleet: Fleet | None = None  # whose index files it; set when a fleet takes it
 
     def current_node(self, now_s: float) -> int:
         """Last routing node passed at now_s."""
@@ -91,12 +94,35 @@ class Vehicle:
 
 
 class Fleet:
+    """The vehicles, by id, and an index of those that may take a job, by
+    where they are next free (job_start), which the operations of this
+    module keep up to date.
+
+    `idle_at` maps a node to the idle vehicles there. `on_trip` holds
+    the vehicles on a trip with nothing queued, by id, and `free_at` counts
+    the vehicles next free at each node: the idle ones there and those of
+    `on_trip` whose trip ends there. Idle vehicles are also counted by seat
+    count and zone (idle_count), a node's zone read only when a count needs it.
+    """
+
     def __init__(self, vehicles: list[Vehicle]):
         ids = [v.id for v in vehicles]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate vehicle ids")
         self.vehicles = sorted(vehicles, key=lambda v: v.id)
         self._by_id = {v.id: v for v in self.vehicles}
+        self.idle_at: dict[int, list[Vehicle]] = {}
+        self.on_trip: dict[int, Vehicle] = {}
+        self.free_at: dict[int, int] = {}
+        # Idle vehicles by seat count, then zone, as of the last idle_count
+        # under the zone table `_zoned_by`; and the change in idle vehicles
+        # by (node, seat count) since.
+        self._zoned_by: dict[int, int] | None = None
+        self._idle_counts: dict[int, dict[int, int]] = {}
+        self._idle_moves: dict[tuple[int, int], int] = {}
+        for v in self.vehicles:
+            v.fleet = self
+            self._file(v, 0.0, True)  # a free vehicle's job_start node does not depend on the time
 
     def __iter__(self):
         return iter(self.vehicles)
@@ -107,6 +133,57 @@ class Fleet:
     def transitions(self) -> list[Transition]:
         """Every vehicle's status changes, vehicle by vehicle in id order."""
         return [tr for v in self.vehicles for tr in v.transitions]
+
+    def _file(self, v: Vehicle, now_s: float, into: bool) -> None:
+        """Add v to the index (into) or take it out, if it may take a job."""
+        if v.status is VehicleStatus.EN_ROUTE_TO_PICKUP or v.queued is not None:
+            return
+        node, _ = job_start(v, now_s)
+        step = 1 if into else -1
+        count = self.free_at.get(node, 0) + step
+        if count:
+            self.free_at[node] = count
+        else:
+            del self.free_at[node]
+        if v.status is VehicleStatus.ON_TRIP:
+            if into:
+                self.on_trip[v.id] = v
+            else:
+                del self.on_trip[v.id]
+            return
+        here = self.idle_at.get(node)
+        if into:
+            if here is None:
+                here = self.idle_at[node] = []
+            here.append(v)
+        else:
+            here.remove(v)
+            if not here:
+                del self.idle_at[node]
+        if self._zoned_by is not None:  # else the first idle_count counts the index whole
+            key = (node, v.capacity)
+            self._idle_moves[key] = self._idle_moves.get(key, 0) + step
+
+    def idle_count(self, zones: frozenset[int], seats: int, node_zone: dict[int, int]) -> int:
+        """Idle vehicles with at least `seats` seats in `zones`, a node's zone
+        being node_zone[node]. The counts take in the nodes whose idle
+        vehicles changed since the last call, so a node's zone is read only
+        where an idle vehicle stands at some call; another zone table
+        recounts the whole index."""
+        if node_zone is not self._zoned_by:
+            self._zoned_by, self._idle_counts, self._idle_moves = node_zone, {}, {}
+            for node, here in self.idle_at.items():
+                for v in here:
+                    key = (node, v.capacity)
+                    self._idle_moves[key] = self._idle_moves.get(key, 0) + 1
+        for (node, capacity), moved in self._idle_moves.items():
+            if moved:
+                by_zone = self._idle_counts.setdefault(capacity, {})
+                zone = node_zone[node]
+                by_zone[zone] = by_zone.get(zone, 0) + moved
+        self._idle_moves.clear()
+        return sum(sum(map(by_zone.get, zones, repeat(0)))
+                   for capacity, by_zone in self._idle_counts.items() if capacity >= seats)
 
     @classmethod
     def place_uniform(cls, net: RoadNetwork, size: int, seed: int,
@@ -146,6 +223,13 @@ def _set_status(v: Vehicle, status: VehicleStatus, now_s: float) -> None:
         v.status = status
 
 
+def _refile(v: Vehicle, now_s: float, into: bool) -> None:
+    """Take v out of its fleet's index before an operation changes it
+    (into False), and file it again after (into True)."""
+    if v.fleet is not None:
+        v.fleet._file(v, now_s, into)
+
+
 def job_start(v: Vehicle, now_s: float) -> tuple[int, float]:
     """Node and time a job planned now departs from: the current trip's
     dropoff for a vehicle on a trip, else where the vehicle is, now. The one
@@ -165,11 +249,13 @@ def _schedule(v: Vehicle, request: TripRequest, route_to_pickup: Route, trip: Ro
     if trip.src != route_to_pickup.nodes[-1]:
         raise ValueError("trip leg must start at the pickup node")
     plan = Plan(request, route_to_pickup, trip, depart, depart + route_to_pickup.total_time_s)
+    _refile(v, now_s, False)
     if v.status is VehicleStatus.ON_TRIP:
         v.queued = plan
     else:
         v.plan = plan
         _set_status(v, VehicleStatus.EN_ROUTE_TO_PICKUP, now_s)
+    _refile(v, now_s, True)
     return plan
 
 
@@ -221,12 +307,14 @@ def release(v: Vehicle, request_id: int, now_s: float) -> None:
     node it passed."""
     if waiting_job(v, request_id) is None:
         raise ValueError(f"vehicle {v.id} holds no waiting job {request_id}")
+    _refile(v, now_s, False)
     if v.status is VehicleStatus.ON_TRIP:
         v.queued = None
-        return
-    v.node = v.current_node(now_s)
-    v.plan = None
-    _set_status(v, VehicleStatus.IDLE, now_s)
+    else:
+        v.node = v.current_node(now_s)
+        v.plan = None
+        _set_status(v, VehicleStatus.IDLE, now_s)
+    _refile(v, now_s, True)
 
 
 def pick_up(v: Vehicle, request_id: int, now_s: float) -> None:
@@ -234,7 +322,9 @@ def pick_up(v: Vehicle, request_id: int, now_s: float) -> None:
     if v.status is not VehicleStatus.EN_ROUTE_TO_PICKUP or v.plan.request.id != request_id:
         raise ValueError(f"vehicle {v.id} in {v.status.value} is not heading to "
                          f"request {request_id}")
+    _refile(v, now_s, False)
     _set_status(v, VehicleStatus.ON_TRIP, now_s)
+    _refile(v, now_s, True)
 
 
 def finish_trip(v: Vehicle, request_id: int, now_s: float) -> Plan:
@@ -244,10 +334,12 @@ def finish_trip(v: Vehicle, request_id: int, now_s: float) -> Plan:
     if v.status is not VehicleStatus.ON_TRIP or done.request.id != request_id:
         raise ValueError(f"vehicle {v.id} in {v.status.value} is not carrying "
                          f"request {request_id}")
+    _refile(v, now_s, False)
     v.node = done.trip.dst
     v.plan, v.queued = v.queued, None
     _set_status(v, VehicleStatus.IDLE if v.plan is None else VehicleStatus.EN_ROUTE_TO_PICKUP,
                 now_s)
+    _refile(v, now_s, True)
     return done
 
 

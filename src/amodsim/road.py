@@ -49,7 +49,12 @@ LANDMARK_SLACK = 1e-9
 # On the bench's one-way network 1.03 pops the fewest nodes of 1.02, 1.025,
 # 1.03 and 1.04, and of a fixed factor of 1.02, 1.05, 1.1 or 1.2, which
 # take more attempts or overshoot further; the least dropped key alone
-# (IDA*) pops eight times as many.
+# (IDA*) pops eight times as many. A search whose landmark bound is no
+# better than its great-circle bound starts from the latter, which is about
+# where two attempts from 0 get to (the least key dropped, then the
+# great-circle keys around the source), and raises as they would, by
+# BOUND_RAISE**3 first: with an all-zero landmark table that pushes 5% fewer
+# heap entries than a start from 0, and raising by BOUND_RAISE first 15% more.
 BOUND_RAISE = 1.03
 
 # The constants of geo.haversine_m, for route_astar's inline copy of it.
@@ -454,7 +459,8 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     skips nothing. A src whose landmark bound is infinite gives None with
     no search.
 
-    With no `within`, the search bounds itself. It starts from src's
+    With no `within`, the search bounds itself. It starts from the larger
+    of src's great-circle bound under the multiplier in force and its
     landmark bound, its slack given back, and reruns with the bound raised
     by a growing factor (BOUND_RAISE), or to the least key it dropped if
     that is higher, until it reaches dst. An underestimate costs one more
@@ -495,12 +501,6 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     if src_lb == math.inf:
         return None
     (_, r2, c2), (_, r3, c3) = (terms[1:] + terms)[:2]
-    if within < math.inf:
-        b = within
-    elif src_lb > 0.0:  # with its slack given back
-        b = src_lb + 4.0 * LANDMARK_SLACK * (abs(r1[start]) + abs(c1)) * scale
-    else:  # a bound never below 0 keeps the reruns rising
-        b = 0.0
     # A settled node's tentative time is its time to dst, at most the radius;
     # an unsettled node's is at least its time to dst, itself at least the
     # radius. So min(tentative, radius) bounds every node's time from below.
@@ -522,11 +522,19 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     denom_now = net.speed_limit_mps * mult
     per_m_now = MIN_LENGTH_FACTOR / denom_now
     dst_pt = net.nodes[dst]
+    raise_by = BOUND_RAISE
+    if within < math.inf:
+        b = within
+    else:
+        b = haversine_m(net.nodes[src], dst_pt) * per_m_now
+        if src_lb > b:  # with its slack given back
+            b = src_lb + 4.0 * LANDMARK_SLACK * (abs(r1[start]) + abs(c1)) * scale
+        else:
+            raise_by = BOUND_RAISE ** 3
     dst_lat, dst_lon, dst_cos = dst_pt.lat, dst_pt.lon, math.cos(math.radians(dst_pt.lat))
     sin, sqrt, asin = math.sin, math.sqrt, math.asin
     heappush, heappop = heapq.heappush, heapq.heappop
     best_g, parent, hop_s, touched = net._scratch
-    raise_by = BOUND_RAISE
     while True:
         for node in touched:
             best_g[node] = math.inf

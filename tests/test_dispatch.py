@@ -17,11 +17,13 @@ from amodsim.dispatch import (
     Arrival,
     DispatchConfig,
     _EtaRanking,
+    _regions,
     dispatch,
     oss_reschedule,
 )
 from amodsim.fleet import (Fleet, Plan, Strategy, Transition, Vehicle, VehicleStatus, assign,
-                           candidate_pool, job_start, pick_up, waiting_job, waiting_jobs)
+                           candidate_pool, finish_trip, job_start, pick_up, release, waiting_job,
+                           waiting_jobs)
 from amodsim.geo import GeoPoint, haversine_m
 from amodsim.road import RoadNetwork, RouteQuery, TrafficState, route_astar
 from amodsim.zones import AdjacencySchedule, Zone, ZoneMap, initial_adjacency
@@ -29,6 +31,7 @@ from scenario_tools import (
     DYADIC_MULTIPLIERS,
     GOLDEN_SPACING_DEG,
     box_polygon,
+    copy_schedule,
     full_scan_best,
     grid_network,
     hop_route,
@@ -787,3 +790,198 @@ def test_every_bound_a_run_passes_holds_and_keeps_the_route(monkeypatch):
     assert len(result.records) == len(requests)
     # pickup legs of winners and OSS re-plans, some of which moved jobs
     assert result.metadata["reassignments"] > 0 and len(bounded) > len(requests)
+
+
+# -- the fleet's idle index against the pool scan ---------------------------
+
+
+def index_from_scratch(fleet):
+    """Fleet.idle_at, on_trip and free_at as a scan of every vehicle's state
+    gives them."""
+    idle_at, on_trip, free_at = {}, {}, {}
+    for v in fleet:
+        if v.status is VehicleStatus.IDLE:
+            idle_at.setdefault(v.node, []).append(v)
+            node = v.node
+        elif v.status is VehicleStatus.ON_TRIP and v.queued is None:
+            on_trip[v.id] = v
+            node = v.plan.trip.dst
+        else:
+            continue
+        free_at[node] = free_at.get(node, 0) + 1
+    return idle_at, on_trip, free_at
+
+
+def pool_scan_dispatch(call, arrival, fleet, sched, node_zone, cfg):
+    """dispatch() by a scan of the candidate pool, the differential oracle
+    of the fleet's index: every region ranks the pooled vehicles whose
+    current zone lies in it, each region's pick checked against a full
+    scan. (winner id, its ETA, nodes settled, regions searched), and each
+    region's pick as (vehicle, ETA in hex)."""
+    if not arrival.routable():
+        return (None, None, 0, [frozenset({arrival.zone})]), []
+    now = arrival.now_s
+    pool = candidate_pool(fleet, cfg.strategy, call.party_size)
+    ranking = _EtaRanking(arrival.pickup_node, arrival.net, arrival.traffic, now)
+    vzone = {v.id: node_zone[v.current_node(now)] for v in pool}
+    regions, picks = [], []
+    winner = None
+    for region, link in _regions(arrival.zone, sched, cfg.eat_enabled):
+        regions.append(region)
+        in_region = [v for v in pool if vzone[v.id] in region]
+        winner, eta = ranking.best(in_region)
+        want, want_eta = full_scan_best(in_region, arrival.pickup_node, arrival.net,
+                                        arrival.traffic, now)
+        assert (winner, eta.hex()) == (want, want_eta.hex())
+        picks.append((winner, eta.hex()))
+        if winner is not None:
+            if link:
+                sched.add_neighbor(arrival.zone, vzone[winner.id])
+            break
+    if winner is None:
+        return (None, None, ranking.nodes_settled, regions), picks
+    return (winner.id, ranking.leg(winner)[1], ranking.nodes_settled, regions), picks
+
+
+def change_one_vehicle(fleet, net, rng, now, rids):
+    """One fleet operation on a random vehicle, as the engine would call it
+    at `now`: a job for a vehicle that may take one, a pickup, a dropoff or a
+    release of a waiting job. Returns the operation's name, or None when the
+    vehicle drawn has none to take, or the job drawn cannot be driven."""
+    v = rng.choice(fleet.vehicles)
+    job = waiting_job(v, v.queued.request.id) if v.queued is not None else None
+    if job is None and v.status is VehicleStatus.EN_ROUTE_TO_PICKUP:
+        job = v.plan
+    if job is not None and rng.random() < 0.3:
+        release(v, job.request.id, now)
+        return "release"
+    if v.status is VehicleStatus.EN_ROUTE_TO_PICKUP:
+        pick_up(v, v.plan.request.id, now)
+        return "pick_up"
+    if v.status is VehicleStatus.ON_TRIP and rng.random() < 0.5:
+        finish_trip(v, v.plan.request.id, now)
+        return "finish_trip"
+    if v.queued is not None:
+        return None
+    nodes = sorted(net.nodes)
+    pickup, dropoff = rng.choice(nodes), rng.choice(nodes)
+    leg = route_astar(net, job_start(v, now)[0], pickup, now)
+    trip = RouteQuery(net, pickup, dropoff, now)
+    if leg is None or trip.route is None:
+        return None
+    assign(v, call_at(net, pickup, dropoff, rid=next(rids), t=now), leg, trip, now)
+    return "assign"
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_indexed_dispatch_matches_the_pool_scan(data):
+    """On random fleets of idle, heading, on-trip and queued vehicles of 1
+    and 4 seats, changed between calls by assign, pick_up, finish_trip and
+    release: dispatch() gives the winner, ETA, nodes settled and regions of
+    a ranking of the pooled vehicles in each region (each region's pick the
+    full scan's), under NSS and SSS, with expansion on and off, for parties
+    of 1 to 5; and the fleet's index is the one a scan of every vehicle
+    gives, after every operation, with counts the scan gives at every call."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    if data.draw(st.booleans(), label="grid"):  # many equal-time ties
+        net = grid_network(rng.randrange(1, 6), rng.randrange(2, 7))
+    else:
+        net = random_network(rng, rng.randrange(2, 30), rng.randrange(0, 30),
+                             dyadic=rng.random() < 0.5)
+    fleet = oss_fleet(net, rng, None, rng.randrange(1, 12))
+    # idle vehicles on nodes that may not reach the rest, or be reached
+    base = len(net.nodes)
+    net = with_strays(net, rng, rng.randrange(0, 3))
+    fleet = Fleet(fleet.vehicles + [Vehicle(len(fleet.vehicles) + k, node, rng.choice((1, 4)))
+                                    for k, node in enumerate(range(base, len(net.nodes)))])
+    zones = rng.randrange(1, 6)
+    zm = ZoneMap([Zone(k, box_polygon(k * 0.01, k * 0.01 + 0.005, 0.0, 0.005))
+                  for k in range(zones)])
+    node_zone = {n: rng.randrange(zones) for n in net.nodes}
+    sched = AdjacencySchedule(list(range(zones)))
+    for _ in range(rng.randrange(0, zones + 1)):
+        a, b = rng.randrange(zones), rng.randrange(zones)
+        if a != b:
+            sched.add_neighbor(a, b)
+    rids = iter(range(1000, 2000))
+    nodes = sorted(net.nodes)
+    now = 0.0
+    for _ in range(data.draw(st.integers(1, 8), label="calls")):
+        cfg = DispatchConfig(strategy=data.draw(st.sampled_from([Strategy.NSS, Strategy.SSS])),
+                             eat_enabled=data.draw(st.booleans()))
+        call = TripRequest(next(rids), now, GeoPoint(rng.uniform(0.0, 0.05), 0.001),
+                           GeoPoint(0.0, 0.0), data.draw(st.integers(1, 5), label="party"),
+                           600.0)
+        arrival = Arrival(call, rng.choice(nodes), rng.choice(nodes), zm, net, None)
+        want, picks = pool_scan_dispatch(call, arrival, fleet, copy_schedule(sched), node_zone,
+                                         cfg)
+        got = dispatch(call, arrival, fleet, sched, node_zone, cfg)
+        assert (got.vehicle_id, got.eta_s, got.nodes_settled, got.zones_searched) == want
+        if picks:  # the indexed ranking's own pick in each region dispatch searched
+            ranking = _EtaRanking(arrival.pickup_node, net, None, now, fleet, node_zone,
+                                  call.party_size)
+            on_trip = list(fleet.on_trip.values()) if cfg.strategy is Strategy.SSS else []
+            assert [(v, eta.hex()) for v, eta in (ranking.best(on_trip, math.inf, region)
+                                                  for region in want[3])] == picks
+        idle_at, on_trip, free_at = index_from_scratch(fleet)
+        for zone in range(zones):
+            for seats in range(1, 6):
+                assert fleet.idle_count(frozenset({zone}), seats, node_zone) == sum(
+                    v.capacity >= seats for here in idle_at.values() for v in here
+                    if node_zone[v.node] == zone)
+        now += rng.choice([0.0, 7.5, 60.0, 400.0])
+        for _ in range(rng.randrange(0, 4)):
+            change_one_vehicle(fleet, net, rng, now, rids)
+            idle_at, on_trip, free_at = index_from_scratch(fleet)
+            assert {node: sorted(here, key=lambda v: v.id)
+                    for node, here in fleet.idle_at.items()} == idle_at
+            assert (fleet.on_trip, fleet.free_at) == (on_trip, free_at)
+
+
+def test_dispatch_examines_no_idle_vehicle_its_search_does_not_reach(monkeypatch):
+    """The vehicles dispatch() reads (job_start, and current_node, the read
+    of a vehicle's zone) and the node zones it reads, in a call decided
+    close to its pickup, are the same with 60 more idle vehicles where the
+    search never settles. The first call after the vehicles are placed
+    takes them into the fleet's counts, so the count is that of the second."""
+    net, zm, sched, node_zone = line_city([(0, 9), (10, 19)], [(0, 1)], cols=20)
+    real_node = Vehicle.current_node
+
+    class CountedZones(dict):
+        reads = 0
+
+        def __getitem__(self, node):
+            self.reads += 1
+            return super().__getitem__(node)
+
+    def examined(vehicles):
+        fleet, zones = Fleet(vehicles), CountedZones(node_zone)
+        cfg = DispatchConfig(strategy=Strategy.SSS, eat_enabled=True)
+        call = call_at(net, 2, 5)
+        arrival = Arrival(call, 2, 5, zm, net, None)
+        dispatch(call, arrival, fleet, sched, zones, cfg)
+        seen = set()
+
+        def counted_start(v, now_s):
+            seen.add(v.id)
+            return job_start(v, now_s)
+
+        def counted_node(v, now_s):
+            seen.add(v.id)
+            return real_node(v, now_s)
+
+        zones.reads = 0
+        with monkeypatch.context() as mp:
+            mp.setattr(dispatch_module, "job_start", counted_start)
+            mp.setattr(Vehicle, "current_node", counted_node)
+            decision = dispatch(call, arrival, fleet, sched, zones, cfg)
+        assert decision.vehicle_id == 0
+        return seen, zones.reads
+
+    near = [Vehicle(0, 3), Vehicle(1, 0), busy_vehicle(net, 2, 6, 0.0, 100.0)]
+    far = [Vehicle(vid, 10 + vid % 10) for vid in range(3, 63)]
+    assert examined(near) == examined(near + far)
+    # the on-trip candidate, and the winner whose leg is routed; vehicle 1
+    # stands two hops from the pickup, past the winner's one
+    assert examined(near)[0] == {0, 2}

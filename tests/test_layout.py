@@ -1,8 +1,9 @@
 """Layout guards: each fact has one owner.
 
 fleet.py is the only module that changes vehicle state, records a vehicle's
-status changes or reads a vehicle's queued job; inside it, one function
-writes a vehicle's status. engine.py writes a request's CallRecord in one
+status changes, reads a vehicle's queued job or writes the fleet's index of
+the vehicles that may take a job; inside it, one function writes a
+vehicle's status. engine.py writes a request's CallRecord in one
 method, when the request ends. road.py computes every edge time, in one
 method, because routes and searches are exact only while they all read the
 same floats. Every route search of the package but a trip query's, in
@@ -88,6 +89,44 @@ def queued_reads(source: str) -> list[str]:
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id == "getattr" and len(node.args) > 1 \
                 and isinstance(node.args[1], ast.Constant) and node.args[1].value == "queued":
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+# Fleet's index and its idle counts. Vehicle.fleet, the back reference, is
+# left out: other modules name their own fleets `fleet`.
+INDEX_FIELDS = {"idle_at", "on_trip", "free_at", "_idle_counts", "_idle_moves", "_zoned_by"}
+MUTATORS = {"__setitem__", "__delitem__", "add", "append", "clear", "discard", "extend",
+            "insert", "pop", "popitem", "remove", "setdefault", "update"}
+
+
+def _reaches_index(node: ast.expr) -> bool:
+    """Whether node is an index field, or an item or attribute of one."""
+    while isinstance(node, (ast.Attribute, ast.Subscript)):
+        if isinstance(node, ast.Attribute) and node.attr in INDEX_FIELDS:
+            return True
+        node = node.value
+    return False
+
+
+def index_writes(source: str) -> list[str]:
+    """Lines of source that write the fleet's index: an assignment to or a
+    deletion of an index field or an item of one, a call of a mutating
+    method on one, or a setattr or delattr of one by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        targets = [t for t, _ in _targets(node)]
+        if isinstance(node, ast.Delete):
+            targets = node.targets
+        hit = any(_reaches_index(t) for t in targets)
+        if isinstance(node, ast.Call):
+            func = node.func
+            hit = isinstance(func, ast.Attribute) and func.attr in MUTATORS \
+                and _reaches_index(func.value) \
+                or isinstance(func, ast.Name) and func.id in ("setattr", "delattr") \
+                and len(node.args) > 1 and isinstance(node.args[1], ast.Constant) \
+                and node.args[1].value in INDEX_FIELDS
+        if hit:
             found.append(f"line {node.lineno}: {ast.unparse(node)}")
     return found
 
@@ -201,6 +240,26 @@ def test_one_fleet_function_writes_vehicle_status():
 
 def test_only_fleet_reads_queued_jobs():
     assert offenders(queued_reads) == {}
+
+
+def test_only_fleet_writes_the_idle_index():
+    assert offenders(index_writes) == {}
+
+
+def test_index_guard_sees_a_write_planted_elsewhere():
+    modules = dict(src_modules())
+    modules["dispatch.py"] += "\n\ndef take(fleet, node, v):\n    fleet.idle_at[node].remove(v)\n"
+    assert index_writes(modules["dispatch.py"]) == ["line %d: fleet.idle_at[node].remove(v)"
+                                                    % (modules["dispatch.py"].count("\n"))]
+    for line in ("fleet.idle_at[3] = {}", "self._fleet.free_at[n] += 1", "f.on_trip = {}",
+                 "fleet.idle_at.setdefault(n, []).append(v)", "fleet.idle_at[n].pop()",
+                 "del self.on_trip[v.id]", "fleet.free_at.clear()", "x._idle_moves[k] = 0",
+                 "setattr(fleet, 'idle_at', {})", "a, fleet.on_trip[1] = 1, v"):
+        assert index_writes(line), line
+    for line in ("here = fleet.idle_at.get(node)", "idle_at[n] = 1", "self.fleet = fleet",
+                 "n = len(fleet.on_trip)", "waiting.pop(node, ())", "x = fleet.free_at[n]",
+                 "setattr(v, 'fleet', f)"):
+        assert not index_writes(line), line
 
 
 def test_engine_writes_call_records_in_one_method():
