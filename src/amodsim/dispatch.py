@@ -93,13 +93,13 @@ class _EtaRanking:
 
     def leg(self, v: Vehicle) -> tuple[Route, float]:
         """v's route from job_start to the pickup, and its ETA. v is a
-        candidate `best` returned, so its job_start node is settled: the
-        settled time bounds the route search, and the search's settled times
-        prune it to the nodes that can lie on a fastest route."""
+        candidate `best` returned, so its job_start node is settled: given
+        the search, route_astar starts its bound at that settled time and
+        keeps only the nodes that can lie on a fastest route."""
         search = self._search
         node, depart = job_start(v, self._now)
         leg = road.route_astar(search.net, node, search.dst, self._now, self._traffic,
-                               within=search.settled[node], search=search)
+                               search=search)
         assert leg is not None, f"vehicle {v.id} lost its route to node {search.dst}"
         return leg, (depart - self._now) + leg.total_time_s
 
@@ -187,19 +187,6 @@ class _EtaRanking:
         if best_key[0] > cap:
             return None, math.inf
         return best, best_key[0]
-
-
-def _reroute(old: Route, start: int, net: RoadNetwork, traffic: TrafficState | None,
-             now_s: float) -> Route:
-    """A fresh route for the incumbent's pickup leg `old` from `start`, a
-    node of it, to the pickup. The rest of old, re-timed under the traffic
-    in force now, bounds the search (route_astar's `within`). The road graph
-    never changes, so the route exists: a None here is a bad bound."""
-    rest = old.nodes[old.nodes.index(start):]
-    route = road.route_astar(net, start, rest[-1], now_s, traffic,
-                             within=road.path_time(net, rest, now_s, traffic))
-    assert route is not None, f"lost the route from node {start} to node {rest[-1]}"
-    return route
 
 
 def _regions(a_c: int, sched: AdjacencySchedule,
@@ -332,9 +319,9 @@ def oss_reschedule(jobs: list[tuple[TripRequest, Vehicle]], fleet: Fleet, net: R
         rid = request.id
         old_plan = waiting_job(v, rid)
         pickup_node = old_plan.trip.src
-        # job_start's node lies on the old leg, which may start there.
+        # job_start's node lies on the old leg, so the pickup is reachable.
         node, depart = job_start(v, now_s)
-        leg = _reroute(old_plan.route_to_pickup, node, net, traffic, now_s)
+        leg = road.route_astar(net, node, pickup_node, now_s, traffic)
         incumbent_eta = (depart - now_s) + leg.total_time_s
 
         others = candidate_pool(fleet, Strategy.OSS, request.party_size)

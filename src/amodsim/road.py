@@ -25,11 +25,13 @@ log = logging.getLogger(__name__)
 # to honor the same slack or it loses admissibility.
 MIN_LENGTH_FACTOR = 0.99
 
-# route_astar prunes against its caller's bound times (1 + BOUND_SLACK). The
-# bound is often a sum of the same hop times in another order (a reverse
-# search's, or an older route's), and a forward and a reverse sum of k hops
-# differ by about k * 2**-53 relative; the slack covers that for any route
-# of fewer than a million hops.
+# route_astar prunes against its bound times (1 + BOUND_SLACK). Given a
+# reverse search that settled the source, the bound starts at that settled
+# time, a sum of the same hop times in the other order, and a forward and a
+# reverse sum of k hops differ by about k * 2**-53 relative. The slack covers
+# that for any route of fewer than a million hops, so the first attempt
+# reaches dst; an attempt that fell short would only rerun, never change the
+# route.
 BOUND_SLACK = 1e-9
 
 # Landmark rows (RoadNetwork.landmarks) are Dijkstra sums, and a sum of k
@@ -434,46 +436,38 @@ def load_network(nodes_path: str, edges_path: str, speed_limit_mps: float) -> Ro
 
 def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
                 traffic: TrafficState | None = None,
-                within: float = math.inf,
                 search: "ReverseSearch | None" = None) -> Route | None:
     """Fastest route src -> dst under the multiplier in force at at_s.
 
     Returns None when dst is unreachable. Ties in the frontier break to the
     lower node id, so equal-cost searches are reproducible.
 
-    `within` promises that the answer's time is at most `within`, say the
-    time of a known path between the two nodes. The search then skips every
-    node that cannot lie on a path that fast; each node it keeps has the same
-    heap key as in an unbounded search, so every bound at least the answer
-    gives the same route, bit for bit. A bound below the answer gives None,
-    so a caller's bad bound does not pass unseen.
-
-    A node is skipped when its time so far plus a lower bound on its time
-    to dst passes the bound times (1 + BOUND_SLACK). The lower bounds are
-    the great-circle one under the multiplier in force and the landmark
-    one: the best of the three rows of net.landmarks that bound src's time
-    best, each row r giving r[node] - r[dst] (r[dst] moved up by the
-    LANDMARK_SLACK argued there) scaled to the multiplier in force. Neither
-    orders the heap. A node that cannot reach dst has an infinite landmark
-    bound and is skipped; a row that knows neither node gives nan, which
-    skips nothing. A src whose landmark bound is infinite gives None with
-    no search.
-
-    With no `within`, the search bounds itself. It starts from the larger
-    of src's great-circle bound under the multiplier in force and its
-    landmark bound, its slack given back, and reruns with the bound raised
-    by a growing factor (BOUND_RAISE), or to the least key it dropped if
-    that is higher, until it reaches dst. An underestimate costs one more
-    attempt, never another route. An attempt that dropped no node that can
-    reach dst was the unbounded search, so its None is final; that ends the
-    reruns.
+    The search bounds itself: it skips every node whose time so far plus a
+    lower bound on its time to dst passes a bound b times
+    (1 + BOUND_SLACK), and reruns with b raised until it reaches dst. Each
+    node it keeps has the same heap key as in an unbounded search, so every
+    attempt that reaches dst gives the same route, bit for bit. The lower
+    bounds are the great-circle one under the multiplier in force and the
+    landmark one: the best of the three rows of net.landmarks that bound
+    src's time best, each row r giving r[node] - r[dst] (r[dst] moved up by
+    the LANDMARK_SLACK argued there) scaled to the multiplier in force.
+    Neither orders the heap. A node that cannot reach dst has an infinite
+    landmark bound and is skipped; a row that knows neither node gives nan,
+    which skips nothing. A src whose landmark bound is infinite gives None
+    with no search.
 
     `search`, a ReverseSearch over net toward dst under the same multiplier,
-    tightens that pruning: a node's time to dst is at least its settled time
-    if it has one, else the search's radius. With `within` the time the
-    search settled for src, only the nodes that can lie on a fastest route
-    are kept. A search toward another node or under another multiplier
-    raises ValueError.
+    adds a third lower bound: a node's time to dst is at least its settled
+    time if it has one, else the search's radius. A search toward another
+    node or under another multiplier raises ValueError.
+
+    b starts from the largest of src's three bounds: with src settled, its
+    exact time, so only the nodes that can lie on a fastest route are kept;
+    else the landmark bound, its slack given back, or the great-circle one.
+    Each rerun raises b by a growing factor (BOUND_RAISE), or to the least
+    key it dropped if that is higher. An underestimate costs one more
+    attempt, never another route. An attempt that dropped no node that can
+    reach dst was the unbounded search, so its None is final.
     """
     if src not in net.nodes:
         raise KeyError(f"unknown source node {src}")
@@ -486,7 +480,7 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
         raise ValueError(f"search toward node {search.dst} under multiplier {search.mult} "
                          f"cannot prune a route to node {dst} under {mult}")
     if src == dst:
-        return Route((src,), (0.0,)) if within * (1.0 + BOUND_SLACK) >= 0.0 else None
+        return Route((src,), (0.0,))
     forward, _ = net.edge_times(mult)
     # Nodes are indices from here on; index order is id order, so the heap's
     # (f, node, g) keys break ties as they would on ids.
@@ -505,9 +499,10 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     # an unsettled node's is at least its time to dst, itself at least the
     # radius. So min(tentative, radius) bounds every node's time from below.
     if search is None:
-        lower, radius = None, 0.0
+        lower, radius, known = None, 0.0, 0.0
     else:
         lower, radius = search._tentative, search.radius
+        known = min(lower[start], radius)
     # Admissible bound on remaining time: no edge beats the speed limit times
     # the largest multiplier, and no path is shorter than MIN_LENGTH_FACTOR
     # times the great-circle distance. The bound is
@@ -523,14 +518,13 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     per_m_now = MIN_LENGTH_FACTOR / denom_now
     dst_pt = net.nodes[dst]
     raise_by = BOUND_RAISE
-    if within < math.inf:
-        b = within
+    b = haversine_m(net.nodes[src], dst_pt) * per_m_now
+    if known >= src_lb and known > b:  # exact once src is settled
+        b = known
+    elif src_lb > b:  # with its slack given back
+        b = src_lb + 4.0 * LANDMARK_SLACK * (abs(r1[start]) + abs(c1)) * scale
     else:
-        b = haversine_m(net.nodes[src], dst_pt) * per_m_now
-        if src_lb > b:  # with its slack given back
-            b = src_lb + 4.0 * LANDMARK_SLACK * (abs(r1[start]) + abs(c1)) * scale
-        else:
-            raise_by = BOUND_RAISE ** 3
+        raise_by = BOUND_RAISE ** 3
     dst_lat, dst_lon, dst_cos = dst_pt.lat, dst_pt.lon, math.cos(math.radians(dst_pt.lat))
     sin, sqrt, asin = math.sin, math.sqrt, math.asin
     heappush, heappop = heapq.heappush, heapq.heappop
@@ -590,7 +584,7 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
                     hop_s[nxt] = hop
                     touched.append(nxt)
                     heappush(heap, (ng + MIN_LENGTH_FACTOR * dist / denom, nxt, ng))
-        if best_g[goal] < math.inf or least == math.inf or within < math.inf:
+        if best_g[goal] < math.inf or least == math.inf:
             break
         b = max(b * raise_by, least)
         raise_by *= BOUND_RAISE
@@ -623,27 +617,6 @@ class RouteQuery:
     def route(self) -> Route | None:
         """The route, None if dst cannot be reached."""
         return route_astar(self.net, self.src, self.dst, self.at_s, self.traffic)
-
-
-def path_time(net: RoadNetwork, nodes: tuple[int, ...], at_s: float,
-              traffic: TrafficState | None = None) -> float:
-    """Time along the node path `nodes` under the multiplier in force at
-    at_s, summed hop by hop in travel order, each hop by its fastest edge;
-    inf if some hop has no edge. A bound for route_astar's `within` between
-    the path's ends."""
-    forward, _ = net.edge_times((traffic or _NO_TRAFFIC).multiplier_at(at_s))
-    index_of = net.index_of
-    total = 0.0
-    u = index_of[nodes[0]]
-    for node in nodes[1:]:
-        v = index_of[node]
-        hop = math.inf
-        for row in forward[u]:
-            if row[0] == v and row[1] < hop:
-                hop = row[1]
-        total += hop
-        u = v
-    return total
 
 
 class ReverseSearch:

@@ -3,6 +3,7 @@
 import heapq
 import math
 import weakref
+from functools import cached_property
 from types import SimpleNamespace
 
 import pytest
@@ -368,16 +369,17 @@ def test_the_queue_holds_one_arrival_at_a_time(monkeypatch):
 
 
 def routed_trips(monkeypatch) -> list[tuple[int, int, float]]:
-    """The (src, dst, at_s) of every trip search (a route_astar call with
-    no bound) from now on."""
-    routed, real_route = [], road.route_astar
+    """The (src, dst, at_s) of every trip search from now on: the one a
+    RouteQuery makes when its route is first read."""
+    routed, search = [], road.RouteQuery.route.func
 
-    def counted(net, src, dst, at_s, *args, **kw):
-        if "within" not in kw:
-            routed.append((src, dst, at_s))
-        return real_route(net, src, dst, at_s, *args, **kw)
+    def counted(query):
+        routed.append((query.src, query.dst, query.at_s))
+        return search(query)
 
-    monkeypatch.setattr(road, "route_astar", counted)
+    route = cached_property(counted)
+    route.__set_name__(road.RouteQuery, "route")
+    monkeypatch.setattr(road.RouteQuery, "route", route)
     return routed
 
 

@@ -6,11 +6,11 @@ the vehicles that may take a job; inside it, one function writes a
 vehicle's status. engine.py writes a request's CallRecord in one
 method, when the request ends. road.py computes every edge time, in one
 method, because routes and searches are exact only while they all read the
-same floats. Every route search of the package but a trip query's, in
-road.RouteQuery, passes the bound its caller holds, and every pickup leg of
-a ranked vehicle passes the ranking's own reverse search, which prunes it: a
-dropped bound or prune slows the program and moves no output, so nothing
-else would see it.
+same floats. The package searches a route in three places: a trip query,
+road.RouteQuery; a ranked vehicle's pickup leg, which passes the ranking's
+own reverse search to bound and prune the route search; and OSS's re-route
+of an incumbent's leg. A dropped search, or a route search added elsewhere,
+slows the program and moves no output, so nothing else would see it.
 """
 
 import ast
@@ -173,41 +173,25 @@ def edge_time_divisions(source: str) -> list[tuple[str | None, int]]:
                       and isinstance(node.op, ast.Div) and _mentions_speed(node.right))
 
 
-def unbounded_route_searches(source: str) -> list[tuple[str | None, str, str]]:
-    """(enclosing function, source node, destination node) of every
-    route_astar call in source that passes no `within` bound."""
-    calls: list[ast.Call] = []
-
-    def hit(node: ast.AST) -> bool:
-        func = node.func if isinstance(node, ast.Call) else None
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name == "route_astar" and len(node.args) < 6 \
-                and all(kw.arg != "within" for kw in node.keywords):
-            calls.append(node)
-            return True
-        return False
-
-    owners = owned_hits(source, hit)
-    return [(owner, *map(ast.unparse, call.args[1:3])) for (owner, _), call in zip(owners, calls)]
-
-
-def pickup_leg_searches(source: str) -> list[tuple[str | None, str | None]]:
+def route_searches(source: str) -> list[tuple[str | None, str | None]]:
     """(enclosing function, `search` argument or None) of every route_astar
-    call in source that does not route to `dropoff_node`: the pickup legs."""
+    call in source; `search` may be passed by keyword or sixth."""
     calls: list[ast.Call] = []
 
     def hit(node: ast.AST) -> bool:
         func = node.func if isinstance(node, ast.Call) else None
         name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name == "route_astar" and ast.unparse(node.args[2]) != "dropoff_node":
+        if name == "route_astar":
             calls.append(node)
             return True
         return False
 
+    def search_arg(call: ast.Call) -> str | None:
+        args = call.args[5:6] + [kw.value for kw in call.keywords if kw.arg == "search"]
+        return ast.unparse(args[0]) if args else None
+
     owners = owned_hits(source, hit)
-    return [(owner, next((ast.unparse(kw.value) for kw in call.keywords if kw.arg == "search"),
-                         None))
-            for (owner, _), call in zip(owners, calls)]
+    return [(owner, search_arg(call)) for (owner, _), call in zip(owners, calls)]
 
 
 def src_modules():
@@ -278,39 +262,44 @@ def test_only_road_computes_edge_times():
     assert edge_time_owners(dict(src_modules())) == {"road.py": {"edge_times"}}
 
 
-def test_dispatch_bounds_every_route_search_but_a_new_trip():
-    """A trip is searched, unbounded, by its query alone; dispatch and OSS
-    pass a query, never search a trip themselves."""
-    unbounded = {name: hits for name, source in src_modules()
-                 if (hits := unbounded_route_searches(source))}
-    assert unbounded == {"road.py": [("route", "self.src", "self.dst")]}
+def route_search_owners(modules: dict[str, str]) -> dict[str, list[tuple[str | None, str | None]]]:
+    """The route searches of each module that makes one, as route_searches
+    lists them, sorted."""
+    return {name: sorted(hits, key=str) for name, source in modules.items()
+            if (hits := route_searches(source))}
+
+
+def test_route_searches_are_a_trip_query_and_two_pickup_legs():
+    """A trip is searched by its query alone; a ranked vehicle's leg
+    (`_EtaRanking.leg`) passes the search that ranked it; OSS re-routes the
+    incumbent's leg (`oss_reschedule`) on its own bounds. Every other caller
+    passes a query."""
+    assert route_search_owners(dict(src_modules())) == {
+        "dispatch.py": [("leg", "search"), ("oss_reschedule", None)],
+        "road.py": [("route", None)],
+    }
 
 
 def test_bound_guard_sees_a_dropped_bound():
-    source = ("def oss(net, a, b, t, tr, w):\n"
-              "    road.route_astar(net, a, b, t, tr, within=w)\n"
-              "    road.route_astar(net, a, b, t, tr, w)\n"
-              "    return route_astar(net, b, a, t, tr)\n")
-    assert unbounded_route_searches(source) == [("oss", "b", "a")]
-    assert unbounded_route_searches(source.replace(", within=w", "")) == \
-        [("oss", "a", "b"), ("oss", "b", "a")]
-
-
-def test_ranked_pickup_legs_are_pruned_by_the_ranking_search():
-    """A ranked vehicle's leg (`_EtaRanking.leg`) passes the search that
-    ranked it; only OSS's re-route of the incumbent's leg (`_reroute`),
-    bounded by the old leg re-timed, passes none."""
-    source = dict(src_modules())["dispatch.py"]
-    assert sorted(pickup_leg_searches(source), key=str) == [("_reroute", None),
-                                                             ("leg", "search")]
+    """The guard sees a ranked leg that drops its search, the bound it is
+    given, and a route search planted in another function."""
+    modules = dict(src_modules())
+    want = route_search_owners(modules)
+    dropped = dict(modules, **{"dispatch.py": modules["dispatch.py"].replace(
+        ",\n                               search=search)", ")")})
+    assert route_search_owners(dropped)["dispatch.py"] == [("leg", None),
+                                                           ("oss_reschedule", None)]
+    planted = dict(modules, **{"engine.py": modules["engine.py"] + (
+        "\n\ndef trip(net, a, b, t):\n    return road.route_astar(net, a, b, t)\n")})
+    assert route_search_owners(planted) == {**want, "engine.py": [("trip", None)]}
 
 
 def test_pickup_leg_guard_sees_a_dropped_search():
     source = ("def leg(self, net, a, b, t, tr):\n"
-              "    road.route_astar(net, a, b, t, tr, within=w, search=self.search)\n"
+              "    road.route_astar(net, a, b, t, tr, search=self.search)\n"
               "    road.route_astar(net, b, dropoff_node, t, tr)\n"
-              "    return route_astar(net, a, b, t, tr, within=w)\n")
-    assert pickup_leg_searches(source) == [("leg", "self.search"), ("leg", None)]
+              "    return route_astar(net, a, b, t, tr, s)\n")
+    assert route_searches(source) == [("leg", "self.search"), ("leg", None), ("leg", "s")]
 
 
 def test_edge_time_guard_sees_a_division_planted_elsewhere():
