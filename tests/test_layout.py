@@ -269,15 +269,21 @@ def route_search_owners(modules: dict[str, str]) -> dict[str, list[tuple[str | N
             if (hits := route_searches(source))}
 
 
-def test_route_searches_are_a_trip_query_and_two_pickup_legs():
-    """A trip is searched by its query alone; a ranked vehicle's leg
-    (`_EtaRanking.leg`) passes the search that ranked it; OSS re-routes the
-    incumbent's leg (`oss_reschedule`) on its own bounds. Every other caller
-    passes a query."""
-    assert route_search_owners(dict(src_modules())) == {
-        "dispatch.py": [("leg", "search"), ("oss_reschedule", None)],
-        "road.py": [("route", None)],
-    }
+def test_dispatch_bounds_every_route_search_but_a_new_trip():
+    """A trip is searched by its query alone (`RouteQuery.route`); dispatch
+    searches only a vehicle's pickup leg, ranked (`_EtaRanking.leg`) or the
+    incumbent's that OSS re-routes (`oss_reschedule`), never a trip."""
+    owners = {name: {owner for owner, _ in hits}
+              for name, hits in route_search_owners(dict(src_modules())).items()}
+    assert owners == {"dispatch.py": {"leg", "oss_reschedule"}, "road.py": {"route"}}
+
+
+def test_ranked_pickup_legs_are_pruned_by_the_ranking_search():
+    """A ranked vehicle's leg (`_EtaRanking.leg`) passes the search that
+    ranked it; only OSS's re-route of the incumbent's leg, bounded by its
+    own great-circle and landmark bounds, passes none."""
+    assert route_search_owners(dict(src_modules()))["dispatch.py"] == [
+        ("leg", "search"), ("oss_reschedule", None)]
 
 
 def test_bound_guard_sees_a_dropped_bound():
