@@ -136,8 +136,9 @@ class _EtaRanking:
         # idle vehicle off each settled node it finds them on, so those in
         # the region not yet found stand on unsettled nodes.
         idle_left = 0
+        idle_at: dict[int, list[Vehicle]] = {}
         if region is not None:
-            idle_at, free_at = self._fleet.idle_at, self._fleet.free_at
+            idle_at = self._fleet.idle_at
             idle_left = self._fleet.idle_count(region, self._seats, node_zone)
             for zone, leg, v in self._found:
                 if zone in region:
@@ -155,14 +156,11 @@ class _EtaRanking:
         # still round to the limit, so a lower-id vehicle there takes the tie.
         limit = min(best_key[0], cap)
         # The stop moves only when a candidate's node settles, where settle
-        # returns: a node where a candidate waits, which is one where some
-        # vehicle is next free (Fleet.free_at), or one with idle vehicles.
+        # returns: a node where a candidate waits or idle vehicles stand.
+        stops = _Stops(waiting, idle_at) if idle_at else waiting
         while waiting or idle_left:
-            if region is None:
-                until = waiting
-            else:
-                until = free_at if waiting else idle_at
-            node = search.settle(limit - (least - now) + 2.0 * math.ulp(limit), until)
+            node = search.settle(limit - (least - now) + 2.0 * math.ulp(limit),
+                                 stops if waiting else idle_at)
             if node is None:
                 break
             leg = settled[node]
@@ -171,7 +169,7 @@ class _EtaRanking:
                 if key < best_key:
                     best, best_key = v, key
                     limit = min(key[0], cap)
-            here = idle_at.get(node) if region is not None else None
+            here = idle_at.get(node)
             if not here:
                 continue
             zone = node_zone[node]
@@ -187,6 +185,20 @@ class _EtaRanking:
         if best_key[0] > cap:
             return None, math.inf
         return best, best_key[0]
+
+
+class _Stops:
+    """The nodes where a candidate waits or idle vehicles stand, read live
+    from a ranking's waiting candidates and the fleet's idle_at."""
+
+    __slots__ = ("waiting", "idle")
+
+    def __init__(self, waiting: dict[int, list], idle: dict[int, list[Vehicle]]):
+        self.waiting = waiting
+        self.idle = idle
+
+    def __contains__(self, node: int) -> bool:
+        return node in self.waiting or node in self.idle
 
 
 def _regions(a_c: int, sched: AdjacencySchedule,

@@ -98,11 +98,10 @@ class Fleet:
     where they are next free (job_start), which the operations of this
     module keep up to date.
 
-    `idle_at` maps a node to the idle vehicles there. `on_trip` holds
-    the vehicles on a trip with nothing queued, by id, and `free_at` counts
-    the vehicles next free at each node: the idle ones there and those of
-    `on_trip` whose trip ends there. Idle vehicles are also counted by seat
-    count and zone (idle_count), a node's zone read only when a count needs it.
+    `idle_at` maps a node to the idle vehicles there, and `on_trip` holds
+    the vehicles on a trip with nothing queued, by id. Idle vehicles are also
+    counted by seat count and zone (idle_count), a node's zone read only when
+    a count needs it.
     """
 
     def __init__(self, vehicles: list[Vehicle]):
@@ -113,7 +112,6 @@ class Fleet:
         self._by_id = {v.id: v for v in self.vehicles}
         self.idle_at: dict[int, list[Vehicle]] = {}
         self.on_trip: dict[int, Vehicle] = {}
-        self.free_at: dict[int, int] = {}
         # Idle vehicles by seat count, then zone, as of the last idle_count
         # under the zone table `_zoned_by`; and the change in idle vehicles
         # by (node, seat count) since.
@@ -138,19 +136,13 @@ class Fleet:
         """Add v to the index (into) or take it out, if it may take a job."""
         if v.status is VehicleStatus.EN_ROUTE_TO_PICKUP or v.queued is not None:
             return
-        node, _ = job_start(v, now_s)
-        step = 1 if into else -1
-        count = self.free_at.get(node, 0) + step
-        if count:
-            self.free_at[node] = count
-        else:
-            del self.free_at[node]
         if v.status is VehicleStatus.ON_TRIP:
             if into:
                 self.on_trip[v.id] = v
             else:
                 del self.on_trip[v.id]
             return
+        node, _ = job_start(v, now_s)
         here = self.idle_at.get(node)
         if into:
             if here is None:
@@ -162,7 +154,7 @@ class Fleet:
                 del self.idle_at[node]
         if self._zoned_by is not None:  # else the first idle_count counts the index whole
             key = (node, v.capacity)
-            self._idle_moves[key] = self._idle_moves.get(key, 0) + step
+            self._idle_moves[key] = self._idle_moves.get(key, 0) + (1 if into else -1)
 
     def idle_count(self, zones: frozenset[int], seats: int, node_zone: dict[int, int]) -> int:
         """Idle vehicles with at least `seats` seats in `zones`, a node's zone

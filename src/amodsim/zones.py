@@ -10,8 +10,10 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .geo import (METERS_PER_DEG_LAT, GeoPoint, Polygon,
-                  _segments_properly_intersect, haversine_m, point_in_polygon)
+from .geo import (_BOUNDARY_EPS_DEG, METERS_PER_DEG_LAT, GeoPoint, Polygon,
+                  _segments_properly_intersect, candidate, closest, point_in_polygon,
+                  unit_vector)
+from .geo import haversine_m  # noqa: F401  (benches/run_bench.py counts calls through it)
 
 log = logging.getLogger(__name__)
 
@@ -129,7 +131,14 @@ class ZoneMap:
         if len(set(ids)) != len(ids):
             raise ZoneLoadError("duplicate zone ids")
         self.zones = sorted(zones, key=lambda z: z.id)
-        self._centroids = {z.id: z.boundary.centroid() for z in self.zones}
+        # Each zone's box, widened as point_in_polygon widens it, with the
+        # zone; and each centroid, in id order, for closest().
+        eps = _BOUNDARY_EPS_DEG
+        self._boxes = []
+        for z in self.zones:
+            lon_lo, lat_lo, lon_hi, lat_hi = z.boundary.bbox
+            self._boxes.append((lon_lo - eps, lat_lo - eps, lon_hi + eps, lat_hi + eps, z))
+        self._centroids = [candidate(z.id, z.boundary.centroid()) for z in self.zones]
 
     def __len__(self):
         return len(self.zones)
@@ -141,8 +150,9 @@ class ZoneMap:
                 max(b[2] for b in boxes), max(b[3] for b in boxes))
 
     def locate(self, p: GeoPoint) -> int | None:
-        for z in self.zones:  # ascending id, so overlaps resolve low
-            if point_in_polygon(p, z.boundary):
+        x, y = p.lon, p.lat
+        for x_lo, y_lo, x_hi, y_hi, z in self._boxes:  # ascending id, so overlaps resolve low
+            if x_lo <= x <= x_hi and y_lo <= y <= y_hi and point_in_polygon(p, z.boundary):
                 return z.id
         return None
 
@@ -151,8 +161,8 @@ class ZoneMap:
         to the lowest id; and whether the point lies outside every zone."""
         z = self.locate(p)
         if z is None:
-            nearest = min(self.zones, key=lambda zone: haversine_m(p, self._centroids[zone.id]))
-            return nearest.id, True
+            _, nearest = closest(p, unit_vector(p), self._centroids, math.inf, None, math.inf)
+            return nearest, True
         return z, False
 
 

@@ -799,20 +799,15 @@ def test_every_bound_a_run_passes_holds_and_keeps_the_route(monkeypatch):
 
 
 def index_from_scratch(fleet):
-    """Fleet.idle_at, on_trip and free_at as a scan of every vehicle's state
-    gives them."""
-    idle_at, on_trip, free_at = {}, {}, {}
+    """Fleet.idle_at and on_trip as a scan of every vehicle's state gives
+    them."""
+    idle_at, on_trip = {}, {}
     for v in fleet:
         if v.status is VehicleStatus.IDLE:
             idle_at.setdefault(v.node, []).append(v)
-            node = v.node
         elif v.status is VehicleStatus.ON_TRIP and v.queued is None:
             on_trip[v.id] = v
-            node = v.plan.trip.dst
-        else:
-            continue
-        free_at[node] = free_at.get(node, 0) + 1
-    return idle_at, on_trip, free_at
+    return idle_at, on_trip
 
 
 def pool_scan_dispatch(call, arrival, fleet, sched, node_zone, cfg):
@@ -927,7 +922,7 @@ def test_indexed_dispatch_matches_the_pool_scan(data):
             on_trip = list(fleet.on_trip.values()) if cfg.strategy is Strategy.SSS else []
             assert [(v, eta.hex()) for v, eta in (ranking.best(on_trip, math.inf, region)
                                                   for region in want[3])] == picks
-        idle_at, on_trip, free_at = index_from_scratch(fleet)
+        idle_at, on_trip = index_from_scratch(fleet)
         for zone in range(zones):
             for seats in range(1, 6):
                 assert fleet.idle_count(frozenset({zone}), seats, node_zone) == sum(
@@ -936,10 +931,10 @@ def test_indexed_dispatch_matches_the_pool_scan(data):
         now += rng.choice([0.0, 7.5, 60.0, 400.0])
         for _ in range(rng.randrange(0, 4)):
             change_one_vehicle(fleet, net, rng, now, rids)
-            idle_at, on_trip, free_at = index_from_scratch(fleet)
+            idle_at, on_trip = index_from_scratch(fleet)
             assert {node: sorted(here, key=lambda v: v.id)
                     for node, here in fleet.idle_at.items()} == idle_at
-            assert (fleet.on_trip, fleet.free_at) == (on_trip, free_at)
+            assert fleet.on_trip == on_trip
 
 
 def test_dispatch_examines_no_idle_vehicle_its_search_does_not_reach(monkeypatch):

@@ -22,7 +22,8 @@ from amodsim.engine import (
     SimulationError,
     parse_record_line,
 )
-from amodsim.fleet import Fleet, Strategy, Vehicle, VehicleStatus, validate_transitions
+from amodsim.fleet import (Fleet, Strategy, Vehicle, VehicleStatus, job_start,
+                           validate_transitions)
 from amodsim.road import TrafficState
 from amodsim.geo import GeoPoint
 from amodsim.zones import AdjacencySchedule, Zone, ZoneMap, initial_adjacency
@@ -512,6 +513,47 @@ def test_a_ranking_enters_the_search_once_per_candidate_node_it_settles(monkeypa
     assert looped[1] > 0 and counts["found"] > 0
     assert counts["entries"] <= counts["best"] + counts["found"]
     assert 10 * counts["entries"] < sum(looped)
+
+
+@pytest.mark.parametrize("strategy", [Strategy.SSS, Strategy.OSS])
+def test_a_ranking_stops_only_where_a_candidate_waits_or_idle_vehicles_stand(monkeypatch,
+                                                                            strategy):
+    """Every node ReverseSearch.settle returns to a ranking's `best` holds a
+    candidate of that call not yet settled, or idle vehicles: not the
+    dropoff of an on-trip vehicle outside the region, or one too small for
+    the party."""
+    net, zm, requests, traffic = overloaded_city()
+    real_settle, real_best = road.ReverseSearch.settle, _EtaRanking.best
+    calls = []  # (nodes of the candidates, the fleet's idle index) of each best call running
+    stops, strays = [], []
+
+    def best(self, candidates, cap=math.inf, region=None):
+        candidates = list(candidates)
+        now = self._now
+        nodes = {job_start(v, now)[0] for v in candidates
+                 if region is None or (v.capacity >= self._seats
+                                       and self._node_zone[v.current_node(now)] in region)}
+        calls.append((nodes, self._fleet.idle_at if region is not None else {}))
+        try:
+            return real_best(self, candidates, cap, region)
+        finally:
+            calls.pop()
+
+    def settle(self, limit=math.inf, until=None):
+        node = real_settle(self, limit, until)
+        if node is not None and calls:
+            nodes, idle_at = calls[-1]
+            stops.append(node)
+            if node not in nodes and node not in idle_at:
+                strays.append(node)
+        return node
+
+    monkeypatch.setattr(road.ReverseSearch, "settle", settle)
+    monkeypatch.setattr(_EtaRanking, "best", best)
+    result = run_one(requests, Fleet.place_uniform(net, 20, 6), net, zm, initial_adjacency(zm),
+                     traffic, DispatchConfig(strategy=strategy, eat_enabled=True))
+    assert result.metadata["picked_up"] > 0 and len(stops) > 100
+    assert strays == []
 
 
 def test_node_zones_are_resolved_only_where_read(monkeypatch):

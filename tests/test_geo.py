@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amodsim import geo
+from amodsim import geo, zones
+from amodsim.zones import Zone, ZoneMap
 from amodsim.geo import (
     EARTH_RADIUS_M,
     METERS_PER_DEG_LAT,
@@ -199,6 +200,92 @@ def test_node_index_starts_at_the_shell_that_reaches_the_occupied_cells():
     assert max(n for _, n in looked) < 1331
 
 
+def test_a_snap_miss_in_a_hole_of_the_network_skips_the_empty_cells():
+    """Queries in a hole of the network, farther than the radius from every
+    node, look up the 27 cells of shells 0 and 1 and then only the occupied
+    cells the coarse level lists, not all 1,331 cells of shells 0 to 5;
+    the answers stay those of a linear scan."""
+    net = grid_network(40, 40)
+    pts = {nid: p for nid, p in net.nodes.items()
+           if not (12 <= nid // 40 < 28 and 12 <= nid % 40 < 28)}
+    idx = NodeIndex(pts)
+    idx._cells = cells = CountedCells(idx._cells)
+    spacing = 400.0 / METERS_PER_DEG_LAT
+    rng = random.Random(16)
+    looked = []
+    while len(looked) < 200:
+        q = GeoPoint(rng.uniform(11.0, 28.0) * spacing, rng.uniform(11.0, 28.0) * spacing)
+        if brute_nearest(pts, q, 1000.0) is not None:
+            continue
+        cells.looked = 0
+        assert idx.nearest(q, 1000.0) is None, q
+        looked.append(cells.looked)
+    assert max(looked) <= 200, max(looked)
+
+
+def jittered_city(rng: random.Random) -> tuple[dict[int, GeoPoint], list[Polygon]]:
+    """A 35 x 35 street grid at 40.7 N, 220 m apart, each node moved up to
+    0.3 of that along each axis, and one star-shaped zone in each cell of a
+    5 x 5 layout over it, shrunk away from the cell edges."""
+    dlat = 220.0 / METERS_PER_DEG_LAT
+    dlon = dlat / math.cos(math.radians(40.7))
+    nodes = {r * 35 + c: GeoPoint(40.7 + (r + rng.uniform(-0.3, 0.3)) * dlat,
+                                  -74.0 + (c + rng.uniform(-0.3, 0.3)) * dlon)
+             for r in range(35) for c in range(35)}
+    stars = []
+    for zr in range(5):
+        for zc in range(5):
+            clat, clon = 40.7 + (7 * zr + 3) * dlat, -74.0 + (7 * zc + 3) * dlon
+            m = rng.randint(5, 9)
+            corners = []
+            for i in range(m):
+                a = 2 * math.pi * (i + rng.uniform(-0.3, 0.3)) / m
+                k = 3.5 * rng.uniform(0.75, 0.95)
+                corners.append(GeoPoint(clat + k * dlat * math.sin(a), clon + k * dlon * math.cos(a)))
+            stars.append(Polygon(corners))
+    return nodes, stars
+
+
+def test_snaps_and_fallbacks_compute_few_distances_on_a_jittered_city(monkeypatch):
+    """On a jittered street grid with gapped zones, a 1,000 m snap computes
+    haversine_m for at most 3 nodes on average, and a nearest-centroid
+    fallback over the 25 zones for at most 8 centroids: those within the
+    chord bound of the best so far. The answers stay those of a scan."""
+    rng = random.Random(700)
+    nodes, stars = jittered_city(rng)
+    idx = NodeIndex(nodes)
+    zm = ZoneMap([Zone(i, poly) for i, poly in enumerate(stars)])
+    lats, lons = [p.lat for p in nodes.values()], [p.lon for p in nodes.values()]
+    queries = [GeoPoint(rng.uniform(min(lats), max(lats)), rng.uniform(min(lons), max(lons)))
+               for _ in range(2000)]
+    gaps = [q for q in queries if zm.locate(q) is None]
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return haversine_m(a, b)
+
+    monkeypatch.setattr(geo, "haversine_m", counted)
+    monkeypatch.setattr(zones, "haversine_m", counted)
+    snapped = []
+    for q in queries[:500]:
+        calls = 0
+        snapped.append((idx.nearest(q, 1000.0), calls))
+    fallbacks = []
+    for q in gaps:
+        calls = 0
+        fallbacks.append((zm.locate_or_nearest(q), calls))
+    monkeypatch.undo()
+    assert [nid for nid, _ in snapped] == [brute_nearest(nodes, q, 1000.0) for q in queries[:500]]
+    assert [zone for zone, _ in fallbacks] == [
+        (min(range(25), key=lambda i: haversine_m(q, stars[i].centroid())), True) for q in gaps]
+    assert len(gaps) > 300
+    per_snap = sum(n for _, n in snapped) / len(snapped)
+    per_fallback = sum(n for _, n in fallbacks) / len(fallbacks)
+    assert per_snap <= 3.0 and per_fallback <= 8.0, (per_snap, per_fallback)
+
+
 def wrapped(lon: float) -> float:
     return (lon + 180.0) % 360.0 - 180.0
 
@@ -217,8 +304,9 @@ LATTICES = [(0.0, 10.0, 0.003), (40.7, 10.0, 0.003), (-60.0, 10.0, 0.003), (80.0
 def test_node_index_ring_scan_misses_nothing_and_keeps_ties(seed, lattice, radius):
     """Lattice nodes with shuffled ids and queries on the half-lattice, so
     that several nodes are often equally near and the shell scan must not
-    stop before the lowest id; the index still answers as a full scan, also
-    across the antimeridian and around a pole."""
+    stop before the lowest id, and near-ties the chord margin must keep;
+    the index still answers as a full scan, also across the antimeridian
+    and around a pole."""
     rng = random.Random(seed)
     lat0, lon0, lon_step = lattice
     step = 0.003
@@ -226,10 +314,22 @@ def test_node_index_ring_scan_misses_nothing_and_keeps_ties(seed, lattice, radiu
     ids = rng.sample(range(1000), len(spots))
     pts = {nid: GeoPoint(lat0 + r * step, wrapped(lon0 + c * lon_step))
            for nid, (r, c) in zip(ids, spots)}
+    # Near-ties the chord slack must keep: copies of nodes under other ids,
+    # and nodes a few millimetres north or south of others, queried at each
+    # pair's midpoint and at both ends.
+    mm = 0.001 / METERS_PER_DEG_LAT
+    ends = []
+    for nid in rng.sample(sorted(set(range(2000)) - set(ids)), 6):
+        base = pts[rng.choice(ids)]
+        pts[nid] = GeoPoint(max(-90.0, min(90.0, base.lat + rng.choice([0, 1, -2, 5]) * mm)),
+                            base.lon)
+        ends += [base, pts[nid], GeoPoint((base.lat + pts[nid].lat) / 2, base.lon)]
     idx = NodeIndex(pts)
     for _ in range(25):
         q = GeoPoint(max(-90.0, min(90.0, lat0 + rng.randrange(-20, 21) * step / 2)),
                      wrapped(lon0 + rng.randrange(-20, 21) * lon_step / 2))
+        assert idx.nearest(q, radius) == brute_nearest(pts, q, radius), (q, radius)
+    for q in ends:
         assert idx.nearest(q, radius) == brute_nearest(pts, q, radius), (q, radius)
 
 

@@ -95,7 +95,7 @@ def queued_reads(source: str) -> list[str]:
 
 # Fleet's index and its idle counts. Vehicle.fleet, the back reference, is
 # left out: other modules name their own fleets `fleet`.
-INDEX_FIELDS = {"idle_at", "on_trip", "free_at", "_idle_counts", "_idle_moves", "_zoned_by"}
+INDEX_FIELDS = {"idle_at", "on_trip", "_idle_counts", "_idle_moves", "_zoned_by"}
 MUTATORS = {"__setitem__", "__delitem__", "add", "append", "clear", "discard", "extend",
             "insert", "pop", "popitem", "remove", "setdefault", "update"}
 
@@ -235,13 +235,13 @@ def test_index_guard_sees_a_write_planted_elsewhere():
     modules["dispatch.py"] += "\n\ndef take(fleet, node, v):\n    fleet.idle_at[node].remove(v)\n"
     assert index_writes(modules["dispatch.py"]) == ["line %d: fleet.idle_at[node].remove(v)"
                                                     % (modules["dispatch.py"].count("\n"))]
-    for line in ("fleet.idle_at[3] = {}", "self._fleet.free_at[n] += 1", "f.on_trip = {}",
+    for line in ("fleet.idle_at[3] = {}", "self._fleet.on_trip[n] = v", "f.on_trip = {}",
                  "fleet.idle_at.setdefault(n, []).append(v)", "fleet.idle_at[n].pop()",
-                 "del self.on_trip[v.id]", "fleet.free_at.clear()", "x._idle_moves[k] = 0",
+                 "del self.on_trip[v.id]", "fleet.on_trip.clear()", "x._idle_moves[k] = 0",
                  "setattr(fleet, 'idle_at', {})", "a, fleet.on_trip[1] = 1, v"):
         assert index_writes(line), line
     for line in ("here = fleet.idle_at.get(node)", "idle_at[n] = 1", "self.fleet = fleet",
-                 "n = len(fleet.on_trip)", "waiting.pop(node, ())", "x = fleet.free_at[n]",
+                 "n = len(fleet.on_trip)", "waiting.pop(node, ())", "x = fleet.on_trip[n]",
                  "setattr(v, 'fleet', f)"):
         assert not index_writes(line), line
 

@@ -1,10 +1,13 @@
 """Zone containment, geometric adjacency, and the mutable neighbor schedule."""
 
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from amodsim.geo import GeoPoint, METERS_PER_DEG_LAT
+from amodsim.geo import GeoPoint, METERS_PER_DEG_LAT, Polygon, haversine_m, point_in_polygon
 from amodsim.zones import (
     AdjacencySchedule,
     Zone,
@@ -39,6 +42,75 @@ def test_locate_or_nearest_flags_fallbacks():
     assert zm.locate_or_nearest(GeoPoint(0.5, 1.5)) == (0, True)   # equidistant: lower id
     touching = ZoneMap([zone(1, 0.0, 1.0, 0.0, 1.0), zone(0, 0.0, 1.0, 1.0, 2.0)])
     assert touching.locate_or_nearest(GeoPoint(0.5, 1.0)) == (0, False)  # shared boundary
+
+
+LATTICE_DEG = 0.01
+
+
+@st.composite
+def lattice_zones(draw):
+    """One to six zones with corners on a 7 x 7 lattice at 40 N: boxes and
+    triangles, so that zones share edges and vertices, overlap and leave
+    gaps, and copies of an earlier zone's polygon under other ids, whose
+    centroids are equally near every point."""
+    ids = draw(st.lists(st.integers(0, 50), min_size=1, max_size=6, unique=True))
+    corner = st.tuples(st.integers(0, 6), st.integers(0, 6))
+    polys = []
+    for _ in ids:
+        kind = draw(st.sampled_from(["box", "triangle", "copy"]))
+        if kind == "copy" and polys:
+            polys.append(draw(st.sampled_from(polys)))
+            continue
+        (r0, c0), (r1, c1), (r2, c2) = draw(st.lists(corner, min_size=3, max_size=3,
+                                                      unique=True))
+        if kind == "triangle" and (r1 - r0) * (c2 - c0) != (r2 - r0) * (c1 - c0):
+            corners = [(r0, c0), (r1, c1), (r2, c2)]
+        else:
+            lo_r, hi_r = min(r0, r1), max(r0, r1) + (r0 == r1)
+            lo_c, hi_c = min(c0, c1), max(c0, c1) + (c0 == c1)
+            corners = [(lo_r, lo_c), (lo_r, hi_c), (hi_r, hi_c), (hi_r, lo_c)]
+        polys.append(Polygon([GeoPoint(40.0 + r * LATTICE_DEG, -74.0 + c * LATTICE_DEG)
+                              for r, c in corners]))
+    return [Zone(zid, poly) for zid, poly in zip(ids, polys)]
+
+
+def locate_by_scan(zones, p):
+    for z in sorted(zones, key=lambda z: z.id):
+        if point_in_polygon(p, z.boundary):
+            return z.id
+    return None
+
+
+def nearest_centroid_by_scan(zones, p):
+    return min(sorted(zones, key=lambda z: z.id),
+               key=lambda z: haversine_m(p, z.boundary.centroid())).id
+
+
+@settings(max_examples=300)
+@given(zones=lattice_zones(), data=st.data())
+def test_zone_lookup_matches_a_scan_of_every_zone(zones, data):
+    """locate and locate_or_nearest against a scan: the lowest-id zone whose
+    polygon holds the point, else the lowest-id zone among those whose
+    centroid is nearest. The points are every vertex, edge midpoint and
+    centroid of the zones, midpoints between two centroids, and points
+    drawn over and around the lattice."""
+    zm = ZoneMap(zones)
+    points = []
+    for z in zones:
+        verts = z.boundary.vertices
+        points += verts + [GeoPoint((a.lat + b.lat) / 2, (a.lon + b.lon) / 2)
+                           for a, b in zip(verts, verts[1:] + verts[:1])]
+    centroids = [z.boundary.centroid() for z in zones]
+    points += centroids + [GeoPoint((a.lat + b.lat) / 2, (a.lon + b.lon) / 2)
+                           for a, b in itertools.combinations(centroids, 2)]
+    offset = st.floats(-1.5, 7.5).map(lambda k: k * LATTICE_DEG)
+    points += [GeoPoint(40.0 + dr, -74.0 + dc)
+               for dr, dc in data.draw(st.lists(st.tuples(offset, offset), max_size=20))]
+    for p in points:
+        want = locate_by_scan(zones, p)
+        assert zm.locate(p) == want, p
+        fallback = (nearest_centroid_by_scan(zones, p), True) if want is None else (want, False)
+        assert zm.locate_or_nearest(p) == fallback, p
 
 
 def test_zone_map_rejects_duplicate_ids():
