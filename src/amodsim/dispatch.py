@@ -108,9 +108,10 @@ class _EtaRanking:
         """The candidate with the lowest ETA, ties to the lowest id, if that
         ETA is at most `cap`; (None, inf) when no candidate reaches the
         pickup within it. The search settles nodes no further than `cap`.
-        With a region, a set of zones, the candidates are those vehicles of
-        `candidates` with enough seats whose current zone lies in it, and
-        the fleet's idle vehicles there."""
+        With a region, a set of zones, `candidates` are vehicles whose
+        current zone lies in it (Fleet.on_trip_in), and the candidates are
+        those of them with enough seats, and the fleet's idle vehicles
+        there."""
         search = self._search
         settled = search.settled
         now = self._now
@@ -120,8 +121,7 @@ class _EtaRanking:
         waiting: dict[int, list[tuple[Vehicle, float]]] = {}
         least = math.inf  # the least departure of the unsettled candidates
         for v in candidates:
-            if region is not None and (v.capacity < self._seats
-                                       or node_zone[v.current_node(now)] not in region):
+            if region is not None and v.capacity < self._seats:
                 continue
             node, depart = job_start(v, now)
             if node in settled:
@@ -272,10 +272,11 @@ def dispatch(call: TripRequest, arrival: Arrival, fleet: Fleet, sched: Adjacency
                           fleet, node_zone, call.party_size)
     # The ranking finds the fleet's idle vehicles itself; SSS and OSS may
     # also queue a job behind a trip.
-    on_trip = fleet.on_trip.values() if cfg.strategy is not Strategy.NSS else ()
+    busy_too = cfg.strategy is not Strategy.NSS
     winner = None
     for region, link in _regions(a_c, sched, cfg.eat_enabled):
         decision.zones_searched.append(region)
+        on_trip = fleet.on_trip_in(region, node_zone, now_s) if busy_too else ()
         winner, _ = ranking.best(on_trip, math.inf, region)
         if winner is not None:
             if link:

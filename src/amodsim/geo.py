@@ -209,19 +209,21 @@ class NodeIndex:
 
     def __init__(self, locations: dict[int, GeoPoint]):
         self._cells: dict[int, list[Candidate]] = {}  # by _cell_key
-        self._blocks: dict[tuple[int, int, int], list[int]] = {}
+        # The occupied cells' keys by block, built by the first far-shell scan.
+        self._blocks: dict[tuple[int, int, int], list[int]] | None = None
+        s, floor, cells = EARTH_RADIUS_M / self.CELL_M, math.floor, self._cells
         for nid in sorted(locations):
-            entry = candidate(nid, locations[nid])
-            x, y, z = self._cell(entry[2:])
-            key = _cell_key(x, y, z)
-            here = self._cells.get(key)
-            if here is None:
-                here = self._cells[key] = []
-                block = (x // self.BLOCK, y // self.BLOCK, z // self.BLOCK)
-                self._blocks.setdefault(block, []).append(key)
-            here.append(entry)
-        # The box of the occupied cells, (lowest, highest) on each axis.
-        self._box = [(min(axis), max(axis)) for axis in zip(*map(_cell_of, self._cells))]
+            p = locations[nid]
+            x, y, z = unit_vector(p)
+            # _cell, then _cell_key, inline
+            key = (floor(x * s) + 0x8000) << 32 | (floor(y * s) + 0x8000) << 16 \
+                | (floor(z * s) + 0x8000)
+            cells.setdefault(key, []).append((nid, p, x, y, z))
+        # The box of the occupied cells, (lowest, highest) on each axis: the
+        # cells of the least and greatest components, as floor and the
+        # scaling are monotone.
+        self._box = [(floor(min(axis) * s), floor(max(axis) * s))
+                     for axis in list(zip(*chain.from_iterable(cells.values())))[2:]]
 
     def _cell(self, u: tuple[float, float, float]) -> tuple[int, int, int]:
         s = EARTH_RADIUS_M / self.CELL_M
@@ -274,6 +276,12 @@ class NodeIndex:
         `last` shells away (every block, if that box meets more blocks than
         there are)."""
         blocks = self._blocks
+        if blocks is None:
+            blocks = self._blocks = {}
+            for key in self._cells:
+                cx, cy, cz = _cell_of(key)
+                blocks.setdefault((cx // self.BLOCK, cy // self.BLOCK, cz // self.BLOCK),
+                                  []).append(key)
         if (2.0 * last / self.BLOCK + 2.0) ** 3 < len(blocks):
             n = int(last)
             groups = filter(None, map(blocks.get, product(

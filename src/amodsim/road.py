@@ -159,7 +159,11 @@ class Route:
     def node_at_elapsed(self, dt_s: float) -> int:
         """Last node passed after dt_s seconds on this route; the first node
         before departure."""
-        return self.nodes[max(0, bisect.bisect_right(self.arrive_s, dt_s) - 1)]
+        return self.nodes[self.index_at_elapsed(dt_s)]
+
+    def index_at_elapsed(self, dt_s: float) -> int:
+        """The index in `nodes` of node_at_elapsed(dt_s)."""
+        return max(0, bisect.bisect_right(self.arrive_s, dt_s) - 1)
 
 
 class RoadNetwork:

@@ -919,8 +919,9 @@ def test_indexed_dispatch_matches_the_pool_scan(data):
         if picks:  # the indexed ranking's own pick in each region dispatch searched
             ranking = _EtaRanking(arrival.pickup_node, net, None, now, fleet, node_zone,
                                   call.party_size)
-            on_trip = list(fleet.on_trip.values()) if cfg.strategy is Strategy.SSS else []
-            assert [(v, eta.hex()) for v, eta in (ranking.best(on_trip, math.inf, region)
+            busy_too = cfg.strategy is Strategy.SSS
+            assert [(v, eta.hex()) for v, eta in (ranking.best(
+                fleet.on_trip_in(region, node_zone, now) if busy_too else [], math.inf, region)
                                                   for region in want[3])] == picks
         idle_at, on_trip = index_from_scratch(fleet)
         for zone in range(zones):
@@ -935,6 +936,87 @@ def test_indexed_dispatch_matches_the_pool_scan(data):
             assert {node: sorted(here, key=lambda v: v.id)
                     for node, here in fleet.idle_at.items()} == idle_at
             assert fleet.on_trip == on_trip
+
+
+def on_trip_scan(fleet, zones, node_zone, now):
+    """Fleet.on_trip_in as a scan of on_trip by each vehicle's current zone."""
+    return {v for v in fleet.on_trip.values() if node_zone[v.current_node(now)] in zones}
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_on_trip_zone_index_matches_a_scan(data):
+    """Fleet.on_trip_in gives the on-trip vehicles a scan of every
+    vehicle's current zone finds, for every seat count a ranking asks, at
+    every call and after every assign, pick_up, finish_trip and release:
+    at non-decreasing times that include the instants vehicles reach the
+    nodes of their trips, and one ulp either side, on grids whose hop times
+    are dyadic (so those instants are exact) or not, with the zone table
+    swapped for another mid-run."""
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    dyadic = data.draw(st.booleans(), label="dyadic")
+    net = grid_network(rng.randrange(1, 6), rng.randrange(2, 7),
+                       edge_len_m=rng.choice((100.0, 250.0, 400.0) if dyadic else (333.3, 97.1)),
+                       speed_mps=rng.choice((4.0, 5.0, 8.0, 10.0) if dyadic else (7.0, 9.7)))
+    fleet = oss_fleet(net, rng, None, rng.randrange(1, 12))
+    for v in fleet:
+        v.capacity = rng.randrange(1, 5)
+    zones = rng.randrange(1, 5)
+    tables = [{n: rng.randrange(zones) for n in net.nodes} for _ in range(2)]
+    queries = [frozenset({z}) for z in range(zones)] + [frozenset(range(zones))]
+    steps = data.draw(st.integers(1, 10), label="steps")
+    swap = data.draw(st.integers(0, steps), label="swap at")
+    rids = iter(range(1000, 3000))
+    now = 0.0
+
+    def check():
+        for region in queries:
+            got = fleet.on_trip_in(region, node_zone, now)
+            assert len(got) == len(set(got))
+            want = on_trip_scan(fleet, region, node_zone, now)
+            for seats in range(1, 6):
+                assert {v for v in got if v.capacity >= seats} == {
+                    v for v in want if v.capacity >= seats}
+
+    for step in range(steps):
+        node_zone = tables[step >= swap]
+        arrivals = sorted(t for v in fleet.on_trip.values()
+                          for t in (v.plan.pickup_time_s + a for a in v.plan.route_of_trip.arrive_s)
+                          if t >= now)
+        how = data.draw(st.sampled_from(["same", "arrival", "below", "above", "later"]),
+                        label="time")
+        if how == "later" or not arrivals:
+            now += rng.choice([7.5, 40.0, 60.0, 400.0])
+        elif how != "same":
+            t = arrivals[data.draw(st.integers(0, len(arrivals) - 1), label="arrival")]
+            t = {"arrival": t, "below": math.nextafter(t, -math.inf),
+                 "above": math.nextafter(t, math.inf)}[how]
+            now = max(now, t)
+        check()
+        for _ in range(rng.randrange(0, 4)):
+            if change_one_vehicle(fleet, net, rng, now, rids) is not None:
+                check()
+
+
+def test_on_trip_zone_index_moves_a_vehicle_one_ulp_before_its_rounded_arrival():
+    """A vehicle picked up at 281.2 s reaches the far end of a 624.8 s hop
+    at fl(281.2 + 624.8) = 906.0, but current_node, which subtracts the
+    pickup time, puts it there one ulp earlier already; so does the index.
+    A query at an earlier time than the last files the index again."""
+    net = grid_network(1, 2, edge_len_m=6248.0, speed_mps=10.0)
+    v = Vehicle(0, 0)
+    fleet = Fleet([v])
+    node_zone = {0: 0, 1: 1}
+    assert fleet.on_trip_in(frozenset({0, 1}), node_zone, 0.0) == []
+    assign(v, call_at(net, 0, 1, t=281.2), route_astar(net, 0, 0, 281.2),
+           RouteQuery(net, 0, 1, 281.2), 281.2)
+    pick_up(v, 0, 281.2)
+    assert fleet.on_trip_in(frozenset({0}), node_zone, 281.2) == [v]
+    now = math.nextafter(906.0, -math.inf)
+    assert v.current_node(now) == 1
+    assert fleet.on_trip_in(frozenset({0}), node_zone, now) == []
+    assert fleet.on_trip_in(frozenset({1}), node_zone, now) == [v]
+    assert fleet.on_trip_in(frozenset({0}), node_zone, 281.2) == [v]
 
 
 def test_dispatch_examines_no_idle_vehicle_its_search_does_not_reach(monkeypatch):
@@ -982,4 +1064,57 @@ def test_dispatch_examines_no_idle_vehicle_its_search_does_not_reach(monkeypatch
     assert examined(near) == examined(near + far)
     # the on-trip candidate, and the winner whose leg is routed; vehicle 1
     # stands two hops from the pickup, past the winner's one
+    assert examined(near)[0] == {0, 2}
+
+
+def test_dispatch_examines_no_on_trip_vehicle_outside_its_region(monkeypatch):
+    """The vehicles dispatch() reads (job_start, and current_node) and the
+    node zones it reads are the same with 60 more on-trip vehicles in a zone
+    no region of the call holds, some of them heading for one. The first
+    call after the vehicles are placed files them in the fleet's on-trip
+    index, so the count is that of the second."""
+    net, zm, sched, node_zone = line_city([(0, 9), (10, 19), (20, 29)], [(0, 1)], cols=30)
+    real_node = Vehicle.current_node
+
+    class CountedZones(dict):
+        reads = 0
+
+        def __getitem__(self, node):
+            self.reads += 1
+            return super().__getitem__(node)
+
+    def on_a_trip(vid, src, dst):
+        v = Vehicle(vid, src)
+        assign(v, call_at(net, src, dst, rid=vid), route_astar(net, src, src, 0.0),
+               RouteQuery(net, src, dst, 0.0), 0.0)
+        pick_up(v, vid, 0.0)
+        return v
+
+    def examined(vehicles):
+        fleet, zones = Fleet(vehicles), CountedZones(node_zone)
+        cfg = DispatchConfig(strategy=Strategy.SSS, eat_enabled=True)
+        call = call_at(net, 2, 5)
+        arrival = Arrival(call, 2, 5, zm, net, None)
+        dispatch(call, arrival, fleet, sched, zones, cfg)
+        seen = set()
+
+        def counted_start(v, now_s):
+            seen.add(v.id)
+            return job_start(v, now_s)
+
+        def counted_node(v, now_s):
+            seen.add(v.id)
+            return real_node(v, now_s)
+
+        zones.reads = 0
+        with monkeypatch.context() as mp:
+            mp.setattr(dispatch_module, "job_start", counted_start)
+            mp.setattr(Vehicle, "current_node", counted_node)
+            decision = dispatch(call, arrival, fleet, sched, zones, cfg)
+        assert decision.vehicle_id == 0 and decision.zones_searched == [frozenset({0, 1})]
+        return seen, zones.reads
+
+    near = [Vehicle(0, 3), Vehicle(1, 0), busy_vehicle(net, 2, 6, 0.0, 100.0)]
+    far = [on_a_trip(vid, 20 + vid % 10, (20, 29, 12)[vid % 3]) for vid in range(3, 63)]
+    assert examined(near) == examined(near + far)
     assert examined(near)[0] == {0, 2}

@@ -558,7 +558,9 @@ def test_a_ranking_stops_only_where_a_candidate_waits_or_idle_vehicles_stand(mon
 
 def test_node_zones_are_resolved_only_where_read(monkeypatch):
     """A pass locates only calls' pickups and the nodes vehicles stand on
-    when a call is dispatched, each once, to the zone an eager table holds."""
+    when a call is dispatched, and under SSS and OSS the nodes of the trip
+    routes of the on-trip vehicles then, which the fleet's on-trip index
+    reads ahead; each once, to the zone an eager table holds."""
     net = grid_network(9, 9)
     zm = ZoneMap(tile_zones(9, 9, 3, 3, D))
     requests = generate_demand(20.0, 1800.0, zm.bbox(), zone_map=zm, seed=3,
@@ -570,22 +572,29 @@ def test_node_zones_are_resolved_only_where_read(monkeypatch):
         located.append(p)
         return real_locate(self, p)
 
-    stood, tables = set(), []
+    stood, routes, tables = set(), set(), []
 
     def spy(call, arrival, fleet, sched, node_zone, cfg):
         stood.update(v.current_node(arrival.now_s) for v in fleet)
+        routes.update(n for v in fleet.on_trip.values() for n in v.plan.route_of_trip.nodes)
         tables.append(node_zone)
         return real_dispatch(call, arrival, fleet, sched, node_zone, cfg)
 
     monkeypatch.setattr(ZoneMap, "locate_or_nearest", locate)
     monkeypatch.setattr(engine, "dispatch", spy)
-    run_one(requests, Fleet.place_uniform(net, 3, 4), net, zm, initial_adjacency(zm), None,
-            DispatchConfig(strategy=Strategy.SSS))
-    assert set(located) <= {net.nodes[n] for n in stood} | {r.pickup for r in requests}
-    table = tables[0]
-    assert all(t is table for t in tables) and 0 < len(table) < len(net.ids)
-    for node, zone in table.items():
-        assert zone == real_locate(zm, net.nodes[node])[0]
+    for strategy in (Strategy.NSS, Strategy.SSS, Strategy.OSS):
+        for seen in (located, stood, routes, tables):
+            seen.clear()
+        run_one(requests, Fleet.place_uniform(net, 3, 4), net, zm, initial_adjacency(zm), None,
+                DispatchConfig(strategy=strategy))
+        allowed = {net.nodes[n] for n in stood} | {r.pickup for r in requests}
+        if strategy is not Strategy.NSS:
+            allowed |= {net.nodes[n] for n in routes}
+        assert set(located) <= allowed
+        table = tables[0]
+        assert all(t is table for t in tables) and 0 < len(table) < len(net.ids)
+        for node, zone in table.items():
+            assert zone == real_locate(zm, net.nodes[node])[0]
 
 
 def test_replay_check_reports_diffs():

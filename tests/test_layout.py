@@ -93,11 +93,15 @@ def queued_reads(source: str) -> list[str]:
     return found
 
 
-# Fleet's index and its idle counts. Vehicle.fleet, the back reference, is
-# left out: other modules name their own fleets `fleet`.
-INDEX_FIELDS = {"idle_at", "on_trip", "_idle_counts", "_idle_moves", "_zoned_by"}
+# Fleet's index, its idle counts and its on-trip vehicles by zone.
+# Vehicle.fleet, the back reference, is left out: other modules name their
+# own fleets `fleet`.
+INDEX_FIELDS = {"idle_at", "on_trip", "_idle_counts", "_idle_moves", "_zoned_by",
+                "_trips_by", "_trips_at", "_trips_in", "_trip_place", "_crossings"}
 MUTATORS = {"__setitem__", "__delitem__", "add", "append", "clear", "discard", "extend",
             "insert", "pop", "popitem", "remove", "setdefault", "update"}
+# Functions that write the heap they are given first.
+HEAP_WRITERS = {"heapify", "heappop", "heappush", "heappushpop", "heapreplace"}
 
 
 def _reaches_index(node: ast.expr) -> bool:
@@ -112,7 +116,8 @@ def _reaches_index(node: ast.expr) -> bool:
 def index_writes(source: str) -> list[str]:
     """Lines of source that write the fleet's index: an assignment to or a
     deletion of an index field or an item of one, a call of a mutating
-    method on one, or a setattr or delattr of one by name."""
+    method on one or of a heapq function on one, or a setattr or delattr of
+    one by name."""
     found = []
     for node in ast.walk(ast.parse(source)):
         targets = [t for t, _ in _targets(node)]
@@ -125,7 +130,9 @@ def index_writes(source: str) -> list[str]:
                 and _reaches_index(func.value) \
                 or isinstance(func, ast.Name) and func.id in ("setattr", "delattr") \
                 and len(node.args) > 1 and isinstance(node.args[1], ast.Constant) \
-                and node.args[1].value in INDEX_FIELDS
+                and node.args[1].value in INDEX_FIELDS \
+                or getattr(func, "attr", getattr(func, "id", None)) in HEAP_WRITERS \
+                and len(node.args) > 0 and _reaches_index(node.args[0])
         if hit:
             found.append(f"line {node.lineno}: {ast.unparse(node)}")
     return found
@@ -232,17 +239,24 @@ def test_only_fleet_writes_the_idle_index():
 
 def test_index_guard_sees_a_write_planted_elsewhere():
     modules = dict(src_modules())
-    modules["dispatch.py"] += "\n\ndef take(fleet, node, v):\n    fleet.idle_at[node].remove(v)\n"
-    assert index_writes(modules["dispatch.py"]) == ["line %d: fleet.idle_at[node].remove(v)"
-                                                    % (modules["dispatch.py"].count("\n"))]
+    modules["dispatch.py"] += ("\n\ndef take(fleet, node, v):\n    fleet.idle_at[node].remove(v)\n"
+                               "    fleet._trips_in[node].pop(v.id)\n")
+    last = modules["dispatch.py"].count("\n")
+    assert index_writes(modules["dispatch.py"]) == [
+        "line %d: fleet.idle_at[node].remove(v)" % (last - 1),
+        "line %d: fleet._trips_in[node].pop(v.id)" % last]
     for line in ("fleet.idle_at[3] = {}", "self._fleet.on_trip[n] = v", "f.on_trip = {}",
                  "fleet.idle_at.setdefault(n, []).append(v)", "fleet.idle_at[n].pop()",
                  "del self.on_trip[v.id]", "fleet.on_trip.clear()", "x._idle_moves[k] = 0",
-                 "setattr(fleet, 'idle_at', {})", "a, fleet.on_trip[1] = 1, v"):
+                 "setattr(fleet, 'idle_at', {})", "a, fleet.on_trip[1] = 1, v",
+                 "fleet._trips_in.setdefault(z, {})[v.id] = v", "del f._trip_place[n]",
+                 "heapq.heappush(fleet._crossings, item)", "heappop(self._crossings)",
+                 "fleet._trips_by = zones"):
         assert index_writes(line), line
     for line in ("here = fleet.idle_at.get(node)", "idle_at[n] = 1", "self.fleet = fleet",
                  "n = len(fleet.on_trip)", "waiting.pop(node, ())", "x = fleet.on_trip[n]",
-                 "setattr(v, 'fleet', f)"):
+                 "setattr(v, 'fleet', f)", "heapq.heappush(heap, item)",
+                 "t = fleet._crossings[0][0]"):
         assert not index_writes(line), line
 
 
