@@ -938,11 +938,6 @@ def test_indexed_dispatch_matches_the_pool_scan(data):
             assert fleet.on_trip == on_trip
 
 
-def on_trip_scan(fleet, zones, node_zone, now):
-    """Fleet.on_trip_in as a scan of on_trip by each vehicle's current zone."""
-    return {v for v in fleet.on_trip.values() if node_zone[v.current_node(now)] in zones}
-
-
 @settings(max_examples=150)
 @given(data=st.data())
 def test_on_trip_zone_index_matches_a_scan(data):
@@ -973,7 +968,7 @@ def test_on_trip_zone_index_matches_a_scan(data):
         for region in queries:
             got = fleet.on_trip_in(region, node_zone, now)
             assert len(got) == len(set(got))
-            want = on_trip_scan(fleet, region, node_zone, now)
+            want = {v for v in fleet.on_trip.values() if node_zone[v.current_node(now)] in region}
             for seats in range(1, 6):
                 assert {v for v in got if v.capacity >= seats} == {
                     v for v in want if v.capacity >= seats}
