@@ -102,7 +102,7 @@ def parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = NYC_BBO
     """
     report = CleaningReport()
     kept: list[tuple[datetime, GeoPoint, GeoPoint, int]] = []
-    with open(csv_path, newline="", encoding="utf-8") as fh:
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
         missing = [c for c in COLUMNS if c not in header]

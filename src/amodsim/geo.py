@@ -35,7 +35,7 @@ CHORD_SLACK = 1e-9
 CHORD_SLACK_M = 1e-5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GeoPoint:
     lat: float
     lon: float

@@ -168,8 +168,10 @@ class Route:
 
 class RoadNetwork:
     """Nodes are numbered 0, 1, ... in ascending id order (`ids`,
-    `index_of`), so a search that orders by index orders by id. Edges are
-    kept as flat arrays, node i's out-edges sorted at positions
+    `index_of`), so a search that orders by index orders by id. Each node's
+    (lat, lon, cos(radians(lat))), the terms of a great-circle distance that
+    depend on that node alone, is computed once at load and kept by index.
+    Edges are kept as flat arrays, node i's out-edges sorted at positions
     first[i]:first[i + 1]; the searches read the per-multiplier tables of
     `edge_times` instead."""
 
@@ -181,21 +183,29 @@ class RoadNetwork:
         self.nodes = dict(nodes)
         self.speed_limit_mps = float(speed_limit_mps)
         self.ids = sorted(self.nodes)
-        self.index_of = {n: i for i, n in enumerate(self.ids)}
+        self.index_of = index_of = {n: i for i, n in enumerate(self.ids)}
+        self._ends = ends = [(p.lat, p.lon, math.cos(math.radians(p.lat)))
+                             for p in map(self.nodes.__getitem__, self.ids)]
+        sin, sqrt, asin = math.sin, math.sqrt, math.asin
         out: list[list[tuple[int, float, float]]] = [[] for _ in self.ids]
         for k, (u, v, length, speed) in enumerate(edges):
-            if u not in self.nodes or v not in self.nodes:
+            if u not in index_of or v not in index_of:
                 raise NetworkLoadError(
-                    f"edge {k} references unknown node {u if u not in self.nodes else v}", k)
+                    f"edge {k} references unknown node {u if u not in index_of else v}", k)
             if length <= 0 or speed <= 0:
                 raise NetworkLoadError(f"edge {k} has non-positive length or speed", k)
-            crow = haversine_m(self.nodes[u], self.nodes[v])
+            i, j = index_of[u], index_of[v]
+            # haversine_m(nodes[u], nodes[v]), inline as in route_astar
+            lat1, lon1, cos1 = ends[i]
+            lat2, lon2, cos2 = ends[j]
+            s = sqrt(sin((lat2 - lat1) * _RAD_PER_DEG / 2.0) ** 2
+                     + cos1 * cos2 * sin((lon2 - lon1) * _RAD_PER_DEG / 2.0) ** 2)
+            crow = _TWO_R * asin(s if s < 1.0 else 1.0)
             if length < MIN_LENGTH_FACTOR * crow:
                 raise NetworkLoadError(
                     f"edge {k} ({u}->{v}) length {length:.2f} m shorter than "
                     f"{MIN_LENGTH_FACTOR} * great-circle {crow:.2f} m", k)
-            out[self.index_of[u]].append(
-                (self.index_of[v], length, min(speed, self.speed_limit_mps)))
+            out[i].append((j, length, min(speed, self.speed_limit_mps)))
         for row in out:
             row.sort()
         self._first = array("l", [0, *accumulate(map(len, out))])
@@ -203,7 +213,7 @@ class RoadNetwork:
         self._length = array("d", [length for row in out for _, length, _ in row])
         self._speed = array("d", [speed for row in out for _, _, speed in row])
         self._mult: float | None = None
-        self._forward: list[list[tuple[int, float, float, float, float]]] = []
+        self._forward: list[list[tuple[int, float]]] = []
         self._reverse: list[list[tuple[int, float]]] = []
         self._index: NodeIndex | None = None
         self._landmarks: tuple[float, list[array]] | None = None
@@ -237,22 +247,19 @@ class RoadNetwork:
         return [(ids[i], ids[self._to[k]], self._length[k], self._speed[k])
                 for i in range(len(ids)) for k in range(first[i], first[i + 1])]
 
-    def edge_times(self, mult: float) -> tuple[list[list[tuple[int, float, float, float, float]]],
+    def edge_times(self, mult: float) -> tuple[list[list[tuple[int, float]]],
                                                 list[list[tuple[int, float]]]]:
         """(forward, reverse) tables under multiplier mult, by node index.
 
-        forward[i] holds (next, time, lat, lon, cos(radians(lat))) for each
-        out-edge of node i, next's coordinates being the terms of the A*
-        bound that depend on that node alone; reverse[i] holds (prev, time)
-        for each in-edge. time is length / (speed * mult), one float per edge
-        that both tables share, so every search reads the same bits. Only
-        the last multiplier's tables are kept, and they are built on first
-        use; a search that holds older ones keeps them alive.
+        forward[i] holds (next, time) for each out-edge of node i and
+        reverse[i] holds (prev, time) for each in-edge. time is
+        length / (speed * mult), one float per edge that both tables share,
+        so every search reads the same bits. Only the last multiplier's
+        tables are kept, and they are built on first use; a search that
+        holds older ones keeps them alive.
         """
         if mult != self._mult:
             self._forward = self._reverse = []  # free the old tables before building
-            ends = [(p.lat, p.lon, math.cos(math.radians(p.lat)))
-                    for p in map(self.nodes.__getitem__, self.ids)]
             first, to, length, speed = self._first, self._to, self._length, self._speed
             forward = []
             reverse: list[list[tuple[int, float]]] = [[] for _ in self.ids]
@@ -261,7 +268,7 @@ class RoadNetwork:
                 for k in range(first[u], first[u + 1]):
                     v = to[k]
                     time_s = length[k] / (speed[k] * mult)
-                    row.append((v, time_s, *ends[v]))
+                    row.append((v, time_s))
                     reverse[v].append((u, time_s))
                 forward.append(row)
             self._mult, self._forward, self._reverse = mult, forward, reverse
@@ -284,10 +291,10 @@ class RoadNetwork:
         """
         if self._landmarks is None:
             forward, reverse = self.edge_times(mult)
-            points = [self.nodes[n] for n in self.ids]
+            ends = self._ends
             picked: list[int] = []
             for a, b in ((1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)):
-                node = max(range(len(points)), key=lambda i: a * points[i].lat + b * points[i].lon)
+                node = max(range(len(ends)), key=lambda i: a * ends[i][0] + b * ends[i][1])
                 if node not in picked:
                     picked.append(node)
             rows = []
@@ -345,10 +352,10 @@ class RoadNetwork:
         return dict(zip(self.ids, component))
 
 
-def _dijkstra(rows: list, start: int) -> list[float]:
+def _dijkstra(rows: list[list[tuple[int, float]]], start: int) -> list[float]:
     """Time from start to every node index over rows, one row of (next,
-    time, ...) per node: forward rows give times from start, reverse rows
-    times to it; inf where there is no path."""
+    time) per node: forward rows give times from start, reverse rows times
+    to it; inf where there is no path."""
     dist = [math.inf] * len(rows)
     dist[start] = 0.0
     heap = [(0.0, start)]
@@ -357,9 +364,8 @@ def _dijkstra(rows: list, start: int) -> list[float]:
         d, node = heappop(heap)
         if d > dist[node]:
             continue
-        for edge in rows[node]:
-            nd = d + edge[1]
-            nxt = edge[0]
+        for nxt, time_s in rows[node]:
+            nd = d + time_s
             if nd < dist[nxt]:
                 dist[nxt] = nd
                 heappush(heap, (nd, nxt))
@@ -384,12 +390,15 @@ def _landmark_terms(rows: list[array], start: int, goal: int,
 
 
 def _parse_lines(path: str):
-    with open(path, encoding="utf-8") as fh:
+    """(line number, raw line, its whitespace-separated fields) of each line
+    of path that is neither blank nor a comment; a leading byte-order mark
+    is dropped."""
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            yield lineno, line
+            yield lineno, raw, parts
 
 
 def load_network(nodes_path: str, edges_path: str, speed_limit_mps: float) -> RoadNetwork:
@@ -398,10 +407,10 @@ def load_network(nodes_path: str, edges_path: str, speed_limit_mps: float) -> Ro
     Speeds above the limit are clamped, not rejected.
     """
     nodes: dict[int, GeoPoint] = {}
-    for lineno, line in _parse_lines(nodes_path):
-        parts = line.split()
+    for lineno, raw, parts in _parse_lines(nodes_path):
         if len(parts) != 3:
-            raise NetworkLoadError(f"{nodes_path}:{lineno}: expected 'id lat lon', got {line!r}")
+            raise NetworkLoadError(
+                f"{nodes_path}:{lineno}: expected 'id lat lon', got {raw.strip()!r}")
         try:
             nid = int(parts[0])
             lat = float(parts[1])
@@ -419,10 +428,10 @@ def load_network(nodes_path: str, edges_path: str, speed_limit_mps: float) -> Ro
 
     edges: list[tuple[int, int, float, float]] = []
     edge_lines: list[int] = []
-    for lineno, line in _parse_lines(edges_path):
-        parts = line.split()
+    for lineno, raw, parts in _parse_lines(edges_path):
         if len(parts) != 4:
-            raise NetworkLoadError(f"{edges_path}:{lineno}: expected 'from to length speed', got {line!r}")
+            raise NetworkLoadError(
+                f"{edges_path}:{lineno}: expected 'from to length speed', got {raw.strip()!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
             length, speed = float(parts[2]), float(parts[3])
@@ -511,25 +520,26 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
     # the largest multiplier, and no path is shorter than MIN_LENGTH_FACTOR
     # times the great-circle distance. The bound is
     # MIN_LENGTH_FACTOR * haversine_m(node, dst) / denom, computed inline from
-    # the forward rows with haversine_m's operations in the same order
-    # (math.radians is a product with pi / 180, and min(1.0, s) is s if
-    # s < 1.0 else 1.0), so every value has the same bits. It orders the
-    # heap. Pruning may use the multiplier in force instead, a tighter bound
-    # that is still admissible, as it only ever drops nodes whose every
-    # path to dst is slower than `bound`.
+    # the network's node terms, read only for a node the landmark bound keeps,
+    # with haversine_m's operations in the same order (math.radians is a
+    # product with pi / 180, and min(1.0, s) is s if s < 1.0 else 1.0), so
+    # every value has the same bits. It orders the heap. Pruning may use the
+    # multiplier in force instead, a tighter bound that is still admissible,
+    # as it only ever drops nodes whose every path to dst is slower than
+    # `bound`.
     denom = net.speed_limit_mps * traffic.max_multiplier()
     denom_now = net.speed_limit_mps * mult
     per_m_now = MIN_LENGTH_FACTOR / denom_now
-    dst_pt = net.nodes[dst]
     raise_by = BOUND_RAISE
-    b = haversine_m(net.nodes[src], dst_pt) * per_m_now
+    b = haversine_m(net.nodes[src], net.nodes[dst]) * per_m_now
     if known >= src_lb and known > b:  # exact once src is settled
         b = known
     elif src_lb > b:  # with its slack given back
         b = src_lb + 4.0 * LANDMARK_SLACK * (abs(r1[start]) + abs(c1)) * scale
     else:
         raise_by = BOUND_RAISE ** 3
-    dst_lat, dst_lon, dst_cos = dst_pt.lat, dst_pt.lon, math.cos(math.radians(dst_pt.lat))
+    ends = net._ends
+    dst_lat, dst_lon, dst_cos = ends[goal]
     sin, sqrt, asin = math.sin, math.sqrt, math.asin
     heappush, heappop = heapq.heappush, heapq.heappop
     best_g, parent, hop_s, touched = net._scratch
@@ -548,7 +558,7 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
                 continue
             if node == goal:
                 break
-            for nxt, hop, lat, lon, cos_lat in forward[node]:
+            for nxt, hop in forward[node]:
                 ng = g + hop
                 if ng < best_g[nxt]:
                     # Every path through nxt this way is slower than the
@@ -574,6 +584,7 @@ def route_astar(net: RoadNetwork, src: int, dst: int, at_s: float,
                         if key < least:
                             least = key
                         continue
+                    lat, lon, cos_lat = ends[nxt]
                     h = (sin((dst_lat - lat) * _RAD_PER_DEG / 2.0) ** 2
                          + cos_lat * dst_cos * sin((dst_lon - lon) * _RAD_PER_DEG / 2.0) ** 2)
                     s = sqrt(h)
@@ -664,25 +675,29 @@ class ReverseSearch:
         heap, tentative, reverse = self._heap, self._tentative, self._reverse
         ids, settled = self._ids, self.settled
         heappop, heappush = heapq.heappop, heapq.heappush
+        radius, found = self.radius, None
         while heap:
-            d, node = heap[0]
+            d, node = heappop(heap)
             if d > tentative[node]:
-                heappop(heap)
                 continue
             if d > limit:
-                return None
-            heappop(heap)
+                # A node is pushed only at a time below its last, so heap
+                # entries are distinct: putting the least one back leaves
+                # the pop order as it was.
+                heappush(heap, (d, node))
+                break
             for prev, time_s in reverse[node]:
                 nd = d + time_s
                 if nd < tentative[prev]:
                     tentative[prev] = nd
                     heappush(heap, (nd, prev))
             node_id = ids[node]
-            settled[node_id] = d
-            self.radius = d
+            settled[node_id] = radius = d
             if until is None or node_id in until:
-                return node_id
-        return None
+                found = node_id
+                break
+        self.radius = radius
+        return found
 
 
 def eta_table(net: RoadNetwork, dst: int, at_s: float,

@@ -184,7 +184,7 @@ def load_zones(path: str) -> tuple[ZoneMap, AdjacencySchedule]:
     an object, are otherwise ignored.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ZoneLoadError(f"{path}: {exc}") from exc

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line entry points."""
 
+import codecs
 import copy
 import json
 import os
@@ -91,6 +92,30 @@ def test_validate_warns_of_split_network_and_stray_requests(tmp_path, capsys):
         "warning network: 1 requests beyond the 300.0 m snap radius "
         "(will be rejected as unroutable)",
     ]
+
+
+def test_validate_reads_inputs_that_start_with_a_byte_order_mark(tmp_path, capsys):
+    """Excel and many Windows tools start a UTF-8 file with a byte-order
+    mark. Each input file may carry one and reads as it would without. The
+    config, marked first, read one before the input loaders did."""
+    d = GOLDEN_SPACING_DEG
+    doc = copy.deepcopy(BASE_DOC)
+    doc["demand"] = {"seed": 1, "file": "trips.csv", "bbox": [-0.1, -0.1, 0.1, 0.1]}
+    cfg = setup_dir(tmp_path, doc)
+    with open(os.path.join(str(tmp_path), "trips.csv"), "w") as fh:
+        fh.write("medallion,pickup time,dropoff time,passenger count,"
+                 "pickup log,pickup lat,dropoff log,dropoff lat\n"
+                 f"m0,2013-01-05 12:00:00,2013-01-05 12:20:00,1,{d!r},0.0,{d!r},{d!r}\n")
+    assert cli.main(["validate", "--config", cfg]) == 0
+    plain = capsys.readouterr().out
+    assert "ok demand: rows_read 1, rows_kept 1" in plain
+    for name in ("config.yaml", "nodes.txt", "edges.txt", "zones.geojson", "trips.csv"):
+        path = os.path.join(str(tmp_path), name)
+        text = read(path)
+        with open(path, "wb") as fh:
+            fh.write(codecs.BOM_UTF8 + text)
+        assert cli.main(["validate", "--config", cfg]) == 0, name
+        assert capsys.readouterr().out == plain
 
 
 def test_run_counts_agree_with_validate_and_the_event_log(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Trip CSV cleaning rules and the seeded synthetic demand generator."""
 
+import codecs
 import hashlib
 import random
 from datetime import datetime
@@ -136,6 +137,17 @@ def test_parse_trips_missing_column(tmp_path):
     path.write_text(HEADER.replace("medallion,", "") + "\n")
     with pytest.raises(DemandFormatError, match=r"missing columns \['medallion'\]"):
         parse_trips(str(path))
+
+
+def test_parse_trips_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
+    """Excel writes one; the first column must still be named `medallion`."""
+    plain = write_csv(tmp_path, [row(), row(medallion="bad", party="0")])
+    marked = tmp_path / "marked.csv"
+    with open(plain, "rb") as fh:
+        marked.write_bytes(codecs.BOM_UTF8 + fh.read())
+    requests, report = parse_trips(str(marked), rng_seed=7)
+    assert (requests, report) == parse_trips(plain, rng_seed=7)
+    assert report.rows_read == 2 and len(requests) == 1
 
 
 def test_parse_trips_empty_file(tmp_path):

@@ -1,8 +1,12 @@
 """Road network loading, traffic multipliers, and time-dependent routing."""
 
+import codecs
+import copy
+import dataclasses
 import hashlib
 import heapq
 import math
+import pickle
 import random
 from array import array
 from types import SimpleNamespace
@@ -862,3 +866,107 @@ def test_load_network_edge_error_names_its_line(tmp_path):
     with pytest.raises(NetworkLoadError) as info:
         load_network(nodes, edges, speed_limit_mps=10.0)
     assert str(info.value).startswith(f"{edges}:4: edge 1 (1->0) length 300.00 m")
+
+
+def test_load_network_reads_files_that_start_with_a_byte_order_mark(tmp_path):
+    """Excel and many Windows tools start a UTF-8 file with one: here the
+    node file's first line is a comment and the edge file's an edge."""
+    nodes, edges = tmp_path / "n.txt", tmp_path / "e.txt"
+    nodes.write_bytes(codecs.BOM_UTF8 + b"# id lat lon\n0 0.0 0.0\n1 0.0 0.004\n")
+    edges.write_bytes(codecs.BOM_UTF8 + b"0 1 500 10\n1 0 500 10\n")
+    net = load_network(str(nodes), str(edges), speed_limit_mps=10.0)
+    assert net.nodes == {0: GeoPoint(0.0, 0.0), 1: GeoPoint(0.0, 0.004)}
+    assert net.edges() == [(0, 1, 500.0, 10.0), (1, 0, 500.0, 10.0)]
+
+
+def test_load_network_line_rules_and_error_text(tmp_path):
+    """Blank, whitespace-only and comment lines, indented or not, are
+    skipped; fields part at any run of spaces or tabs, and CRLF ends a line
+    as LF does. A line with the wrong number of fields is quoted stripped,
+    its interior whitespace as written."""
+    nodes, edges = tmp_path / "n.txt", tmp_path / "e.txt"
+    node_text = b"  # id lat lon\r\n0\t0.0\t0.0\r\n \t \r\n\r\n1  0.0 \t 0.004 \r\n"
+    nodes.write_bytes(node_text)
+    edges.write_bytes(b"\t# from to length speed\r\n0\t1\t500\t10\r\n   \r\n 1 0  500 10\r\n")
+    net = load_network(str(nodes), str(edges), speed_limit_mps=10.0)
+    assert net.nodes == {0: GeoPoint(0.0, 0.0), 1: GeoPoint(0.0, 0.004)}
+    assert net.edges() == [(0, 1, 500.0, 10.0), (1, 0, 500.0, 10.0)]
+
+    nodes.write_bytes(node_text + b" \t2  0.5 \r\n")
+    with pytest.raises(NetworkLoadError) as info:
+        load_network(str(nodes), str(edges), speed_limit_mps=10.0)
+    assert str(info.value) == f"{nodes}:6: expected 'id lat lon', got '2  0.5'"
+
+    nodes.write_bytes(node_text)
+    short = "0  1\t500"
+    edges.write_bytes(b"# from to length speed\r\n\r\n  " + short.encode() + b"  \r\n")
+    with pytest.raises(NetworkLoadError) as info:
+        load_network(str(nodes), str(edges), speed_limit_mps=10.0)
+    assert str(info.value) == f"{edges}:3: expected 'from to length speed', got {short!r}"
+
+
+def node_pair(rng: random.Random, lat: float | None) -> tuple[GeoPoint, GeoPoint]:
+    """Two nodes near latitude lat, from a metre to tens of kilometres
+    apart; across the antimeridian where lat is None."""
+    spread = rng.choice([1e-5, 1e-3, 0.05, 0.5])
+    if lat is None:
+        lat = rng.uniform(-80.0, 80.0)
+        a = GeoPoint(lat, 180.0 - rng.uniform(0.0, spread))
+        b = GeoPoint(lat + rng.uniform(-spread, spread), -180.0 + rng.uniform(0.0, spread))
+    else:
+        a = GeoPoint(lat + rng.uniform(-spread, spread), rng.uniform(-179.0, 179.0))
+        b = GeoPoint(a.lat + rng.uniform(-spread, spread), a.lon + rng.uniform(-spread, spread))
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
+@pytest.mark.parametrize("lat", [0.0, 40.7, -33.9, 59.9, -70.0, None])
+def test_edge_check_agrees_with_haversine_bit_for_bit(lat):
+    """The loader's great-circle check, computed inline from each node's
+    terms, has haversine_m's bits: an edge of exactly MIN_LENGTH_FACTOR
+    times haversine_m loads, and one a ulp shorter is rejected."""
+    rng = random.Random(f"edge check {lat}")
+    for _ in range(300):
+        a, b = node_pair(rng, lat)
+        crow = haversine_m(a, b)
+        length = road.MIN_LENGTH_FACTOR * crow
+        back = road.MIN_LENGTH_FACTOR * haversine_m(b, a)
+        net = RoadNetwork({0: a, 1: b}, [(0, 1, length, 10.0), (1, 0, back, 10.0)], 10.0)
+        assert net.edges() == [(0, 1, length, 10.0), (1, 0, back, 10.0)]
+        short = math.nextafter(length, 0.0)
+        with pytest.raises(NetworkLoadError) as info:
+            RoadNetwork({0: a, 1: b}, [(0, 1, short, 10.0), (1, 0, back, 10.0)], 10.0)
+        assert info.value.edge == 0
+        assert str(info.value) == (f"edge 0 (0->1) length {short:.2f} m shorter than "
+                                   f"{road.MIN_LENGTH_FACTOR} * great-circle {crow:.2f} m")
+
+
+def test_geo_point_is_a_frozen_value():
+    """Networks, plans and requests share points, and tests deep-copy
+    fleets that hold plans: a point must neither change nor lose its value
+    when copied or pickled."""
+    p, q = GeoPoint(40.7, -73.9), GeoPoint(40.7, -73.9)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.lat = 0.0
+    assert p == q and p is not q and hash(p) == hash(q) and {p: 1}[q] == 1
+    assert p != GeoPoint(40.7, -73.8) and p != GeoPoint(40.8, -73.9)
+    for copied in (copy.deepcopy([p])[0], pickle.loads(pickle.dumps(p))):
+        assert copied == p and hash(copied) == hash(p)
+        assert (copied.lat, copied.lon) == (40.7, -73.9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            copied.lon = 0.0
+
+
+def test_edge_times_share_one_float_per_edge():
+    """Each forward entry (v, t) of row u has a reverse entry (u, t) in row
+    v holding the very same float, t = length / (speed * mult)."""
+    rng = random.Random(2029)
+    for _ in range(30):
+        net = random_network(rng, rng.randrange(1, 30), rng.randrange(0, 60), dyadic=False)
+        mult = rng.uniform(0.3, 2.0)
+        forward, reverse = net.edge_times(mult)
+        assert [(net.ids[u], net.ids[v], t) for u, row in enumerate(forward) for v, t in row] \
+            == [(u, v, length / (speed * mult)) for u, v, length, speed in net.edges()]
+        assert sum(map(len, reverse)) == sum(map(len, forward))
+        for u, row in enumerate(forward):
+            for v, t in row:
+                assert any(prev == u and t2 is t for prev, t2 in reverse[v])

@@ -1,5 +1,6 @@
 """Zone containment, geometric adjacency, and the mutable neighbor schedule."""
 
+import codecs
 import itertools
 import json
 
@@ -205,6 +206,19 @@ def test_load_zones_geojson(tmp_path):
     path.write_text(json.dumps(doc))
     zmap, sched = load_zones(str(path))
     assert len(zmap) == 2
+    assert zmap.locate(GeoPoint(0.5, 1.5)) == 0
+    assert sched.pairs() == [(0, 1)]
+
+
+def test_load_zones_reads_a_file_that_starts_with_a_byte_order_mark(tmp_path):
+    doc = {"type": "FeatureCollection", "features": [
+        box_feature("east", 0.0, 1.0, 1.0, 2.0),
+        box_feature("west", 0.0, 1.0, 0.0, 1.0),
+    ]}
+    path = tmp_path / "z.geojson"
+    path.write_bytes(codecs.BOM_UTF8 + json.dumps(doc).encode("utf-8"))
+    zmap, sched = load_zones(str(path))
+    assert [z.id for z in zmap.zones] == [0, 1]
     assert zmap.locate(GeoPoint(0.5, 1.5)) == 0
     assert sched.pairs() == [(0, 1)]
 
