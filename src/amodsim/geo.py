@@ -7,7 +7,7 @@ Polygon containment treats the boundary as inside.
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import chain, product, repeat
+from operator import itemgetter
 
 EARTH_RADIUS_M = 6_371_000.0
 METERS_PER_DEG_LAT = EARTH_RADIUS_M * math.pi / 180.0  # 111194.9266...
@@ -195,125 +195,66 @@ def point_in_polygon(p: GeoPoint, poly: Polygon) -> bool:
 
 
 class NodeIndex:
-    """Uniform grid over the nodes' unit vectors (unit_vector), cell edge
-    CELL_M / EARTH_RADIUS_M, under a coarse occupancy level that lists the
-    occupied cells of each block of BLOCK cells a side.
+    """k-d tree (Bentley, CACM 1975) over the nodes' unit vectors
+    (unit_vector). Each split is at the median, on the two axes along which
+    the nodes spread most, in turn, down to leaves of at most LEAF nodes;
+    a city spreads along only two of the three.
 
     nearest() returns exactly what a linear scan over all nodes would, ties
     to the lowest node id. The unit sphere has no seam, so the antimeridian
     and the poles need no case of their own.
     """
 
-    CELL_M = 250.0
-    BLOCK = 4
+    LEAF = 4
 
     def __init__(self, locations: dict[int, GeoPoint]):
-        self._cells: dict[int, list[Candidate]] = {}  # by _cell_key
-        # The occupied cells' keys by block, built by the first far-shell scan.
-        self._blocks: dict[tuple[int, int, int], list[int]] | None = None
-        s, floor, cells = EARTH_RADIUS_M / self.CELL_M, math.floor, self._cells
-        for nid in sorted(locations):
-            p = locations[nid]
-            x, y, z = unit_vector(p)
-            # _cell, then _cell_key, inline
-            key = (floor(x * s) + 0x8000) << 32 | (floor(y * s) + 0x8000) << 16 \
-                | (floor(z * s) + 0x8000)
-            cells.setdefault(key, []).append((nid, p, x, y, z))
-        # The box of the occupied cells, (lowest, highest) on each axis: the
-        # cells of the least and greatest components, as floor and the
-        # scaling are monotone.
-        self._box = [(floor(min(axis) * s), floor(max(axis) * s))
-                     for axis in list(zip(*chain.from_iterable(cells.values())))[2:]]
+        nodes = [candidate(nid, locations[nid]) for nid in sorted(locations)]
+        self._root: tuple | list[Candidate] | None = None
+        if nodes:
+            spread = [max(axis) - min(axis) for axis in list(zip(*nodes))[2:]]
+            axes = sorted(range(3), key=lambda a: -spread[a])[:2]
+            self._root = self._build(nodes, axes, 0)
 
-    def _cell(self, u: tuple[float, float, float]) -> tuple[int, int, int]:
-        s = EARTH_RADIUS_M / self.CELL_M
-        return math.floor(u[0] * s), math.floor(u[1] * s), math.floor(u[2] * s)
+    def _build(self, nodes: list[Candidate], axes: list[int], depth: int):
+        """A leaf, the list of at most LEAF nodes, or a split (axis, value,
+        low, high): value is a stored component on that axis of a node of
+        high, every node of low has at most that component, and every node
+        of high at least."""
+        if len(nodes) <= self.LEAF:
+            return nodes
+        axis = axes[depth % 2]
+        nodes.sort(key=itemgetter(2 + axis))
+        m = len(nodes) // 2
+        return (axis, nodes[m][2 + axis], self._build(nodes[:m], axes, depth + 1),
+                self._build(nodes[m:], axes, depth + 1))
 
     def nearest(self, p: GeoPoint, max_radius_m: float) -> int | None:
-        if not self._cells or max_radius_m <= 0:
+        if self._root is None or max_radius_m <= 0:
             return None
-        # Scan cubic shells outward from p's cell. A node k shells away lies
-        # over k - 1 cell edges from p along one axis, so its chord exceeds
-        # (k - 1) * CELL_M / R, and a great-circle distance is at least R
-        # times the chord. The scan stops once that bound, shrunk by a hair
-        # for rounding, exceeds the best distance or the radius; it goes on
-        # at equality, so ties still reach the lowest id. Shells nearer than
-        # the box of the occupied cells hold none, so the scan starts at the
-        # first that reaches it. Within the scanned shells, closest()
-        # computes haversine_m only for the nodes whose chord to p is within
-        # the best distance so far plus the chord margin (CHORD_SLACK_M, and
-        # CHORD_SLACK of it), which no rounding can close. Shells 0 and 1,
-        # which every scan from inside the box reaches, are looked up cell
-        # by cell; farther shells only where the coarse level lists an
-        # occupied cell. So a miss looks up at most the 27 cells of shells 0
-        # and 1 and the occupied cells of the shells the rule admits, and no
-        # empty cell beyond shell 1.
-        cells = self._cells
-        edge = self.CELL_M * (1.0 - 1e-9)
+        # Walk the near side of each split first, down to the leaf that
+        # holds p, and run closest() over each leaf reached. A far side is
+        # skipped once its squared gap to the split plane exceeds the
+        # squared chord that closest() admits (reach). That needs no slack
+        # of its own: the split value is a stored component, and rounding is
+        # monotone, so for each far node the gap rounds to at most its own
+        # difference from u on that axis, and closest() would skip it.
         u = unit_vector(p)
-        x, y, z = origin = self._cell(u)
         best_d, best_id = math.inf, None
-        (x_lo, x_hi), (y_lo, y_hi), (z_lo, z_hi) = self._box
-        k = max(x_lo - x, x - x_hi, y_lo - y, y - y_hi, z_lo - z, z - z_hi, 0)
-        if k <= 1:
-            key = _cell_key(x, y, z)
-            found = chain.from_iterable(map(cells.get, [key + o for o in _NEAR_KEYS], repeat(())))
-            best_d, best_id = closest(p, u, found, best_d, best_id, max_radius_m)
-            k = 2
-        if (k - 1) * edge <= min(best_d, max_radius_m):
-            shells = self._far_shells(origin, k, min(best_d, max_radius_m) / edge + 2.0)
-            for k in sorted(shells):
-                if (k - 1) * edge > min(best_d, max_radius_m):
-                    break
-                found = chain.from_iterable(map(cells.get, shells[k]))
-                best_d, best_id = closest(p, u, found, best_d, best_id, max_radius_m)
+        reach = _chord_squared(max_radius_m)
+        stack = [(0.0, self._root)]
+        while stack:
+            gap, node = stack.pop()
+            if gap > reach:
+                continue
+            while type(node) is tuple:
+                axis, value, low, high = node
+                d = u[axis] - value
+                if d < 0.0:
+                    stack.append((d * d, high))
+                    node = low
+                else:
+                    stack.append((d * d, low))
+                    node = high
+            best_d, best_id = closest(p, u, node, best_d, best_id, max_radius_m)
+            reach = _chord_squared(min(best_d, max_radius_m))
         return best_id if best_d <= max_radius_m else None
-
-    def _far_shells(self, origin: tuple[int, int, int], k: int,
-                    last: float) -> dict[int, list[int]]:
-        """The keys of the occupied cells k or more shells away from origin,
-        by shell, from the blocks that meet the box of the cells up to
-        `last` shells away (every block, if that box meets more blocks than
-        there are)."""
-        blocks = self._blocks
-        if blocks is None:
-            blocks = self._blocks = {}
-            for key in self._cells:
-                cx, cy, cz = _cell_of(key)
-                blocks.setdefault((cx // self.BLOCK, cy // self.BLOCK, cz // self.BLOCK),
-                                  []).append(key)
-        if (2.0 * last / self.BLOCK + 2.0) ** 3 < len(blocks):
-            n = int(last)
-            groups = filter(None, map(blocks.get, product(
-                *[range((c - n) // self.BLOCK, (c + n) // self.BLOCK + 1) for c in origin])))
-        else:
-            groups = blocks.values()
-        x, y, z = origin
-        shells: dict[int, list[int]] = {}
-        for group in groups:
-            for key in group:
-                cx, cy, cz = _cell_of(key)
-                d = max(abs(cx - x), abs(cy - y), abs(cz - z))
-                if d >= k:
-                    shells.setdefault(d, []).append(key)
-        return shells
-
-
-# A cell (x, y, z) is keyed by one int that holds each coordinate, offset by
-# 2**15, in 16 bits, so that a neighbour's key is the cell's key plus a
-# constant. Coordinates lie within R / CELL_M (25,485) of 0, and neighbours
-# one more.
-def _cell_key(x: int, y: int, z: int) -> int:
-    return (x + 0x8000) << 32 | (y + 0x8000) << 16 | (z + 0x8000)
-
-
-def _cell_of(key: int) -> tuple[int, int, int]:
-    return (key >> 32) - 0x8000, (key >> 16 & 0xFFFF) - 0x8000, (key & 0xFFFF) - 0x8000
-
-
-# The key offsets of the 27 cells of shells 0 and 1, which NodeIndex.nearest
-# looks up cell by cell: p's own cell first, then those that share a face
-# with it, an edge, and a corner, the likelier to hold the nearest node
-# first.
-_NEAR_KEYS = [(a << 32) + (b << 16) + c for a, b, c in
-              sorted(product((-1, 0, 1), repeat=3), key=lambda o: sum(map(abs, o)))]

@@ -178,7 +178,8 @@ def initial_adjacency(zone_map: ZoneMap) -> AdjacencySchedule:
 
 
 def load_zones(path: str) -> tuple[ZoneMap, AdjacencySchedule]:
-    """Load a GeoJSON FeatureCollection of Polygon features.
+    """Load a GeoJSON FeatureCollection of Polygon features, each of one
+    ring; an altitude in a position is ignored.
 
     Zone ids follow feature order; a feature's `properties`, which must be
     an object, are otherwise ignored.
@@ -207,12 +208,20 @@ def load_zones(path: str) -> tuple[ZoneMap, AdjacencySchedule]:
         if not isinstance(rings, list) or not rings or not isinstance(rings[0], list) \
                 or not rings[0]:
             raise ZoneLoadError(f"{path}: feature {i}: empty polygon")
+        if len(rings) > 1:
+            raise ZoneLoadError(f"{path}: feature {i}: interior rings are not supported")
         ring = rings[0]
         # GeoJSON rings repeat the first position at the end; drop it.
         if len(ring) >= 2 and ring[0] == ring[-1]:
             ring = ring[:-1]
+        for j, pos in enumerate(ring):
+            # [lon, lat], or [lon, lat, altitude] (RFC 7946 3.1.1)
+            if not isinstance(pos, list) or len(pos) not in (2, 3) or not all(
+                    type(c) in (int, float) for c in pos):
+                raise ZoneLoadError(f"{path}: feature {i}: position {j}: "
+                                    "expected 2 or 3 numbers, [lon, lat] or [lon, lat, alt]")
         try:
-            verts = [GeoPoint(lat, lon) for lon, lat in ring]
+            verts = [GeoPoint(pos[1], pos[0]) for pos in ring]
             poly = Polygon(verts)
         except (TypeError, ValueError) as exc:
             raise ZoneLoadError(f"{path}: feature {i}: {exc}") from exc

@@ -129,7 +129,7 @@ def test_node_index_matches_linear_scan():
         pts = {}
         n = rng.randrange(1, 60)
         for nid in range(n):
-            # mix a dense cluster with far outliers to stress the cell walk
+            # mix a dense cluster with far outliers to stress the tree walk
             if rng.random() < 0.8:
                 pts[nid] = GeoPoint(40.0 + rng.uniform(-0.01, 0.01),
                                     -74.0 + rng.uniform(-0.01, 0.01))
@@ -143,6 +143,34 @@ def test_node_index_matches_linear_scan():
             radius = rng.choice([50.0, 500.0, 5000.0, 100000.0, 2.1e7])
             assert idx.nearest(q, radius) == brute_nearest(pts, q, radius), \
                 f"trial {trial} query {q} radius {radius}"
+
+    def anywhere() -> GeoPoint:
+        return GeoPoint(math.degrees(math.asin(rng.uniform(-1.0, 1.0))), rng.uniform(-180.0, 180.0))
+
+    # Nodes over the whole sphere, which spread along all three axes, where
+    # the one the tree never splits on matters.
+    for trial in range(40):
+        pts = {nid: anywhere() for nid in range(rng.randrange(1, 200))}
+        idx = NodeIndex(pts)
+        for _ in range(50):
+            q = anywhere()
+            radius = rng.choice([1e5, 1e6, 5e6, 2.1e7])
+            assert idx.nearest(q, radius) == brute_nearest(pts, q, radius), \
+                f"globe trial {trial} query {q} radius {radius}"
+    # More coincident nodes, under shuffled ids, than a leaf holds, among
+    # scattered ones: the median splits fall between equal components, and
+    # the lowest id must still win.
+    spot = GeoPoint(40.0, -74.0)
+    ids = rng.sample(range(1000), 60)
+    pts = {nid: spot for nid in ids[:40]}
+    pts |= {nid: GeoPoint(40.0 + rng.uniform(-0.01, 0.01), -74.0 + rng.uniform(-0.01, 0.01))
+            for nid in ids[40:]}
+    idx = NodeIndex(pts)
+    assert idx.nearest(spot, 1.0) == min(ids[:40])
+    for _ in range(100):
+        q = GeoPoint(40.0 + rng.uniform(-0.012, 0.012), -74.0 + rng.uniform(-0.012, 0.012))
+        radius = rng.choice([50.0, 500.0, 5000.0])
+        assert idx.nearest(q, radius) == brute_nearest(pts, q, radius), (q, radius)
 
 
 def test_node_index_stops_early_on_the_bench_grid(monkeypatch):
@@ -170,46 +198,64 @@ def test_node_index_stops_early_on_the_bench_grid(monkeypatch):
         (sum(per_query) / len(per_query), max(per_query))
 
 
-class CountedCells(dict):
-    """A cell dict that counts its lookups."""
-    looked = 0
+class CountedWork:
+    """Counts, through geo's module seams, the entries that NodeIndex.nearest
+    passes to closest() and the haversine_m distances computed."""
 
-    def get(self, key, default=None):
-        self.looked += 1
-        return super().get(key, default)
+    def __init__(self, monkeypatch):
+        self.entries = self.distances = 0
+        closest, distance = geo.closest, geo.haversine_m
+
+        def counted_closest(p, u, entries, *rest):
+            entries = list(entries)
+            self.entries += len(entries)
+            return closest(p, u, entries, *rest)
+
+        def counted_distance(a, b):
+            self.distances += 1
+            return distance(a, b)
+
+        monkeypatch.setattr(geo, "closest", counted_closest)
+        monkeypatch.setattr(geo, "haversine_m", counted_distance)
+
+    def reset(self):
+        self.entries = self.distances = 0
 
 
-def test_node_index_starts_at_the_shell_that_reaches_the_occupied_cells():
-    """A query off the network's edge looks up no cell nearer than the box
-    of the occupied cells, and none at all when even that box lies beyond
-    the radius (shells 0 to 5 are 1,331 cells at a 1,000 m radius); the
-    answers stay those of a linear scan."""
+def test_node_index_starts_at_the_shell_that_reaches_the_occupied_cells(monkeypatch):
+    """A query off the network's edge does no work for the empty space
+    between it and the nodes: from 1.5 km out, beyond the 1,000 m radius,
+    it computes no haversine_m, and no query off the edge, however far
+    out, passes closest() more than 32 of the 1,600 nodes; the answers stay
+    those of a linear scan."""
     net = grid_network(40, 40)
     idx = NodeIndex(net.nodes)
-    idx._cells = cells = CountedCells(idx._cells)
+    work = CountedWork(monkeypatch)
     rng = random.Random(77)
     top = max(p.lat for p in net.nodes.values())
     km = 1000.0 / METERS_PER_DEG_LAT
     looked = []
     for off_km in [rng.uniform(0.2, 1.3) for _ in range(100)] + [1.5, 2.0, 7.0, 300.0]:
         q = GeoPoint(top + off_km * km, rng.uniform(0.0, top))
-        cells.looked = 0
-        assert idx.nearest(q, 1000.0) == brute_nearest(net.nodes, q, 1000.0), off_km
-        looked.append((off_km, cells.looked))
-    assert [n for off_km, n in looked if off_km >= 1.5] == [0, 0, 0, 0]
-    assert max(n for _, n in looked) < 1331
+        expected = brute_nearest(net.nodes, q, 1000.0)
+        work.reset()
+        assert idx.nearest(q, 1000.0) == expected, off_km
+        looked.append((off_km, work.entries, work.distances))
+    assert [distances for off_km, _, distances in looked if off_km >= 1.5] == [0, 0, 0, 0]
+    assert max(entries for _, entries, _ in looked) <= 32, looked
 
 
-def test_a_snap_miss_in_a_hole_of_the_network_skips_the_empty_cells():
+def test_a_snap_miss_in_a_hole_of_the_network_skips_the_empty_cells(monkeypatch):
     """Queries in a hole of the network, farther than the radius from every
-    node, look up the 27 cells of shells 0 and 1 and then only the occupied
-    cells the coarse level lists, not all 1,331 cells of shells 0 to 5;
-    the answers stay those of a linear scan."""
+    node, compute no haversine_m and pass closest() at most 32 of the 1,344
+    nodes each: the tree skips every split whose far side lies beyond the
+    radius, so the hole costs nothing; the answers stay those of a linear
+    scan."""
     net = grid_network(40, 40)
     pts = {nid: p for nid, p in net.nodes.items()
            if not (12 <= nid // 40 < 28 and 12 <= nid % 40 < 28)}
     idx = NodeIndex(pts)
-    idx._cells = cells = CountedCells(idx._cells)
+    work = CountedWork(monkeypatch)
     spacing = 400.0 / METERS_PER_DEG_LAT
     rng = random.Random(16)
     looked = []
@@ -217,10 +263,12 @@ def test_a_snap_miss_in_a_hole_of_the_network_skips_the_empty_cells():
         q = GeoPoint(rng.uniform(11.0, 28.0) * spacing, rng.uniform(11.0, 28.0) * spacing)
         if brute_nearest(pts, q, 1000.0) is not None:
             continue
-        cells.looked = 0
+        work.reset()
         assert idx.nearest(q, 1000.0) is None, q
-        looked.append(cells.looked)
-    assert max(looked) <= 200, max(looked)
+        looked.append((work.entries, work.distances))
+    assert len(pts) == 1344
+    assert max(distances for _, distances in looked) == 0, looked
+    assert max(entries for entries, _ in looked) <= 32, max(looked)
 
 
 def jittered_city(rng: random.Random) -> tuple[dict[int, GeoPoint], list[Polygon]]:

@@ -235,6 +235,46 @@ def test_load_zones_closed_ring(tmp_path):
     assert len(zmap.zones[0].boundary.vertices) == 4    # repeated closing vertex dropped
 
 
+def test_load_zones_reads_positions_with_an_altitude(tmp_path):
+    """A [lon, lat, alt] position (RFC 7946 3.1.1) reads as its [lon, lat]:
+    a 3-D square loads and locates like its 2-D copy."""
+    flat = box_feature("square", 0.0, 1.0, 0.0, 1.0)
+    raised = json.loads(json.dumps(flat))
+    for k, pos in enumerate(raised["geometry"]["coordinates"][0]):
+        pos.append(12.5 * k)
+    raised["geometry"]["coordinates"][0][-1][2] = 0.0    # closing position repeats the first
+    loaded = []
+    for name, feat in [("flat", flat), ("raised", raised)]:
+        path = tmp_path / f"{name}.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [feat]}))
+        loaded.append(load_zones(str(path))[0])
+    flat_map, raised_map = loaded
+    assert raised_map.zones[0].boundary.vertices == flat_map.zones[0].boundary.vertices
+    for q in [GeoPoint(0.5, 0.5), GeoPoint(1.0, 1.0), GeoPoint(1.5, 0.5), GeoPoint(-0.1, 0.3)]:
+        assert raised_map.locate(q) == flat_map.locate(q)
+        assert raised_map.locate_or_nearest(q) == flat_map.locate_or_nearest(q)
+
+
+def test_load_zones_names_the_feature_of_a_hole_or_a_bad_position(tmp_path):
+    """A hole, a position of other than 2 or 3 elements, and a position
+    element that is not a number (a JSON true is not latitude 1) are
+    refused, naming the feature and the position."""
+    square = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+    hole = [[0.4, 0.4], [0.6, 0.4], [0.6, 0.6], [0.4, 0.4]]
+    for rings, message in [
+            ([square, hole], "feature 1: interior rings are not supported"),
+            ([[[0, 0], [1, 0, 0, 0], [1, 1], [0, 0]]], "feature 1: position 1: expected"),
+            ([[[0, 0], [1, 0], [1], [0, 0]]], "feature 1: position 2: expected"),
+            ([[[0, 0], [1, 0, "high"], [1, 1], [0, 0]]], "feature 1: position 1: expected"),
+            ([[[0, 0], [True, 0], [1, 1], [0, 0]]], "feature 1: position 1: expected")]:
+        path = tmp_path / "bad.geojson"
+        path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+            box_feature("west", 0.0, 1.0, -1.0, 0.0),
+            {"geometry": {"type": "Polygon", "coordinates": rings}}]}))
+        with pytest.raises(ZoneLoadError, match=message):
+            load_zones(str(path))
+
+
 @pytest.mark.parametrize("doc", [
     {"type": "FeatureCollection", "features": []},
     {"type": "Feature"},
@@ -257,6 +297,11 @@ def test_load_zones_closed_ring(tmp_path):
         {"geometry": {"type": "Polygon", "coordinates": {"0": [[0, 0]]}}}]},
     {"type": "FeatureCollection", "features": [
         {"geometry": {"type": "Polygon", "coordinates": [5]}}]},
+    # a hole, which the zone model has no place for
+    {"type": "FeatureCollection", "features": [
+        {"geometry": {"type": "Polygon", "coordinates": [
+            [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]],
+            [[0.4, 0.4], [0.6, 0.4], [0.6, 0.6], [0.4, 0.4]]]}}]},
 ])
 def test_load_zones_rejects_bad_documents(tmp_path, doc):
     path = tmp_path / "bad.geojson"
