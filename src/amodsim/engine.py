@@ -328,8 +328,10 @@ class PassResult(list[RunResult | SimulationError]):
 
 
 class _NodeZones(dict[int, int]):
-    """The zone of each node, resolved when dispatch first reads it: only
-    nodes where a pooled vehicle stands are ever read."""
+    """The zone of each node, resolved when dispatch first reads it. Its
+    readers are the idle counts, the ranking's found idle vehicles, the
+    on-trip vehicles' zone spans and the link step's winner, so only nodes
+    where a vehicle stands or passes are ever read."""
 
     def __init__(self, net: RoadNetwork, zone_map: ZoneMap):
         super().__init__()

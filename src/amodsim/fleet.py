@@ -6,15 +6,15 @@ vehicle already heading to a pickup (or already holding a queued job) takes
 no further work. The operations at the end of this module are the only code
 that changes a vehicle's status, position or plans, and each vehicle keeps
 the trace of its own status changes. They also keep its fleet's index of
-the vehicles that may take a job, by where they are next free.
+the vehicles that may take a job, by where they are next free; the
+on-trip ones are found by zone with one scan of that index.
 """
 
-import heapq
 import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count, repeat
+from itertools import repeat
 
 from .demand import DEFAULT_CAPACITY, TripRequest
 from .road import RoadNetwork, Route, RouteQuery
@@ -103,8 +103,8 @@ class Fleet:
     `idle_at` maps a node to the idle vehicles there, and `on_trip` holds
     the vehicles on a trip with nothing queued, by id. Idle vehicles are also
     counted by seat count and zone (idle_count), a node's zone read only when
-    a count needs it, and on_trip vehicles are bucketed by current zone
-    (on_trip_in), from the first query on.
+    a count needs it; on_trip_in scans on_trip for the vehicles in some
+    zones, each vehicle's zone kept with the span of its trip it holds for.
     """
 
     def __init__(self, vehicles: list[Vehicle]):
@@ -121,19 +121,11 @@ class Fleet:
         self._zoned_by: dict[int, int] | None = None
         self._idle_counts: dict[int, dict[int, int]] = {}
         self._idle_moves: dict[tuple[int, int], int] = {}
-        # on_trip by current zone, then id, as of the last on_trip_in, at
-        # `_trips_at`, under the zone table `_trips_by`. Each vehicle there
-        # has a place (zone, token), its zone None until it is first placed.
-        # `_crossings` holds (time, token, vehicle) items: the time it
-        # reaches the first node past its run of nodes in that zone along its
-        # trip route, or -inf if filed since the last call. An item whose
-        # token is not its vehicle's place's is stale.
+        # The (zone, lo, hi) of on-trip vehicles, by id, under the zone
+        # table `_trips_by`: the zone each stood in at an on_trip_in and the
+        # span [lo, hi) of elapsed trip time it stays there.
         self._trips_by: dict[int, int] | None = None
-        self._trips_at = -math.inf
-        self._trips_in: dict[int, dict[int, Vehicle]] = {}
-        self._trip_place: dict[int, tuple[int | None, int | None]] = {}
-        self._crossings: list[tuple[float, int, Vehicle]] = []
-        self._tokens = count()
+        self._trip_zone: dict[int, tuple[int, float, float]] = {}
         for v in self.vehicles:
             v.fleet = self
             self._file(v, 0.0, True)  # a free vehicle's job_start node does not depend on the time
@@ -155,14 +147,9 @@ class Fleet:
         if v.status is VehicleStatus.ON_TRIP:
             if into:
                 self.on_trip[v.id] = v
-                if self._trips_by is not None:  # else the first on_trip_in files them all
-                    self._file_trip(v)
             else:
                 del self.on_trip[v.id]
-                if self._trips_by is not None:
-                    zone = self._trip_place.pop(v.id)[0]
-                    if zone is not None:
-                        self._unzone_trip(v, zone)
+                self._trip_zone.pop(v.id, None)
             return
         node, _ = job_start(v, now_s)
         here = self.idle_at.get(node)
@@ -204,73 +191,34 @@ class Fleet:
         """The vehicles of on_trip whose current zone lies in `zones` at
         now_s, a vehicle's current zone being node_zone[v.current_node(now_s)].
 
-        A vehicle filed since the last call is placed from its current node;
-        one placed before moves only at the times in `_crossings`, where its
-        trip route leaves the run of nodes in one zone it stood on. So a
-        node's zone is read only from a node an on-trip vehicle stands on at
-        some call to the first node past it in another zone. Another zone
-        table, or a time before the last call's, files the whole index again."""
-        if node_zone is not self._trips_by or now_s < self._trips_at:
-            self._trips_by, self._trips_in, self._trip_place = node_zone, {}, {}
-            self._crossings = []
-            for v in self.on_trip.values():
-                self._file_trip(v)
-        self._trips_at = now_s
-        self._cross(now_s)
-        by_zone = self._trips_in
-        return [v for zone in zones if (here := by_zone.get(zone)) for v in here.values()]
-
-    def _file_trip(self, v: Vehicle) -> None:
-        """Queue v, new to on_trip, to be placed at the next on_trip_in."""
-        token = next(self._tokens)
-        self._trip_place[v.id] = (None, token)
-        heapq.heappush(self._crossings, (-math.inf, token, v))
-
-    def _unzone_trip(self, v: Vehicle, zone: int) -> None:
-        here = self._trips_in[zone]
-        del here[v.id]
-        if not here:
-            del self._trips_in[zone]
-
-    def _cross(self, now_s: float) -> None:
-        """Place every on-trip vehicle filed since the last call, and every
-        one that may have left its run of one zone's nodes by now_s, by the
-        node it stands on now (Route.index_at_elapsed, as current_node).
-
-        Every time here is at least 0. With p the pickup time and a the
-        arrival at a run's end, once fl(now_s - p) >= a, the difference, in
-        [0, now_s], has rounded by at most half an ulp of now_s, so p + a <=
-        now_s + ulp(now_s) / 2 and fl(p + a), the item's time, is at most
-        the float after now_s. Items up to it are popped; a vehicle not yet
-        past its run's end is placed where it was, and every item is pushed
-        after the loop, so none is popped twice."""
-        heap, place, node_zone = self._crossings, self._trip_place, self._trips_by
-        horizon = math.nextafter(now_s, math.inf)
-        later = []
-        while heap and heap[0][0] <= horizon:
-            _, token, v = heapq.heappop(heap)
-            was, live = place.get(v.id, (None, None))
-            if live != token:
-                continue  # v left on_trip, or was filed again, since the item's push
+        Each vehicle's zone is kept with the span [lo, hi) of elapsed trip
+        time it stays in that zone, and is read again only when now_s falls
+        outside it: from the node it stands on (Route.index_at_elapsed, with
+        current_node's own subtraction) to the end of that zone's run of
+        nodes along its trip route. So a node's zone is read only from a
+        node an on-trip vehicle stands on at some call to the first node
+        past it in another zone. Another zone table clears the spans."""
+        if node_zone is not self._trips_by:
+            self._trips_by, self._trip_zone = node_zone, {}
+        spans = self._trip_zone
+        found = []
+        for v in self.on_trip.values():
             plan = v.plan
-            route = plan.route_of_trip
-            nodes = route.nodes
-            k = route.index_at_elapsed(now_s - plan.pickup_time_s)
-            zone = node_zone[nodes[k]]
-            end = k + 1
-            while end < len(nodes) and node_zone[nodes[end]] == zone:
-                end += 1
-            if zone != was:
-                if was is not None:
-                    self._unzone_trip(v, was)
-                self._trips_in.setdefault(zone, {})[v.id] = v
-            token = None  # no further item: v stays in zone to its dropoff
-            if end < len(nodes):
-                token = next(self._tokens)
-                later.append((plan.pickup_time_s + route.arrive_s[end], token, v))
-            place[v.id] = (zone, token)
-        for item in later:
-            heapq.heappush(heap, item)
+            dt = now_s - plan.pickup_time_s
+            span = spans.get(v.id)
+            if span is None or not span[1] <= dt < span[2]:
+                route = plan.route_of_trip
+                nodes, arrive = route.nodes, route.arrive_s
+                k = route.index_at_elapsed(dt)
+                zone = node_zone[nodes[k]]
+                end = k + 1
+                while end < len(nodes) and node_zone[nodes[end]] == zone:
+                    end += 1
+                span = spans[v.id] = (zone, arrive[k] if k else -math.inf,
+                                      arrive[end] if end < len(nodes) else math.inf)
+            if span[0] in zones:
+                found.append(v)
+        return found
 
     @classmethod
     def place_uniform(cls, net: RoadNetwork, size: int, seed: int,

@@ -944,10 +944,10 @@ def test_on_trip_zone_index_matches_a_scan(data):
     """Fleet.on_trip_in gives the on-trip vehicles a scan of every
     vehicle's current zone finds, for every seat count a ranking asks, at
     every call and after every assign, pick_up, finish_trip and release:
-    at non-decreasing times that include the instants vehicles reach the
-    nodes of their trips, and one ulp either side, on grids whose hop times
-    are dyadic (so those instants are exact) or not, with the zone table
-    swapped for another mid-run."""
+    at times that include the instants vehicles reach the nodes of their
+    trips, and one ulp either side, and times before the last call's, on
+    grids whose hop times are dyadic (so those instants are exact) or not,
+    with the zone table swapped for another mid-run."""
     rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     dyadic = data.draw(st.booleans(), label="dyadic")
     net = grid_network(rng.randrange(1, 6), rng.randrange(2, 7),
@@ -975,12 +975,16 @@ def test_on_trip_zone_index_matches_a_scan(data):
 
     for step in range(steps):
         node_zone = tables[step >= swap]
-        arrivals = sorted(t for v in fleet.on_trip.values()
-                          for t in (v.plan.pickup_time_s + a for a in v.plan.route_of_trip.arrive_s)
-                          if t >= now)
-        how = data.draw(st.sampled_from(["same", "arrival", "below", "above", "later"]),
-                        label="time")
-        if how == "later" or not arrivals:
+        instants = sorted(v.plan.pickup_time_s + a for v in fleet.on_trip.values()
+                          for a in v.plan.route_of_trip.arrive_s)
+        arrivals = [t for t in instants if t >= now]
+        how = data.draw(st.sampled_from(["same", "arrival", "below", "above", "later",
+                                         "earlier"]), label="time")
+        if how == "earlier":
+            earlier = [0.0] + [u for t in instants for u in (t, math.nextafter(t, -math.inf))
+                               if 0.0 <= u < now]
+            now = earlier[data.draw(st.integers(0, len(earlier) - 1), label="earlier")]
+        elif how == "later" or not arrivals:
             now += rng.choice([7.5, 40.0, 60.0, 400.0])
         elif how != "same":
             t = arrivals[data.draw(st.integers(0, len(arrivals) - 1), label="arrival")]
@@ -997,7 +1001,7 @@ def test_on_trip_zone_index_moves_a_vehicle_one_ulp_before_its_rounded_arrival()
     """A vehicle picked up at 281.2 s reaches the far end of a 624.8 s hop
     at fl(281.2 + 624.8) = 906.0, but current_node, which subtracts the
     pickup time, puts it there one ulp earlier already; so does the index.
-    A query at an earlier time than the last files the index again."""
+    A query at an earlier time than the last reads the zone again."""
     net = grid_network(1, 2, edge_len_m=6248.0, speed_mps=10.0)
     v = Vehicle(0, 0)
     fleet = Fleet([v])

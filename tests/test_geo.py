@@ -351,8 +351,8 @@ LATTICES = [(0.0, 10.0, 0.003), (40.7, 10.0, 0.003), (-60.0, 10.0, 0.003), (80.0
        radius=st.sampled_from([50.0, 300.0, 1500.0, 20000.0, 2.1e7]))
 def test_node_index_ring_scan_misses_nothing_and_keeps_ties(seed, lattice, radius):
     """Lattice nodes with shuffled ids and queries on the half-lattice, so
-    that several nodes are often equally near and the shell scan must not
-    stop before the lowest id, and near-ties the chord margin must keep;
+    that several nodes are often equally near and the k-d tree walk must
+    not stop before the lowest id, and near-ties the chord margin must keep;
     the index still answers as a full scan, also across the antimeridian
     and around a pole."""
     rng = random.Random(seed)

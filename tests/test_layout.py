@@ -93,11 +93,11 @@ def queued_reads(source: str) -> list[str]:
     return found
 
 
-# Fleet's index, its idle counts and its on-trip vehicles by zone.
+# Fleet's index, its idle counts and its on-trip vehicles' zone spans.
 # Vehicle.fleet, the back reference, is left out: other modules name their
 # own fleets `fleet`.
 INDEX_FIELDS = {"idle_at", "on_trip", "_idle_counts", "_idle_moves", "_zoned_by",
-                "_trips_by", "_trips_at", "_trips_in", "_trip_place", "_crossings"}
+                "_trips_by", "_trip_zone"}
 MUTATORS = {"__setitem__", "__delitem__", "add", "append", "clear", "discard", "extend",
             "insert", "pop", "popitem", "remove", "setdefault", "update"}
 # Functions that write the heap they are given first.
@@ -240,23 +240,23 @@ def test_only_fleet_writes_the_idle_index():
 def test_index_guard_sees_a_write_planted_elsewhere():
     modules = dict(src_modules())
     modules["dispatch.py"] += ("\n\ndef take(fleet, node, v):\n    fleet.idle_at[node].remove(v)\n"
-                               "    fleet._trips_in[node].pop(v.id)\n")
+                               "    fleet._trip_zone.pop(v.id)\n")
     last = modules["dispatch.py"].count("\n")
     assert index_writes(modules["dispatch.py"]) == [
         "line %d: fleet.idle_at[node].remove(v)" % (last - 1),
-        "line %d: fleet._trips_in[node].pop(v.id)" % last]
+        "line %d: fleet._trip_zone.pop(v.id)" % last]
     for line in ("fleet.idle_at[3] = {}", "self._fleet.on_trip[n] = v", "f.on_trip = {}",
                  "fleet.idle_at.setdefault(n, []).append(v)", "fleet.idle_at[n].pop()",
                  "del self.on_trip[v.id]", "fleet.on_trip.clear()", "x._idle_moves[k] = 0",
                  "setattr(fleet, 'idle_at', {})", "a, fleet.on_trip[1] = 1, v",
-                 "fleet._trips_in.setdefault(z, {})[v.id] = v", "del f._trip_place[n]",
-                 "heapq.heappush(fleet._crossings, item)", "heappop(self._crossings)",
+                 "fleet._trip_zone[v.id] = (z, lo, hi)", "del f._trip_zone[n]",
+                 "heapq.heappush(fleet.idle_at[n], v)", "heappop(self.idle_at[n])",
                  "fleet._trips_by = zones"):
         assert index_writes(line), line
     for line in ("here = fleet.idle_at.get(node)", "idle_at[n] = 1", "self.fleet = fleet",
                  "n = len(fleet.on_trip)", "waiting.pop(node, ())", "x = fleet.on_trip[n]",
                  "setattr(v, 'fleet', f)", "heapq.heappush(heap, item)",
-                 "t = fleet._crossings[0][0]"):
+                 "zone = fleet._trip_zone[v.id][0]"):
         assert not index_writes(line), line
 
 

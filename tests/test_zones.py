@@ -3,6 +3,7 @@
 import codecs
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from amodsim.zones import (
     Zone,
     ZoneLoadError,
     ZoneMap,
+    _point_segment_dist_m,
     initial_adjacency,
     load_zones,
 )
@@ -136,6 +138,15 @@ def test_adjacency_tolerance_is_one_meter():
     sched = initial_adjacency(zm)
     assert sched.pairs() == [(0, 1)]
     assert sched.neighbors(2) == []
+
+
+def test_point_segment_distance_of_a_segment_that_projects_to_one_point():
+    """Two distinct vertices whose offsets from the query point round to the
+    same value project to one point: the distance is the one to a."""
+    p, a, b = GeoPoint(10.0, -179.0), GeoPoint(10.0, 1e-300), GeoPoint(10.0, 2e-300)
+    assert a != b and a.lon - p.lon == b.lon - p.lon
+    assert _point_segment_dist_m(p, a, b) == 179.0 * (
+        METERS_PER_DEG_LAT * math.cos(math.radians(10.0)))
 
 
 def test_adjacency_from_overlap_and_containment():
