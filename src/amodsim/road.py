@@ -194,6 +194,8 @@ class RoadNetwork:
                     f"edge {k} references unknown node {u if u not in index_of else v}", k)
             if length <= 0 or speed <= 0:
                 raise NetworkLoadError(f"edge {k} has non-positive length or speed", k)
+            if not (length < math.inf and speed == speed):
+                raise NetworkLoadError(f"edge {k} has a non-finite length or a NaN speed", k)
             i, j = index_of[u], index_of[v]
             # haversine_m(nodes[u], nodes[v]), inline as in route_astar
             lat1, lon1, cos1 = ends[i]
@@ -404,7 +406,8 @@ def _parse_lines(path: str):
 def load_network(nodes_path: str, edges_path: str, speed_limit_mps: float) -> RoadNetwork:
     """Read `node_id lat lon` and `from to length_m speed_mps` text files.
 
-    Speeds above the limit are clamped, not rejected.
+    Lengths must be positive and finite and speeds positive; speeds above
+    the limit, +inf among them, are clamped, not rejected.
     """
     nodes: dict[int, GeoPoint] = {}
     for lineno, raw, parts in _parse_lines(nodes_path):
