@@ -6,10 +6,11 @@ balances against rows read.
 """
 
 import csv
-import math
 import random
+import re
 from dataclasses import dataclass, field
 from datetime import datetime
+from operator import itemgetter
 
 from .geo import GeoPoint
 
@@ -24,6 +25,7 @@ DEFAULT_CAPACITY = 4
 DEFAULT_PARTY_PROBS = (0.7, 0.15, 0.1, 0.05)
 
 TIMESTAMP_FORMAT = "%Y-%m-%d %H:%M:%S"
+_TIMESTAMP_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
 
 # The trip file's header; the dataset spells longitude as "log". All eight
 # columns are required, including those no request keeps.
@@ -84,11 +86,24 @@ class CleaningReport:
 
 
 def _coords_invalid(lat: float, lon: float) -> bool:
-    if not (math.isfinite(lat) and math.isfinite(lon)):
-        return True
     if lat == 0.0 and lon == 0.0:  # null island rows are sensor dropouts
         return True
-    return not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0)
+    return not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0)  # nan and inf fail
+
+
+def parse_timestamp(text: str) -> datetime:
+    """datetime.strptime(text, TIMESTAMP_FORMAT), with the format's own
+    shape, `YYYY-MM-DD HH:MM:SS` in ASCII digits, sliced into datetime().
+
+    Exact: on that shape strptime's field patterns take both digits or fail;
+    what they refuse (month 0 or 13+, day 0 or 32+, hour 24+, minute 60+,
+    second 62+) datetime() refuses too, and what they pass goes to datetime()
+    (refusing Feb 30, second 60 or 61, year 0). Not fromisoformat: it
+    accepts forms strptime rejects."""
+    if _TIMESTAMP_SHAPE.fullmatch(text):
+        return datetime(int(text[:4]), int(text[5:7]), int(text[8:10]),
+                        int(text[11:13]), int(text[14:16]), int(text[17:]))
+    return datetime.strptime(text, TIMESTAMP_FORMAT)
 
 
 def parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = NYC_BBOX,
@@ -99,25 +114,34 @@ def parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = NYC_BBO
     Returns requests sorted by (request_time_s, id); ids count kept rows in
     file order. One rejection reason per bad row, checked in a fixed order
     (parse errors, coordinates, bounds, duration, party size).
+
+    Rows follow csv.DictReader's rules: blank rows are skipped uncounted,
+    extra fields ignored and missing ones None (so unparseable); of a
+    repeated column name the last counts. Timestamps: parse_timestamp.
     """
     report = CleaningReport()
     kept: list[tuple[datetime, GeoPoint, GeoPoint, int]] = []
     with open(csv_path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in COLUMNS if c not in header]
         if missing:
             raise DemandFormatError(f"{csv_path}: missing columns {missing}; header {header}")
+        at = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+        fields = itemgetter(*(at[c] for c in COLUMNS[1:]))
+        lon_min, lat_min, lon_max, lat_max = bbox
         for row in reader:
+            if not row:
+                continue
             report.rows_read += 1
+            row += [None] * (len(header) - len(row))
             try:
-                pickup_dt = datetime.strptime(row["pickup time"].strip(), TIMESTAMP_FORMAT)
-                dropoff_dt = datetime.strptime(row["dropoff time"].strip(), TIMESTAMP_FORMAT)
-                party = int(row["passenger count"].strip())
-                plat = float(row["pickup lat"].strip())
-                plon = float(row["pickup log"].strip())
-                dlat = float(row["dropoff lat"].strip())
-                dlon = float(row["dropoff log"].strip())
+                pickup, dropoff, party, plon, plat, dlon, dlat = fields(row)
+                pickup_dt = parse_timestamp(pickup.strip())
+                dropoff_dt = parse_timestamp(dropoff.strip())
+                party = int(party.strip())
+                plat, plon = float(plat.strip()), float(plon.strip())
+                dlat, dlon = float(dlat.strip()), float(dlon.strip())
                 if party < 1:
                     raise ValueError("party below 1")
             except (ValueError, TypeError, AttributeError):
@@ -126,7 +150,6 @@ def parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = NYC_BBO
             if _coords_invalid(plat, plon) or _coords_invalid(dlat, dlon):
                 report.rejections[REJECT_BAD_COORDINATES] += 1
                 continue
-            lon_min, lat_min, lon_max, lat_max = bbox
             if not (lon_min <= plon <= lon_max and lat_min <= plat <= lat_max and
                     lon_min <= dlon <= lon_max and lat_min <= dlat <= lat_max):
                 report.rejections[REJECT_OUT_OF_BOUNDS] += 1
@@ -142,14 +165,13 @@ def parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = NYC_BBO
     if not kept:
         return [], report
     epoch = report.epoch = min(item[0] for item in kept)
-    order = sorted(range(len(kept)), key=lambda i: ((kept[i][0] - epoch).total_seconds(), i))
+    times = [(item[0] - epoch).total_seconds() for item in kept]
     rng = random.Random(rng_seed)
     requests = []
-    for idx in order:
-        pickup_dt, pickup, dropoff, party = kept[idx]
-        t_s = (pickup_dt - epoch).total_seconds()
+    for idx in sorted(range(len(kept)), key=times.__getitem__):  # ties in file order
+        _, pickup, dropoff, party = kept[idx]
         patience = rng.uniform(PATIENCE_MIN_S, PATIENCE_MAX_S)
-        requests.append(TripRequest(idx, t_s, pickup, dropoff, party, patience))
+        requests.append(TripRequest(idx, times[idx], pickup, dropoff, party, patience))
     return requests, report
 
 

@@ -187,16 +187,17 @@ class RoadNetwork:
         self._ends = ends = [(p.lat, p.lon, math.cos(math.radians(p.lat)))
                              for p in map(self.nodes.__getitem__, self.ids)]
         sin, sqrt, asin = math.sin, math.sqrt, math.asin
+        limit, get = self.speed_limit_mps, index_of.get
         out: list[list[tuple[int, float, float]]] = [[] for _ in self.ids]
         for k, (u, v, length, speed) in enumerate(edges):
-            if u not in index_of or v not in index_of:
+            i, j = get(u), get(v)
+            if i is None or j is None:
                 raise NetworkLoadError(
-                    f"edge {k} references unknown node {u if u not in index_of else v}", k)
+                    f"edge {k} references unknown node {u if i is None else v}", k)
             if length <= 0 or speed <= 0:
                 raise NetworkLoadError(f"edge {k} has non-positive length or speed", k)
             if not (length < math.inf and speed == speed):
                 raise NetworkLoadError(f"edge {k} has a non-finite length or a NaN speed", k)
-            i, j = index_of[u], index_of[v]
             # haversine_m(nodes[u], nodes[v]), inline as in route_astar
             lat1, lon1, cos1 = ends[i]
             lat2, lon2, cos2 = ends[j]
@@ -207,13 +208,14 @@ class RoadNetwork:
                 raise NetworkLoadError(
                     f"edge {k} ({u}->{v}) length {length:.2f} m shorter than "
                     f"{MIN_LENGTH_FACTOR} * great-circle {crow:.2f} m", k)
-            out[i].append((j, length, min(speed, self.speed_limit_mps)))
+            out[i].append((j, length, speed if speed < limit else limit))
         for row in out:
             row.sort()
+        flat = [edge for row in out for edge in row]
+        to, lengths, speeds = zip(*flat) if flat else ((), (), ())
         self._first = array("l", [0, *accumulate(map(len, out))])
-        self._to = array("l", [v for row in out for v, _, _ in row])
-        self._length = array("d", [length for row in out for _, length, _ in row])
-        self._speed = array("d", [speed for row in out for _, _, speed in row])
+        self._to = array("l", to)
+        self._length, self._speed = array("d", lengths), array("d", speeds)
         self._mult: float | None = None
         self._forward: list[list[tuple[int, float]]] = []
         self._reverse: list[list[tuple[int, float]]] = []
@@ -415,9 +417,7 @@ def load_network(nodes_path: str, edges_path: str, speed_limit_mps: float) -> Ro
             raise NetworkLoadError(
                 f"{nodes_path}:{lineno}: expected 'id lat lon', got {raw.strip()!r}")
         try:
-            nid = int(parts[0])
-            lat = float(parts[1])
-            lon = float(parts[2])
+            nid, lat, lon = int(parts[0]), float(parts[1]), float(parts[2])
         except ValueError as exc:
             raise NetworkLoadError(f"{nodes_path}:{lineno}: {exc}") from exc
         if nid < 0:
@@ -436,11 +436,9 @@ def load_network(nodes_path: str, edges_path: str, speed_limit_mps: float) -> Ro
             raise NetworkLoadError(
                 f"{edges_path}:{lineno}: expected 'from to length speed', got {raw.strip()!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
-            length, speed = float(parts[2]), float(parts[3])
+            edges.append((int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])))
         except ValueError as exc:
             raise NetworkLoadError(f"{edges_path}:{lineno}: {exc}") from exc
-        edges.append((u, v, length, speed))
         edge_lines.append(lineno)
     try:
         return RoadNetwork(nodes, edges, speed_limit_mps)

@@ -7,14 +7,17 @@ path sums are order-independent. Comparisons against oracles can then demand
 equality with zero tolerance.
 """
 
+import csv
 import heapq
 import json
 import math
 import os
 import random
 from dataclasses import dataclass
+from datetime import datetime
 
 from amodsim import engine
+from amodsim import demand
 from amodsim.demand import TripRequest
 from amodsim.dispatch import DispatchConfig, RescheduleAction
 from amodsim.fleet import (Fleet, Strategy, Vehicle, VehicleStatus, assign, candidate_pool,
@@ -199,6 +202,65 @@ def run_one(requests: list[TripRequest], fleet: Fleet, net: RoadNetwork, zone_ma
 
 
 # -- oracles -------------------------------------------------------------
+
+
+def reference_parse_trips(csv_path: str, bbox: tuple[float, float, float, float] = demand.NYC_BBOX,
+                          capacity: int = demand.DEFAULT_CAPACITY, rng_seed: int = 0,
+                          ) -> tuple[list[TripRequest], demand.CleaningReport]:
+    """demand.parse_trips read the plain way: a csv.DictReader dict per row
+    and datetime.strptime for each timestamp."""
+    report = demand.CleaningReport()
+    kept = []
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in demand.COLUMNS if c not in header]
+        if missing:
+            raise demand.DemandFormatError(
+                f"{csv_path}: missing columns {missing}; header {header}")
+        for row in reader:
+            report.rows_read += 1
+            try:
+                pickup_dt = datetime.strptime(row["pickup time"].strip(), demand.TIMESTAMP_FORMAT)
+                dropoff_dt = datetime.strptime(row["dropoff time"].strip(),
+                                               demand.TIMESTAMP_FORMAT)
+                party = int(row["passenger count"].strip())
+                plat = float(row["pickup lat"].strip())
+                plon = float(row["pickup log"].strip())
+                dlat = float(row["dropoff lat"].strip())
+                dlon = float(row["dropoff log"].strip())
+                if party < 1:
+                    raise ValueError("party below 1")
+            except (ValueError, TypeError, AttributeError):
+                reason = demand.REJECT_UNPARSEABLE
+            else:
+                lon_min, lat_min, lon_max, lat_max = bbox
+                if demand._coords_invalid(plat, plon) or demand._coords_invalid(dlat, dlon):
+                    reason = demand.REJECT_BAD_COORDINATES
+                elif not (lon_min <= plon <= lon_max and lat_min <= plat <= lat_max and
+                          lon_min <= dlon <= lon_max and lat_min <= dlat <= lat_max):
+                    reason = demand.REJECT_OUT_OF_BOUNDS
+                elif dropoff_dt <= pickup_dt:
+                    reason = demand.REJECT_NON_POSITIVE_DURATION
+                elif party > capacity:
+                    reason = demand.REJECT_OVERSIZE_PARTY
+                else:
+                    kept.append((pickup_dt, GeoPoint(plat, plon), GeoPoint(dlat, dlon), party))
+                    continue
+            report.rejections[reason] += 1
+    report.rows_kept = len(kept)
+    if not kept:
+        return [], report
+    epoch = report.epoch = min(item[0] for item in kept)
+    order = sorted(range(len(kept)), key=lambda i: ((kept[i][0] - epoch).total_seconds(), i))
+    rng = random.Random(rng_seed)
+    requests = []
+    for idx in order:
+        pickup_dt, pickup, dropoff, party = kept[idx]
+        patience = rng.uniform(demand.PATIENCE_MIN_S, demand.PATIENCE_MAX_S)
+        requests.append(TripRequest(idx, (pickup_dt - epoch).total_seconds(), pickup, dropoff,
+                                    party, patience))
+    return requests, report
 
 
 def out_edges(net: RoadNetwork) -> dict[int, list[tuple[int, float, float]]]:

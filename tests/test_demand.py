@@ -1,25 +1,32 @@
 """Trip CSV cleaning rules and the seeded synthetic demand generator."""
 
 import codecs
+import csv
 import hashlib
+import io
 import random
 from datetime import datetime
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from amodsim.demand import (
+    COLUMNS,
     DemandFormatError,
     GenerationError,
     NYC_BBOX,
     PATIENCE_MAX_S,
     PATIENCE_MIN_S,
+    TIMESTAMP_FORMAT,
     TripRequest,
     generate_demand,
+    parse_timestamp,
     parse_trips,
 )
 from amodsim.geo import GeoPoint
 from amodsim.zones import Zone, ZoneMap
-from scenario_tools import GOLDEN_SPACING_DEG, box_polygon, tile_zones
+from scenario_tools import GOLDEN_SPACING_DEG, box_polygon, reference_parse_trips, tile_zones
 
 HEADER = ("medallion,pickup time,dropoff time,passenger count,"
           "pickup log,pickup lat,dropoff log,dropoff lat")
@@ -156,6 +163,119 @@ def test_parse_trips_empty_file(tmp_path):
     requests, report = parse_trips(str(empty))
     assert requests == [] and report.rows_read == 0
     assert report.epoch is None
+
+
+def outcome(parse, *args):
+    """What parse(*args) returns, or the type of the ValueError it raises."""
+    try:
+        return parse(*args)
+    except ValueError as exc:
+        return type(exc), str(exc) if isinstance(exc, DemandFormatError) else None
+
+
+def strptime_timestamp(text):
+    return datetime.strptime(text, TIMESTAMP_FORMAT)
+
+
+# What a perturbation writes: digits give out-of-range fields, the rest
+# break the shape; an Arabic-Indic three is a digit to strptime alone.
+PERTURB_CHARS = "0123456789x٣-: \t"
+
+
+@given(st.datetimes(min_value=datetime(1000, 1, 1)),
+       st.lists(st.tuples(st.integers(0, 99), st.sampled_from(PERTURB_CHARS)), max_size=3))
+@example(datetime(2013, 2, 28, 23, 59, 59), [(9, "9")])     # Feb 29 in a common year
+@example(datetime(2012, 2, 28, 23, 59, 59), [(9, "9")])     # and in a leap year
+@example(datetime(2013, 1, 7, 8, 28, 36), [(17, "6")])      # second 66
+def test_parse_timestamp_agrees_with_strptime(when, edits):
+    """TIMESTAMP_FORMAT text with up to three characters overwritten
+    parses as strptime parses it, or fails as strptime fails."""
+    text = list(when.strftime(TIMESTAMP_FORMAT))
+    for pos, char in edits:
+        text[pos % len(text)] = char
+    text = "".join(text)
+    assert outcome(parse_timestamp, text) == outcome(strptime_timestamp, text)
+
+
+@pytest.mark.parametrize("text,parsed", [
+    ("2013-01-07 08:28:36", datetime(2013, 1, 7, 8, 28, 36)),
+    ("0001-01-01 00:00:00", datetime(1, 1, 1)),
+    ("9999-12-31 23:59:59", datetime(9999, 12, 31, 23, 59, 59)),
+    ("2012-02-29 00:00:00", datetime(2012, 2, 29)),
+    ("2013-1-7 8:5:3", datetime(2013, 1, 7, 8, 5, 3)),          # strptime's short fields
+    ("2013-01-07\t08:28:36", datetime(2013, 1, 7, 8, 28, 36)),  # and its whitespace
+    ("٢٠١٣-01-07 08:28:36", datetime(2013, 1, 7, 8, 28, 36)),
+    ("2013-00-07 08:28:36", None), ("2013-13-07 08:28:36", None),
+    ("2013-01-00 08:28:36", None), ("2013-01-32 08:28:36", None),
+    ("2013-02-30 08:28:36", None), ("2013-01-07 24:28:36", None),
+    ("2013-01-07 08:60:36", None), ("2013-01-07 08:28:60", None),
+    ("2013-01-07 08:28:61", None), ("0000-01-07 08:28:36", None),
+    ("2013-01-07T08:28:36", None), ("2013-01-07 08:28:36.5", None),
+    ("+013-01-07 08:28:36", None), ("2013-01-07 08:28:3x", None),
+    ("2013-0٣-07 08:28:36", None),             # a digit to int(), not to strptime's %m
+])
+def test_parse_timestamp_edges(text, parsed):
+    expected = ValueError if parsed is None else parsed
+    assert outcome(parse_timestamp, text) == outcome(strptime_timestamp, text)
+    assert outcome(parse_timestamp, text) in (expected, (expected, None))
+
+
+# The first two values are good; a field takes any of them one time in eight.
+FUZZ_VALUES = {
+    "time": ("2013-01-07 08:28:36", "2013-01-07 08:41:02", "2013-01-07 09:00:00",
+             "2013-1-7 8:5:3", " 2013-01-07 08:30:00 ", "2013-02-30 08:00:00",
+             "2013-01-07T08:28:36", "2013-13-45 25:61:00", "", "x"),
+    "count": ("1", "3", "2", "5", "0", "x", " 2 ", ""),
+    "lat": ("40.7", "40.8", "0", "nan", "95", ""),
+    "log": ("-73.9", "-74.0", "0", "-87.6", "abc"),
+    "medallion": ("M1", "a,b", 'say "hi"', ""),
+}
+
+
+def fuzz_trip_file(rng: random.Random) -> bytes:
+    """A trip file that breaks the format's rules at random: a byte-order
+    mark, CRLF, extra and repeated header names, blank, short and long rows,
+    quoted fields, and timestamps strptime reads only its own slow way."""
+    if rng.random() < 0.05:
+        return codecs.BOM_UTF8 * rng.randrange(2)
+    header = list(COLUMNS)
+    rng.shuffle(header)
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        header.insert(rng.randrange(len(header) + 1),
+                      rng.choice(COLUMNS + ("fare", "medallion")))
+    if rng.random() < 0.05:
+        header.remove(rng.choice(COLUMNS))
+
+    def value(name):
+        pool = FUZZ_VALUES[name.split()[-1] if name in COLUMNS else "medallion"]
+        return rng.choice(pool[:2] if rng.random() < 0.875 else pool)
+
+    lines = [header]
+    for _ in range(rng.randrange(12)):
+        row = [value(name) for name in header]
+        shape = rng.randrange(8)
+        if shape == 0:
+            row = []                                     # blank line
+        elif shape == 1:
+            row = row[:rng.randrange(len(row))]          # short row
+        elif shape == 2:
+            row += ["extra"] * rng.randrange(1, 3)       # long row
+        lines.append(row)
+    out = io.StringIO()
+    csv.writer(out, lineterminator=rng.choice(("\n", "\r\n"))).writerows(lines)
+    text = out.getvalue().encode()
+    return codecs.BOM_UTF8 + text if rng.random() < 0.3 else text
+
+
+def test_parse_trips_matches_a_dict_reader_and_strptime(tmp_path):
+    """Requests, cleaning reports and header errors equal those of the
+    plain DictReader and strptime reading on fuzzed files."""
+    rng = random.Random(2032)
+    path = tmp_path / "trips.csv"
+    for _ in range(400):
+        path.write_bytes(fuzz_trip_file(rng))
+        args = (str(path), NYC_BBOX, rng.choice((2, 4)), rng.randrange(100))
+        assert outcome(parse_trips, *args) == outcome(reference_parse_trips, *args)
 
 
 def test_trip_request_validation():

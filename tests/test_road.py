@@ -868,18 +868,24 @@ def test_load_network_edge_error_names_its_line(tmp_path):
     assert str(info.value).startswith(f"{edges}:4: edge 1 (1->0) length 300.00 m")
 
 
-@pytest.mark.parametrize("edge_text", ["0 1 nan 10\n", "0 1 inf 10\n", "0 1 100 nan\n"])
-def test_load_network_rejects_a_non_finite_length_or_a_nan_speed(tmp_path, edge_text):
-    """Such an edge would give nan or inf hop times, so a route between two
-    nodes of one component could not be found; the error names its line as
-    the other edge errors do. A +inf speed is clamped to the limit."""
+NON_FINITE = "edge 0 has a non-finite length or a NaN speed"
+
+
+@pytest.mark.parametrize("edge_text,message", [
+    ("0 1 nan 10\n", NON_FINITE), ("0 1 inf 10\n", NON_FINITE), ("0 1 100 nan\n", NON_FINITE),
+    ("0 1 1e3x 10\n", "could not convert string to float: '1e3x'"),
+])
+def test_load_network_rejects_a_bad_edge_value_on_its_line(tmp_path, edge_text, message):
+    """A non-finite length or a NaN speed would give nan or inf hop times,
+    so a route between two nodes of one component could not be found. Such
+    an edge, like a field that is no number, is an error naming its line.
+    A +inf speed is clamped to the limit."""
     nodes = _write(tmp_path / "n.txt", "0 0.0 0.0\n1 0.0 0.004\n2 0.0 0.008\n")
     good = "1 0 500 10\n1 2 500 10\n2 1 500 10\n"
     edges = _write(tmp_path / "e.txt", edge_text + good)
     with pytest.raises(NetworkLoadError) as info:
         load_network(nodes, edges, speed_limit_mps=10.0)
-    assert str(info.value) == f"{edges}:1: edge 0 has a non-finite length or a NaN speed"
-    assert info.value.__cause__.edge == 0
+    assert str(info.value) == f"{edges}:1: {message}"
 
     edges = _write(tmp_path / "e.txt", "0 1 500 inf\n" + good)
     net = load_network(nodes, edges, speed_limit_mps=10.0)
