@@ -211,11 +211,10 @@ class RoadNetwork:
             out[i].append((j, length, speed if speed < limit else limit))
         for row in out:
             row.sort()
-        flat = [edge for row in out for edge in row]
-        to, lengths, speeds = zip(*flat) if flat else ((), (), ())
         self._first = array("l", [0, *accumulate(map(len, out))])
-        self._to = array("l", to)
-        self._length, self._speed = array("d", lengths), array("d", speeds)
+        self._to = array("l", [v for row in out for v, _, _ in row])
+        self._length = array("d", [length for row in out for _, length, _ in row])
+        self._speed = array("d", [speed for row in out for _, _, speed in row])
         self._mult: float | None = None
         self._forward: list[list[tuple[int, float]]] = []
         self._reverse: list[list[tuple[int, float]]] = []
